@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psf_drbac::entity::{Entity, EntityName, Subject};
 use psf_drbac::repository::{CredentialSource, Repository};
 use psf_drbac::storage_model::{simulate_drbac, storage_comparison};
-use psf_drbac::wal::{DurableRepository, FsyncPolicy, WalConfig};
+use psf_drbac::wal::{FsyncPolicy, ShardedDurableRepository, WalConfig};
 use psf_drbac::{
     subject_key, AttrSet, Delegation, DelegationBuilder, DelegationKind, DiscoveryTag,
     SignedDelegation,
@@ -19,8 +19,9 @@ use std::path::PathBuf;
 fn fill_wal_dir(n: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("psf-bench-recovery-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (d, _) = DurableRepository::open(
+    let (d, _) = ShardedDurableRepository::open(
         &dir,
+        psf_drbac::DEFAULT_SHARD_COUNT,
         WalConfig {
             fsync: FsyncPolicy::Never,
             auto_compact_appends: None,
@@ -192,14 +193,14 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Crash recovery: cold `Repository::recover` replay of an `n`-record
-    // WAL — the restart-latency row `psf bench --check` gates at 10⁵
-    // records (here sized down so the criterion sweep stays fast).
+    // Crash recovery: cold `Repository::recover_sharded` replay of an
+    // `n`-record WAL — the restart-latency row `psf bench --check` gates
+    // at 10⁵ records (here sized down so the criterion sweep stays fast).
     for n in [1_000u64, 10_000] {
         let dir = fill_wal_dir(n);
         group.bench_with_input(BenchmarkId::new("recovery_replay", n), &n, |b, &n| {
             b.iter(|| {
-                let (repo, _bus, report) = Repository::recover(&dir).unwrap();
+                let (repo, _bus, report) = Repository::recover_sharded(&dir).unwrap();
                 assert_eq!(
                     report.records_replayed,
                     n as usize + n.div_ceil(64) as usize

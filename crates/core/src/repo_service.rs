@@ -9,7 +9,7 @@
 use parking_lot::Mutex;
 use psf_drbac::entity::{EntityName, RoleName, Subject};
 use psf_drbac::repository::{CredentialSource, DiscoveryTag, Repository};
-use psf_drbac::wal::DurableRepository;
+use psf_drbac::wal::ShardedDurableRepository;
 use psf_drbac::wire::{decode_credentials, encode_credentials, Reader};
 use psf_drbac::SignedDelegation;
 use psf_switchboard::Channel;
@@ -128,27 +128,10 @@ fn encode_publish_args(home: &EntityName, tag: DiscoveryTag, cred: &SignedDelega
 /// Serve a crash-safe home node: the query handlers of
 /// [`serve_repository`] plus a `repo.publish` handler, all backed by the
 /// durable pair's shared handles — every accepted publish hits the
-/// write-ahead log before the RPC response leaves, so a committed publish
+/// write-ahead log (the segment of the shard owning the credential's
+/// subject) before the RPC response leaves, so a committed publish
 /// survives `kill -9`.
-pub fn serve_durable_repository(channel: &Channel, durable: &DurableRepository) {
-    serve_repository(channel, durable.repository().clone());
-    let repo = durable.repository().clone();
-    channel.register_handler(PUBLISH, move |args| {
-        let (home, tag, cred) = decode_publish_args(args)?;
-        let id = cred.id();
-        repo.publish(home, cred, tag);
-        Ok(id.into_bytes())
-    });
-}
-
-/// Serve a crash-safe **sharded** home node: identical protocol to
-/// [`serve_durable_repository`], but every accepted publish is routed to
-/// the WAL segment of the shard owning the credential's subject before
-/// the RPC response leaves.
-pub fn serve_sharded_durable_repository(
-    channel: &Channel,
-    durable: &psf_drbac::wal::ShardedDurableRepository,
-) {
+pub fn serve_sharded_durable_repository(channel: &Channel, durable: &ShardedDurableRepository) {
     serve_repository(channel, durable.repository().clone());
     let repo = durable.repository().clone();
     channel.register_handler(PUBLISH, move |args| {
@@ -212,7 +195,7 @@ impl RemoteRepository {
     }
 
     /// Publish a credential to the remote home node (requires the peer to
-    /// run [`serve_durable_repository`]). Returns the credential id
+    /// run [`serve_sharded_durable_repository`]). Returns the credential id
     /// acknowledged by the server — by the time this returns, the record
     /// is in the server's write-ahead log.
     pub fn publish(
@@ -363,11 +346,14 @@ mod tests {
         assert!(!engine.check(&w.bob.as_subject(), &w.ny.role("Member"), &[]));
     }
 
-    #[test]
-    fn durable_home_node_publish_survives_restart() {
-        use psf_drbac::wal::{DurableRepository, WalConfig};
-        let dir = std::env::temp_dir().join(format!("psf-repo-svc-{}", std::process::id()));
+    /// A publish acked over the wire and a revocation survive a restart
+    /// of the home node, whatever the shard count.
+    fn home_node_publish_survives_restart(shards: usize) {
+        use psf_drbac::wal::WalConfig;
+        let dir =
+            std::env::temp_dir().join(format!("psf-repo-svc-{}-{shards}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let open = || ShardedDurableRepository::open(&dir, shards, WalConfig::default()).unwrap();
 
         let ny = Entity::with_seed("Comp.NY", b"svc");
         let bob = Entity::with_seed("Bob", b"svc");
@@ -376,9 +362,9 @@ mod tests {
             .role(ny.role("Member"))
             .sign();
         {
-            let (durable, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (durable, _) = open();
             let (client, server) = pair_in_memory_plain(quiet());
-            serve_durable_repository(&server, &durable);
+            serve_sharded_durable_repository(&server, &durable);
             let remote = RemoteRepository::new(Arc::new(client)).without_cache();
             // Publish over the wire; the ack means it's in the WAL.
             let ack = remote.publish(&ny.name, DiscoveryTag::Both, &cred).unwrap();
@@ -389,56 +375,28 @@ mod tests {
             durable.bus().revoke(&cred.id());
         } // "crash": the process state is dropped, only the files remain
 
-        let (durable2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(report.publishes, 1);
-        assert_eq!(report.revocations_restored, 1);
-        let (client, server) = pair_in_memory_plain(quiet());
-        serve_durable_repository(&server, &durable2);
-        let remote = RemoteRepository::new(Arc::new(client)).without_cache();
-        let found = remote.credentials_by_subject(&bob.as_subject());
-        assert_eq!(found.len(), 1);
-        assert!(durable2.bus().is_revoked(&cred.id()));
-        // Garbage publish args are rejected, not panicking the server.
-        let bad: Result<_, _> = remote.publish(&ny.name, DiscoveryTag::Both, &cred);
-        assert!(bad.is_ok(), "duplicate publish is acceptable");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_home_node_publish_survives_restart() {
-        use psf_drbac::wal::{ShardedDurableRepository, WalConfig};
-        let dir = std::env::temp_dir().join(format!("psf-repo-svc-sh-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let ny = Entity::with_seed("Comp.NY", b"svc");
-        let bob = Entity::with_seed("Bob", b"svc");
-        let cred = DelegationBuilder::new(&ny)
-            .subject_entity(&bob)
-            .role(ny.role("Member"))
-            .sign();
-        {
-            let (durable, _) =
-                ShardedDurableRepository::open(&dir, 8, WalConfig::default()).unwrap();
-            let (client, server) = pair_in_memory_plain(quiet());
-            serve_sharded_durable_repository(&server, &durable);
-            let remote = RemoteRepository::new(Arc::new(client)).without_cache();
-            let ack = remote.publish(&ny.name, DiscoveryTag::Both, &cred).unwrap();
-            assert_eq!(ack, cred.id());
-            assert_eq!(remote.credentials_by_subject(&bob.as_subject()).len(), 1);
-            durable.bus().revoke(&cred.id());
-            durable.sync().unwrap();
-        } // "crash"
-
-        let (durable2, report) =
-            ShardedDurableRepository::open(&dir, 8, WalConfig::default()).unwrap();
+        let (durable2, report) = open();
         assert_eq!(report.publishes, 1);
         assert_eq!(report.revocations_restored, 1);
         let (client, server) = pair_in_memory_plain(quiet());
         serve_sharded_durable_repository(&server, &durable2);
         let remote = RemoteRepository::new(Arc::new(client)).without_cache();
-        assert_eq!(remote.credentials_by_subject(&bob.as_subject()).len(), 1);
+        let found = remote.credentials_by_subject(&bob.as_subject());
+        assert_eq!(found.len(), 1);
         assert!(durable2.bus().is_revoked(&cred.id()));
+        let again: Result<_, _> = remote.publish(&ny.name, DiscoveryTag::Both, &cred);
+        assert!(again.is_ok(), "duplicate publish is acceptable");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_home_node_publish_survives_restart() {
+        home_node_publish_survives_restart(1);
+    }
+
+    #[test]
+    fn sharded_home_node_publish_survives_restart() {
+        home_node_publish_survives_restart(8);
     }
 
     #[test]

@@ -331,15 +331,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn teardown_revocations_persist_across_restart() {
-        use psf_drbac::wal::{DurableRepository, WalConfig};
-        let dir = std::env::temp_dir().join(format!("psf-sup-wal-{}", std::process::id()));
+    /// Everything a torn-down deployment was granted stays revoked across
+    /// a restart of the durable repository, whatever the shard count.
+    fn teardown_revocations_persist(shards: usize) {
+        use psf_drbac::wal::{ShardedDurableRepository, WalConfig};
+        let dir = std::env::temp_dir().join(format!("psf-sup-wal-{}-{shards}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let issued_ids: Vec<String>;
         {
-            let (durable, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
-            let guard = Arc::new(Guard::durable(
+            let (durable, _) =
+                ShardedDurableRepository::open(&dir, shards, WalConfig::default()).unwrap();
+            let guard = Arc::new(Guard::sharded_durable(
                 Entity::with_seed("Sup.Domain", b"sup"),
                 EntityRegistry::new(),
                 &durable,
@@ -369,9 +371,10 @@ mod tests {
             for id in &issued_ids {
                 assert!(w.guard.bus().is_revoked(id));
             }
+            durable.sync().unwrap();
         } // "crash": only the durable directory survives
 
-        let (_, bus, report) = Repository::recover(&dir).unwrap();
+        let (_, bus, report) = Repository::recover_sharded(&dir).unwrap();
         assert!(
             report.revocations_restored >= issued_ids.len(),
             "restored {} < issued {}",
@@ -385,56 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn teardown_revocations_persist_across_restart_sharded() {
-        use psf_drbac::wal::{ShardedDurableRepository, WalConfig};
-        let dir = std::env::temp_dir().join(format!("psf-sup-shwal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let issued_ids: Vec<String>;
-        {
-            let (durable, _) =
-                ShardedDurableRepository::open(&dir, 8, WalConfig::default()).unwrap();
-            let guard = Arc::new(Guard::sharded_durable(
-                Entity::with_seed("Sup.Domain", b"sup"),
-                EntityRegistry::new(),
-                &durable,
-            ));
-            let w = world_with_guard(guard);
-            let mut sup = Supervisor::start(
-                &w.registrar,
-                &w.scenario.network,
-                &PermissiveOracle,
-                PlannerConfig::default(),
-                goal(&w),
-                &w.deployer,
-                w.guard.clone(),
-            )
-            .unwrap();
-            issued_ids = sup
-                .deployment()
-                .unwrap()
-                .issued_credentials
-                .iter()
-                .map(|c| c.id())
-                .collect();
-            assert!(!issued_ids.is_empty(), "deployment issues credentials");
-            sup.shutdown();
-            for id in &issued_ids {
-                assert!(w.guard.bus().is_revoked(id));
-            }
-            durable.sync().unwrap();
-        } // "crash": only the sharded directory survives
+    fn teardown_revocations_persist_across_restart() {
+        teardown_revocations_persist(1);
+    }
 
-        let (_, bus, report) = Repository::recover_sharded(&dir).unwrap();
-        assert!(
-            report.revocations_restored >= issued_ids.len(),
-            "restored {} < issued {}",
-            report.revocations_restored,
-            issued_ids.len()
-        );
-        for id in &issued_ids {
-            assert!(bus.is_revoked(id), "revocation of {id} lost across restart");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+    #[test]
+    fn teardown_revocations_persist_across_restart_sharded() {
+        teardown_revocations_persist(8);
     }
 
     #[test]

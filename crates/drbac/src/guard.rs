@@ -63,27 +63,10 @@ impl Guard {
         }
     }
 
-    /// Create a guard backed by a [`crate::wal::DurableRepository`]: the
-    /// guard's repository and bus are the durable pair's shared handles,
-    /// so every credential it issues and every revocation it performs is
-    /// written to the crash-safe log transparently.
-    pub fn durable(
-        entity: Entity,
-        registry: EntityRegistry,
-        durable: &crate::wal::DurableRepository,
-    ) -> Guard {
-        Guard::new(
-            entity,
-            registry,
-            durable.repository().clone(),
-            durable.bus().clone(),
-        )
-    }
-
     /// Create a guard backed by a [`crate::wal::ShardedDurableRepository`]:
-    /// identical wiring to [`Guard::durable`], but the repository handle is
-    /// the hash-sharded store and every mutation lands in the per-shard
-    /// write-ahead segments.
+    /// the guard's repository and bus are the durable pair's shared
+    /// handles, so every credential it issues and every revocation it
+    /// performs is written to the crash-safe log transparently.
     pub fn sharded_durable(
         entity: Entity,
         registry: EntityRegistry,

@@ -71,9 +71,9 @@ pub use repository::{
 };
 pub use revocation::{RevocationBus, RevocationObserver, ValidityMonitor};
 pub use wal::{
-    is_sharded_dir, shard_dir_name, verify_dir, verify_sharded_dir, CompactReport,
-    DurableRepository, FsyncPolicy, RecoveryReport, ShardSegmentStats, ShardedDurableRepository,
-    ShardedVerifyReport, ShardedWalStats, VerifyReport, WalConfig, WalStats,
+    segment_dirs, shard_dir_name, verify_sharded_dir, CompactReport, DurabilityStats, FsyncPolicy,
+    RecoveryReport, ShardSegmentStats, ShardedDurableRepository, ShardedVerifyReport, VerifyReport,
+    WalConfig,
 };
 
 /// Logical timestamp used for credential expiration (seconds; the netsim

@@ -6,12 +6,25 @@
 //! plane crash-safe, in the spirit of SAFE's durable linked-credential
 //! store (Thummala & Chase): every repository mutation is appended to an
 //! on-disk log *before* the caller regains control, and
-//! [`DurableRepository::open`] replays the log (plus the latest snapshot)
-//! to rebuild the exact pre-crash authorization state.
+//! [`ShardedDurableRepository::open`] replays the logs (plus the latest
+//! snapshots) to rebuild the exact pre-crash authorization state.
+//!
+//! ## Layout
+//!
+//! There is one engine and one on-disk layout. A durable directory holds
+//! one log *segment* per repository shard under `dir/shard-NN/` plus a
+//! `dir/bus/` segment for revocations, all declared by a checksummed
+//! `dir/shards.meta`; a segment is a `delegations.wal` log and, once
+//! compacted, a `snapshot.bin`. A publish is appended only to its
+//! subject's shard segment, so writers to different shards never share a
+//! log mutex; revocations go to the bus segment (a bulk revoke as one
+//! frame); a purge is replicated to every shard segment and re-applied
+//! shard-locally. Recovery replays the shard segments in parallel. A
+//! "single log" is this layout with `shards = 1`.
 //!
 //! ## Record format
 //!
-//! The log is a sequence of self-delimiting frames:
+//! A log is a sequence of self-delimiting frames:
 //!
 //! ```text
 //! [u32 len][u32 crc32][payload]          len, crc little-endian
@@ -24,45 +37,57 @@
 //! time), `4` **RevokeBatch** (`u32` count, then that many
 //! `u32`-prefixed credential ids — one frame for an entire
 //! [`RevocationBus::revoke_all`] epoch). The epoch tag is the
-//! repository's mutation epoch at append
-//! time; recovery raises the rebuilt repository's epoch to the maximum
-//! seen and then bumps it once more, so any negative proof-cache entry
-//! pinned to a pre-crash epoch can never be mistaken for current.
+//! repository's mutation epoch at append time; recovery raises the
+//! rebuilt repository's epoch to the maximum seen and then bumps it once
+//! more, so any negative proof-cache entry pinned to a pre-crash epoch
+//! can never be mistaken for current.
 //!
 //! ## Torn writes, duplicates, ordering
 //!
-//! A crash mid-append leaves a torn tail. Recovery scans the log
+//! A crash mid-append leaves a torn tail. Recovery scans each log
 //! front-to-back and stops at the first frame whose header, length, CRC,
 //! or payload fails to decode; everything before is replayed, everything
-//! after is truncated (physically, by [`DurableRepository::open`];
-//! [`Repository::recover`] and [`verify_dir`] are read-only and never
-//! modify the files). Replay is duplicate-tolerant — a crash between
-//! snapshot rename and log truncation leaves both covering the same
-//! records, and `(home, credential-id)` dedup makes the overlap
-//! harmless — and out-of-order-revoke tolerant (a `Revoke` for an id the
-//! log never publishes still lands in the bus).
+//! after is truncated (physically, by [`ShardedDurableRepository::open`];
+//! [`Repository::recover_sharded`] and [`verify_sharded_dir`] are
+//! read-only and never modify the files). Replay is duplicate-tolerant —
+//! a crash between snapshot rename and log truncation leaves both
+//! covering the same records, and `(home, credential-id)` dedup makes the
+//! overlap harmless — and out-of-order-revoke tolerant (a `Revoke` for an
+//! id no segment publishes still lands in the bus).
 //!
 //! ## Snapshots & compaction
 //!
-//! [`DurableRepository::compact`] writes the full repository + revocation
-//! state to `snapshot.tmp`, fsyncs, renames it over `snapshot.bin`,
-//! fsyncs the directory, and only then truncates the log. The snapshot
-//! carries a trailing CRC32 over its entire contents; a corrupt snapshot
-//! (torn rename on a filesystem without atomic rename durability) is
-//! ignored at recovery and reported in the [`RecoveryReport`].
+//! [`ShardedDurableRepository::compact`] writes each segment's state
+//! (a shard's credentials, or the bus's revoked ids) to `snapshot.tmp`,
+//! fsyncs, renames it over `snapshot.bin`, fsyncs the directory, and only
+//! then truncates that segment's log. The snapshot carries the epoch it
+//! was taken at and a trailing CRC32 over its entire contents; a corrupt
+//! snapshot (torn rename on a filesystem without atomic rename
+//! durability) is ignored at recovery and reported in the
+//! [`RecoveryReport`].
 //!
-//! ## Sharded layout
+//! ## Group commit
 //!
-//! [`ShardedDurableRepository`] scales the same machinery to the sharded
-//! [`Repository`]: one log segment *per repository shard* under
-//! `dir/shard-NN/` (same frame format, same snapshot format, same
-//! per-segment compaction) plus a `dir/bus/` segment for revocations, all
-//! declared by a checksummed `dir/shards.meta`. A publish is appended only
-//! to its subject's shard segment, so writers to different shards never
-//! share a log mutex; recovery replays every segment in parallel. Group
-//! commit batches frames per segment under [`FsyncPolicy::EveryN`] /
-//! [`FsyncPolicy::Never`] (note the loss window for buffered frames then
+//! Under [`FsyncPolicy::Always`] a frame is handed to the OS under the
+//! segment's writer lock and fsynced outside it, so concurrent writers to
+//! one segment share fsyncs without giving up per-record durability.
+//! [`FsyncPolicy::EveryN`] / [`FsyncPolicy::Never`] batch frames per
+//! segment in memory (note the loss window for buffered frames then
 //! includes a process crash, not just power loss — `sync()` flushes).
+//!
+//! ## Legacy import
+//!
+//! Directories written before the layout above hold one root-level
+//! `delegations.wal` / `snapshot.bin` (same frame and snapshot formats).
+//! [`ShardedDurableRepository::open`] imports such a directory once: the
+//! root files are replayed *through the live observers*, so every record
+//! is re-logged into the segments; the segments are fsynced; only then
+//! are the root files removed (snapshot first). "Root files present"
+//! therefore means "import pending": a crash anywhere before the removal
+//! re-runs the import, and dedup against what the segments already
+//! recovered makes the re-run idempotent. The read-only entry points
+//! refuse an un-imported directory with a typed `InvalidData` error
+//! rather than serve it as an empty repository.
 
 use crate::delegation::SignedDelegation;
 use crate::entity::EntityName;
@@ -77,15 +102,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Log file name inside a durable repository directory.
+/// Log file name inside a segment directory.
 pub const LOG_FILE: &str = "delegations.wal";
-/// Snapshot file name inside a durable repository directory.
+/// Snapshot file name inside a segment directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Temporary snapshot name (renamed over [`SNAPSHOT_FILE`] when complete).
 pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
-/// Shard-layout manifest inside a sharded durable directory.
+/// Shard-count manifest at the root of a durable directory.
 pub const SHARD_META_FILE: &str = "shards.meta";
-/// Revocation-bus segment directory inside a sharded durable directory.
+/// Revocation-bus segment directory inside a durable directory.
 pub const BUS_DIR: &str = "bus";
 
 const SNAPSHOT_MAGIC: &[u8; 11] = b"PSF-SNAP-v1";
@@ -220,13 +245,12 @@ fn encode_publish_payload(
 }
 
 fn encode_payload(epoch: u64, op: &WalOp) -> Vec<u8> {
-    if let WalOp::Publish { home, tag, cred } = op {
-        return encode_publish_payload(epoch, home, *tag, cred);
-    }
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&epoch.to_le_bytes());
     match op {
-        WalOp::Publish { .. } => unreachable!("handled above"),
+        WalOp::Publish { home, tag, cred } => {
+            return encode_publish_payload(epoch, home, *tag, cred)
+        }
         WalOp::Revoke { id } => {
             out.push(KIND_REVOKE);
             put_str(&mut out, id);
@@ -246,13 +270,21 @@ fn encode_payload(epoch: u64, op: &WalOp) -> Vec<u8> {
     out
 }
 
-/// Frame a payload: `[u32 len][u32 crc][payload]`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Minimum encoded size of a `u32`-prefixed string (the empty one).
+const MIN_STRING_BYTES: usize = 4;
+/// Minimum encoded size of a snapshot entry: home string, tag byte, and
+/// a credential's `u32` body length plus 64-byte signature.
+const MIN_ENTRY_BYTES: usize = MIN_STRING_BYTES + 1 + 4 + 64;
+
+/// Read a `u32` element count and refuse one the remaining bytes cannot
+/// hold at `min_bytes` per element. The count is untrusted (CRC-32 is not
+/// a MAC), so it must never size an allocation on its own.
+fn bounded_count(r: &mut Reader, min_bytes: usize, what: &str) -> Result<usize, String> {
+    let n = r.u32().map_err(|e| e.to_string())? as usize;
+    if n > r.remaining() / min_bytes {
+        return Err(format!("implausible {what} count {n}"));
+    }
+    Ok(n)
 }
 
 fn decode_payload(payload: &[u8]) -> Result<(u64, WalOp), String> {
@@ -278,10 +310,7 @@ fn decode_payload(payload: &[u8]) -> Result<(u64, WalOp), String> {
             now: r.u64().map_err(|e| e.to_string())?,
         },
         KIND_REVOKE_BATCH => {
-            let n = r.u32().map_err(|e| e.to_string())? as usize;
-            if n > 1 << 20 {
-                return Err("implausible revoke-batch count".into());
-            }
+            let n = bounded_count(&mut r, MIN_STRING_BYTES, "revoke-batch")?;
             let mut ids = Vec::with_capacity(n);
             for _ in 0..n {
                 ids.push(r.string().map_err(|e| e.to_string())?);
@@ -399,10 +428,7 @@ fn decode_snapshot(buf: &[u8]) -> Result<Snapshot, String> {
     }
     let mut r = Reader::new(&body[SNAPSHOT_MAGIC.len()..]);
     let epoch = r.u64().map_err(|e| e.to_string())?;
-    let n = r.u32().map_err(|e| e.to_string())? as usize;
-    if n > 1 << 24 {
-        return Err("implausible snapshot entry count".into());
-    }
+    let n = bounded_count(&mut r, MIN_ENTRY_BYTES, "snapshot entry")?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let home = r.string().map_err(|e| e.to_string())?;
@@ -411,10 +437,7 @@ fn decode_snapshot(buf: &[u8]) -> Result<Snapshot, String> {
         let cred = SignedDelegation::from_wire(&mut r).map_err(|e| e.to_string())?;
         entries.push((EntityName(home), tag, cred));
     }
-    let m = r.u32().map_err(|e| e.to_string())? as usize;
-    if m > 1 << 24 {
-        return Err("implausible snapshot revocation count".into());
-    }
+    let m = bounded_count(&mut r, MIN_STRING_BYTES, "snapshot revocation")?;
     let mut revoked = Vec::with_capacity(m);
     for _ in 0..m {
         revoked.push(r.string().map_err(|e| e.to_string())?);
@@ -464,7 +487,7 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// Durability configuration for [`DurableRepository::open`].
+/// Durability configuration for [`ShardedDurableRepository::open`].
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
     /// Fsync policy for log appends.
@@ -529,7 +552,8 @@ pub struct CompactReport {
     pub log_bytes_dropped: u64,
 }
 
-/// Read-only integrity report from [`verify_dir`].
+/// Read-only integrity report on one segment (see
+/// [`verify_sharded_dir`]).
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
     /// Whether a snapshot file exists.
@@ -540,6 +564,11 @@ pub struct VerifyReport {
     pub snapshot_entries: usize,
     /// Revocation ids in the snapshot.
     pub snapshot_revocations: usize,
+    /// Repository epoch the snapshot was taken at — when the segment was
+    /// last compacted (0 when absent/corrupt).
+    pub snapshot_epoch: u64,
+    /// Snapshot file size in bytes (0 when absent).
+    pub snapshot_bytes: u64,
     /// Valid records in the log.
     pub log_records: usize,
     /// Bytes covered by valid records.
@@ -551,440 +580,59 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
-    /// True when the directory recovers with zero data loss: no torn
+    /// True when the segment recovers with zero data loss: no torn
     /// tail, no corrupt snapshot.
     pub fn is_clean(&self) -> bool {
         self.truncated_bytes == 0 && !self.snapshot_corrupt
     }
 }
 
-/// Live counters for a [`DurableRepository`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WalStats {
-    /// Records appended since open.
-    pub appends: u64,
-    /// Explicit fsyncs issued since open.
-    pub fsyncs: u64,
-    /// Compactions performed since open.
-    pub compactions: u64,
-    /// Current log file size in bytes.
-    pub log_bytes: u64,
-    /// Current snapshot file size in bytes (0 when absent).
-    pub snapshot_bytes: u64,
-}
-
 // ---------------------------------------------------------------------------
-// Replay (shared by open() and Repository::recover())
+// Directory layout
 // ---------------------------------------------------------------------------
 
-fn replay(
-    dir: &Path,
-    repo: &Repository,
-    bus: &RevocationBus,
-) -> std::io::Result<(RecoveryReport, LogScan)> {
-    let mut report = RecoveryReport::default();
-    let mut max_epoch = 0u64;
-    // (home, credential-id) → expiry, for every pair currently applied —
-    // dedup for snapshot/log overlap and replayed double-publishes. A
-    // replayed purge *removes* expired pairs, so a later re-publish of a
-    // purged credential is applied rather than mistaken for a duplicate.
-    let mut seen: HashMap<(String, String), Option<u64>> = HashMap::new();
-
-    match load_snapshot(&dir.join(SNAPSHOT_FILE))? {
-        SnapshotLoad::Missing => {}
-        SnapshotLoad::Corrupt(reason) => {
-            report.snapshot_corrupt = true;
-            psf_telemetry::audit::record(
-                psf_telemetry::Decision::Revocation,
-                "",
-                "wal-snapshot",
-                psf_telemetry::Verdict::Deny,
-            )
-            .detail(format!("snapshot ignored: {reason}"))
-            .commit();
-        }
-        SnapshotLoad::Loaded(snap) => {
-            max_epoch = max_epoch.max(snap.epoch);
-            for (home, tag, cred) in snap.entries {
-                seen.insert((home.0.clone(), cred.id()), cred.body.expires);
-                repo.publish(home, cred, tag);
-                report.snapshot_entries += 1;
-            }
-            report.snapshot_revocations = snap.revoked.len();
-            report.revocations_restored += bus.restore(&snap.revoked);
-        }
-    }
-
-    let log_image = match std::fs::read(dir.join(LOG_FILE)) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let scan = scan_log(&log_image);
-    for rec in &scan.records {
-        max_epoch = max_epoch.max(rec.epoch);
-        match &rec.op {
-            WalOp::Publish { home, tag, cred } => {
-                use std::collections::hash_map::Entry;
-                match seen.entry((home.0.clone(), cred.id())) {
-                    Entry::Occupied(_) => report.duplicates_skipped += 1,
-                    Entry::Vacant(v) => {
-                        v.insert(cred.body.expires);
-                        repo.publish(home.clone(), cred.clone(), *tag);
-                        report.publishes += 1;
-                    }
-                }
-            }
-            WalOp::Revoke { id } => {
-                report.revocations_restored += bus.restore([id.as_str()]);
-            }
-            WalOp::RevokeBatch { ids } => {
-                report.revocations_restored += bus.restore(ids.iter().map(|s| s.as_str()));
-            }
-            WalOp::PurgeExpired { now } => {
-                repo.purge_expired(*now);
-                report.purges += 1;
-                seen.retain(|_, exp| exp.is_none_or(|e| *now < e));
-            }
-        }
-    }
-    report.records_replayed = scan.records.len();
-    report.truncated_bytes = scan.truncated_bytes;
-    report.log_bytes = scan.valid_bytes;
-
-    // Epoch monotonicity across the crash: never below anything a cache
-    // may have pinned, and strictly above it so stale negative entries die.
-    repo.raise_epoch(max_epoch);
-    report.epoch = repo.bump_epoch();
-
-    psf_telemetry::counter!("psf.repo.wal.replays").add(report.records_replayed as u64);
-    psf_telemetry::counter!("psf.repo.wal.truncated_bytes").add(report.truncated_bytes);
-    Ok((report, scan))
-}
-
-impl Repository {
-    /// Rebuild a repository (and its revocation bus) from a durable
-    /// directory, **read-only**: the snapshot and log are scanned and
-    /// replayed but never modified — a torn tail is skipped, not
-    /// truncated. Use [`DurableRepository::open`] to recover *and* keep
-    /// logging.
-    pub fn recover(dir: &Path) -> std::io::Result<(Repository, RevocationBus, RecoveryReport)> {
-        let repo = Repository::new();
-        let bus = RevocationBus::new();
-        let (report, _) = replay(dir, &repo, &bus)?;
-        Ok((repo, bus, report))
-    }
-}
-
-/// Read-only integrity check of a durable repository directory — scans
-/// the snapshot and log without replaying or modifying anything. Backs
-/// `psf repo --verify`.
-pub fn verify_dir(dir: &Path) -> std::io::Result<VerifyReport> {
-    let (snapshot_present, snapshot_corrupt, snapshot_entries, snapshot_revocations) =
-        match load_snapshot(&dir.join(SNAPSHOT_FILE))? {
-            SnapshotLoad::Missing => (false, false, 0, 0),
-            SnapshotLoad::Corrupt(_) => (true, true, 0, 0),
-            SnapshotLoad::Loaded(s) => (true, false, s.entries.len(), s.revoked.len()),
-        };
-    let log_image = match std::fs::read(dir.join(LOG_FILE)) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let scan = scan_log(&log_image);
-    Ok(VerifyReport {
-        snapshot_present,
-        snapshot_corrupt,
-        snapshot_entries,
-        snapshot_revocations,
-        log_records: scan.records.len(),
-        valid_bytes: scan.valid_bytes,
-        truncated_bytes: scan.truncated_bytes,
-        corruption: scan.corruption,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// DurableRepository
-// ---------------------------------------------------------------------------
-
-struct WalWriter {
-    file: File,
-    unsynced: u32,
-    appends_since_compact: u64,
-}
-
-struct WalInner {
-    dir: PathBuf,
-    config: WalConfig,
-    writer: Mutex<WalWriter>,
-    appends: AtomicU64,
-    fsyncs: AtomicU64,
-    compactions: AtomicU64,
-}
-
-impl WalInner {
-    /// Append one framed payload. Returns true when the auto-compaction
-    /// threshold was crossed (the caller compacts *after* releasing the
-    /// writer lock — compaction re-takes it).
-    fn append(&self, payload: &[u8]) -> std::io::Result<bool> {
-        let framed = frame(payload);
-        let mut w = self.writer.lock();
-        w.file.write_all(&framed)?;
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.appends").inc();
-        w.unsynced += 1;
-        let sync = match self.config.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => w.unsynced >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if sync {
-            w.file.sync_data()?;
-            w.unsynced = 0;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            psf_telemetry::counter!("psf.repo.wal.fsyncs").inc();
-        }
-        w.appends_since_compact += 1;
-        Ok(match self.config.auto_compact_appends {
-            Some(n) if n > 0 => w.appends_since_compact >= n,
-            _ => false,
-        })
-    }
-}
-
-/// A [`Repository`] + [`RevocationBus`] pair whose every mutation is
-/// appended to a crash-safe write-ahead log. The repository and bus are
-/// the ordinary in-memory types — guards, deployers, supervisors, and
-/// proof engines use them unchanged; durability rides on the observer
-/// hooks and is invisible to the rest of the stack.
-#[derive(Clone)]
-pub struct DurableRepository {
-    repo: Repository,
-    bus: RevocationBus,
-    inner: Arc<WalInner>,
-}
-
-impl DurableRepository {
-    /// Open (or create) a durable repository directory: replay
-    /// snapshot + log into a fresh repository/bus pair, physically
-    /// truncate any torn tail, then attach the logging observers so
-    /// subsequent mutations are appended. Returns the handle and the
-    /// recovery report.
-    pub fn open(
-        dir: &Path,
-        config: WalConfig,
-    ) -> std::io::Result<(DurableRepository, RecoveryReport)> {
-        std::fs::create_dir_all(dir)?;
-        let repo = Repository::new();
-        let bus = RevocationBus::new();
-        let (report, scan) = replay(dir, &repo, &bus)?;
-
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join(LOG_FILE))?;
-        if scan.truncated_bytes > 0 {
-            // Physically drop the torn tail so future appends start at a
-            // record boundary.
-            file.set_len(scan.valid_bytes)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-
-        let inner = Arc::new(WalInner {
-            dir: dir.to_path_buf(),
-            config,
-            writer: Mutex::new(WalWriter {
-                file,
-                unsynced: 0,
-                appends_since_compact: 0,
-            }),
-            appends: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-        });
-
-        let durable = DurableRepository {
-            repo: repo.clone(),
-            bus: bus.clone(),
-            inner,
-        };
-
-        // Attach observers only now — replay must not re-log itself.
-        {
-            let d = durable.clone();
-            repo.set_observer(Some(Arc::new(move |ev: RepoEvent<'_>| {
-                let payload = match ev {
-                    RepoEvent::Published { home, cred, tag } => encode_payload(
-                        d.repo.epoch(),
-                        &WalOp::Publish {
-                            home: home.clone(),
-                            tag,
-                            cred: (**cred).clone(),
-                        },
-                    ),
-                    RepoEvent::PurgedExpired { now, .. } => {
-                        encode_payload(d.repo.epoch(), &WalOp::PurgeExpired { now })
-                    }
-                };
-                d.log_payload(&payload);
-            })));
-            let d = durable.clone();
-            bus.set_observer(Some(Arc::new(move |ids: &[String]| {
-                // One Revoke record per id: the single-log format predates
-                // RevokeBatch and old logs must keep scanning identically.
-                for id in ids {
-                    let payload = encode_payload(d.repo.epoch(), &WalOp::Revoke { id: id.clone() });
-                    d.log_payload(&payload);
-                }
-            })));
-        }
-        Ok((durable, report))
-    }
-
-    fn log_payload(&self, payload: &[u8]) {
-        match self.inner.append(payload) {
-            Ok(true) => {
-                if let Err(e) = self.compact() {
-                    psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                    psf_telemetry::audit::record(
-                        psf_telemetry::Decision::Revocation,
-                        "",
-                        "wal-compact",
-                        psf_telemetry::Verdict::Deny,
-                    )
-                    .detail(format!("auto-compaction failed: {e}"))
-                    .commit();
-                }
-            }
-            Ok(false) => {}
-            Err(e) => {
-                // The in-memory mutation already happened; all we can do
-                // is surface the durability gap loudly.
-                psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                psf_telemetry::audit::record(
-                    psf_telemetry::Decision::Revocation,
-                    "",
-                    "wal-append",
-                    psf_telemetry::Verdict::Deny,
-                )
-                .detail(format!("append failed: {e}"))
-                .commit();
-            }
-        }
-    }
-
-    /// The in-memory repository (shared handle). Mutations through it are
-    /// logged transparently.
-    pub fn repository(&self) -> &Repository {
-        &self.repo
-    }
-
-    /// The revocation bus (shared handle). Revocations through it are
-    /// logged transparently.
-    pub fn bus(&self) -> &RevocationBus {
-        &self.bus
-    }
-
-    /// The durable directory this repository logs to.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-
-    /// Force an fsync of the log regardless of policy.
-    pub fn sync(&self) -> std::io::Result<()> {
-        let mut w = self.inner.writer.lock();
-        w.file.sync_data()?;
-        w.unsynced = 0;
-        self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.fsyncs").inc();
-        Ok(())
-    }
-
-    /// Snapshot the full repository + revocation state and truncate the
-    /// log: write `snapshot.tmp`, fsync, rename over `snapshot.bin`,
-    /// fsync the directory, then truncate the log to zero. A crash at any
-    /// point leaves a recoverable directory (the snapshot/log overlap
-    /// after an un-truncated rename is absorbed by replay dedup).
-    pub fn compact(&self) -> std::io::Result<CompactReport> {
-        // Writer lock held for the whole operation: no appends interleave
-        // with the truncate. Observers fire outside repository locks, so
-        // reading snapshot state here cannot deadlock with a publisher.
-        let mut w = self.inner.writer.lock();
-        let entries = self.repo.snapshot_entries();
-        let revoked = self.bus.revoked_ids();
-        let image = encode_snapshot(self.repo.epoch(), &entries, &revoked);
-
-        let tmp = self.inner.dir.join(SNAPSHOT_TMP);
-        let dst = self.inner.dir.join(SNAPSHOT_FILE);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &dst)?;
-        if let Ok(d) = File::open(&self.inner.dir) {
-            let _ = d.sync_all(); // directory entry durability (best effort)
-        }
-
-        let dropped = w.file.seek(SeekFrom::End(0))?;
-        w.file.set_len(0)?;
-        w.file.seek(SeekFrom::Start(0))?;
-        w.file.sync_data()?;
-        w.unsynced = 0;
-        w.appends_since_compact = 0;
-
-        self.inner.compactions.fetch_add(1, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
-        Ok(CompactReport {
-            snapshot_entries: entries.len(),
-            snapshot_revocations: revoked.len(),
-            log_bytes_dropped: dropped,
-        })
-    }
-
-    /// Live durability counters + current file sizes.
-    pub fn stats(&self) -> WalStats {
-        let log_bytes = std::fs::metadata(self.inner.dir.join(LOG_FILE))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        let snapshot_bytes = std::fs::metadata(self.inner.dir.join(SNAPSHOT_FILE))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        WalStats {
-            appends: self.inner.appends.load(Ordering::Relaxed),
-            fsyncs: self.inner.fsyncs.load(Ordering::Relaxed),
-            compactions: self.inner.compactions.load(Ordering::Relaxed),
-            log_bytes,
-            snapshot_bytes,
-        }
-    }
-
-    /// Detach the logging observers (used by tests simulating a crash:
-    /// the files stay as-is, the in-memory halves keep working unlogged).
-    pub fn detach(&self) {
-        self.repo.set_observer(None);
-        self.bus.set_observer(None);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded layout
-// ---------------------------------------------------------------------------
-
-/// Directory name of log-segment `i` inside a sharded durable directory.
+/// Directory name of shard segment `i` inside a durable directory.
 pub fn shard_dir_name(i: usize) -> String {
     format!("shard-{i:02}")
 }
 
-/// Whether `dir` holds a sharded durable layout (a `shards.meta`
-/// manifest). `psf repo` and `psf chaos` use this to pick the recovery
-/// path without being told.
-pub fn is_sharded_dir(dir: &Path) -> bool {
-    dir.join(SHARD_META_FILE).is_file()
+/// Segment directories of an `n`-shard layout: shards in order, bus last.
+fn segment_paths(dir: &Path, n: usize) -> Vec<PathBuf> {
+    (0..n)
+        .map(|i| dir.join(shard_dir_name(i)))
+        .chain(std::iter::once(dir.join(BUS_DIR)))
+        .collect()
+}
+
+/// Whether `dir` still holds root-level files of the legacy single-log
+/// layout, i.e. an import by [`ShardedDurableRepository::open`] is pending.
+fn legacy_pending(dir: &Path) -> bool {
+    dir.join(LOG_FILE).is_file() || dir.join(SNAPSHOT_FILE).is_file()
+}
+
+/// Every segment directory of the durable directory at `dir` — shards in
+/// order, the bus segment last — as declared by its `shards.meta`.
+/// Read-only. Fails with `NotFound` when `dir` is not a durable directory
+/// and with `InvalidData` when it holds un-imported legacy files.
+pub fn segment_dirs(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    use std::io::{Error, ErrorKind};
+    if legacy_pending(dir) {
+        return Err(Error::new(
+            ErrorKind::InvalidData,
+            format!(
+                "{}: un-imported legacy single-log files ({LOG_FILE} / {SNAPSHOT_FILE}); \
+                 open it writable once to import them (e.g. `psf repo --dir DIR --compact`)",
+                dir.display()
+            ),
+        ));
+    }
+    let n = read_shard_meta(dir)?.ok_or_else(|| {
+        Error::new(
+            ErrorKind::NotFound,
+            "no shards.meta: not a durable directory",
+        )
+    })?;
+    Ok(segment_paths(dir, n))
 }
 
 fn write_shard_meta(dir: &Path, shards: usize) -> std::io::Result<()> {
@@ -1025,6 +673,321 @@ fn read_shard_meta(dir: &Path) -> std::io::Result<Option<usize>> {
     }
     Ok(Some(n))
 }
+
+fn read_log(seg_dir: &Path) -> std::io::Result<Vec<u8>> {
+    match std::fs::read(seg_dir.join(LOG_FILE)) {
+        Ok(buf) => Ok(buf),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Verification
+// ---------------------------------------------------------------------------
+
+/// Scan one segment's snapshot and log without replaying or modifying
+/// anything.
+fn verify_segment(seg_dir: &Path) -> std::io::Result<VerifyReport> {
+    let path = seg_dir.join(SNAPSHOT_FILE);
+    let (snapshot_present, snapshot_corrupt, snapshot) = match load_snapshot(&path)? {
+        SnapshotLoad::Missing => (false, false, Snapshot::default()),
+        SnapshotLoad::Corrupt(_) => (true, true, Snapshot::default()),
+        SnapshotLoad::Loaded(s) => (true, false, s),
+    };
+    let scan = scan_log(&read_log(seg_dir)?);
+    Ok(VerifyReport {
+        snapshot_present,
+        snapshot_corrupt,
+        snapshot_entries: snapshot.entries.len(),
+        snapshot_revocations: snapshot.revoked.len(),
+        snapshot_epoch: snapshot.epoch,
+        snapshot_bytes: std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
+        log_records: scan.records.len(),
+        valid_bytes: scan.valid_bytes,
+        truncated_bytes: scan.truncated_bytes,
+        corruption: scan.corruption,
+    })
+}
+
+/// Read-only integrity report over a durable directory.
+#[derive(Debug, Clone)]
+pub struct ShardedVerifyReport {
+    /// Per-shard segment reports, in shard order.
+    pub shards: Vec<VerifyReport>,
+    /// The revocation-bus segment report.
+    pub bus: VerifyReport,
+}
+
+impl ShardedVerifyReport {
+    /// True when **every** segment recovers with zero data loss.
+    pub fn is_clean(&self) -> bool {
+        self.shards.iter().all(|s| s.is_clean()) && self.bus.is_clean()
+    }
+
+    /// Indices of shard segments that are damaged (torn tail or corrupt
+    /// snapshot); `usize::MAX` marks the bus segment.
+    pub fn damaged(&self) -> Vec<usize> {
+        let mut out: Vec<usize> = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.is_clean())
+            .map(|(i, _)| i)
+            .collect();
+        if !self.bus.is_clean() {
+            out.push(usize::MAX);
+        }
+        out
+    }
+}
+
+/// Read-only integrity check of every segment of a durable directory.
+/// Backs `psf repo --verify` and `--stats`.
+pub fn verify_sharded_dir(dir: &Path) -> std::io::Result<ShardedVerifyReport> {
+    let mut shards = segment_dirs(dir)?
+        .iter()
+        .map(|seg| verify_segment(seg))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let bus = shards.pop().expect("the bus segment is always listed");
+    Ok(ShardedVerifyReport { shards, bus })
+}
+
+// ---------------------------------------------------------------------------
+// Replay (shared by open(), its legacy import, and recover_sharded())
+// ---------------------------------------------------------------------------
+
+/// Outcome of replaying one segment (partial [`RecoveryReport`] fields
+/// plus what open() needs to truncate the torn tail).
+#[derive(Default)]
+struct SegmentReplay {
+    snapshot_entries: usize,
+    snapshot_revocations: usize,
+    snapshot_corrupt: bool,
+    snapshot_epoch: u64,
+    records_replayed: usize,
+    publishes: usize,
+    revocations_restored: usize,
+    purges: usize,
+    duplicates_skipped: usize,
+    max_epoch: u64,
+    valid_bytes: u64,
+    truncated_bytes: u64,
+}
+
+impl RecoveryReport {
+    /// Fold one segment's outcome into the totals; `epoch` tracks the
+    /// highest epoch tag seen until the caller replaces it with the
+    /// repository's post-recovery epoch.
+    fn absorb(&mut self, o: &SegmentReplay) {
+        self.snapshot_entries += o.snapshot_entries;
+        self.snapshot_revocations += o.snapshot_revocations;
+        self.snapshot_corrupt |= o.snapshot_corrupt;
+        self.records_replayed += o.records_replayed;
+        self.publishes += o.publishes;
+        self.revocations_restored += o.revocations_restored;
+        self.purges += o.purges;
+        self.duplicates_skipped += o.duplicates_skipped;
+        self.truncated_bytes += o.truncated_bytes;
+        self.log_bytes += o.valid_bytes;
+        self.epoch = self.epoch.max(o.max_epoch);
+    }
+}
+
+/// What [`replay_segment`] is reading, which decides how records land.
+#[derive(Clone, Copy)]
+enum Apply {
+    /// Shard segment `i`, before the observers attach: nothing is
+    /// re-logged, and a purge sweeps shard `i` **only** — so a purge
+    /// replicated to N segments re-applies exactly once per shard
+    /// regardless of replay interleaving.
+    Shard(usize),
+    /// The revocation-bus segment, before the observers attach.
+    Bus,
+    /// Legacy root files, through the live observers: every applied record
+    /// is re-logged into the segments, and dedup starts from what the
+    /// segments already recovered (an interrupted earlier import).
+    Import,
+}
+
+/// Replay one segment directory's snapshot and log into `repo` / `bus`.
+/// Publishes route to their home shard by subject hash (same FNV, same
+/// count — guaranteed by construction).
+fn replay_segment(
+    seg_dir: &Path,
+    how: Apply,
+    repo: &Repository,
+    bus: &RevocationBus,
+) -> std::io::Result<SegmentReplay> {
+    let mut out = SegmentReplay::default();
+    let snapshot = match load_snapshot(&seg_dir.join(SNAPSHOT_FILE))? {
+        SnapshotLoad::Missing => Snapshot::default(),
+        SnapshotLoad::Corrupt(reason) => {
+            out.snapshot_corrupt = true;
+            psf_telemetry::audit::record(
+                psf_telemetry::Decision::Revocation,
+                "",
+                "wal-snapshot",
+                psf_telemetry::Verdict::Deny,
+            )
+            .detail(format!("{} snapshot ignored: {reason}", seg_dir.display()))
+            .commit();
+            Snapshot::default()
+        }
+        SnapshotLoad::Loaded(snap) => snap,
+    };
+    let scan = scan_log(&read_log(seg_dir)?);
+    out.snapshot_epoch = snapshot.epoch;
+    out.max_epoch = scan
+        .records
+        .iter()
+        .fold(snapshot.epoch, |m, rec| m.max(rec.epoch));
+
+    // (home, credential-id) → expiry, for every pair currently applied —
+    // dedup for snapshot/log overlap and replayed double-publishes. A
+    // replayed purge *removes* expired pairs, so a later re-publish of a
+    // purged credential is applied rather than mistaken for a duplicate.
+    let mut seen: HashMap<(String, String), Option<u64>> = HashMap::new();
+    if let Apply::Import = how {
+        // Re-logged records must not carry epoch tags below the legacy ones.
+        repo.raise_epoch(out.max_epoch);
+        for (home, _, cred) in repo.snapshot_entries() {
+            seen.insert((home.0, cred.id()), cred.body.expires);
+        }
+    }
+    // Publish unless the pair is already applied; true when it was fresh.
+    let publish = |seen: &mut HashMap<_, _>, home: EntityName, tag, cred: SignedDelegation| {
+        let fresh = seen
+            .insert((home.0.clone(), cred.id()), cred.body.expires)
+            .is_none();
+        if fresh {
+            repo.publish(home, cred, tag);
+        }
+        fresh
+    };
+    let revoke = |ids: &[String]| match how {
+        Apply::Import => bus.revoke_all(ids),
+        Apply::Shard(_) | Apply::Bus => bus.restore(ids),
+    };
+
+    for (home, tag, cred) in snapshot.entries {
+        if publish(&mut seen, home, tag, cred) {
+            out.snapshot_entries += 1;
+        } else {
+            out.duplicates_skipped += 1;
+        }
+    }
+    out.snapshot_revocations = snapshot.revoked.len();
+    out.revocations_restored += revoke(&snapshot.revoked);
+
+    for rec in scan.records {
+        match rec.op {
+            WalOp::Publish { home, tag, cred } => {
+                if publish(&mut seen, home, tag, cred) {
+                    out.publishes += 1;
+                } else {
+                    out.duplicates_skipped += 1;
+                }
+            }
+            WalOp::Revoke { id } => out.revocations_restored += revoke(&[id]),
+            WalOp::RevokeBatch { ids } => out.revocations_restored += revoke(&ids),
+            WalOp::PurgeExpired { now } => {
+                match how {
+                    Apply::Shard(shard) => {
+                        repo.purge_expired_shard(shard, now);
+                    }
+                    Apply::Import => {
+                        repo.purge_expired(now);
+                    }
+                    // The engine never writes a purge to the bus segment.
+                    Apply::Bus => {}
+                }
+                out.purges += 1;
+                seen.retain(|_, exp| exp.is_none_or(|e| now < e));
+            }
+        }
+        out.records_replayed += 1;
+    }
+    out.valid_bytes = scan.valid_bytes;
+    out.truncated_bytes = scan.truncated_bytes;
+    Ok(out)
+}
+
+/// Replay every segment (`segs`: shards in order, bus last) into
+/// `repo`/`bus`. Shard segments run on a worker pool (one credential set
+/// is wholly contained in one segment, so shard replays are independent);
+/// the bus segment replays on the calling thread. Returns the aggregate
+/// report and the per-segment outcomes in `segs` order.
+fn replay_sharded(
+    segs: &[PathBuf],
+    repo: &Repository,
+    bus: &RevocationBus,
+) -> std::io::Result<(RecoveryReport, Vec<SegmentReplay>)> {
+    use std::sync::atomic::AtomicUsize;
+    let shards = segs.len() - 1;
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(shards)
+        .max(1);
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<(usize, std::io::Result<SegmentReplay>)>> =
+        Mutex::new(Vec::with_capacity(shards));
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= shards {
+                    break;
+                }
+                let r = replay_segment(&segs[i], Apply::Shard(i), repo, bus);
+                results.lock().push((i, r));
+            });
+        }
+    });
+    let mut by_shard: Vec<Option<SegmentReplay>> = (0..shards).map(|_| None).collect();
+    for (i, r) in results.into_inner() {
+        by_shard[i] = Some(r?);
+    }
+    let mut outcomes: Vec<SegmentReplay> = by_shard
+        .into_iter()
+        .map(|o| o.expect("every shard index visited exactly once"))
+        .collect();
+    outcomes.push(replay_segment(&segs[shards], Apply::Bus, repo, bus)?);
+
+    let mut report = RecoveryReport::default();
+    for o in &outcomes {
+        report.absorb(o);
+    }
+    // Epoch monotonicity across the crash: never below anything a cache
+    // may have pinned, and strictly above it so stale negative entries die.
+    repo.raise_epoch(report.epoch);
+    report.epoch = repo.bump_epoch();
+    psf_telemetry::counter!("psf.repo.wal.replays").add(report.records_replayed as u64);
+    psf_telemetry::counter!("psf.repo.wal.truncated_bytes").add(report.truncated_bytes);
+    Ok((report, outcomes))
+}
+
+impl Repository {
+    /// Rebuild a repository (and its revocation bus) from a durable
+    /// directory, **read-only**: every segment is scanned and replayed
+    /// (shards in parallel) but never modified — a torn tail is skipped,
+    /// not truncated. Use [`ShardedDurableRepository::open`] to recover
+    /// *and* keep logging.
+    pub fn recover_sharded(
+        dir: &Path,
+    ) -> std::io::Result<(Repository, RevocationBus, RecoveryReport)> {
+        let segs = segment_dirs(dir)?;
+        let repo = Repository::with_shard_count(segs.len() - 1);
+        let bus = RevocationBus::new();
+        let (report, _) = replay_sharded(&segs, &repo, &bus)?;
+        Ok((repo, bus, report))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Segments & group commit
+// ---------------------------------------------------------------------------
 
 /// Group-commit buffer threshold: under [`FsyncPolicy::Never`] a segment
 /// buffers frames in memory and issues one `write(2)` per this many
@@ -1070,14 +1033,19 @@ struct Segment {
 }
 
 impl Segment {
-    fn open(dir: PathBuf) -> std::io::Result<Segment> {
-        std::fs::create_dir_all(&dir)?;
+    /// Open a just-replayed segment for appending, physically dropping
+    /// the torn tail replay skipped so appends start at a record boundary.
+    fn open(dir: PathBuf, replayed: &SegmentReplay) -> std::io::Result<Segment> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(dir.join(LOG_FILE))?;
+        if replayed.truncated_bytes > 0 {
+            file.set_len(replayed.valid_bytes)?;
+            file.sync_data()?;
+        }
         file.seek(SeekFrom::End(0))?;
         let sync_file = file.try_clone()?;
         Ok(Segment {
@@ -1094,19 +1062,20 @@ impl Segment {
             synced_gen: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
-            last_compact_epoch: AtomicU64::new(0),
+            last_compact_epoch: AtomicU64::new(replayed.snapshot_epoch),
         })
     }
 }
 
-/// Per-segment durability stats inside a [`ShardedWalStats`].
+/// Per-segment durability stats inside a [`DurabilityStats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardSegmentStats {
     /// Records appended to this segment since open.
     pub appends: u64,
     /// Compactions of this segment since open.
     pub compactions: u64,
-    /// Repository epoch at this segment's last compaction (0 = never).
+    /// Repository epoch at this segment's last compaction — the epoch
+    /// header of its snapshot (0 = never compacted).
     pub last_compact_epoch: u64,
     /// Current segment log size in bytes (excluding unflushed buffer).
     pub log_bytes: u64,
@@ -1116,7 +1085,7 @@ pub struct ShardSegmentStats {
 
 /// Live counters for a [`ShardedDurableRepository`].
 #[derive(Debug, Clone, Default)]
-pub struct ShardedWalStats {
+pub struct DurabilityStats {
     /// One row per repository shard segment, in shard order.
     pub shards: Vec<ShardSegmentStats>,
     /// The revocation-bus segment.
@@ -1129,286 +1098,20 @@ pub struct ShardedWalStats {
     pub compactions: u64,
 }
 
-/// Read-only integrity report over a sharded durable directory.
-#[derive(Debug, Clone)]
-pub struct ShardedVerifyReport {
-    /// Per-shard segment reports, in shard order.
-    pub shards: Vec<VerifyReport>,
-    /// The revocation-bus segment report.
-    pub bus: VerifyReport,
-}
-
-impl ShardedVerifyReport {
-    /// True when **every** segment recovers with zero data loss.
-    pub fn is_clean(&self) -> bool {
-        self.shards.iter().all(|s| s.is_clean()) && self.bus.is_clean()
-    }
-
-    /// Indices of shard segments that are damaged (torn tail or corrupt
-    /// snapshot); `usize::MAX` marks the bus segment.
-    pub fn damaged(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_clean())
-            .map(|(i, _)| i)
-            .collect();
-        if !self.bus.is_clean() {
-            out.push(usize::MAX);
-        }
-        out
-    }
-}
-
-/// Read-only integrity check of every segment of a sharded durable
-/// directory. Backs `psf repo --verify` for sharded layouts.
-pub fn verify_sharded_dir(dir: &Path) -> std::io::Result<ShardedVerifyReport> {
-    let n = read_shard_meta(dir)?.ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::NotFound,
-            "no shards.meta: not a sharded dir",
-        )
-    })?;
-    let mut shards = Vec::with_capacity(n);
-    for i in 0..n {
-        shards.push(verify_dir(&dir.join(shard_dir_name(i)))?);
-    }
-    let bus = verify_dir(&dir.join(BUS_DIR))?;
-    Ok(ShardedVerifyReport { shards, bus })
-}
-
-/// Outcome of replaying one segment (partial [`RecoveryReport`] fields
-/// plus what open() needs to truncate torn tails).
-#[derive(Default)]
-struct SegmentReplay {
-    snapshot_entries: usize,
-    snapshot_revocations: usize,
-    snapshot_corrupt: bool,
-    records_replayed: usize,
-    publishes: usize,
-    revocations_restored: usize,
-    purges: usize,
-    duplicates_skipped: usize,
-    max_epoch: u64,
-    valid_bytes: u64,
-    truncated_bytes: u64,
-}
-
-/// Replay one shard segment into `repo`. Publishes route back to their
-/// home shard by subject hash (same FNV, same count — guaranteed by
-/// construction); purge records are applied to **this shard only**, so a
-/// purge replicated to N segments re-applies exactly once per shard
-/// regardless of replay interleaving.
-fn replay_shard_segment(
-    seg_dir: &Path,
-    shard: usize,
-    repo: &Repository,
-) -> std::io::Result<SegmentReplay> {
-    let mut out = SegmentReplay::default();
-    let mut seen: HashMap<(String, String), Option<u64>> = HashMap::new();
-
-    match load_snapshot(&seg_dir.join(SNAPSHOT_FILE))? {
-        SnapshotLoad::Missing => {}
-        SnapshotLoad::Corrupt(reason) => {
-            out.snapshot_corrupt = true;
-            psf_telemetry::audit::record(
-                psf_telemetry::Decision::Revocation,
-                "",
-                "wal-snapshot",
-                psf_telemetry::Verdict::Deny,
-            )
-            .detail(format!("shard {shard} snapshot ignored: {reason}"))
-            .commit();
-        }
-        SnapshotLoad::Loaded(snap) => {
-            out.max_epoch = out.max_epoch.max(snap.epoch);
-            for (home, tag, cred) in snap.entries {
-                seen.insert((home.0.clone(), cred.id()), cred.body.expires);
-                repo.publish(home, cred, tag);
-                out.snapshot_entries += 1;
-            }
-            // Shard snapshots carry no revocations (those live in the bus
-            // segment), but tolerate them for forward compatibility.
-            out.snapshot_revocations = snap.revoked.len();
-        }
-    }
-
-    let log_image = match std::fs::read(seg_dir.join(LOG_FILE)) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let scan = scan_log(&log_image);
-    for rec in &scan.records {
-        out.max_epoch = out.max_epoch.max(rec.epoch);
-        match &rec.op {
-            WalOp::Publish { home, tag, cred } => {
-                use std::collections::hash_map::Entry;
-                match seen.entry((home.0.clone(), cred.id())) {
-                    Entry::Occupied(_) => out.duplicates_skipped += 1,
-                    Entry::Vacant(v) => {
-                        v.insert(cred.body.expires);
-                        repo.publish(home.clone(), cred.clone(), *tag);
-                        out.publishes += 1;
-                    }
-                }
-            }
-            WalOp::PurgeExpired { now } => {
-                repo.purge_expired_shard(shard, *now);
-                out.purges += 1;
-                seen.retain(|_, exp| exp.is_none_or(|e| *now < e));
-            }
-            // Revocations never land in shard segments; skip defensively.
-            WalOp::Revoke { .. } | WalOp::RevokeBatch { .. } => {}
-        }
-    }
-    out.records_replayed = scan.records.len();
-    out.valid_bytes = scan.valid_bytes;
-    out.truncated_bytes = scan.truncated_bytes;
-    Ok(out)
-}
-
-/// Replay the revocation-bus segment into `bus`.
-fn replay_bus_segment(seg_dir: &Path, bus: &RevocationBus) -> std::io::Result<SegmentReplay> {
-    let mut out = SegmentReplay::default();
-    match load_snapshot(&seg_dir.join(SNAPSHOT_FILE))? {
-        SnapshotLoad::Missing => {}
-        SnapshotLoad::Corrupt(reason) => {
-            out.snapshot_corrupt = true;
-            psf_telemetry::audit::record(
-                psf_telemetry::Decision::Revocation,
-                "",
-                "wal-snapshot",
-                psf_telemetry::Verdict::Deny,
-            )
-            .detail(format!("bus snapshot ignored: {reason}"))
-            .commit();
-        }
-        SnapshotLoad::Loaded(snap) => {
-            out.max_epoch = out.max_epoch.max(snap.epoch);
-            out.snapshot_revocations = snap.revoked.len();
-            out.revocations_restored += bus.restore(&snap.revoked);
-        }
-    }
-    let log_image = match std::fs::read(seg_dir.join(LOG_FILE)) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let scan = scan_log(&log_image);
-    for rec in &scan.records {
-        out.max_epoch = out.max_epoch.max(rec.epoch);
-        match &rec.op {
-            WalOp::Revoke { id } => {
-                out.revocations_restored += bus.restore([id.as_str()]);
-            }
-            WalOp::RevokeBatch { ids } => {
-                out.revocations_restored += bus.restore(ids.iter().map(|s| s.as_str()));
-            }
-            WalOp::Publish { .. } | WalOp::PurgeExpired { .. } => {}
-        }
-    }
-    out.records_replayed = scan.records.len();
-    out.valid_bytes = scan.valid_bytes;
-    out.truncated_bytes = scan.truncated_bytes;
-    Ok(out)
-}
-
-/// Replay every segment of a sharded directory into `repo`/`bus`. Shard
-/// segments run on a worker pool (one credential set is wholly contained
-/// in one segment, so shard replays are independent); the bus segment
-/// replays on the calling thread. Returns the aggregate report and the
-/// per-segment outcomes (shard order, bus last).
-fn replay_sharded(
-    dir: &Path,
-    shards: usize,
-    repo: &Repository,
-    bus: &RevocationBus,
-) -> std::io::Result<(RecoveryReport, Vec<SegmentReplay>)> {
-    use std::sync::atomic::AtomicUsize;
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(shards)
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, std::io::Result<SegmentReplay>)>> =
-        Mutex::new(Vec::with_capacity(shards));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shards {
-                    break;
-                }
-                let r = replay_shard_segment(&dir.join(shard_dir_name(i)), i, repo);
-                results.lock().push((i, r));
-            });
-        }
-    });
-    let mut by_shard: Vec<Option<SegmentReplay>> = (0..shards).map(|_| None).collect();
-    for (i, r) in results.into_inner() {
-        by_shard[i] = Some(r?);
-    }
-    let mut outcomes: Vec<SegmentReplay> = by_shard
-        .into_iter()
-        .map(|o| o.expect("every shard index visited exactly once"))
-        .collect();
-    outcomes.push(replay_bus_segment(&dir.join(BUS_DIR), bus)?);
-
-    let mut report = RecoveryReport::default();
-    let mut max_epoch = 0u64;
-    for o in &outcomes {
-        report.snapshot_entries += o.snapshot_entries;
-        report.snapshot_revocations += o.snapshot_revocations;
-        report.snapshot_corrupt |= o.snapshot_corrupt;
-        report.records_replayed += o.records_replayed;
-        report.publishes += o.publishes;
-        report.revocations_restored += o.revocations_restored;
-        report.purges += o.purges;
-        report.duplicates_skipped += o.duplicates_skipped;
-        report.truncated_bytes += o.truncated_bytes;
-        report.log_bytes += o.valid_bytes;
-        max_epoch = max_epoch.max(o.max_epoch);
-    }
-    repo.raise_epoch(max_epoch);
-    report.epoch = repo.bump_epoch();
-    psf_telemetry::counter!("psf.repo.wal.replays").add(report.records_replayed as u64);
-    psf_telemetry::counter!("psf.repo.wal.truncated_bytes").add(report.truncated_bytes);
-    Ok((report, outcomes))
-}
-
-impl Repository {
-    /// Rebuild a repository (and its revocation bus) from a **sharded**
-    /// durable directory, read-only: every segment is scanned and
-    /// replayed (shards in parallel) but never modified. Use
-    /// [`ShardedDurableRepository::open`] to recover *and* keep logging.
-    pub fn recover_sharded(
-        dir: &Path,
-    ) -> std::io::Result<(Repository, RevocationBus, RecoveryReport)> {
-        let shards = read_shard_meta(dir)?.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                "no shards.meta: not a sharded dir",
-            )
-        })?;
-        let repo = Repository::with_shard_count(shards);
-        let bus = RevocationBus::new();
-        let (report, _) = replay_sharded(dir, shards, &repo, &bus)?;
-        Ok((repo, bus, report))
-    }
-}
-
-struct ShardedWalInner {
+/// The on-disk half of a [`ShardedDurableRepository`]: its segments and
+/// the counters that span them.
+struct Engine {
     dir: PathBuf,
     config: WalConfig,
+    /// One segment per repository shard, in shard order, then the
+    /// revocation-bus segment last.
     segments: Vec<Segment>,
-    bus_segment: Segment,
     fsyncs: AtomicU64,
+    /// Appends or auto-compactions that failed since open.
+    errors: AtomicU64,
 }
 
-impl ShardedWalInner {
+impl Engine {
     /// Append one payload to a segment under group commit. Returns true
     /// when the segment crossed its auto-compaction threshold.
     fn append(&self, seg: &Segment, payload: &[u8]) -> std::io::Result<bool> {
@@ -1487,39 +1190,40 @@ impl ShardedWalInner {
     }
 }
 
-impl Drop for ShardedWalInner {
+impl Drop for Engine {
     fn drop(&mut self) {
         // Best-effort flush of group-commit buffers on clean shutdown;
         // a real crash loses them by design (see FsyncPolicy docs).
-        for seg in self
-            .segments
-            .iter()
-            .chain(std::iter::once(&self.bus_segment))
-        {
+        for seg in &self.segments {
             let _ = seg.writer.lock().flush();
         }
     }
 }
 
-/// A sharded [`Repository`] + [`RevocationBus`] pair whose every mutation
-/// is appended to a per-shard crash-safe write-ahead log (see the module
-/// docs' *Sharded layout* section). Publishes log to their subject's
-/// shard segment only; revocations log to the bus segment (bulk revokes
-/// as one [`WalOp::RevokeBatch`] frame); purges are replicated to every
-/// shard segment and re-applied shard-locally at recovery.
+// ---------------------------------------------------------------------------
+// ShardedDurableRepository
+// ---------------------------------------------------------------------------
+
+/// A [`Repository`] + [`RevocationBus`] pair whose every mutation is
+/// appended to a crash-safe write-ahead log (see the module docs). The
+/// repository and bus are the ordinary in-memory types — guards,
+/// deployers, supervisors, and proof engines use them unchanged;
+/// durability rides on the observer hooks and is invisible to the rest of
+/// the stack.
 #[derive(Clone)]
 pub struct ShardedDurableRepository {
     repo: Repository,
     bus: RevocationBus,
-    inner: Arc<ShardedWalInner>,
+    inner: Arc<Engine>,
 }
 
 impl ShardedDurableRepository {
-    /// Open (or create) a sharded durable directory with `shards`
-    /// segments (rounded up to a power of two, clamped to `1..=1024`; an
-    /// existing directory's `shards.meta` takes precedence — the layout
-    /// on disk is authoritative). Replays every segment (shards in
-    /// parallel), truncates torn tails, then attaches logging observers.
+    /// Open (or create) a durable directory with `shards` segments
+    /// (rounded up to a power of two, clamped to `1..=1024`; an existing
+    /// directory's `shards.meta` takes precedence — the layout on disk is
+    /// authoritative). Replays every segment (shards in parallel),
+    /// truncates torn tails, attaches the logging observers, and imports
+    /// legacy root-level files if any are present.
     pub fn open(
         dir: &Path,
         shards: usize,
@@ -1537,44 +1241,27 @@ impl ShardedDurableRepository {
         let repo = Repository::with_shard_count(n);
         debug_assert_eq!(repo.shard_count(), n);
         let bus = RevocationBus::new();
-        for i in 0..n {
-            std::fs::create_dir_all(dir.join(shard_dir_name(i)))?;
+        let segs = segment_paths(dir, n);
+        for seg in &segs {
+            std::fs::create_dir_all(seg)?;
         }
-        std::fs::create_dir_all(dir.join(BUS_DIR))?;
-        let (report, outcomes) = replay_sharded(dir, n, &repo, &bus)?;
+        let (mut report, outcomes) = replay_sharded(&segs, &repo, &bus)?;
+        let segments = segs
+            .into_iter()
+            .zip(&outcomes)
+            .map(|(seg, outcome)| Segment::open(seg, outcome))
+            .collect::<std::io::Result<Vec<_>>>()?;
 
-        let mut segments = Vec::with_capacity(n);
-        for (i, outcome) in outcomes.iter().take(n).enumerate() {
-            let seg = Segment::open(dir.join(shard_dir_name(i)))?;
-            if outcome.truncated_bytes > 0 {
-                let mut w = seg.writer.lock();
-                w.file.set_len(outcome.valid_bytes)?;
-                w.file.sync_data()?;
-                w.file.seek(SeekFrom::End(0))?;
-            }
-            segments.push(seg);
-        }
-        let bus_segment = Segment::open(dir.join(BUS_DIR))?;
-        if let Some(outcome) = outcomes.last() {
-            if outcome.truncated_bytes > 0 {
-                let mut w = bus_segment.writer.lock();
-                w.file.set_len(outcome.valid_bytes)?;
-                w.file.sync_data()?;
-                w.file.seek(SeekFrom::End(0))?;
-            }
-        }
-
-        let inner = Arc::new(ShardedWalInner {
-            dir: dir.to_path_buf(),
-            config,
-            segments,
-            bus_segment,
-            fsyncs: AtomicU64::new(0),
-        });
         let durable = ShardedDurableRepository {
             repo: repo.clone(),
             bus: bus.clone(),
-            inner,
+            inner: Arc::new(Engine {
+                dir: dir.to_path_buf(),
+                config,
+                segments,
+                fsyncs: AtomicU64::new(0),
+                errors: AtomicU64::new(0),
+            }),
         };
 
         // Attach observers only now — replay must not re-log itself.
@@ -1585,14 +1272,14 @@ impl ShardedDurableRepository {
                     let skey = crate::repository::subject_key(&cred.body.subject);
                     let shard = d.repo.shard_index(&skey);
                     let payload = encode_publish_payload(d.repo.epoch(), home, tag, cred);
-                    d.log_to_shard(shard, &payload);
+                    d.log(shard, &payload);
                 }
                 RepoEvent::PurgedExpired { now, .. } => {
                     // Replicated to every shard: each segment must know to
                     // re-apply the purge to its own credentials at replay.
                     let payload = encode_payload(d.repo.epoch(), &WalOp::PurgeExpired { now });
-                    for shard in 0..d.inner.segments.len() {
-                        d.log_to_shard(shard, &payload);
+                    for shard in 0..n {
+                        d.log(shard, &payload);
                     }
                 }
             })));
@@ -1604,70 +1291,73 @@ impl ShardedDurableRepository {
                         encode_payload(d.repo.epoch(), &WalOp::RevokeBatch { ids: many.to_vec() })
                     }
                 };
-                d.log_bus(&payload);
+                d.log(n, &payload); // the bus segment follows the n shards
             })));
+        }
+        if legacy_pending(dir) {
+            durable.import_legacy(&mut report)?;
         }
         Ok((durable, report))
     }
 
-    fn log_to_shard(&self, shard: usize, payload: &[u8]) {
-        match self.inner.append(&self.inner.segments[shard], payload) {
-            Ok(true) => {
-                if let Err(e) = self.compact_shard(shard) {
-                    psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                    psf_telemetry::audit::record(
-                        psf_telemetry::Decision::Revocation,
-                        "",
-                        "wal-compact",
-                        psf_telemetry::Verdict::Deny,
-                    )
-                    .detail(format!("shard {shard} auto-compaction failed: {e}"))
-                    .commit();
-                }
-            }
-            Ok(false) => {}
-            Err(e) => {
-                psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                psf_telemetry::audit::record(
-                    psf_telemetry::Decision::Revocation,
-                    "",
-                    "wal-append",
-                    psf_telemetry::Verdict::Deny,
-                )
-                .detail(format!("shard {shard} append failed: {e}"))
-                .commit();
+    /// Import the legacy single-log files at the directory root (see the
+    /// module docs' *Legacy import* section), folding what was imported
+    /// into `report`.
+    fn import_legacy(&self, report: &mut RecoveryReport) -> std::io::Result<()> {
+        let dir = &self.inner.dir;
+        let imported = replay_segment(dir, Apply::Import, &self.repo, &self.bus)?;
+        // Everything the import appended — every legacy revocation
+        // included — is durable before the root files go.
+        self.sync()?;
+        if self.inner.errors.load(Ordering::Relaxed) > 0 {
+            return Err(std::io::Error::other(
+                "legacy import: a segment append failed; root files kept for the next open",
+            ));
+        }
+        // Snapshot first: a crash that leaves only the log re-imports an
+        // idempotent tail, whereas a snapshot alone would resurrect
+        // whatever a later logged purge had removed.
+        for name in [SNAPSHOT_FILE, SNAPSHOT_TMP, LOG_FILE] {
+            match std::fs::remove_file(dir.join(name)) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => {}
             }
         }
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all(); // directory entry durability (best effort)
+        }
+        report.absorb(&imported);
+        report.epoch = self.repo.bump_epoch();
+        psf_telemetry::counter!("psf.repo.wal.replays").add(imported.records_replayed as u64);
+        Ok(())
     }
 
-    fn log_bus(&self, payload: &[u8]) {
-        match self.inner.append(&self.inner.bus_segment, payload) {
-            Ok(true) => {
-                if let Err(e) = self.compact_bus() {
-                    psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                    psf_telemetry::audit::record(
-                        psf_telemetry::Decision::Revocation,
-                        "",
-                        "wal-compact",
-                        psf_telemetry::Verdict::Deny,
-                    )
-                    .detail(format!("bus auto-compaction failed: {e}"))
-                    .commit();
-                }
-            }
-            Ok(false) => {}
-            Err(e) => {
-                psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                psf_telemetry::audit::record(
-                    psf_telemetry::Decision::Revocation,
-                    "",
-                    "wal-append",
-                    psf_telemetry::Verdict::Deny,
-                )
-                .detail(format!("bus append failed: {e}"))
-                .commit();
-            }
-        }
+    /// Append `payload` to segment `seg`, auto-compacting the segment
+    /// when it crosses the threshold. The in-memory mutation has already
+    /// happened, so a failure cannot be returned to the mutator; all we
+    /// can do is surface the durability gap loudly.
+    fn log(&self, seg: usize, payload: &[u8]) {
+        let (what, detail) = match self.inner.append(&self.inner.segments[seg], payload) {
+            Ok(false) => return,
+            Ok(true) => match self.compact_segment(seg) {
+                Ok(_) => return,
+                Err(e) => ("wal-compact", format!("auto-compaction failed: {e}")),
+            },
+            Err(e) => ("wal-append", format!("append failed: {e}")),
+        };
+        self.inner.errors.fetch_add(1, Ordering::Relaxed);
+        psf_telemetry::counter!("psf.repo.wal.errors").inc();
+        psf_telemetry::audit::record(
+            psf_telemetry::Decision::Revocation,
+            "",
+            what,
+            psf_telemetry::Verdict::Deny,
+        )
+        .detail(format!(
+            "{} {detail}",
+            self.inner.segments[seg].dir.display()
+        ))
+        .commit();
     }
 
     /// The in-memory sharded repository (shared handle). Mutations
@@ -1682,20 +1372,10 @@ impl ShardedDurableRepository {
         &self.bus
     }
 
-    /// The sharded durable directory this repository logs to.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-
     /// Flush every segment's group-commit buffer and fsync, regardless of
     /// policy.
     pub fn sync(&self) -> std::io::Result<()> {
-        for seg in self
-            .inner
-            .segments
-            .iter()
-            .chain(std::iter::once(&self.inner.bus_segment))
-        {
+        for seg in &self.inner.segments {
             let mut w = seg.writer.lock();
             w.flush()?;
             let gen = w.gen;
@@ -1708,56 +1388,34 @@ impl ShardedDurableRepository {
         Ok(())
     }
 
-    /// Compact one shard segment: snapshot that shard's credentials,
-    /// rename over its `snapshot.bin`, truncate its log. Other shards'
-    /// writers are untouched.
-    pub fn compact_shard(&self, shard: usize) -> std::io::Result<CompactReport> {
-        let seg = &self.inner.segments[shard];
+    /// Compact one segment: write its state — a shard's credentials, or
+    /// the bus's revoked ids — to `snapshot.tmp`, fsync, rename over
+    /// `snapshot.bin`, fsync the directory, then truncate the segment's
+    /// log. A crash at any point leaves a recoverable segment (the
+    /// snapshot/log overlap after an un-truncated rename is absorbed by
+    /// replay dedup). Other segments' writers are untouched.
+    fn compact_segment(&self, i: usize) -> std::io::Result<CompactReport> {
+        let seg = &self.inner.segments[i];
+        // Writer lock held for the whole operation: no append interleaves
+        // with the truncate. Observers fire outside repository locks, so
+        // reading snapshot state here cannot deadlock with a publisher.
         let mut w = seg.writer.lock();
-        let entries = self.repo.snapshot_shard(shard);
+        let (entries, revoked) = if i < self.repo.shard_count() {
+            (self.repo.snapshot_shard(i), Vec::new())
+        } else {
+            (Vec::new(), self.bus.revoked_ids())
+        };
         let epoch = self.repo.epoch();
-        let image = encode_snapshot(epoch, &entries, &[]);
-        let dropped = Self::swap_snapshot(seg, &mut w, &image)?;
-        seg.last_compact_epoch.store(epoch, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
-        Ok(CompactReport {
-            snapshot_entries: entries.len(),
-            snapshot_revocations: 0,
-            log_bytes_dropped: dropped,
-        })
-    }
+        let image = encode_snapshot(epoch, &entries, &revoked);
 
-    /// Compact the revocation-bus segment: snapshot the revoked-id set,
-    /// truncate the bus log.
-    pub fn compact_bus(&self) -> std::io::Result<CompactReport> {
-        let seg = &self.inner.bus_segment;
-        let mut w = seg.writer.lock();
-        let revoked = self.bus.revoked_ids();
-        let epoch = self.repo.epoch();
-        let image = encode_snapshot(epoch, &[], &revoked);
-        let dropped = Self::swap_snapshot(seg, &mut w, &image)?;
-        seg.last_compact_epoch.store(epoch, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
-        Ok(CompactReport {
-            snapshot_entries: 0,
-            snapshot_revocations: revoked.len(),
-            log_bytes_dropped: dropped,
-        })
-    }
-
-    /// Write `image` as the segment's snapshot (tmp + fsync + rename +
-    /// dir fsync), then truncate the segment log. The caller holds the
-    /// segment writer lock so no append interleaves with the truncate.
-    fn swap_snapshot(seg: &Segment, w: &mut SegmentWriter, image: &[u8]) -> std::io::Result<u64> {
         w.flush()?;
         let tmp = seg.dir.join(SNAPSHOT_TMP);
-        let dst = seg.dir.join(SNAPSHOT_FILE);
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(image)?;
+            f.write_all(&image)?;
             f.sync_data()?;
         }
-        std::fs::rename(&tmp, &dst)?;
+        std::fs::rename(&tmp, seg.dir.join(SNAPSHOT_FILE))?;
         if let Ok(d) = File::open(&seg.dir) {
             let _ = d.sync_all(); // directory entry durability (best effort)
         }
@@ -1766,8 +1424,15 @@ impl ShardedDurableRepository {
         w.file.seek(SeekFrom::Start(0))?;
         w.file.sync_data()?;
         w.appends_since_compact = 0;
+
         seg.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(dropped)
+        seg.last_compact_epoch.store(epoch, Ordering::Relaxed);
+        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
+        Ok(CompactReport {
+            snapshot_entries: entries.len(),
+            snapshot_revocations: revoked.len(),
+            log_bytes_dropped: dropped,
+        })
     }
 
     /// Compact every shard segment and the bus segment. Returns the
@@ -1778,19 +1443,17 @@ impl ShardedDurableRepository {
             snapshot_revocations: 0,
             log_bytes_dropped: 0,
         };
-        for shard in 0..self.inner.segments.len() {
-            let r = self.compact_shard(shard)?;
+        for i in 0..self.inner.segments.len() {
+            let r = self.compact_segment(i)?;
             total.snapshot_entries += r.snapshot_entries;
+            total.snapshot_revocations += r.snapshot_revocations;
             total.log_bytes_dropped += r.log_bytes_dropped;
         }
-        let r = self.compact_bus()?;
-        total.snapshot_revocations = r.snapshot_revocations;
-        total.log_bytes_dropped += r.log_bytes_dropped;
         Ok(total)
     }
 
     /// Live durability counters: per-segment rows plus totals.
-    pub fn stats(&self) -> ShardedWalStats {
+    pub fn stats(&self) -> DurabilityStats {
         let row = |seg: &Segment| -> ShardSegmentStats {
             ShardSegmentStats {
                 appends: seg.appends.load(Ordering::Relaxed),
@@ -1804,14 +1467,16 @@ impl ShardedDurableRepository {
                     .unwrap_or(0),
             }
         };
-        let shards: Vec<ShardSegmentStats> = self.inner.segments.iter().map(row).collect();
-        let bus = row(&self.inner.bus_segment);
-        ShardedWalStats {
-            appends: shards.iter().map(|s| s.appends).sum::<u64>() + bus.appends,
-            fsyncs: self.inner.fsyncs.load(Ordering::Relaxed),
-            compactions: shards.iter().map(|s| s.compactions).sum::<u64>() + bus.compactions,
+        let mut shards: Vec<ShardSegmentStats> = self.inner.segments.iter().map(row).collect();
+        let appends = shards.iter().map(|s| s.appends).sum();
+        let compactions = shards.iter().map(|s| s.compactions).sum();
+        let bus = shards.pop().expect("the bus segment is always present");
+        DurabilityStats {
             shards,
             bus,
+            appends,
+            fsyncs: self.inner.fsyncs.load(Ordering::Relaxed),
+            compactions,
         }
     }
 
@@ -1851,9 +1516,42 @@ mod tests {
             .sign()
     }
 
-    fn repo_fingerprint(repo: &Repository) -> Vec<String> {
-        repo.all_credentials().iter().map(|c| c.id()).collect()
+    fn expiring(issuer: &Entity, subject: &Entity, role: &str, at: u64) -> SignedDelegation {
+        DelegationBuilder::new(issuer)
+            .subject_entity(subject)
+            .role(issuer.role(role))
+            .expires(at)
+            .sign()
     }
+
+    /// Sorted credential ids — shard-count independent, duplicates kept.
+    fn repo_fingerprint(repo: &Repository) -> Vec<String> {
+        let mut ids: Vec<String> = repo.all_credentials().iter().map(|c| c.id()).collect();
+        ids.sort();
+        ids
+    }
+
+    /// Frame a payload: `[u32 len][u32 crc][payload]`.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(payload.len() + 8);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    fn open(dir: &Path, shards: usize) -> (ShardedDurableRepository, RecoveryReport) {
+        ShardedDurableRepository::open(dir, shards, WalConfig::default()).unwrap()
+    }
+
+    /// The one log of a `shards = 1` directory.
+    fn single_log(dir: &Path) -> PathBuf {
+        dir.join(shard_dir_name(0)).join(LOG_FILE)
+    }
+
+    /// A single log is `shards = 1` of the one engine: every behaviour is
+    /// pinned at both ends of the range.
+    const SHARD_COUNTS: [usize; 2] = [1, 8];
 
     #[test]
     fn record_roundtrip_all_kinds() {
@@ -1887,37 +1585,102 @@ mod tests {
     }
 
     #[test]
-    fn empty_log_recovers_empty() {
-        let dir = tmpdir("empty");
-        let (repo, bus, report) = Repository::recover(&dir).unwrap();
+    fn revoke_batch_record_roundtrip() {
+        let ids: Vec<String> = (0..100).map(|i| format!("id-{i:03}")).collect();
+        let log = frame(&encode_payload(5, &WalOp::RevokeBatch { ids: ids.clone() }));
+        let scan = scan_log(&log);
+        assert!(scan.corruption.is_none());
+        assert_eq!(scan.records.len(), 1);
+        match &scan.records[0].op {
+            WalOp::RevokeBatch { ids: got } => assert_eq!(*got, ids),
+            other => panic!("wrong op {other:?}"),
+        }
+    }
+
+    /// A count field is untrusted even behind a valid CRC: a forged one
+    /// must come back as a typed error, never as a gigabyte allocation.
+    #[test]
+    fn decoders_reject_forged_counts_without_allocating() {
+        let sealed = |mut body: Vec<u8>| {
+            let crc = crc32(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            body
+        };
+        // 27-byte snapshot claiming 2^24 - 1 entries.
+        let mut entries = SNAPSHOT_MAGIC.to_vec();
+        entries.extend_from_slice(&9u64.to_le_bytes());
+        entries.extend_from_slice(&0x00ff_ffffu32.to_le_bytes());
+        let entries = sealed(entries);
+        assert_eq!(entries.len(), 27);
+        assert!(decode_snapshot(&entries).unwrap_err().contains("entry"));
+        // No entries, but 2^32 - 1 revocations.
+        let mut revoked = SNAPSHOT_MAGIC.to_vec();
+        revoked.extend_from_slice(&9u64.to_le_bytes());
+        revoked.extend_from_slice(&0u32.to_le_bytes());
+        revoked.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_snapshot(&sealed(revoked)).unwrap_err();
+        assert!(err.contains("revocation"), "{err}");
+        // A RevokeBatch frame claiming 2^20 ids in zero bytes.
+        let mut batch = 3u64.to_le_bytes().to_vec();
+        batch.push(KIND_REVOKE_BATCH);
+        batch.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        let scan = scan_log(&frame(&batch));
+        assert!(scan.records.is_empty());
+        assert!(scan.corruption.unwrap().contains("revoke-batch"));
+
+        // End to end: the forged snapshot is ignored, not fatal.
+        let dir = tmpdir("forged");
+        drop(open(&dir, 1));
+        std::fs::write(dir.join(shard_dir_name(0)).join(SNAPSHOT_FILE), &entries).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
+        assert!(report.snapshot_corrupt);
         assert!(repo.is_empty());
-        assert_eq!(bus.revoked_count(), 0);
-        assert_eq!(report.records_replayed, 0);
-        assert_eq!(report.truncated_bytes, 0);
+    }
+
+    #[test]
+    fn empty_log_recovers_empty() {
+        for shards in SHARD_COUNTS {
+            let dir = tmpdir("empty");
+            let (d, report) = open(&dir, shards);
+            assert!(d.repository().is_empty());
+            assert_eq!(report.records_replayed, 0);
+            drop(d);
+            let (repo, bus, report) = Repository::recover_sharded(&dir).unwrap();
+            assert!(repo.is_empty());
+            assert_eq!(repo.shard_count(), shards);
+            assert_eq!(bus.revoked_count(), 0);
+            assert_eq!(report.records_replayed, 0);
+            assert_eq!(report.truncated_bytes, 0);
+        }
+        // A directory the engine never opened is not an empty repository.
+        let err = Repository::recover_sharded(&tmpdir("bare")).err().unwrap();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     }
 
     #[test]
     fn publish_revoke_survive_reopen() {
-        let dir = tmpdir("reopen");
-        let ny = Entity::with_seed("Comp.NY", b"wal");
-        let alice = Entity::with_seed("Alice", b"wal");
-        let c = cred(&ny, &alice, "Member");
-        let id = c.id();
-        {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
-            d.repository().publish_at_issuer(c.clone());
-            d.bus().revoke(&id);
-            d.detach(); // simulate crash: no clean shutdown path exists anyway
+        for shards in SHARD_COUNTS {
+            let dir = tmpdir("reopen");
+            let ny = Entity::with_seed("Comp.NY", b"wal");
+            let alice = Entity::with_seed("Alice", b"wal");
+            let c = cred(&ny, &alice, "Member");
+            let id = c.id();
+            {
+                let (d, _) = open(&dir, shards);
+                d.repository().publish_at_issuer(c.clone());
+                d.bus().revoke(&id);
+                d.detach(); // simulate crash: no clean shutdown path exists anyway
+            }
+            let (d2, report) = open(&dir, shards);
+            assert_eq!(report.records_replayed, 2);
+            assert_eq!(report.publishes, 1);
+            assert_eq!(report.revocations_restored, 1);
+            assert_eq!(d2.repository().len(), 1);
+            assert!(d2.bus().is_revoked(&id));
+            let found = d2.repository().query_by_subject(&alice.as_subject());
+            assert_eq!(found.len(), 1);
+            assert_eq!(**found.first().unwrap(), c);
         }
-        let (d2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(report.records_replayed, 2);
-        assert_eq!(report.publishes, 1);
-        assert_eq!(report.revocations_restored, 1);
-        assert_eq!(d2.repository().len(), 1);
-        assert!(d2.bus().is_revoked(&id));
-        let found = d2.repository().query_by_subject(&alice.as_subject());
-        assert_eq!(found.len(), 1);
-        assert_eq!(**found.first().unwrap(), c);
     }
 
     #[test]
@@ -1927,19 +1690,19 @@ mod tests {
         let alice = Entity::with_seed("Alice", b"wal");
         let bob = Entity::with_seed("Bob", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 1);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
             d.repository().publish_at_issuer(cred(&ny, &bob, "Member"));
         }
         // Tear the log mid-record: append a partial frame.
-        let log = dir.join(LOG_FILE);
+        let log = single_log(&dir);
         let mut f = OpenOptions::new().append(true).open(&log).unwrap();
         f.write_all(&[0x44, 0x01, 0x00, 0x00, 0xde, 0xad]).unwrap();
         drop(f);
         let before = std::fs::metadata(&log).unwrap().len();
 
-        let (d2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let (d2, report) = open(&dir, 1);
         assert_eq!(report.records_replayed, 2);
         assert_eq!(report.truncated_bytes, 6);
         assert_eq!(d2.repository().len(), 2);
@@ -1955,13 +1718,13 @@ mod tests {
         let alice = Entity::with_seed("Alice", b"wal");
         let bob = Entity::with_seed("Bob", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 1);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
             d.repository().publish_at_issuer(cred(&ny, &bob, "Member"));
             d.repository().publish_at_issuer(cred(&ny, &bob, "Partner"));
         }
-        let log = dir.join(LOG_FILE);
+        let log = single_log(&dir);
         let mut image = std::fs::read(&log).unwrap();
         let scan = scan_log(&image);
         assert_eq!(scan.records.len(), 3);
@@ -1970,54 +1733,65 @@ mod tests {
         image[off] ^= 0xff;
         std::fs::write(&log, &image).unwrap();
 
-        let verify = verify_dir(&dir).unwrap();
-        assert_eq!(verify.log_records, 1);
-        assert!(verify.truncated_bytes > 0);
+        let verify = verify_sharded_dir(&dir).unwrap();
         assert!(!verify.is_clean());
-        assert!(verify.corruption.unwrap().contains("checksum"));
+        assert_eq!(verify.damaged(), vec![0]);
+        let shard = &verify.shards[0];
+        assert_eq!(shard.log_records, 1);
+        assert!(shard.truncated_bytes > 0);
+        assert!(shard.corruption.as_ref().unwrap().contains("checksum"));
 
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(report.records_replayed, 1);
         assert_eq!(repo.len(), 1);
-        // recover() is read-only: the corrupt image is untouched.
+        // recover_sharded() is read-only: the corrupt image is untouched.
         assert_eq!(std::fs::read(&log).unwrap(), image);
     }
 
     #[test]
     fn snapshot_plus_tail_replay() {
-        let dir = tmpdir("snap");
-        let ny = Entity::with_seed("Comp.NY", b"wal");
-        let alice = Entity::with_seed("Alice", b"wal");
-        let bob = Entity::with_seed("Bob", b"wal");
-        let carol = Entity::with_seed("Carol", b"wal");
-        let c_alice = cred(&ny, &alice, "Member");
-        let revoked_id;
-        {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
-            d.repository().publish_at_issuer(c_alice.clone());
-            let c_bob = cred(&ny, &bob, "Member");
-            revoked_id = c_bob.id();
-            d.repository().publish_at_issuer(c_bob);
-            d.bus().revoke(&revoked_id);
-            let r = d.compact().unwrap();
-            assert_eq!(r.snapshot_entries, 2);
-            assert_eq!(r.snapshot_revocations, 1);
-            assert_eq!(std::fs::metadata(dir.join(LOG_FILE)).unwrap().len(), 0);
-            // Tail after the snapshot.
-            d.repository()
-                .publish_at_issuer(cred(&ny, &carol, "Partner"));
+        for shards in SHARD_COUNTS {
+            let dir = tmpdir("snap");
+            let ny = Entity::with_seed("Comp.NY", b"wal");
+            let alice = Entity::with_seed("Alice", b"wal");
+            let bob = Entity::with_seed("Bob", b"wal");
+            let carol = Entity::with_seed("Carol", b"wal");
+            let revoked_id;
+            {
+                let (d, _) = open(&dir, shards);
+                d.repository()
+                    .publish_at_issuer(cred(&ny, &alice, "Member"));
+                let c_bob = cred(&ny, &bob, "Member");
+                revoked_id = c_bob.id();
+                d.repository().publish_at_issuer(c_bob);
+                d.bus().revoke(&revoked_id);
+                let r = d.compact().unwrap();
+                assert_eq!(r.snapshot_entries, 2);
+                assert_eq!(r.snapshot_revocations, 1);
+                for seg in segment_dirs(&dir).unwrap() {
+                    assert_eq!(std::fs::metadata(seg.join(LOG_FILE)).unwrap().len(), 0);
+                }
+                // Tail after the snapshot.
+                d.repository()
+                    .publish_at_issuer(cred(&ny, &carol, "Partner"));
+            }
+            let (d2, report) = open(&dir, shards);
+            assert_eq!(report.snapshot_entries, 2);
+            assert_eq!(report.snapshot_revocations, 1);
+            assert_eq!(report.records_replayed, 1);
+            assert_eq!(d2.repository().len(), 3);
+            assert!(d2.bus().is_revoked(&revoked_id));
+            // The epoch header of each snapshot is its last-compact stamp,
+            // and it survives the reopen.
+            let stats = d2.stats();
+            assert!(stats.bus.last_compact_epoch > 0);
+            assert!(stats.shards.iter().all(|s| s.last_compact_epoch > 0));
+            // Tag reconstruction: alice still findable via directed query.
+            d2.repository().reset_stats();
+            let found = d2.repository().query_by_subject(&alice.as_subject());
+            assert_eq!(found.len(), 1);
+            assert_eq!(d2.repository().stats().directed, 1);
         }
-        let (d2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(report.snapshot_entries, 2);
-        assert_eq!(report.snapshot_revocations, 1);
-        assert_eq!(report.records_replayed, 1);
-        assert_eq!(d2.repository().len(), 3);
-        assert!(d2.bus().is_revoked(&revoked_id));
-        // Tag reconstruction: alice still findable via directed query.
-        d2.repository().reset_stats();
-        let found = d2.repository().query_by_subject(&alice.as_subject());
-        assert_eq!(found.len(), 1);
-        assert_eq!(d2.repository().stats().directed, 1);
     }
 
     #[test]
@@ -2028,15 +1802,15 @@ mod tests {
         let ny = Entity::with_seed("Comp.NY", b"wal");
         let alice = Entity::with_seed("Alice", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 1);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
-            let log_before = std::fs::read(dir.join(LOG_FILE)).unwrap();
+            let log_before = std::fs::read(single_log(&dir)).unwrap();
             d.compact().unwrap();
             // Put the pre-compaction log back (the "un-truncated" state).
-            std::fs::write(dir.join(LOG_FILE), &log_before).unwrap();
+            std::fs::write(single_log(&dir), &log_before).unwrap();
         }
-        let (d2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let (d2, report) = open(&dir, 1);
         assert_eq!(report.snapshot_entries, 1);
         assert_eq!(report.duplicates_skipped, 1);
         assert_eq!(d2.repository().len(), 1, "no double-publish");
@@ -2048,7 +1822,7 @@ mod tests {
         let ny = Entity::with_seed("Comp.NY", b"wal");
         let alice = Entity::with_seed("Alice", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 1);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
             d.compact().unwrap();
@@ -2056,18 +1830,19 @@ mod tests {
                 .publish_at_issuer(cred(&ny, &alice, "Partner"));
         }
         // Corrupt the snapshot body.
-        let snap = dir.join(SNAPSHOT_FILE);
+        let snap = dir.join(shard_dir_name(0)).join(SNAPSHOT_FILE);
         let mut image = std::fs::read(&snap).unwrap();
         let mid = image.len() / 2;
         image[mid] ^= 0xff;
         std::fs::write(&snap, &image).unwrap();
 
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert!(report.snapshot_corrupt);
         assert_eq!(report.snapshot_entries, 0);
         // Only the post-compaction tail survives — the report says so.
         assert_eq!(report.records_replayed, 1);
         assert_eq!(repo.len(), 1);
+        assert_eq!(verify_sharded_dir(&dir).unwrap().damaged(), vec![0]);
     }
 
     #[test]
@@ -2076,42 +1851,40 @@ mod tests {
         let ny = Entity::with_seed("Comp.NY", b"wal");
         let alice = Entity::with_seed("Alice", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 1);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
-            let doomed = DelegationBuilder::new(&ny)
-                .subject_entity(&alice)
-                .role(ny.role("Guest"))
-                .expires(100)
-                .sign();
-            d.repository().publish_at_issuer(doomed);
+            d.repository()
+                .publish_at_issuer(expiring(&ny, &alice, "Guest", 100));
             assert_eq!(d.repository().purge_expired(200), 1);
         }
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(report.purges, 1);
         assert_eq!(repo.len(), 1);
     }
 
     #[test]
     fn recovered_epoch_strictly_above_logged_epochs() {
-        let dir = tmpdir("epoch");
-        let ny = Entity::with_seed("Comp.NY", b"wal");
-        let alice = Entity::with_seed("Alice", b"wal");
-        let logged_epoch;
-        {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
-            d.repository()
-                .publish_at_issuer(cred(&ny, &alice, "Member"));
-            logged_epoch = d.repository().epoch();
+        for shards in SHARD_COUNTS {
+            let dir = tmpdir("epoch");
+            let ny = Entity::with_seed("Comp.NY", b"wal");
+            let alice = Entity::with_seed("Alice", b"wal");
+            let logged_epoch;
+            {
+                let (d, _) = open(&dir, shards);
+                d.repository()
+                    .publish_at_issuer(cred(&ny, &alice, "Member"));
+                logged_epoch = d.repository().epoch();
+            }
+            let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
+            assert!(
+                report.epoch > logged_epoch,
+                "epoch {} must exceed pre-crash {}",
+                report.epoch,
+                logged_epoch
+            );
+            assert_eq!(repo.epoch(), report.epoch);
         }
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
-        assert!(
-            report.epoch > logged_epoch,
-            "epoch {} must exceed pre-crash {}",
-            report.epoch,
-            logged_epoch
-        );
-        assert_eq!(repo.epoch(), report.epoch);
     }
 
     #[test]
@@ -2121,99 +1894,114 @@ mod tests {
             FsyncPolicy::EveryN(3),
             FsyncPolicy::Never,
         ] {
-            let dir = tmpdir("policy");
-            let ny = Entity::with_seed("Comp.NY", b"wal");
-            let cfg = WalConfig {
-                fsync: policy,
-                auto_compact_appends: None,
-            };
-            {
-                let (d, _) = DurableRepository::open(&dir, cfg).unwrap();
-                for i in 0..5 {
-                    let who = Entity::with_seed(format!("U{i}"), b"wal");
-                    d.repository().publish_at_issuer(cred(&ny, &who, "Member"));
+            for shards in SHARD_COUNTS {
+                let dir = tmpdir("policy");
+                let ny = Entity::with_seed("Comp.NY", b"wal");
+                let cfg = WalConfig {
+                    fsync: policy,
+                    auto_compact_appends: None,
+                };
+                {
+                    let (d, _) = ShardedDurableRepository::open(&dir, shards, cfg).unwrap();
+                    for i in 0..5 {
+                        let who = Entity::with_seed(format!("U{i}"), b"wal");
+                        d.repository().publish_at_issuer(cred(&ny, &who, "Member"));
+                    }
+                    let stats = d.stats();
+                    assert_eq!(stats.appends, 5);
+                    // One writer, so group commit has nothing to batch:
+                    // the counts are exact for the single log.
+                    match (policy, shards) {
+                        (FsyncPolicy::Always, _) => assert_eq!(stats.fsyncs, 5),
+                        (FsyncPolicy::EveryN(_), 1) => assert_eq!(stats.fsyncs, 1),
+                        (FsyncPolicy::EveryN(_), _) => assert!(stats.fsyncs <= 1),
+                        (FsyncPolicy::Never, _) => assert_eq!(stats.fsyncs, 0),
+                    }
+                    // Buffered policies hold frames in memory; dropping
+                    // the handle without a sync() is a crash, not a close.
+                    d.sync().unwrap();
                 }
-                let stats = d.stats();
-                assert_eq!(stats.appends, 5);
-                match policy {
-                    FsyncPolicy::Always => assert_eq!(stats.fsyncs, 5),
-                    FsyncPolicy::EveryN(3) => assert_eq!(stats.fsyncs, 1),
-                    _ => assert_eq!(stats.fsyncs, 0),
-                }
+                let (repo, _, _) = Repository::recover_sharded(&dir).unwrap();
+                assert_eq!(repo.len(), 5, "policy {policy:?}, {shards} shard(s)");
             }
-            let (repo, _, _) = Repository::recover(&dir).unwrap();
-            assert_eq!(repo.len(), 5, "policy {policy:?}");
         }
     }
 
     #[test]
     fn auto_compaction_triggers_and_recovers() {
-        let dir = tmpdir("auto");
-        let ny = Entity::with_seed("Comp.NY", b"wal");
-        let cfg = WalConfig {
-            fsync: FsyncPolicy::Never,
-            auto_compact_appends: Some(4),
-        };
-        let oracle_ids;
-        {
-            let (d, _) = DurableRepository::open(&dir, cfg).unwrap();
-            for i in 0..10 {
-                let who = Entity::with_seed(format!("U{i}"), b"wal");
-                d.repository().publish_at_issuer(cred(&ny, &who, "Member"));
+        for shards in SHARD_COUNTS {
+            let dir = tmpdir("auto");
+            let ny = Entity::with_seed("Comp.NY", b"wal");
+            let cfg = WalConfig {
+                fsync: FsyncPolicy::Never,
+                auto_compact_appends: Some(4),
+            };
+            let oracle_ids;
+            {
+                let (d, _) = ShardedDurableRepository::open(&dir, shards, cfg).unwrap();
+                for i in 0..40 {
+                    let who = Entity::with_seed(format!("U{i}"), b"wal");
+                    d.repository().publish_at_issuer(cred(&ny, &who, "Member"));
+                }
+                let stats = d.stats();
+                // The threshold is per segment: 40 appends / 4 on one log,
+                // at least a couple wherever 8 shards put them.
+                assert!(stats.compactions >= if shards == 1 { 10 } else { 2 });
+                assert!(stats
+                    .shards
+                    .iter()
+                    .all(|s| s.appends < 4 || s.snapshot_bytes > 0));
+                oracle_ids = repo_fingerprint(d.repository());
+                d.sync().unwrap();
             }
-            assert!(d.stats().compactions >= 2, "10 appends / threshold 4");
-            oracle_ids = repo_fingerprint(d.repository());
+            let (repo, _, _) = Repository::recover_sharded(&dir).unwrap();
+            assert_eq!(repo_fingerprint(&repo), oracle_ids);
         }
-        let (repo, _, _) = Repository::recover(&dir).unwrap();
-        assert_eq!(repo_fingerprint(&repo), oracle_ids);
     }
 
     #[test]
     fn recovered_state_matches_never_crashed_oracle() {
-        let dir = tmpdir("oracle");
-        let ny = Entity::with_seed("Comp.NY", b"wal");
-        let oracle_repo = Repository::new();
-        let oracle_bus = RevocationBus::new();
-        {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
-            for i in 0..6 {
-                let who = Entity::with_seed(format!("U{i}"), b"wal");
-                let c = cred(&ny, &who, "Member");
-                oracle_repo.publish_at_issuer(c.clone());
-                d.repository().publish_at_issuer(c.clone());
-                if i % 2 == 0 {
-                    oracle_bus.revoke(&c.id());
-                    d.bus().revoke(&c.id());
+        for shards in SHARD_COUNTS {
+            let dir = tmpdir("oracle");
+            let ny = Entity::with_seed("Comp.NY", b"wal");
+            let oracle_repo = Repository::new();
+            let oracle_bus = RevocationBus::new();
+            {
+                let (d, _) = open(&dir, shards);
+                for i in 0..6 {
+                    let who = Entity::with_seed(format!("U{i}"), b"wal");
+                    let c = cred(&ny, &who, "Member");
+                    oracle_repo.publish_at_issuer(c.clone());
+                    d.repository().publish_at_issuer(c.clone());
+                    if i % 2 == 0 {
+                        oracle_bus.revoke(&c.id());
+                        d.bus().revoke(&c.id());
+                    }
                 }
             }
+            let (repo, bus, _) = Repository::recover_sharded(&dir).unwrap();
+            assert_eq!(repo_fingerprint(&repo), repo_fingerprint(&oracle_repo));
+            assert_eq!(bus.revoked_ids(), oracle_bus.revoked_ids());
         }
-        let (repo, bus, _) = Repository::recover(&dir).unwrap();
-        assert_eq!(repo_fingerprint(&repo), repo_fingerprint(&oracle_repo));
-        assert_eq!(bus.revoked_ids(), oracle_bus.revoked_ids());
     }
 
-    #[test]
-    fn republished_after_purge_survives_replay() {
-        // publish C → purge removes it → publish C again: the recovered
-        // repository must hold C (the dedup map forgets purged pairs
-        // instead of mistaking the re-publish for a duplicate).
+    /// publish C → purge removes it → publish C again: the recovered
+    /// repository must hold C (the dedup map forgets purged pairs instead
+    /// of mistaking the re-publish for a duplicate).
+    fn republish_after_purge(shards: usize) {
         let dir = tmpdir("repurge");
         let ny = Entity::with_seed("Comp.NY", b"wal");
         let alice = Entity::with_seed("Alice", b"wal");
-        let doomed = DelegationBuilder::new(&ny)
-            .subject_entity(&alice)
-            .role(ny.role("Guest"))
-            .expires(100)
-            .sign();
+        let doomed = expiring(&ny, &alice, "Guest", 100);
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, shards);
             d.repository().publish_at_issuer(doomed.clone());
             assert_eq!(d.repository().purge_expired(200), 1);
             // Same (home, id) published again after the purge.
             d.repository().publish_at_issuer(doomed.clone());
             assert_eq!(d.repository().len(), 1);
         }
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(
             report.duplicates_skipped, 0,
             "re-publish is not a duplicate"
@@ -2222,19 +2010,16 @@ mod tests {
     }
 
     #[test]
-    fn revoke_batch_record_roundtrip() {
-        let ids: Vec<String> = (0..100).map(|i| format!("id-{i:03}")).collect();
-        let log = frame(&encode_payload(5, &WalOp::RevokeBatch { ids: ids.clone() }));
-        let scan = scan_log(&log);
-        assert!(scan.corruption.is_none());
-        assert_eq!(scan.records.len(), 1);
-        match &scan.records[0].op {
-            WalOp::RevokeBatch { ids: got } => assert_eq!(*got, ids),
-            other => panic!("wrong op {other:?}"),
-        }
+    fn republished_after_purge_survives_replay() {
+        republish_after_purge(1);
     }
 
-    // -- sharded layout ----------------------------------------------------
+    #[test]
+    fn sharded_republished_after_purge_survives_replay() {
+        republish_after_purge(4);
+    }
+
+    // -- many segments -----------------------------------------------------
 
     fn sharded_workload(d: &ShardedDurableRepository, ny: &Entity, users: usize) -> Vec<String> {
         let mut revoked = Vec::new();
@@ -2256,15 +2041,14 @@ mod tests {
         let ny = Entity::with_seed("Comp.NY", b"swal");
         let revoked;
         {
-            let (d, report) =
-                ShardedDurableRepository::open(&dir, 8, WalConfig::default()).unwrap();
+            let (d, report) = open(&dir, 8);
             assert_eq!(report.records_replayed, 0);
             revoked = sharded_workload(&d, &ny, 24);
             assert_eq!(d.repository().len(), 24);
             d.detach();
         }
-        assert!(is_sharded_dir(&dir));
-        let (d2, report) = ShardedDurableRepository::open(&dir, 8, WalConfig::default()).unwrap();
+        assert_eq!(segment_dirs(&dir).unwrap().len(), 8 + 1);
+        let (d2, report) = open(&dir, 8);
         // 24 publishes spread across shard segments + 1 RevokeBatch frame.
         assert_eq!(report.publishes, 24);
         assert_eq!(report.revocations_restored, revoked.len());
@@ -2288,11 +2072,11 @@ mod tests {
     fn sharded_meta_overrides_requested_count() {
         let dir = tmpdir("sh-meta");
         {
-            let (d, _) = ShardedDurableRepository::open(&dir, 4, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 4);
             assert_eq!(d.repository().shard_count(), 4);
         }
         // Reopen asking for a different count: disk wins.
-        let (d2, _) = ShardedDurableRepository::open(&dir, 64, WalConfig::default()).unwrap();
+        let (d2, _) = open(&dir, 64);
         assert_eq!(d2.repository().shard_count(), 4);
     }
 
@@ -2301,7 +2085,7 @@ mod tests {
         let dir = tmpdir("sh-torn");
         let ny = Entity::with_seed("Comp.NY", b"swal");
         {
-            let (d, _) = ShardedDurableRepository::open(&dir, 4, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 4);
             sharded_workload(&d, &ny, 16);
         }
         // Tear one populated shard's log mid-record.
@@ -2320,7 +2104,7 @@ mod tests {
         assert!(!verify.is_clean());
         assert_eq!(verify.damaged().len(), 1);
 
-        let (d2, report) = ShardedDurableRepository::open(&dir, 4, WalConfig::default()).unwrap();
+        let (d2, report) = open(&dir, 4);
         assert!(report.truncated_bytes > 0);
         assert_eq!(report.publishes, 15, "only the torn record is lost");
         assert_eq!(d2.repository().len(), 15);
@@ -2336,7 +2120,7 @@ mod tests {
         let oracle_ids;
         let revoked;
         {
-            let (d, _) = ShardedDurableRepository::open(&dir, 8, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 8);
             revoked = sharded_workload(&d, &ny, 20);
             let r = d.compact().unwrap();
             assert_eq!(r.snapshot_entries, 20);
@@ -2361,16 +2145,15 @@ mod tests {
         let dir = tmpdir("sh-purge");
         let ny = Entity::with_seed("Comp.NY", b"swal");
         {
-            let (d, _) = ShardedDurableRepository::open(&dir, 4, WalConfig::default()).unwrap();
+            let (d, _) = open(&dir, 4);
             for i in 0..12 {
                 let who = Entity::with_seed(format!("U{i}"), b"swal");
-                let mut b = DelegationBuilder::new(&ny)
-                    .subject_entity(&who)
-                    .role(ny.role("Member"));
-                if i % 2 == 0 {
-                    b = b.expires(100);
-                }
-                d.repository().publish_at_issuer(b.sign());
+                let c = if i % 2 == 0 {
+                    expiring(&ny, &who, "Member", 100)
+                } else {
+                    cred(&ny, &who, "Member")
+                };
+                d.repository().publish_at_issuer(c);
             }
             assert_eq!(d.repository().purge_expired(150), 6);
             assert_eq!(d.repository().len(), 6);
@@ -2405,24 +2188,230 @@ mod tests {
         assert_eq!(repo.len(), 10);
     }
 
-    #[test]
-    fn sharded_republished_after_purge_survives_replay() {
-        let dir = tmpdir("sh-repurge");
-        let ny = Entity::with_seed("Comp.NY", b"swal");
-        let alice = Entity::with_seed("Alice", b"swal");
-        let doomed = DelegationBuilder::new(&ny)
-            .subject_entity(&alice)
-            .role(ny.role("Guest"))
-            .expires(100)
-            .sign();
-        {
-            let (d, _) = ShardedDurableRepository::open(&dir, 4, WalConfig::default()).unwrap();
-            d.repository().publish_at_issuer(doomed.clone());
-            assert_eq!(d.repository().purge_expired(200), 1);
-            d.repository().publish_at_issuer(doomed.clone());
+    // -- legacy single-log directories -------------------------------------
+
+    /// What a legacy directory must import as: sorted credential ids and
+    /// sorted revoked ids.
+    type Oracle = (Vec<String>, Vec<String>);
+
+    /// Build a legacy single-log directory from raw frames — a root-level
+    /// snapshot plus a log tail with publishes, a `Revoke`, a
+    /// `PurgeExpired`, a re-publish of what it purged, a `RevokeBatch`
+    /// and a torn tail — and the oracle its valid records add up to,
+    /// computed through the plain in-memory types.
+    fn legacy_dir() -> (PathBuf, Oracle) {
+        let dir = tmpdir("legacy");
+        let ny = Entity::with_seed("Comp.NY", b"legacy");
+        let who = |n: &str| Entity::with_seed(n, b"legacy");
+        let alice = cred(&ny, &who("Alice"), "Member");
+        let doomed = expiring(&ny, &who("Dave"), "Guest", 100);
+        let bob = cred(&ny, &who("Bob"), "Member");
+        let carol = cred(&ny, &who("Carol"), "Partner");
+        let home = ny.name.clone();
+
+        let snap_entries: Vec<_> = [&alice, &doomed]
+            .into_iter()
+            .map(|c| (home.clone(), DiscoveryTag::Both, Arc::new(c.clone())))
+            .collect();
+        let snapshot = encode_snapshot(40, &snap_entries, &["old-revoked".to_string()]);
+        let publish = |c: &SignedDelegation| WalOp::Publish {
+            home: home.clone(),
+            tag: DiscoveryTag::Both,
+            cred: c.clone(),
+        };
+        let ops = [
+            publish(&bob),
+            WalOp::Revoke { id: bob.id() },
+            WalOp::PurgeExpired { now: 200 },
+            publish(&doomed),
+            WalOp::RevokeBatch {
+                ids: vec!["batch-a".into(), "batch-b".into()],
+            },
+            publish(&carol),
+        ];
+        let mut log = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            log.extend_from_slice(&frame(&encode_payload(41 + i as u64, op)));
         }
-        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
-        assert_eq!(report.duplicates_skipped, 0);
-        assert_eq!(repo.len(), 1);
+        log.extend_from_slice(&[0x44, 0x01, 0x00, 0x00, 0xde, 0xad]); // torn tail
+        std::fs::write(dir.join(SNAPSHOT_FILE), snapshot).unwrap();
+        std::fs::write(dir.join(LOG_FILE), log).unwrap();
+
+        let (repo, bus) = (Repository::new(), RevocationBus::new());
+        repo.publish_at_issuer(alice);
+        repo.publish_at_issuer(doomed.clone());
+        bus.revoke("old-revoked");
+        for op in ops {
+            match op {
+                WalOp::Publish { home, tag, cred } => repo.publish(home, cred, tag),
+                WalOp::Revoke { id } => bus.revoke(&id),
+                WalOp::RevokeBatch { ids } => drop(bus.revoke_all(&ids)),
+                WalOp::PurgeExpired { now } => drop(repo.purge_expired(now)),
+            }
+        }
+        assert_eq!(
+            repo.len(),
+            4,
+            "alice, bob, carol and the re-published doomed"
+        );
+        (dir, (repo_fingerprint(&repo), bus.revoked_ids()))
+    }
+
+    fn state_of(repo: &Repository, bus: &RevocationBus) -> Oracle {
+        (repo_fingerprint(repo), bus.revoked_ids())
+    }
+
+    fn assert_no_root_files(dir: &Path) {
+        for name in [LOG_FILE, SNAPSHOT_FILE, SNAPSHOT_TMP] {
+            assert!(!dir.join(name).exists(), "{name} left at the root");
+        }
+    }
+
+    /// Every regular file under `dir`, with its bytes.
+    fn dir_image(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(dir_image(&path));
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((path, bytes));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn legacy_dir_is_imported_once_by_open() {
+        for shards in SHARD_COUNTS {
+            let (dir, oracle) = legacy_dir();
+            // Buffered policy: only the import's own sync() can have made
+            // the segments durable before the root files went.
+            let cfg = WalConfig {
+                fsync: FsyncPolicy::Never,
+                auto_compact_appends: None,
+            };
+            let (d, report) = ShardedDurableRepository::open(&dir, shards, cfg).unwrap();
+            assert_eq!(state_of(d.repository(), d.bus()), oracle);
+            assert_no_root_files(&dir);
+            assert_eq!(report.snapshot_entries, 2);
+            assert_eq!(report.records_replayed, 6);
+            assert_eq!(report.purges, 1);
+            assert_eq!(report.revocations_restored, 4);
+            assert_eq!(report.truncated_bytes, 6);
+            assert!(
+                report.epoch > 46,
+                "epoch {} not above the legacy tags",
+                report.epoch
+            );
+            assert_eq!(d.repository().epoch(), report.epoch);
+            // With `d` still open (nothing flushed by a drop), the disk
+            // alone already holds everything — every revocation included.
+            let (repo, bus, _) = Repository::recover_sharded(&dir).unwrap();
+            assert_eq!(state_of(&repo, &bus), oracle);
+            assert!(verify_sharded_dir(&dir).unwrap().is_clean());
+            d.detach();
+            drop(d);
+            // The next open is an ordinary one.
+            let (d2, report2) = open(&dir, shards);
+            assert_eq!(state_of(d2.repository(), d2.bus()), oracle);
+            assert_eq!(report2.snapshot_entries, 0);
+            assert_eq!(report2.truncated_bytes, 0);
+        }
+    }
+
+    /// A crash mid-import leaves the root files in place and each segment
+    /// holding some prefix of what the import appended to it (a buffered
+    /// policy flushes segments independently), possibly torn. Whatever the
+    /// prefixes, the next open must land on the same state.
+    #[test]
+    fn legacy_import_survives_crash_at_any_prefix() {
+        let (pristine, oracle) = legacy_dir();
+        let root_files = dir_image(&pristine);
+        // A completed import, as the source of per-segment append streams.
+        let (done, _) = legacy_dir();
+        drop(open(&done, 4));
+        let streams: Vec<(PathBuf, Vec<u8>)> = segment_dirs(&done)
+            .unwrap()
+            .into_iter()
+            .map(|seg| {
+                let image = std::fs::read(seg.join(LOG_FILE)).unwrap();
+                (seg.strip_prefix(&done).unwrap().to_path_buf(), image)
+            })
+            .collect();
+        assert!(
+            streams
+                .iter()
+                .filter(|(_, image)| !image.is_empty())
+                .count()
+                >= 3
+        );
+
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for case in 0..24 {
+            let dir = tmpdir("legacy-crash");
+            for (path, bytes) in &root_files {
+                std::fs::write(dir.join(path.file_name().unwrap()), bytes).unwrap();
+            }
+            std::fs::copy(done.join(SHARD_META_FILE), dir.join(SHARD_META_FILE)).unwrap();
+            for (seg, image) in &streams {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let records = scan_log(image).records;
+                // Case 0: nothing reached the disk; case 1: everything did
+                // (crash between sync() and the removals); otherwise a
+                // random record prefix, every third one torn mid-record.
+                let keep = match case {
+                    0 => 0,
+                    1 => image.len(),
+                    _ => {
+                        let k = (rng >> 33) as usize % (records.len() + 1);
+                        let at = records.get(k).map_or(image.len(), |r| r.offset as usize);
+                        if case % 3 == 0 && at + 5 < image.len() {
+                            at + 5
+                        } else {
+                            at
+                        }
+                    }
+                };
+                std::fs::create_dir_all(dir.join(seg)).unwrap();
+                std::fs::write(dir.join(seg).join(LOG_FILE), &image[..keep]).unwrap();
+            }
+            if case == 2 {
+                // Crash between the two removals: the snapshot is gone.
+                std::fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
+                for (seg, image) in &streams {
+                    std::fs::write(dir.join(seg).join(LOG_FILE), image).unwrap();
+                }
+            }
+            let (d, _) = open(&dir, 4);
+            assert_eq!(state_of(d.repository(), d.bus()), oracle, "case {case}");
+            assert_no_root_files(&dir);
+            drop(d);
+            let (repo, bus, _) = Repository::recover_sharded(&dir).unwrap();
+            assert_eq!(state_of(&repo, &bus), oracle, "case {case}, from disk");
+        }
+    }
+
+    #[test]
+    fn read_only_entry_points_refuse_unimported_legacy_dir() {
+        let (dir, _) = legacy_dir();
+        // Also the shape an interrupted import (or the pre-import engine,
+        // which wrote a fresh shards.meta beside the root files) leaves.
+        let (mid_import, _) = legacy_dir();
+        write_shard_meta(&mid_import, 4).unwrap();
+        for dir in [dir, mid_import] {
+            let before = dir_image(&dir);
+            let err = Repository::recover_sharded(&dir).err().unwrap();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("legacy"), "{err}");
+            let err = verify_sharded_dir(&dir).err().unwrap();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("psf repo"), "names the fix: {err}");
+            assert_eq!(dir_image(&dir), before, "read-only paths modify nothing");
+        }
     }
 }

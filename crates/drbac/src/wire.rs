@@ -74,6 +74,12 @@ impl<'a> Reader<'a> {
     pub fn finished(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Bytes not yet consumed — the ceiling on anything a decoded count
+    /// may make a decoder allocate.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 }
 
 fn decode_subject(r: &mut Reader) -> Result<Subject, DrbacError> {

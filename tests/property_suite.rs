@@ -728,30 +728,6 @@ proptest! {
 
 // -------------------------------------------------- durability / WAL --
 
-/// One step of a random durable-repository workload.
-#[derive(Debug, Clone)]
-enum WalStep {
-    /// Publish a fresh `PD{domain}.R -> PropUser` credential, optionally
-    /// expiring at logical second `expires`.
-    Publish { domain: usize, expires: Option<u64> },
-    /// Revoke one of the previously issued credentials (modulo-indexed).
-    Revoke { pick: usize },
-    /// Purge everything expired as of logical second `now`.
-    Purge { now: u64 },
-}
-
-fn arb_wal_step() -> impl Strategy<Value = WalStep> {
-    // Publish twice: bias the unweighted union toward growing the log.
-    prop_oneof![
-        (0usize..8, proptest::option::of(1u64..64))
-            .prop_map(|(domain, expires)| WalStep::Publish { domain, expires }),
-        (0usize..8, proptest::option::of(1u64..64))
-            .prop_map(|(domain, expires)| WalStep::Publish { domain, expires }),
-        (0usize..32).prop_map(|pick| WalStep::Revoke { pick }),
-        (1u64..64).prop_map(|now| WalStep::Purge { now }),
-    ]
-}
-
 fn wal_tmpdir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static N: AtomicU64 = AtomicU64::new(0);
@@ -763,150 +739,6 @@ fn wal_tmpdir() -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Crash injection: run a random publish/revoke/purge workload against
-    /// a durable repository, cut the WAL at a random byte offset (a torn
-    /// write), recover, and require authorization state identical to an
-    /// in-memory oracle built from the records that survived the cut —
-    /// same `prove` outcome, same view selection, same credential ids,
-    /// same revocation set. A writable reopen must then truncate the tail
-    /// and leave the directory verifiably clean.
-    #[test]
-    fn recovery_matches_never_crashed_oracle(
-        steps in proptest::collection::vec(arb_wal_step(), 1..24),
-        cut_ratio in 0.0f64..1.0,
-    ) {
-        use psf_drbac::wal::{self, DurableRepository, FsyncPolicy, WalConfig};
-        use psf_views::ViewAcl;
-
-        let dir = wal_tmpdir();
-        let user = Entity::with_seed("PropUser", b"prop-wal");
-        let domains: Vec<Entity> = (0..8)
-            .map(|i| Entity::with_seed(format!("PD{i}"), b"prop-wal"))
-            .collect();
-
-        // --- Run the workload against the durable repository. ---
-        let mut issued: Vec<String> = Vec::new();
-        {
-            let (d, _) = DurableRepository::open(
-                &dir,
-                WalConfig { fsync: FsyncPolicy::Never, auto_compact_appends: None },
-            ).unwrap();
-            for step in &steps {
-                match step {
-                    WalStep::Publish { domain, expires } => {
-                        let dom = &domains[*domain];
-                        let mut b = DelegationBuilder::new(dom)
-                            .subject_entity(&user)
-                            .role(dom.role("R"));
-                        if let Some(e) = expires {
-                            b = b.expires(*e);
-                        }
-                        let cred = b.sign();
-                        issued.push(cred.id());
-                        d.repository().publish_at_issuer(cred);
-                    }
-                    WalStep::Revoke { pick } => {
-                        if !issued.is_empty() {
-                            d.bus().revoke(&issued[pick % issued.len()]);
-                        }
-                    }
-                    WalStep::Purge { now } => {
-                        d.repository().purge_expired(*now);
-                    }
-                }
-            }
-            d.sync().unwrap();
-        }
-
-        // --- Tear the log at a random byte offset. ---
-        let log = dir.join(wal::LOG_FILE);
-        let full = std::fs::read(&log).unwrap();
-        // A workload of no-ops (revokes with nothing issued) commits no
-        // records; there is nothing to tear.
-        prop_assume!(!full.is_empty());
-        let cut = 1 + ((full.len() - 1) as f64 * cut_ratio) as u64;
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&log)
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
-
-        // --- Oracle: apply the surviving records through the public API,
-        // never having crashed. ---
-        let torn = std::fs::read(&log).unwrap();
-        let scan = wal::scan_log(&torn);
-        let oracle_repo = Repository::new();
-        let oracle_bus = RevocationBus::new();
-        for rec in &scan.records {
-            match &rec.op {
-                wal::WalOp::Publish { home, tag, cred } => {
-                    oracle_repo.publish(home.clone(), cred.clone(), *tag)
-                }
-                wal::WalOp::Revoke { id } => oracle_bus.revoke(id),
-                wal::WalOp::RevokeBatch { ids } => {
-                    for id in ids {
-                        oracle_bus.revoke(id);
-                    }
-                }
-                wal::WalOp::PurgeExpired { now } => {
-                    oracle_repo.purge_expired(*now);
-                }
-            }
-        }
-
-        // --- Recover and compare. ---
-        let (rec_repo, rec_bus, report) = Repository::recover(&dir).unwrap();
-        prop_assert_eq!(report.records_replayed, scan.records.len());
-
-        let registry = EntityRegistry::new();
-        registry.register(&user);
-        for dom in &domains {
-            registry.register(dom);
-        }
-        let subject = user.as_subject();
-        let oracle_engine = ProofEngine::new(&registry, &oracle_repo, &oracle_bus, 0);
-        let rec_engine = ProofEngine::new(&registry, &rec_repo, &rec_bus, 0);
-        for dom in &domains {
-            let role = dom.role("R");
-            prop_assert_eq!(
-                oracle_engine.check(&subject, &role, &[]),
-                rec_engine.check(&subject, &role, &[]),
-                "prove divergence on {}", role
-            );
-            let acl = ViewAcl::new().rule(role.clone(), "FullView");
-            prop_assert_eq!(
-                acl.authorize_once(&subject, &[], &registry, &oracle_repo, &oracle_bus, 0).is_some(),
-                acl.authorize_once(&subject, &[], &registry, &rec_repo, &rec_bus, 0).is_some(),
-                "view selection divergence on {}", dom.name
-            );
-        }
-        // Replay dedups repeated publishes of the same credential (the
-        // duplicate-tolerance rule that absorbs snapshot/log overlap), so
-        // compare the *distinct* committed id sets.
-        let ids = |repo: &Repository| {
-            let mut v: Vec<String> = repo.all_credentials().iter().map(|c| c.id()).collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-        prop_assert_eq!(ids(&oracle_repo), ids(&rec_repo));
-        prop_assert_eq!(oracle_bus.revoked_ids(), rec_bus.revoked_ids());
-
-        // --- A writable reopen truncates the tail; the directory must
-        // then verify clean. ---
-        drop(DurableRepository::open(&dir, WalConfig::default()).unwrap());
-        let v = wal::verify_dir(&dir).unwrap();
-        prop_assert!(v.is_clean());
-        prop_assert_eq!(v.truncated_bytes, 0);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 // ------------------------------------- sharded repository differential --
@@ -972,6 +804,219 @@ fn tag_of(seed: u8) -> psf_drbac::DiscoveryTag {
         2 => Both,
         _ => None,
     }
+}
+
+/// Crash injection on the durable repository: run a random workload
+/// against a `shards`-segment directory, cut ONE segment's log — a shard
+/// or the revocation bus, chosen by `victim_pick` — at a random byte
+/// offset (a torn write), recover, and require authorization state
+/// identical to an in-memory oracle built from the records that survived
+/// in every segment — same `prove` outcome, same view selection, same
+/// credential ids, same revocation set, and a denial wherever a surviving
+/// revocation covers every credential for a role. A writable reopen must
+/// then heal the torn segment and leave every segment verifiably clean.
+fn crash_recovery_matches_oracle(
+    shards: usize,
+    steps: &[ShardStep],
+    cut_ratio: f64,
+    victim_pick: usize,
+) -> Result<(), TestCaseError> {
+    use psf_drbac::wal::{self, FsyncPolicy, ShardedDurableRepository, WalConfig};
+    use psf_views::ViewAcl;
+
+    let dir = wal_tmpdir();
+    let users: Vec<Entity> = (0..16)
+        .map(|i| Entity::with_seed(format!("SU{i}"), b"shard-crash"))
+        .collect();
+    let domains: Vec<Entity> = (0..8)
+        .map(|i| Entity::with_seed(format!("SD{i}"), b"shard-crash"))
+        .collect();
+
+    // --- Run the workload against the durable repository. No serials: a
+    // repeated (user, domain, expiry) re-publishes the same credential id,
+    // which replay must deduplicate. ---
+    let mut issued: Vec<String> = Vec::new();
+    {
+        let (d, _) = ShardedDurableRepository::open(
+            &dir,
+            shards,
+            WalConfig {
+                fsync: FsyncPolicy::Never,
+                auto_compact_appends: None,
+            },
+        )
+        .unwrap();
+        for step in steps {
+            match step {
+                ShardStep::Publish {
+                    user,
+                    domain,
+                    expires,
+                    tag,
+                } => {
+                    let dom = &domains[*domain];
+                    let mut b = DelegationBuilder::new(dom)
+                        .subject_entity(&users[*user])
+                        .role(dom.role("R"));
+                    if let Some(e) = expires {
+                        b = b.expires(*e);
+                    }
+                    let cred = b.sign();
+                    issued.push(cred.id());
+                    d.repository().publish(dom.name.clone(), cred, tag_of(*tag));
+                }
+                ShardStep::Revoke { pick } => {
+                    if !issued.is_empty() {
+                        d.bus().revoke(&issued[pick % issued.len()]);
+                    }
+                }
+                ShardStep::Purge { now } => {
+                    d.repository().purge_expired(*now);
+                }
+                ShardStep::TagLookup { user } => {
+                    // Reads ride along; they must never disturb the log.
+                    let _ = d.repository().query_by_subject(&users[*user].as_subject());
+                }
+            }
+        }
+        d.sync().unwrap();
+        d.detach();
+    }
+
+    // --- Tear ONE segment's log at a random byte offset. ---
+    let segments = wal::segment_dirs(&dir).unwrap();
+    prop_assert_eq!(segments.len(), shards + 1);
+    let victim = (0..segments.len())
+        .map(|i| segments[(victim_pick + i) % segments.len()].join(wal::LOG_FILE))
+        .find(|log| std::fs::metadata(log).is_ok_and(|m| m.len() >= 2));
+    // All-no-op workloads commit nothing to any segment.
+    prop_assume!(victim.is_some());
+    let log = victim.unwrap();
+    let full_len = std::fs::metadata(&log).unwrap().len();
+    let cut = 1 + ((full_len - 1) as f64 * cut_ratio) as u64;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&log)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
+
+    // --- Oracle: replay every segment's surviving records through the
+    // public API. Purge records are replicated into every shard segment
+    // and re-applied *shard-locally* at recovery, so the oracle replays
+    // each segment into its own local store (a later shard's purge copy
+    // must not delete another shard's credential published after that
+    // purge) and merges the survivors. ---
+    let oracle_repo = Repository::with_shard_count(1);
+    let oracle_bus = RevocationBus::new();
+    let mut replayable = 0usize;
+    let (bus_segment, shard_segments) = segments.split_last().unwrap();
+    for seg in shard_segments {
+        let image = std::fs::read(seg.join(wal::LOG_FILE)).unwrap();
+        let local = Repository::with_shard_count(1);
+        for rec in wal::scan_log(&image).records {
+            replayable += 1;
+            match rec.op {
+                wal::WalOp::Publish { home, tag, cred } => local.publish(home, cred, tag),
+                wal::WalOp::PurgeExpired { now } => {
+                    local.purge_expired(now);
+                }
+                wal::WalOp::Revoke { .. } | wal::WalOp::RevokeBatch { .. } => {
+                    panic!("revocations belong to the bus segment")
+                }
+            }
+        }
+        for (home, tag, cred) in local.snapshot_entries() {
+            oracle_repo.publish(home, (*cred).clone(), tag);
+        }
+    }
+    let bus_image = std::fs::read(bus_segment.join(wal::LOG_FILE)).unwrap();
+    for rec in wal::scan_log(&bus_image).records {
+        replayable += 1;
+        match rec.op {
+            wal::WalOp::Revoke { id } => oracle_bus.revoke(&id),
+            wal::WalOp::RevokeBatch { ids } => {
+                oracle_bus.revoke_all(&ids);
+            }
+            _ => panic!("bus segment only carries revocations"),
+        }
+    }
+
+    // --- Recover and compare. ---
+    let (rec_repo, rec_bus, report) = Repository::recover_sharded(&dir).unwrap();
+    prop_assert_eq!(report.records_replayed, replayable);
+
+    let registry = EntityRegistry::new();
+    for u in &users {
+        registry.register(u);
+    }
+    for d in &domains {
+        registry.register(d);
+    }
+    // Replay dedups repeated publishes of the same credential (the
+    // duplicate-tolerance rule that absorbs snapshot/log overlap), so
+    // compare the *distinct* committed id sets.
+    let ids = |repo: &Repository| {
+        let mut v: Vec<String> = repo.all_credentials().iter().map(|c| c.id()).collect();
+        v.sort();
+        v.dedup();
+        v
+    };
+    prop_assert_eq!(ids(&oracle_repo), ids(&rec_repo));
+    prop_assert_eq!(oracle_bus.revoked_ids(), rec_bus.revoked_ids());
+    let recovered = rec_repo.all_credentials();
+    let oracle_engine = ProofEngine::new(&registry, &oracle_repo, &oracle_bus, 0);
+    let rec_engine = ProofEngine::new(&registry, &rec_repo, &rec_bus, 0);
+    for u in &users {
+        let subject = u.as_subject();
+        for d in &domains {
+            let role = d.role("R");
+            let granted = rec_engine.check(&subject, &role, &[]);
+            prop_assert_eq!(
+                oracle_engine.check(&subject, &role, &[]),
+                granted,
+                "decision divergence on {} -> {}",
+                u.name.0,
+                role
+            );
+            // A revocation whose record survived still denies: with every
+            // recovered credential for this pair revoked, nothing grants.
+            let mut grants = recovered
+                .iter()
+                .filter(|c| c.body.subject == subject && c.body.object == role)
+                .peekable();
+            if grants.peek().is_some() && grants.all(|c| rec_bus.is_revoked(&c.id())) {
+                prop_assert!(!granted, "revoked {} -> {} still granted", u.name.0, role);
+            }
+            let acl = ViewAcl::new().rule(role.clone(), "FullView");
+            prop_assert_eq!(
+                acl.authorize_once(&subject, &[], &registry, &oracle_repo, &oracle_bus, 0)
+                    .is_some(),
+                acl.authorize_once(&subject, &[], &registry, &rec_repo, &rec_bus, 0)
+                    .is_some(),
+                "view selection divergence on {} -> {}",
+                u.name.0,
+                role
+            );
+        }
+    }
+
+    // --- A writable reopen heals the torn segment; every segment must
+    // then verify clean and replay the same count. ---
+    {
+        let (d, rep2) = ShardedDurableRepository::open(&dir, shards, WalConfig::default()).unwrap();
+        prop_assert_eq!(rep2.records_replayed, report.records_replayed);
+        d.detach();
+    }
+    let v = wal::verify_sharded_dir(&dir).unwrap();
+    prop_assert!(
+        v.is_clean(),
+        "segments {:?} not clean after reopen",
+        v.damaged()
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
 }
 
 proptest! {
@@ -1094,183 +1139,27 @@ proptest! {
         }
     }
 
-    /// Crash injection for the sharded layout: run a random workload
-    /// against a sharded durable repository, cut ONE shard's WAL at a
-    /// random byte offset, recover, and require authorization state
-    /// identical to an oracle built from the surviving records of every
-    /// segment. A writable reopen must then heal the torn shard and
-    /// leave every segment verifiably clean.
+    /// Crash injection on the single log (`shards = 1`): run a random
+    /// workload against the durable repository, cut its one shard log or
+    /// its bus log at a random byte offset, recover, and require
+    /// authorization state identical to the never-crashed oracle.
+    #[test]
+    fn recovery_matches_never_crashed_oracle(
+        steps in proptest::collection::vec(arb_shard_step(), 1..24),
+        cut_ratio in 0.0f64..1.0,
+        victim_pick in 0usize..2,
+    ) {
+        crash_recovery_matches_oracle(1, &steps, cut_ratio, victim_pick)?;
+    }
+
+    /// The same crash injection across eight shard segments plus the bus:
+    /// ONE segment is torn, the others must lose nothing.
     #[test]
     fn sharded_recovery_after_torn_shard_matches_oracle(
         steps in proptest::collection::vec(arb_shard_step(), 1..24),
         cut_ratio in 0.0f64..1.0,
-        shard_pick in 0usize..8,
+        victim_pick in 0usize..9,
     ) {
-        use psf_drbac::wal::{self, FsyncPolicy, ShardedDurableRepository, WalConfig};
-
-        const SHARDS: usize = 8;
-        let dir = wal_tmpdir();
-        let users: Vec<Entity> = (0..16)
-            .map(|i| Entity::with_seed(format!("SU{i}"), b"shard-crash"))
-            .collect();
-        let domains: Vec<Entity> = (0..8)
-            .map(|i| Entity::with_seed(format!("SD{i}"), b"shard-crash"))
-            .collect();
-
-        // --- Run the workload against the sharded durable repository. ---
-        let mut issued: Vec<String> = Vec::new();
-        let mut serial = 0u64;
-        {
-            let (d, _) = ShardedDurableRepository::open(
-                &dir,
-                SHARDS,
-                WalConfig { fsync: FsyncPolicy::Never, auto_compact_appends: None },
-            ).unwrap();
-            for step in &steps {
-                match step {
-                    ShardStep::Publish { user, domain, expires, tag } => {
-                        let dom = &domains[*domain];
-                        let mut b = DelegationBuilder::new(dom)
-                            .subject_entity(&users[*user])
-                            .role(dom.role("R"))
-                            .serial(serial);
-                        serial += 1;
-                        if let Some(e) = expires {
-                            b = b.expires(*e);
-                        }
-                        let cred = b.sign();
-                        issued.push(cred.id());
-                        d.repository().publish(dom.name.clone(), cred, tag_of(*tag));
-                    }
-                    ShardStep::Revoke { pick } => {
-                        if !issued.is_empty() {
-                            d.bus().revoke(&issued[pick % issued.len()]);
-                        }
-                    }
-                    ShardStep::Purge { now } => {
-                        d.repository().purge_expired(*now);
-                    }
-                    ShardStep::TagLookup { user } => {
-                        // Reads ride along untimed; they must never
-                        // disturb the log.
-                        let _ = d.repository().query_by_subject(&users[*user].as_subject());
-                    }
-                }
-            }
-            d.sync().unwrap();
-            d.detach();
-        }
-
-        // --- Tear ONE shard's log at a random byte offset. ---
-        let victim = (0..SHARDS)
-            .map(|i| (shard_pick + i) % SHARDS)
-            .find(|&s| {
-                std::fs::metadata(dir.join(wal::shard_dir_name(s)).join(wal::LOG_FILE))
-                    .map(|m| m.len() >= 2)
-                    .unwrap_or(false)
-            });
-        // All-no-op workloads commit nothing to any shard.
-        prop_assume!(victim.is_some());
-        let victim = victim.unwrap();
-        let log = dir.join(wal::shard_dir_name(victim)).join(wal::LOG_FILE);
-        let full_len = std::fs::metadata(&log).unwrap().len();
-        let cut = 1 + ((full_len - 1) as f64 * cut_ratio) as u64;
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&log)
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
-
-        // --- Oracle: replay every segment's surviving records through
-        // the public API. Purge records are replicated into every shard
-        // segment and re-applied *shard-locally* at recovery, so the
-        // oracle replays each segment into its own local store (a later
-        // shard's purge copy must not delete another shard's credential
-        // published after that purge) and merges the survivors. ---
-        let oracle_repo = Repository::with_shard_count(1);
-        let oracle_bus = RevocationBus::new();
-        let mut replayable = 0usize;
-        for s in 0..SHARDS {
-            let image =
-                std::fs::read(dir.join(wal::shard_dir_name(s)).join(wal::LOG_FILE)).unwrap();
-            let local = Repository::with_shard_count(1);
-            for rec in &wal::scan_log(&image).records {
-                replayable += 1;
-                match &rec.op {
-                    wal::WalOp::Publish { home, tag, cred } => {
-                        local.publish(home.clone(), cred.clone(), *tag)
-                    }
-                    wal::WalOp::PurgeExpired { now } => {
-                        local.purge_expired(*now);
-                    }
-                    wal::WalOp::Revoke { .. } | wal::WalOp::RevokeBatch { .. } => {
-                        panic!("revocations belong to the bus segment")
-                    }
-                }
-            }
-            for (home, tag, cred) in local.snapshot_entries() {
-                oracle_repo.publish(home, (*cred).clone(), tag);
-            }
-        }
-        let bus_image = std::fs::read(dir.join(wal::BUS_DIR).join(wal::LOG_FILE)).unwrap();
-        for rec in &wal::scan_log(&bus_image).records {
-            replayable += 1;
-            match &rec.op {
-                wal::WalOp::Revoke { id } => oracle_bus.revoke(id),
-                wal::WalOp::RevokeBatch { ids } => {
-                    for id in ids {
-                        oracle_bus.revoke(id);
-                    }
-                }
-                _ => panic!("bus segment only carries revocations"),
-            }
-        }
-
-        // --- Recover and compare. ---
-        let (rec_repo, rec_bus, report) = Repository::recover_sharded(&dir).unwrap();
-        prop_assert_eq!(report.records_replayed, replayable);
-
-        let registry = EntityRegistry::new();
-        for u in &users {
-            registry.register(u);
-        }
-        for d in &domains {
-            registry.register(d);
-        }
-        // Replay dedups repeated publishes of the same credential, so
-        // compare the distinct committed id sets.
-        let ids = |repo: &Repository| {
-            let mut v: Vec<String> = repo.all_credentials().iter().map(|c| c.id()).collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-        prop_assert_eq!(ids(&oracle_repo), ids(&rec_repo));
-        prop_assert_eq!(oracle_bus.revoked_ids(), rec_bus.revoked_ids());
-        let oracle_engine = ProofEngine::new(&registry, &oracle_repo, &oracle_bus, 0);
-        let rec_engine = ProofEngine::new(&registry, &rec_repo, &rec_bus, 0);
-        for u in &users {
-            let subject = u.as_subject();
-            for d in &domains {
-                let role = d.role("R");
-                let o = oracle_engine.check(&subject, &role, &[]);
-                let r = rec_engine.check(&subject, &role, &[]);
-                prop_assert_eq!(o, r, "decision divergence on {} -> {}", u.name.0, role);
-            }
-        }
-
-        // --- A writable reopen heals the torn shard; every segment must
-        // then verify clean and replay the same count. ---
-        {
-            let (d, rep2) = ShardedDurableRepository::open(&dir, SHARDS, WalConfig::default())
-                .unwrap();
-            prop_assert_eq!(rep2.records_replayed, report.records_replayed);
-            d.detach();
-        }
-        let v = wal::verify_sharded_dir(&dir).unwrap();
-        prop_assert!(v.is_clean(), "segments {:?} not clean after reopen", v.damaged());
-
-        let _ = std::fs::remove_dir_all(&dir);
+        crash_recovery_matches_oracle(8, &steps, cut_ratio, victim_pick)?;
     }
 }
