@@ -29,6 +29,7 @@ use psf_core::{
 use psf_drbac::entity::RoleName;
 use psf_drbac::proof::ProofEngine;
 use psf_mail::{mail_client_class, mail_method_library, MailWorld};
+use psf_telemetry::{ExportedSpan, TraceId};
 use psf_views::ViewSpec;
 use psf_views::{ExposureType, Vig};
 use std::time::Duration;
@@ -101,24 +102,6 @@ fn usage() -> ! {
          \x20                               with the independent checker (no\n\
          \x20                               repository access, no search);\n\
          \x20                               exit 1 on reject\n\
-         \x20 bench --json [--out PATH] [--quick] [--check]\n\
-         \x20                               time the warm/cold authorization\n\
-         \x20                               and planner fast paths, the\n\
-         \x20                               Switchboard data plane, and the\n\
-         \x20                               sharded repository, and the\n\
-         \x20                               reactor channel fleet, and the\n\
-         \x20                               certificate checker; write the\n\
-         \x20                               results as JSON (BENCH_pr3.json,\n\
-         \x20                               BENCH_pr4.json, BENCH_pr8.json,\n\
-         \x20                               BENCH_pr9.json, BENCH_pr10.json);\n\
-         \x20                               --check exits 1\n\
-         \x20                               unless warm >= 2x cold, pipelined\n\
-         \x20                               RPC >= 2x serial, p99 tag lookup\n\
-         \x20                               <= 50 us, parallel publish >= 4x\n\
-         \x20                               single-lock, hb p99 <= 10 ms,\n\
-         \x20                               reactor capacity >= 5x threaded,\n\
-         \x20                               p99 warm cert verify <= 10 us,\n\
-         \x20                               and the SLO table holds\n\
          \x20 audit [--json] [--subject S] [--deny-only] [--trace HEX]\n\
          \x20                               run the full stack, then replay\n\
          \x20                               the authorization audit trail\n\
@@ -202,7 +185,6 @@ fn main() {
             "chaos" => chaos(&cli, args),
             "repo" => repo_cmd(&cli, args),
             "cert" => cert_cmd(&cli, args),
-            "bench" => bench(&cli, args),
             "audit" => audit_cmd(&cli, args),
             "trace" => trace_cmd(&cli, args),
             "slo" => slo_cmd(&cli, args),
@@ -515,11 +497,7 @@ fn plan(cli: &Cli, args: &[String]) -> i32 {
         usage()
     };
     let privacy = args.iter().any(|a| a == "--privacy");
-    let max_latency = args
-        .iter()
-        .position(|a| a == "--max-latency")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok());
+    let max_latency: Option<f64> = flag_parsed(args, "--max-latency");
     let w = world();
     let Some(node) = w.sites.network.find_node(node_name) else {
         eprintln!("unknown node '{node_name}' (try ny-0, sd-1, se-0 …)");
@@ -827,12 +805,7 @@ fn mix64(mut z: u64) -> u64 {
 /// and verify the supervisor recovers from each. Exits 1 if any phase
 /// fails to recover.
 fn chaos(cli: &Cli, args: &[String]) -> i32 {
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1);
+    let seed: u64 = flag_parsed(args, "--seed").unwrap_or(1);
     let wal_root = flag_value(args, "--wal-dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::env::temp_dir().join(format!("psf-chaos-wal-{seed}")));
@@ -1298,8 +1271,7 @@ fn crash_check(
 /// Seed `n` synthetic publish records (plus a revocation every 64) into
 /// the durable repository at `dir`, created with `shards` segments when
 /// it does not exist yet. Signatures are dummies — recovery replay never
-/// verifies them — which keeps multi-100k fills fast enough for a bench
-/// fixture.
+/// verifies them — which keeps multi-100k fills fast.
 fn fill_repo_dir(dir: &std::path::Path, shards: usize, n: usize) -> std::io::Result<()> {
     use psf_drbac::entity::{EntityName, Subject};
     use psf_drbac::wal::{FsyncPolicy, ShardedDurableRepository, WalConfig};
@@ -1346,7 +1318,7 @@ fn fill_repo_dir(dir: &std::path::Path, shards: usize, n: usize) -> std::io::Res
 /// damaged) and `--stats` (replay counts + per-shard rows) are read-only;
 /// `--compact` opens the directory writable (importing a legacy
 /// single-log directory first) and snapshots + truncates every segment;
-/// `--fill N` seeds synthetic records for demos and benches, creating the
+/// `--fill N` seeds synthetic records for demos, creating the
 /// directory with `--shards S` segments when it does not exist.
 fn repo_cmd(cli: &Cli, args: &[String]) -> i32 {
     use psf_drbac::repository::Repository;
@@ -1358,10 +1330,8 @@ fn repo_cmd(cli: &Cli, args: &[String]) -> i32 {
     let verify = args.iter().any(|a| a == "--verify");
     let compact = args.iter().any(|a| a == "--compact");
     let stats = args.iter().any(|a| a == "--stats");
-    let fill: Option<usize> = flag_value(args, "--fill").and_then(|v| v.parse().ok());
-    let shards: usize = flag_value(args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(psf_drbac::DEFAULT_SHARD_COUNT);
+    let fill: Option<usize> = flag_parsed(args, "--fill");
+    let shards: usize = flag_parsed(args, "--shards").unwrap_or(psf_drbac::DEFAULT_SHARD_COUNT);
 
     if let Some(n) = fill {
         if let Err(e) = fill_repo_dir(&dir, shards, n) {
@@ -1503,1161 +1473,6 @@ fn repo_cmd(cli: &Cli, args: &[String]) -> i32 {
     0
 }
 
-/// Time `f` over `iters` runs, returning microseconds per operation.
-fn time_per_op_us(iters: u32, mut f: impl FnMut()) -> f64 {
-    let t = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t.elapsed().as_secs_f64() * 1e6 / iters as f64
-}
-
-/// The PR3 perf-trajectory runner: times the warm/cold authorization fast
-/// path (proof search, single sign-on, repository queries) and the
-/// memoized planner, then writes the results as JSON. With `--check`,
-/// exits non-zero unless the warm prove/SSO workloads are at least 2x
-/// faster than cold — the regression gate CI runs.
-fn bench(cli: &Cli, args: &[String]) -> i32 {
-    use psf_drbac::entity::{Entity, Subject};
-    use psf_drbac::{AuthCache, DelegationBuilder};
-    use psf_views::ViewAcl;
-
-    if !args.iter().any(|a| a == "--json") {
-        eprintln!("bench: only --json output is supported (pass --json)");
-        return 2;
-    }
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pr3.json".to_string());
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let iters: u32 = if quick { 40 } else { 400 };
-
-    // The CLI command span keeps a trace live for the whole process;
-    // detach it here so the timed loops measure the untraced fast path
-    // (per-call RPC spans are gated on a live trace) rather than the cost
-    // of tracing a million-span tree.
-    let _untraced = psf_telemetry::untraced();
-
-    // --- dRBAC world: an 8-deep delegation chain + 100 decoys. ---
-    let registry = psf_drbac::entity::EntityRegistry::new();
-    let repo = psf_drbac::repository::Repository::new();
-    let bus = psf_drbac::revocation::RevocationBus::new();
-    let user = Entity::with_seed("User", b"bench");
-    registry.register(&user);
-    let depth = 8usize;
-    let mut domains = Vec::new();
-    for i in 0..depth {
-        let d = Entity::with_seed(format!("D{i}"), b"bench");
-        registry.register(&d);
-        domains.push(d);
-    }
-    repo.publish_at_issuer(
-        DelegationBuilder::new(&domains[depth - 1])
-            .subject_entity(&user)
-            .role(domains[depth - 1].role("R"))
-            .sign(),
-    );
-    for i in 0..depth - 1 {
-        repo.publish_at_issuer(
-            DelegationBuilder::new(&domains[i])
-                .subject_role(domains[i + 1].role("R"))
-                .role(domains[i].role("R"))
-                .sign(),
-        );
-    }
-    for i in 0..100 {
-        let d = Entity::with_seed(format!("X{i}"), b"bench");
-        registry.register(&d);
-        repo.publish_at_issuer(
-            DelegationBuilder::new(&d)
-                .subject_role(psf_drbac::entity::RoleName::new("No.Where", "Z"))
-                .role(d.role("Z"))
-                .sign(),
-        );
-    }
-    let target = domains[0].role("R");
-    let subject = Subject::Entity {
-        name: user.name.clone(),
-        key: user.public_key(),
-    };
-
-    // Proof search: cold re-verifies and re-walks everything; warm is a
-    // proof-cache hit.
-    let prove_cold_us = time_per_op_us(iters, || {
-        let cache = AuthCache::new();
-        let engine = ProofEngine::with_cache(&registry, &repo, &bus, 0, &cache);
-        engine.prove(&subject, &target, &[]).unwrap();
-    });
-    let cache = AuthCache::new();
-    let engine = ProofEngine::with_cache(&registry, &repo, &bus, 0, &cache);
-    engine.prove(&subject, &target, &[]).unwrap();
-    let prove_warm_us = time_per_op_us(iters, || {
-        engine.prove(&subject, &target, &[]).unwrap();
-    });
-    let prove_speedup = prove_cold_us / prove_warm_us.max(1e-9);
-
-    // Single sign-on: token mint for a returning client.
-    let acl = ViewAcl::new().rule(domains[0].role("R"), "FullView");
-    let sso_cold_us = time_per_op_us(iters, || {
-        acl.authorize_once(&subject, &[], &registry, &repo, &bus, 0)
-            .unwrap();
-    });
-    let sso_cache = AuthCache::new();
-    acl.authorize_once_cached(&subject, &[], &registry, &repo, &bus, 0, &sso_cache)
-        .unwrap();
-    let sso_warm_us = time_per_op_us(iters, || {
-        acl.authorize_once_cached(&subject, &[], &registry, &repo, &bus, 0, &sso_cache)
-            .unwrap();
-    });
-    let sso_speedup = sso_cold_us / sso_warm_us.max(1e-9);
-
-    // Repository query: Arc sharing vs the old deep clone.
-    let query_arc_us = time_per_op_us(iters, || {
-        let _ = repo.query_by_subject(&subject);
-    });
-    let query_clone_us = time_per_op_us(iters, || {
-        let _: Vec<psf_drbac::SignedDelegation> = repo
-            .query_by_subject(&subject)
-            .iter()
-            .map(|c| (**c).clone())
-            .collect();
-    });
-
-    // Planner: memoized + Arc-shared search over the mail scenario.
-    let w = world();
-    let goal = Goal::private("MailI", w.sites.sd[1]);
-    let plan_iters = if quick { 10 } else { 50 };
-    let plan_us = time_per_op_us(plan_iters, || {
-        w.plan_service(&goal).unwrap();
-    });
-    let (_, plan_stats) = w.plan_service(&goal).unwrap();
-
-    // Durable-repository recovery: fill a WAL directory with synthetic
-    // records, then time a cold `Repository::recover_sharded` replay.
-    let replay_records: usize = if quick { 10_000 } else { 100_000 };
-    let replay_dir = std::env::temp_dir().join(format!("psf-bench-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&replay_dir);
-    let filled = fill_repo_dir(&replay_dir, psf_drbac::DEFAULT_SHARD_COUNT, replay_records);
-    let (replay_ms, replay_rate) = match filled {
-        Ok(()) => {
-            let t0 = std::time::Instant::now();
-            let recovered = psf_drbac::repository::Repository::recover_sharded(&replay_dir);
-            let replayed = match recovered {
-                Ok((_, _, report)) => report.records_replayed,
-                Err(e) => {
-                    eprintln!("bench: recovery replay failed: {e}");
-                    return 1;
-                }
-            };
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            (ms, replayed as f64 / (ms / 1e3).max(1e-9))
-        }
-        Err(e) => {
-            eprintln!("bench: cannot fill WAL dir: {e}");
-            return 1;
-        }
-    };
-    let _ = std::fs::remove_dir_all(&replay_dir);
-
-    let stats = cache.stats();
-    let sso_stats = sso_cache.stats();
-    let json = format!(
-        "{{\n  \"bench\": \"pr3\",\n  \"mode\": \"{mode}\",\n  \"iters\": {iters},\n  \
-         \"proof_search\": {{ \"cold_us\": {prove_cold_us:.3}, \"warm_us\": {prove_warm_us:.3}, \"speedup\": {prove_speedup:.1} }},\n  \
-         \"single_sign_on\": {{ \"cold_us\": {sso_cold_us:.3}, \"warm_us\": {sso_warm_us:.3}, \"speedup\": {sso_speedup:.1} }},\n  \
-         \"repository_query\": {{ \"zero_copy_us\": {query_arc_us:.3}, \"deep_clone_us\": {query_clone_us:.3} }},\n  \
-         \"planner\": {{ \"plan_us\": {plan_us:.3}, \"expanded\": {expanded}, \"generated\": {generated}, \"memo_pruned\": {memo_pruned} }},\n  \
-         \"recovery_replay\": {{ \"records\": {replay_records}, \"replay_ms\": {replay_ms:.3}, \"records_per_sec\": {replay_rate:.0} }},\n  \
-         \"proof_cache\": {{ \"hits\": {ph}, \"misses\": {pm}, \"invalidations\": {pi}, \"cred_hits\": {ch}, \"cred_misses\": {cm} }},\n  \
-         \"sso_cache\": {{ \"hits\": {sph}, \"misses\": {spm} }}\n}}\n",
-        mode = if quick { "quick" } else { "full" },
-        expanded = plan_stats.expanded,
-        generated = plan_stats.generated,
-        memo_pruned = plan_stats.memo_pruned,
-        ph = stats.proof_hits,
-        pm = stats.proof_misses,
-        pi = stats.proof_invalidations,
-        ch = stats.cred_hits,
-        cm = stats.cred_misses,
-        sph = sso_stats.proof_hits,
-        spm = sso_stats.proof_misses,
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench: cannot write {out_path}: {e}");
-        return 1;
-    }
-    cli.say(format!(
-        "proof search: cold {prove_cold_us:.1} us, warm {prove_warm_us:.1} us ({prove_speedup:.0}x)"
-    ));
-    cli.say(format!(
-        "single sign-on: cold {sso_cold_us:.1} us, warm {sso_warm_us:.1} us ({sso_speedup:.0}x)"
-    ));
-    cli.say(format!(
-        "planner: {plan_us:.1} us/plan ({} expanded, {} memo-pruned)",
-        plan_stats.expanded, plan_stats.memo_pruned
-    ));
-    cli.say(format!(
-        "recovery replay: {replay_records} records in {replay_ms:.1} ms ({replay_rate:.0}/s)"
-    ));
-    cli.say(format!("results written to {out_path}"));
-    psf_telemetry::event(
-        "psf.cli",
-        "bench.recorded",
-        vec![
-            ("out", out_path.clone()),
-            ("prove_speedup", format!("{prove_speedup:.1}")),
-            ("sso_speedup", format!("{sso_speedup:.1}")),
-        ],
-    );
-    if check && (prove_speedup < 2.0 || sso_speedup < 2.0) {
-        eprintln!(
-            "bench --check FAILED: warm must be >= 2x faster than cold \
-             (prove {prove_speedup:.1}x, sso {sso_speedup:.1}x)"
-        );
-        return 1;
-    }
-    if check && replay_rate < 10_000.0 {
-        eprintln!(
-            "bench --check FAILED: recovery replay must sustain >= 10000 \
-             records/sec (got {replay_rate:.0}/s over {replay_records} records)"
-        );
-        return 1;
-    }
-
-    bench_switchboard(cli, &out_path, iters, quick, check)
-}
-
-/// The PR4 data-plane runner: times serial vs pipelined RPC and the
-/// plain vs secure record layer over an in-memory channel pair, plus the
-/// wide vs scalar AEAD seal, and writes `BENCH_pr4.json`. With `--check`,
-/// exits non-zero unless pipelined issue is at least 2x the serial
-/// request rate — the regression gate CI runs.
-fn bench_switchboard(cli: &Cli, pr3_out: &str, iters: u32, quick: bool, check: bool) -> i32 {
-    use psf_drbac::entity::Entity;
-    use psf_drbac::DelegationBuilder;
-    use psf_switchboard::{
-        pair_in_memory, pair_in_memory_plain, AuthSuite, Authorizer, ChannelConfig, ClockRef,
-    };
-
-    let out_path = if pr3_out.contains("pr3") {
-        pr3_out.replace("pr3", "pr4")
-    } else {
-        "BENCH_pr4.json".to_string()
-    };
-    let config = ChannelConfig {
-        heartbeat_interval: None,
-        rpc_timeout: Duration::from_secs(10),
-        ..Default::default()
-    };
-
-    let (plain_client, plain_server) = pair_in_memory_plain(config.clone());
-    plain_server.register_handler("echo", |a| Ok(a.to_vec()));
-
-    // A fully authenticated pair: the secure numbers include the AEAD
-    // record layer and the per-call continuous-authorization check.
-    let registry = psf_drbac::entity::EntityRegistry::new();
-    let repo = psf_drbac::repository::Repository::new();
-    let bus = psf_drbac::revocation::RevocationBus::new();
-    let clock = ClockRef::new();
-    let domain = Entity::with_seed("Dom", b"bench-pr4");
-    let server = Entity::with_seed("Srv", b"bench-pr4");
-    let client = Entity::with_seed("Cli", b"bench-pr4");
-    for e in [&domain, &server, &client] {
-        registry.register(e);
-    }
-    let client_cred = DelegationBuilder::new(&domain)
-        .subject_entity(&client)
-        .role(domain.role("Member"))
-        .sign();
-    let server_cred = DelegationBuilder::new(&domain)
-        .subject_entity(&server)
-        .role(domain.role("Service"))
-        .sign();
-    let auth = |role: &str| {
-        Authorizer::new(
-            registry.clone(),
-            repo.clone(),
-            bus.clone(),
-            clock.clone(),
-            domain.role(role),
-        )
-    };
-    let client_suite = AuthSuite::new(client, vec![client_cred], auth("Service"));
-    let server_suite = AuthSuite::new(server, vec![server_cred], auth("Member"));
-    let (sec_client, sec_server) =
-        pair_in_memory(client_suite.clone(), server_suite.clone(), config.clone()).unwrap();
-    sec_server.register_handler("echo", |a| Ok(a.to_vec()));
-
-    // RTT benchmarks against a live thread pair are scheduler-sensitive;
-    // each timing below keeps the best of three passes, the most
-    // reproducible summary of an uncontended run.
-    fn best_of3(mut f: impl FnMut() -> f64) -> f64 {
-        f().min(f()).min(f())
-    }
-
-    // Record-layer overhead: serial 4 KiB echo, plaintext (`rmi`
-    // exposure) vs AEAD (`switchboard` exposure).
-    let payload_4k = vec![0xa5u8; 4 << 10];
-    plain_client.call("echo", &payload_4k).unwrap(); // warm-up
-    sec_client.call("echo", &payload_4k).unwrap();
-    let plain_4k_us = best_of3(|| {
-        time_per_op_us(iters, || {
-            plain_client.call("echo", &payload_4k).unwrap();
-        })
-    });
-    let secure_4k_us = best_of3(|| {
-        time_per_op_us(iters, || {
-            sec_client.call("echo", &payload_4k).unwrap();
-        })
-    });
-    let overhead_4k = secure_4k_us / plain_4k_us.max(1e-9);
-
-    // The same 4 KiB echo over TCP loopback — the deployment-shaped
-    // transport, where kernel socket hops dominate the round trip and
-    // the AEAD layer amortizes far better than in the in-memory
-    // harness.
-    let (tcp_plain_4k_us, tcp_secure_4k_us) = {
-        use psf_switchboard::{establish_plain, TcpTransport};
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let accepted = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            TcpTransport::new(stream).unwrap()
-        });
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        let t_client = TcpTransport::new(stream).unwrap();
-        let t_server = accepted.join().unwrap();
-        let tcp_plain_client = establish_plain(Box::new(t_client), config.clone());
-        let tcp_plain_server = establish_plain(Box::new(t_server), config.clone());
-        tcp_plain_server.register_handler("echo", |a| Ok(a.to_vec()));
-
-        let sec_listener = psf_switchboard::listen_tcp("127.0.0.1:0").unwrap();
-        let sec_addr = sec_listener.local_addr().unwrap().to_string();
-        let accept_suite = server_suite.clone();
-        let accept_config = config.clone();
-        let accepted =
-            std::thread::spawn(move || sec_listener.accept(&accept_suite, accept_config).unwrap());
-        let tcp_sec_client =
-            psf_switchboard::connect_tcp(&sec_addr, &client_suite, config.clone()).unwrap();
-        let tcp_sec_server = accepted.join().unwrap();
-        tcp_sec_server.register_handler("echo", |a| Ok(a.to_vec()));
-
-        tcp_plain_client.call("echo", &payload_4k).unwrap(); // warm-up
-        tcp_sec_client.call("echo", &payload_4k).unwrap();
-        let plain_us = best_of3(|| {
-            time_per_op_us(iters, || {
-                tcp_plain_client.call("echo", &payload_4k).unwrap();
-            })
-        });
-        let secure_us = best_of3(|| {
-            time_per_op_us(iters, || {
-                tcp_sec_client.call("echo", &payload_4k).unwrap();
-            })
-        });
-        (plain_us, secure_us)
-    };
-    let tcp_overhead_4k = tcp_secure_4k_us / tcp_plain_4k_us.max(1e-9);
-
-    // Pipelining win: 64 B echo, one call per round trip vs a 32-deep
-    // sliding window, on both pairs. The plain variant isolates the
-    // scheduling/coalescing win; the secure variant is additionally
-    // bounded by the server reader's serialized per-record open+seal.
-    let small = vec![0x11u8; 64];
-    let batch: Vec<&[u8]> = (0..256).map(|_| small.as_slice()).collect();
-    let batches = (iters / 64).max(2);
-    let measure_pair = |client: &psf_switchboard::Channel| {
-        let serial_us = best_of3(|| {
-            time_per_op_us(iters, || {
-                client.call("echo", &small).unwrap();
-            })
-        });
-        let pipelined_us = best_of3(|| {
-            time_per_op_us(batches, || {
-                let results = client.call_many("echo", &batch, 32);
-                assert!(results.iter().all(|r| r.is_ok()));
-            })
-        }) / batch.len() as f64;
-        (1e6 / serial_us.max(1e-9), 1e6 / pipelined_us.max(1e-9))
-    };
-    let (plain_serial_rps, plain_pipelined_rps) = measure_pair(&plain_client);
-    let (secure_serial_rps, secure_pipelined_rps) = measure_pair(&sec_client);
-    let plain_speedup = plain_pipelined_rps / plain_serial_rps.max(1e-9);
-    let secure_speedup = secure_pipelined_rps / secure_serial_rps.max(1e-9);
-
-    // Crypto share: wide (multi-block) vs scalar seal on a 16 KiB record.
-    let aead = psf_crypto::ChaCha20Poly1305::new([7u8; 32]);
-    let nonce = [1u8; 12];
-    let record = vec![0x3cu8; 16 << 10];
-    let aead_iters = iters.max(100);
-    let wide_us = best_of3(|| {
-        time_per_op_us(aead_iters, || {
-            let _ = aead.seal(&nonce, b"swbd-record", &record);
-        })
-    });
-    let scalar_us = best_of3(|| {
-        time_per_op_us(aead_iters, || {
-            let _ = aead.seal_scalar(&nonce, b"swbd-record", &record);
-        })
-    });
-    let aead_speedup = scalar_us / wide_us.max(1e-9);
-
-    let json = format!(
-        "{{\n  \"bench\": \"pr4\",\n  \"mode\": \"{mode}\",\n  \"iters\": {iters},\n  \
-         \"rpc_4k\": {{ \"plain_us\": {plain_4k_us:.3}, \"secure_us\": {secure_4k_us:.3}, \"overhead\": {overhead_4k:.2} }},\n  \
-         \"rpc_4k_tcp\": {{ \"plain_us\": {tcp_plain_4k_us:.3}, \"secure_us\": {tcp_secure_4k_us:.3}, \"overhead\": {tcp_overhead_4k:.2} }},\n  \
-         \"pipeline_64b\": {{ \"plain_serial_rps\": {plain_serial_rps:.0}, \"plain_pipelined_rps\": {plain_pipelined_rps:.0}, \"plain_speedup\": {plain_speedup:.1}, \"secure_serial_rps\": {secure_serial_rps:.0}, \"secure_pipelined_rps\": {secure_pipelined_rps:.0}, \"secure_speedup\": {secure_speedup:.1} }},\n  \
-         \"aead_seal_16k\": {{ \"wide_us\": {wide_us:.3}, \"scalar_us\": {scalar_us:.3}, \"speedup\": {aead_speedup:.2} }}\n}}\n",
-        mode = if quick { "quick" } else { "full" },
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench: cannot write {out_path}: {e}");
-        return 1;
-    }
-    cli.say(format!(
-        "rpc 4k in-mem: plain {plain_4k_us:.1} us, secure {secure_4k_us:.1} us ({overhead_4k:.2}x overhead)"
-    ));
-    cli.say(format!(
-        "rpc 4k tcp: plain {tcp_plain_4k_us:.1} us, secure {tcp_secure_4k_us:.1} us ({tcp_overhead_4k:.2}x overhead)"
-    ));
-    cli.say(format!(
-        "pipeline 64b plain: serial {plain_serial_rps:.0} rps, pipelined {plain_pipelined_rps:.0} rps ({plain_speedup:.1}x)"
-    ));
-    cli.say(format!(
-        "pipeline 64b secure: serial {secure_serial_rps:.0} rps, pipelined {secure_pipelined_rps:.0} rps ({secure_speedup:.1}x)"
-    ));
-    cli.say(format!(
-        "aead seal 16k: wide {wide_us:.1} us, scalar {scalar_us:.1} us ({aead_speedup:.2}x)"
-    ));
-    cli.say(format!("results written to {out_path}"));
-    psf_telemetry::event(
-        "psf.cli",
-        "bench.recorded",
-        vec![
-            ("out", out_path.clone()),
-            ("plain_pipeline_speedup", format!("{plain_speedup:.1}")),
-            ("secure_pipeline_speedup", format!("{secure_speedup:.1}")),
-            ("aead_speedup", format!("{aead_speedup:.2}")),
-        ],
-    );
-    if check && plain_speedup < 2.0 {
-        eprintln!(
-            "bench --check FAILED: pipelined RPC must be >= 2x serial \
-             (got {plain_speedup:.1}x plain)"
-        );
-        return 1;
-    }
-
-    // The latency-SLO table rides along with the perf gates: a run that
-    // hits its throughput ratios but blew a p99 budget still fails.
-    let slo = default_slo_table().evaluate(psf_telemetry::registry());
-    cli.say(format!(
-        "slo: {} objective(s), {} violation(s)",
-        slo.evals.len(),
-        slo.violations()
-    ));
-    if check && !slo.ok() {
-        eprint!("{}", slo.render_text());
-        eprintln!(
-            "bench --check FAILED: {} SLO objective(s) over budget",
-            slo.violations()
-        );
-        return 1;
-    }
-    bench_sharded_repo(cli, &out_path, quick, check)
-}
-
-/// Sort a latency sample and take the `q`-quantile (0.0–1.0), in
-/// microseconds.
-fn quantile_us(samples: &mut [u64], q: f64) -> f64 {
-    samples.sort_unstable();
-    let idx = ((samples.len() as f64 - 1.0) * q).round() as usize;
-    samples[idx] as f64 / 1e3
-}
-
-/// The PR8 sharded-repository runner: p99 indexed tag-discovery and
-/// subject-lookup latency over a 10^6-entry store (10^5 with `--quick`),
-/// plus 8-writer parallel-publish throughput of the durable repository
-/// under group commit and under fsync-per-record, and its parallel
-/// recovery replay. Writes `BENCH_pr8.json`. With `--check`, exits
-/// non-zero unless p99 tag lookup <= 50 us.
-fn bench_sharded_repo(cli: &Cli, pr4_out: &str, quick: bool, check: bool) -> i32 {
-    use psf_drbac::entity::{EntityName, Subject};
-    use psf_drbac::repository::Repository;
-    use psf_drbac::wal::{FsyncPolicy, ShardedDurableRepository, WalConfig};
-    use psf_drbac::{
-        subject_key, AttrSet, Delegation, DelegationKind, DiscoveryTag, SignedDelegation,
-    };
-
-    let out_path = if pr4_out.contains("pr4") {
-        pr4_out.replace("pr4", "pr8")
-    } else {
-        "BENCH_pr8.json".to_string()
-    };
-    let entries: usize = if quick { 100_000 } else { 1_000_000 };
-    let issuer = psf_drbac::Entity::with_seed("BenchHome", b"bench-pr8");
-    let key = issuer.public_key();
-    // Dummy signatures keep the fill CPU-bound on the store itself —
-    // nothing below verifies them.
-    let cred_for = |i: usize, serial: u64| SignedDelegation {
-        body: Delegation {
-            subject: Subject::Entity {
-                name: EntityName(format!("U{i}")),
-                key,
-            },
-            object: issuer.role(format!("R{}", i % 1024)),
-            kind: DelegationKind::SelfCertifying,
-            issuer: issuer.name.clone(),
-            attrs: AttrSet::new(),
-            expires: None,
-            monitored: false,
-            serial,
-        },
-        signature: psf_crypto::ed25519::Signature([0u8; 64]),
-    };
-
-    // --- In-memory lookups at scale: fill the sharded store, then sample
-    // per-op latency over seeded random keys. Homes H0..H63 spread the
-    // credentials so a broadcast would touch 64 homes; the discovery tag
-    // keeps every lookup directed.
-    let repo = Repository::new();
-    for i in 0..entries {
-        repo.publish(
-            EntityName(format!("H{}", i % 64)),
-            cred_for(i, i as u64),
-            DiscoveryTag::Both,
-        );
-    }
-    let samples = if quick { 10_000 } else { 20_000 };
-    let mut tag_ns: Vec<u64> = Vec::with_capacity(samples);
-    let mut subj_ns: Vec<u64> = Vec::with_capacity(samples);
-    for s in 0..samples {
-        let i = (mix64(s as u64) as usize) % entries;
-        let skey = subject_key(&Subject::Entity {
-            name: EntityName(format!("U{i}")),
-            key,
-        });
-        let t0 = std::time::Instant::now();
-        let found = repo.query_by_subject_key(&skey);
-        tag_ns.push(t0.elapsed().as_nanos() as u64);
-        assert_eq!(found.len(), 1, "indexed lookup must find exactly one");
-        let subject = Subject::Entity {
-            name: EntityName(format!("U{i}")),
-            key,
-        };
-        let t0 = std::time::Instant::now();
-        let found = repo.query_by_subject(&subject);
-        subj_ns.push(t0.elapsed().as_nanos() as u64);
-        assert_eq!(found.len(), 1);
-    }
-    let repo_stats = repo.stats();
-    let tag_p50 = quantile_us(&mut tag_ns, 0.50);
-    let tag_p99 = quantile_us(&mut tag_ns, 0.99);
-    let subj_p50 = quantile_us(&mut subj_ns, 0.50);
-    let subj_p99 = quantile_us(&mut subj_ns, 0.99);
-    drop(repo);
-
-    // --- Parallel publish: 8 writer threads against the durable store
-    // under two fsync policies, both ending with every record on disk:
-    //   1. its group-commit operating mode (EveryN(64) per shard
-    //      segment, bounded loss on crash, trailing sync() inside the
-    //      timed window) — the headline number;
-    //   2. Always (durable before each publish returns), where group
-    //      commit makes concurrent writers share fsyncs.
-    // The fsync policy of each row is recorded in the JSON.
-    let writers = 8usize;
-    let sharded_n: usize = if quick { 20_000 } else { 100_000 };
-    let durable_n: usize = if quick { 1_500 } else { 6_000 };
-    let group_config = WalConfig {
-        fsync: FsyncPolicy::EveryN(64),
-        auto_compact_appends: None,
-    };
-    let always_config = WalConfig::default();
-    let tmp = std::env::temp_dir().join(format!("psf-bench-pr8-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-
-    // Shared 8-writer driver: round-robins the workload over `writers`
-    // threads, calling `publish` on whichever store the closure wraps.
-    let drive = |n: usize, publish: &(dyn Fn(usize) + Sync)| -> f64 {
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|s| {
-            for w in 0..writers {
-                s.spawn(move || {
-                    for i in (w..n).step_by(writers) {
-                        publish(i);
-                    }
-                });
-            }
-        });
-        t0.elapsed().as_secs_f64()
-    };
-
-    let sharded_dir = tmp.join("sharded");
-    let (sharded_ops_per_sec, sharded_fsyncs) =
-        match ShardedDurableRepository::open(&sharded_dir, 32, group_config) {
-            Ok((d, _)) => {
-                let t0 = std::time::Instant::now();
-                let _ = drive(sharded_n, &|i| {
-                    d.repository().publish(
-                        EntityName(format!("H{}", i % 64)),
-                        cred_for(i, i as u64),
-                        DiscoveryTag::Both,
-                    );
-                });
-                if let Err(e) = d.sync() {
-                    eprintln!("bench: sharded sync failed: {e}");
-                    return 1;
-                }
-                let secs = t0.elapsed().as_secs_f64();
-                (sharded_n as f64 / secs.max(1e-9), d.stats().fsyncs)
-            }
-            Err(e) => {
-                eprintln!("bench: sharded open failed: {e}");
-                return 1;
-            }
-        };
-
-    let durable_dir = tmp.join("sharded-durable");
-    let (durable_ops_per_sec, durable_fsyncs) =
-        match ShardedDurableRepository::open(&durable_dir, 32, always_config) {
-            Ok((d, _)) => {
-                let secs = drive(durable_n, &|i| {
-                    d.repository().publish(
-                        EntityName(format!("H{}", i % 64)),
-                        cred_for(i, i as u64),
-                        DiscoveryTag::Both,
-                    );
-                });
-                (durable_n as f64 / secs.max(1e-9), d.stats().fsyncs)
-            }
-            Err(e) => {
-                eprintln!("bench: durable-matched open failed: {e}");
-                return 1;
-            }
-        };
-
-    // --- Parallel recovery replay of the sharded directory just written.
-    let t0 = std::time::Instant::now();
-    let replayed = match Repository::recover_sharded(&sharded_dir) {
-        Ok((_, _, report)) => report.records_replayed,
-        Err(e) => {
-            eprintln!("bench: sharded recovery failed: {e}");
-            return 1;
-        }
-    };
-    let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let replay_rate = replayed as f64 / (replay_ms / 1e3).max(1e-9);
-    let _ = std::fs::remove_dir_all(&tmp);
-
-    let json = format!(
-        "{{\n  \"bench\": \"pr8\",\n  \"mode\": \"{mode}\",\n  \"entries\": {entries},\n  \
-         \"tag_lookup\": {{ \"samples\": {samples}, \"p50_us\": {tag_p50:.3}, \"p99_us\": {tag_p99:.3} }},\n  \
-         \"subject_lookup\": {{ \"samples\": {samples}, \"p50_us\": {subj_p50:.3}, \"p99_us\": {subj_p99:.3} }},\n  \
-         \"discovery\": {{ \"queries\": {queries}, \"directed\": {directed}, \"broadcast\": {broadcast}, \"messages\": {messages} }},\n  \
-         \"parallel_publish\": {{\n    \"writers\": {writers},\n    \
-         \"sharded\": {{ \"fsync_policy\": \"every_n_64_group_commit\", \"records\": {sharded_n}, \"ops_per_sec\": {sharded_ops_per_sec:.0}, \"fsyncs\": {sharded_fsyncs} }},\n    \
-         \"durability_matched\": {{ \"fsync_policy\": \"always_group_commit\", \"records\": {durable_n}, \"ops_per_sec\": {durable_ops_per_sec:.0}, \"fsyncs\": {durable_fsyncs} }}\n  }},\n  \
-         \"sharded_recovery\": {{ \"records\": {replayed}, \"replay_ms\": {replay_ms:.3}, \"records_per_sec\": {replay_rate:.0} }}\n}}\n",
-        mode = if quick { "quick" } else { "full" },
-        queries = repo_stats.queries,
-        directed = repo_stats.directed,
-        broadcast = repo_stats.broadcast,
-        messages = repo_stats.messages,
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench: cannot write {out_path}: {e}");
-        return 1;
-    }
-    cli.say(format!(
-        "tag lookup @ {entries}: p50 {tag_p50:.2} us, p99 {tag_p99:.2} us (all directed: {})",
-        repo_stats.broadcast == 0
-    ));
-    cli.say(format!(
-        "subject lookup @ {entries}: p50 {subj_p50:.2} us, p99 {subj_p99:.2} us"
-    ));
-    cli.say(format!(
-        "parallel publish x{writers}: group-commit {sharded_ops_per_sec:.0}/s, \
-         fsync-per-record {durable_ops_per_sec:.0}/s"
-    ));
-    cli.say(format!(
-        "sharded recovery: {replayed} records in {replay_ms:.1} ms ({replay_rate:.0}/s)"
-    ));
-    cli.say(format!("results written to {out_path}"));
-    psf_telemetry::event(
-        "psf.cli",
-        "bench.recorded",
-        vec![
-            ("out", out_path.clone()),
-            ("tag_p99_us", format!("{tag_p99:.2}")),
-            ("publish_ops_per_sec", format!("{sharded_ops_per_sec:.0}")),
-        ],
-    );
-    if check && tag_p99 > 50.0 {
-        eprintln!(
-            "bench --check FAILED: p99 tag lookup must be <= 50 us at {entries} entries \
-             (got {tag_p99:.2} us)"
-        );
-        return 1;
-    }
-    bench_channels(cli, &out_path, quick, check)
-}
-
-/// Resident set size of this process in bytes (/proc/self/statm).
-fn rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/statm")
-        .ok()
-        .and_then(|s| s.split_whitespace().nth(1).map(String::from))
-        .and_then(|pages| pages.parse::<u64>().ok())
-        .map(|pages| pages * 4096)
-        .unwrap_or(0)
-}
-
-/// The PR9 channel-scaling runner: establishes a fleet of concurrent
-/// secure TCP channels through the epoll reactor (100k target, 10k with
-/// `--quick`, clamped to what `RLIMIT_NOFILE` permits — each in-process
-/// channel pair costs 4 fds), lets the timer wheel drive staggered
-/// heartbeats across the whole fleet, and records p99 heartbeat RTT plus
-/// per-channel RSS against a smaller thread-per-connection baseline.
-/// Writes `BENCH_pr9.json`. With `--check`, exits non-zero unless p99
-/// heartbeat RTT <= 10 ms and the reactor holds >= 5x the channels of
-/// the threaded baseline at equal RSS (i.e. per-channel RSS is >= 5x
-/// smaller).
-fn bench_channels(cli: &Cli, pr8_out: &str, quick: bool, check: bool) -> i32 {
-    use psf_switchboard::{ChannelBackend, ChannelConfig};
-
-    let out_path = if pr8_out.contains("pr8") {
-        pr8_out.replace("pr8", "pr9")
-    } else {
-        "BENCH_pr9.json".to_string()
-    };
-    let (soft, hard) = psf_switchboard::reactor::raise_nofile_limit();
-    let target: usize = if quick { 10_000 } else { 100_000 };
-    // Both endpoints live in this process and each endpoint holds two
-    // fds (sender + receiver clone of the same socket): 4 fds/channel.
-    let fd_budget = (soft as usize).saturating_sub(1024) / 4;
-    let channels = target.min(fd_budget.max(64));
-    let clamped = channels < target;
-    if clamped {
-        cli.say(format!(
-            "channels_scaling: RLIMIT_NOFILE {soft} (hard {hard}) clamps the fleet \
-             to {channels} channels (requested {target})"
-        ));
-    }
-    let hb_interval = Duration::from_secs(1);
-    let config = |backend: ChannelBackend| ChannelConfig {
-        heartbeat_interval: Some(hb_interval),
-        rpc_timeout: Duration::from_secs(10),
-        backend,
-    };
-
-    // One shared dRBAC world; the authorizers' proof caches make the Nth
-    // handshake authorization a cache hit, as a long-lived service's would
-    // be.
-    let registry = psf_drbac::entity::EntityRegistry::new();
-    let repo = psf_drbac::repository::Repository::new();
-    let bus = psf_drbac::revocation::RevocationBus::new();
-    let clock = psf_switchboard::ClockRef::new();
-    let domain = psf_drbac::Entity::with_seed("Comp.NY", b"bench-pr9");
-    let server = psf_drbac::Entity::with_seed("Service", b"bench-pr9");
-    let client = psf_drbac::Entity::with_seed("Client", b"bench-pr9");
-    for e in [&domain, &server, &client] {
-        registry.register(e);
-    }
-    let client_cred = psf_drbac::DelegationBuilder::new(&domain)
-        .subject_entity(&client)
-        .role(domain.role("Member"))
-        .sign();
-    let server_cred = psf_drbac::DelegationBuilder::new(&domain)
-        .subject_entity(&server)
-        .role(domain.role("Service"))
-        .sign();
-    let client_suite = psf_switchboard::AuthSuite::new(
-        client.clone(),
-        vec![client_cred],
-        psf_switchboard::Authorizer::new(
-            registry.clone(),
-            repo.clone(),
-            bus.clone(),
-            clock.clone(),
-            domain.role("Service"),
-        ),
-    );
-    let server_suite = psf_switchboard::AuthSuite::new(
-        server.clone(),
-        vec![server_cred],
-        psf_switchboard::Authorizer::new(
-            registry.clone(),
-            repo.clone(),
-            bus.clone(),
-            clock.clone(),
-            domain.role("Member"),
-        ),
-    );
-
-    // Establish `n` secure channel pairs across 8 loopback listener
-    // addresses (spreads the ephemeral-port tuple space at 100k) with 8
-    // connector/acceptor thread pairs. Returns (clients, servers).
-    let establish =
-        |n: usize,
-         backend: ChannelBackend|
-         -> Result<(Vec<psf_switchboard::Channel>, Vec<psf_switchboard::Channel>), String> {
-            let lanes = 8usize.min(n.max(1));
-            let mut listeners = Vec::new();
-            for lane in 0..lanes {
-                let addr = format!("127.0.0.{}:0", lane + 1);
-                listeners
-                    .push(psf_switchboard::listen_tcp(&addr).map_err(|e| format!("listen: {e}"))?);
-            }
-            std::thread::scope(|s| {
-                let config = &config;
-                let mut acceptors = Vec::new();
-                let mut connectors = Vec::new();
-                for (lane, listener) in listeners.iter().enumerate() {
-                    let count = n / lanes + usize::from(lane < n % lanes);
-                    let addr = listener.local_addr().map_err(|e| format!("addr: {e}"))?;
-                    let ss = &server_suite;
-                    let cs = &client_suite;
-                    acceptors.push(s.spawn(move || -> Result<Vec<_>, String> {
-                        (0..count)
-                            .map(|_| {
-                                listener
-                                    .accept(ss, config(backend))
-                                    .map_err(|e| format!("accept: {e}"))
-                            })
-                            .collect()
-                    }));
-                    connectors.push(s.spawn(move || -> Result<Vec<_>, String> {
-                        (0..count)
-                            .map(|_| {
-                                psf_switchboard::connect_tcp(&addr.to_string(), cs, config(backend))
-                                    .map_err(|e| format!("connect: {e}"))
-                            })
-                            .collect()
-                    }));
-                }
-                let mut servers = Vec::with_capacity(n);
-                let mut clients = Vec::with_capacity(n);
-                for a in acceptors {
-                    servers.extend(a.join().expect("acceptor panicked")?);
-                }
-                for c in connectors {
-                    clients.extend(c.join().expect("connector panicked")?);
-                }
-                Ok((clients, servers))
-            })
-        };
-
-    // --- Thread-per-connection baseline first (smaller fleet): its RSS
-    // delta prices what 4 threads + 4 stacks per channel pair cost.
-    let baseline_n: usize = (if quick { 500 } else { 1_000 }).min(channels);
-    let rss0 = rss_bytes();
-    let (base_clients, base_servers) = match establish(baseline_n, ChannelBackend::Threaded) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("bench: threaded baseline establishment failed: {e}");
-            return 1;
-        }
-    };
-    std::thread::sleep(Duration::from_millis(300));
-    let baseline_rss = rss_bytes().saturating_sub(rss0);
-    let baseline_per_channel = baseline_rss as f64 / baseline_n as f64;
-    drop(base_clients);
-    drop(base_servers);
-    // Heartbeat threads poll `closed` once per interval; wait them out so
-    // their stacks are gone before the reactor phase is measured.
-    std::thread::sleep(hb_interval + Duration::from_millis(200));
-
-    // --- Reactor fleet: every channel serviced by the fixed shard pool,
-    // heartbeats batched on the timer wheel.
-    let shards = psf_switchboard::reactor::shard_count();
-    let rss1 = rss_bytes();
-    let t0 = std::time::Instant::now();
-    let (clients, servers) = match establish(channels, ChannelBackend::Reactor) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("bench: reactor establishment failed: {e}");
-            return 1;
-        }
-    };
-    let establish_s = t0.elapsed().as_secs_f64();
-
-    // Let every staggered heartbeat group fire at least twice, then
-    // sample per-channel RTT. Retry briefly: the last-phase groups fire a
-    // full interval after establishment.
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    let mut rtt_us: Vec<u64> = Vec::new();
-    loop {
-        std::thread::sleep(hb_interval);
-        rtt_us.clear();
-        rtt_us.extend(
-            clients
-                .iter()
-                .chain(servers.iter())
-                .filter_map(|c| c.last_rtt())
-                .map(|d| d.as_micros() as u64),
-        );
-        if rtt_us.len() == 2 * channels || std::time::Instant::now() >= deadline {
-            break;
-        }
-    }
-    let reactor_rss = rss_bytes().saturating_sub(rss1);
-    let reactor_per_channel = reactor_rss as f64 / channels as f64;
-    let measured = rtt_us.len();
-    let alive = clients
-        .iter()
-        .filter(|c| c.is_alive(3 * hb_interval))
-        .count();
-    if rtt_us.is_empty() {
-        eprintln!("bench: no heartbeat RTT samples collected");
-        return 1;
-    }
-    let hb_p50 = quantile_us(&mut rtt_us, 0.50);
-    let hb_p99 = quantile_us(&mut rtt_us, 0.99);
-    // Equal-RSS capacity: channels the reactor fits in the RSS the
-    // threaded baseline spends per channel.
-    let capacity_ratio = baseline_per_channel / reactor_per_channel.max(1.0);
-
-    let wakeups = psf_telemetry::registry()
-        .counter("psf.switchboard.reactor.wakeups")
-        .get();
-    let timer_fires = psf_telemetry::registry()
-        .counter("psf.switchboard.reactor.timer_fires")
-        .get();
-    let coalesced = psf_telemetry::registry()
-        .counter("psf.switchboard.reactor.coalesced_heartbeats")
-        .get();
-
-    drop(clients);
-    drop(servers);
-
-    let json = format!(
-        "{{\n  \"bench\": \"pr9\",\n  \"mode\": \"{mode}\",\n  \
-         \"nofile\": {{ \"soft\": {soft}, \"hard\": {hard} }},\n  \
-         \"requested_channels\": {target},\n  \"channels\": {channels},\n  \
-         \"clamped_by_fd_limit\": {clamped},\n  \
-         \"reactor\": {{ \"shards\": {shards}, \"establish_s\": {establish_s:.3}, \
-         \"rss_bytes\": {reactor_rss}, \"rss_per_channel_bytes\": {reactor_per_channel:.0}, \
-         \"alive\": {alive}, \"wakeups\": {wakeups}, \"timer_fires\": {timer_fires}, \
-         \"coalesced_heartbeats\": {coalesced} }},\n  \
-         \"heartbeat\": {{ \"interval_ms\": {interval_ms}, \"samples\": {measured}, \
-         \"p50_us\": {hb_p50:.1}, \"p99_us\": {hb_p99:.1} }},\n  \
-         \"threaded_baseline\": {{ \"channels\": {baseline_n}, \"rss_bytes\": {baseline_rss}, \
-         \"rss_per_channel_bytes\": {baseline_per_channel:.0} }},\n  \
-         \"capacity_ratio\": {capacity_ratio:.2}\n}}\n",
-        mode = if quick { "quick" } else { "full" },
-        interval_ms = hb_interval.as_millis(),
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench: cannot write {out_path}: {e}");
-        return 1;
-    }
-    cli.say(format!(
-        "channels_scaling: {channels} secure channels ({shards} shard(s)), established in \
-         {establish_s:.1} s, hb RTT p50 {hb_p50:.0} us / p99 {hb_p99:.0} us, \
-         {reactor_per_channel:.0} B/channel vs {baseline_per_channel:.0} B/channel threaded \
-         ({capacity_ratio:.1}x capacity at equal RSS)"
-    ));
-    cli.say(format!("results written to {out_path}"));
-    psf_telemetry::event(
-        "psf.cli",
-        "bench.recorded",
-        vec![
-            ("out", out_path.clone()),
-            ("channels", channels.to_string()),
-            ("hb_p99_us", format!("{hb_p99:.1}")),
-            ("capacity_ratio", format!("{capacity_ratio:.2}")),
-        ],
-    );
-    if check && hb_p99 > 10_000.0 {
-        eprintln!(
-            "bench --check FAILED: p99 heartbeat RTT must be <= 10 ms across {channels} \
-             channels (got {:.2} ms)",
-            hb_p99 / 1e3
-        );
-        return 1;
-    }
-    if check && capacity_ratio < 5.0 {
-        eprintln!(
-            "bench --check FAILED: reactor must hold >= 5x the channels of the \
-             thread-per-connection baseline at equal RSS (got {capacity_ratio:.2}x)"
-        );
-        return 1;
-    }
-    if check && alive < channels {
-        eprintln!(
-            "bench --check FAILED: {} of {channels} channels went stale",
-            channels - alive
-        );
-        return 1;
-    }
-    bench_cert(cli, &out_path, quick, check)
-}
-
-/// The PR10 certificate runner: emission overhead of a certified proof
-/// over a plain one, plus independent-checker verification latency on
-/// the mail-scenario chain (Bob → Comp.NY.Member through the §3.3
-/// cross-site role mapping) — cold (full structural re-derivation,
-/// every Ed25519 signature) and warm (the continuous-authorization
-/// re-check path, where the [`psf_cert::CheckMemo`] replays only the
-/// environment half: epoch window, key bindings, expiry, revocation).
-/// Writes `BENCH_pr10.json`. With `--check`, exits non-zero unless p99
-/// warm checker verification <= 10 us.
-fn bench_cert(cli: &Cli, pr9_out: &str, quick: bool, check: bool) -> i32 {
-    use psf_cert::{AuthCertificate, CheckMemo};
-    use psf_drbac::certify::check_certificate_memo;
-    use psf_drbac::repository::CredentialSource;
-
-    let out_path = if pr9_out.contains("pr9") {
-        pr9_out.replace("pr9", "pr10")
-    } else {
-        "BENCH_pr10.json".to_string()
-    };
-    let w = world();
-    let role = match RoleName::parse("Comp.NY.Member") {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench: {e}");
-            return 1;
-        }
-    };
-    let subject = w.bob.as_subject();
-    let engine = ProofEngine::new(&w.registry, &w.repository, &w.bus, 0);
-    let repo_epoch = w.repository.version();
-
-    // --- Emission overhead: a certified prove runs the same search and
-    // additionally lowers the proof into wire-model edges. The two paths
-    // are interleaved so machine drift hits both equally.
-    let emit_iters: u32 = if quick { 200 } else { 2_000 };
-    let mut prove_tot_ns = 0u128;
-    let mut certified_tot_ns = 0u128;
-    let mut cert = None;
-    for _ in 0..emit_iters {
-        let t = std::time::Instant::now();
-        if engine.prove(&subject, &role, &[]).is_err() {
-            eprintln!("bench: mail-scenario proof failed");
-            return 1;
-        }
-        prove_tot_ns += t.elapsed().as_nanos();
-        let t = std::time::Instant::now();
-        match engine.prove_certified(&subject, &role, &[]) {
-            Ok((_, c, _)) => cert = Some(c),
-            Err(e) => {
-                eprintln!("bench: certified proof failed: {e}");
-                return 1;
-            }
-        }
-        certified_tot_ns += t.elapsed().as_nanos();
-    }
-    let prove_us = prove_tot_ns as f64 / 1e3 / emit_iters as f64;
-    let certified_us = certified_tot_ns as f64 / 1e3 / emit_iters as f64;
-    let emit_overhead_us = certified_us - prove_us;
-    let cert = cert.expect("certified proof emitted");
-    let wire = cert.encode();
-    let edges = cert.total_edges();
-
-    // --- Checker, cold: every call re-derives the full structural
-    // verdict, Ed25519 signatures included.
-    let cold_iters: u32 = if quick { 100 } else { 1_000 };
-    let mut cold_ns: Vec<u64> = Vec::with_capacity(cold_iters as usize);
-    for _ in 0..cold_iters {
-        let t = std::time::Instant::now();
-        if let Err(e) = psf_drbac::check_certificate(&cert, &w.registry, &w.bus, 0, repo_epoch) {
-            eprintln!("bench: emitted certificate rejected cold: {e}");
-            return 1;
-        }
-        cold_ns.push(t.elapsed().as_nanos() as u64);
-    }
-
-    // --- Checker, warm: the continuous-authorization re-check path.
-    let memo = CheckMemo::new(1024);
-    if let Err(e) = check_certificate_memo(&cert, &w.registry, &w.bus, 0, repo_epoch, Some(&memo)) {
-        eprintln!("bench: emitted certificate rejected while priming: {e}");
-        return 1;
-    }
-    let warm_iters: u32 = if quick { 2_000 } else { 20_000 };
-    let mut warm_ns: Vec<u64> = Vec::with_capacity(warm_iters as usize);
-    for _ in 0..warm_iters {
-        let t = std::time::Instant::now();
-        if check_certificate_memo(&cert, &w.registry, &w.bus, 0, repo_epoch, Some(&memo)).is_err() {
-            eprintln!("bench: emitted certificate rejected warm");
-            return 1;
-        }
-        warm_ns.push(t.elapsed().as_nanos() as u64);
-    }
-
-    // --- Decode + warm check: what admitting a presented certificate
-    // costs once its payload is memoized.
-    let mut decode_ns: Vec<u64> = Vec::with_capacity(warm_iters as usize);
-    for _ in 0..warm_iters {
-        let t = std::time::Instant::now();
-        let decoded = match AuthCertificate::decode(&wire) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("bench: wire decode failed: {e}");
-                return 1;
-            }
-        };
-        if check_certificate_memo(&decoded, &w.registry, &w.bus, 0, repo_epoch, Some(&memo))
-            .is_err()
-        {
-            eprintln!("bench: decoded certificate rejected warm");
-            return 1;
-        }
-        decode_ns.push(t.elapsed().as_nanos() as u64);
-    }
-
-    let cold_p50 = quantile_us(&mut cold_ns, 0.50);
-    let cold_p99 = quantile_us(&mut cold_ns, 0.99);
-    let warm_p50 = quantile_us(&mut warm_ns, 0.50);
-    let warm_p99 = quantile_us(&mut warm_ns, 0.99);
-    let decode_p99 = quantile_us(&mut decode_ns, 0.99);
-
-    let json = format!(
-        "{{\n  \"bench\": \"pr10\",\n  \"mode\": \"{mode}\",\n  \
-         \"chain\": {{ \"edges\": {edges}, \"watch\": {watch}, \"wire_bytes\": {wire_bytes} }},\n  \
-         \"emit\": {{ \"iters\": {emit_iters}, \"prove_us\": {prove_us:.1}, \
-         \"prove_certified_us\": {certified_us:.1}, \"overhead_us\": {emit_overhead_us:.1} }},\n  \
-         \"checker\": {{ \"cold_samples\": {cold_iters}, \"cold_p50_us\": {cold_p50:.1}, \
-         \"cold_p99_us\": {cold_p99:.1}, \"warm_samples\": {warm_iters}, \
-         \"warm_p50_us\": {warm_p50:.2}, \"warm_p99_us\": {warm_p99:.2}, \
-         \"decode_warm_p99_us\": {decode_p99:.2} }}\n}}\n",
-        mode = if quick { "quick" } else { "full" },
-        watch = cert.watch.len(),
-        wire_bytes = wire.len(),
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench: cannot write {out_path}: {e}");
-        return 1;
-    }
-    cli.say(format!(
-        "certificates: {edges}-edge mail chain, {} wire bytes; emit overhead \
-         {emit_overhead_us:.1} us over {prove_us:.1} us prove; checker cold p99 {cold_p99:.0} us, \
-         warm p50 {warm_p50:.2} us / p99 {warm_p99:.2} us, decode+warm p99 {decode_p99:.2} us",
-        wire.len()
-    ));
-    cli.say(format!("results written to {out_path}"));
-    psf_telemetry::event(
-        "psf.cli",
-        "bench.recorded",
-        vec![
-            ("out", out_path.clone()),
-            ("cert_warm_p99_us", format!("{warm_p99:.2}")),
-            ("cert_cold_p99_us", format!("{cold_p99:.1}")),
-        ],
-    );
-    if check && warm_p99 > 10.0 {
-        eprintln!(
-            "bench --check FAILED: p99 warm certificate verification must be <= 10 us \
-             (got {warm_p99:.2} us)"
-        );
-        return 1;
-    }
-    0
-}
-
 /// Take the value following `--flag`, if present.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -2666,15 +1481,32 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// The default latency SLO table `psf slo`, `psf bench --check`, and the
-/// chaos harness evaluate. Budgets are deliberately generous — they gate
+/// Parse the value following `--flag`; `None` only when the flag is
+/// absent. A value that does not parse (or a flag with nothing after it)
+/// is a usage error, never a silent default: name both and exit 2.
+fn flag_parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let at = args.iter().position(|a| a == flag)?;
+    let value = args.get(at + 1).map_or("", String::as_str);
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            eprintln!("psf: bad value '{value}' for {flag}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The default latency SLO table `psf slo` and the chaos harness
+/// evaluate. Budgets are deliberately generous — they gate
 /// pathological tails (a proof search that fell off the cache fast path,
-/// an RPC stuck behind a stalled reader), not ordinary debug-build noise.
+/// an RPC or a heartbeat stuck behind a stalled reader or a blocked
+/// shard), not ordinary debug-build noise.
 fn default_slo_table() -> psf_telemetry::SloTable {
     use psf_telemetry::Percentile::P99;
     psf_telemetry::SloTable::new()
         .objective("psf.drbac.prove.us", P99, 100_000)
         .objective("psf.swbd.rpc.us", P99, 100_000)
+        .objective("psf.swbd.hb.rtt.us", P99, 100_000)
         .objective("psf.swbd.handshake.us", P99, 1_000_000)
         .objective("psf.planner.plan.us", P99, 500_000)
         .objective("psf.deploy.step.us", P99, 500_000)
@@ -2687,16 +1519,7 @@ fn audit_cmd(cli: &Cli, args: &[String]) -> i32 {
     let json = args.iter().any(|a| a == "--json");
     let deny_only = args.iter().any(|a| a == "--deny-only");
     let subject = flag_value(args, "--subject");
-    let trace = match flag_value(args, "--trace") {
-        Some(hex) => match psf_telemetry::TraceId::from_hex(hex) {
-            Some(t) => Some(t),
-            None => {
-                eprintln!("audit: bad trace id '{hex}' (expect hex)");
-                return 2;
-            }
-        },
-        None => None,
-    };
+    let trace: Option<TraceId> = flag_parsed(args, "--trace");
     if let Err(e) = exercise_full_stack(cli) {
         eprintln!("audit: full-stack run failed: {e}");
         return 1;
@@ -2738,83 +1561,12 @@ fn audit_cmd(cli: &Cli, args: &[String]) -> i32 {
     0
 }
 
-/// A span parsed back out of trace JSONL (or copied from the in-memory
-/// buffer) — just the fields tree rendering and verification need.
-struct TreeSpan {
-    id: u64,
-    trace: Option<String>,
-    parent: Option<u64>,
-    target: String,
-    name: String,
-    dur_us: u64,
-}
-
-/// Extract `"key":<number>` from one of our own JSONL lines. Returns
-/// `None` for absent keys and `null` values alike.
-fn jsonl_num(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract `"key":"value"` from one of our own JSONL lines, undoing the
-/// escaping `export_jsonl` applied. Returns `None` for absent/null.
-fn jsonl_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(
-                        u32::from_str_radix(&hex, 16)
-                            .ok()
-                            .and_then(char::from_u32)?,
-                    );
-                }
-                c => out.push(c),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn parse_trace_jsonl(text: &str) -> Vec<TreeSpan> {
-    text.lines()
-        .filter_map(|line| {
-            Some(TreeSpan {
-                id: jsonl_num(line, "id")?,
-                trace: jsonl_str(line, "trace"),
-                parent: jsonl_num(line, "parent"),
-                target: jsonl_str(line, "target")?,
-                name: jsonl_str(line, "name")?,
-                dur_us: jsonl_num(line, "dur_us")?,
-            })
-        })
-        .collect()
-}
-
-fn render_tree(spans: &[TreeSpan], trace: &str) {
-    let members: Vec<&TreeSpan> = spans
-        .iter()
-        .filter(|s| s.trace.as_deref() == Some(trace))
-        .collect();
+fn render_tree(spans: &[ExportedSpan], trace: TraceId) {
+    let members: Vec<&ExportedSpan> = spans.iter().filter(|s| s.trace == Some(trace)).collect();
     println!("trace {trace} ({} spans)", members.len());
     let ids: std::collections::HashSet<u64> = members.iter().map(|s| s.id).collect();
     fn walk(
-        members: &[&TreeSpan],
+        members: &[&ExportedSpan],
         parent: Option<u64>,
         depth: usize,
         ids: &std::collections::HashSet<u64>,
@@ -2848,11 +1600,11 @@ fn render_tree(spans: &[TreeSpan], trace: &str) {
 /// trace-completeness gate (zero orphan parents).
 fn trace_cmd(cli: &Cli, args: &[String]) -> i32 {
     let verify = args.iter().any(|a| a == "--verify");
-    let tree = flag_value(args, "--tree").map(str::to_string);
+    let tree: Option<TraceId> = flag_parsed(args, "--tree");
     let exemplar_metric = flag_value(args, "--exemplar").map(str::to_string);
     let spans = match flag_value(args, "--in") {
         Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => parse_trace_jsonl(&text),
+            Ok(text) => psf_telemetry::read_jsonl(&text),
             Err(e) => {
                 eprintln!("trace: cannot read {path}: {e}");
                 return 1;
@@ -2863,7 +1615,8 @@ fn trace_cmd(cli: &Cli, args: &[String]) -> i32 {
                 eprintln!("trace: full-stack run failed: {e}");
                 return 1;
             }
-            parse_trace_jsonl(&psf_telemetry::export_jsonl())
+            let records = psf_telemetry::tracer().snapshot();
+            records.into_iter().map(ExportedSpan::from).collect()
         }
     };
 
@@ -2873,12 +1626,12 @@ fn trace_cmd(cli: &Cli, args: &[String]) -> i32 {
         // A parent older than the oldest buffered span was evicted by the
         // ring, not lost by propagation; only dangling references to spans
         // that should still be present count as orphans.
-        let orphans: Vec<&TreeSpan> = spans
+        let orphans: Vec<&ExportedSpan> = spans
             .iter()
             .filter(|s| s.parent.is_some_and(|p| p >= oldest && !ids.contains(&p)))
             .collect();
-        let traces: std::collections::HashSet<&str> =
-            spans.iter().filter_map(|s| s.trace.as_deref()).collect();
+        let traces: std::collections::HashSet<TraceId> =
+            spans.iter().filter_map(|s| s.trace).collect();
         let traceless = spans.iter().filter(|s| s.trace.is_none()).count();
         println!(
             "trace verify: {} spans, {} traces, {} traceless events, {} orphan parent(s)",
@@ -2908,7 +1661,7 @@ fn trace_cmd(cli: &Cli, args: &[String]) -> i32 {
         match snap.and_then(|s| s.exemplar) {
             Some((trace, value)) => {
                 println!("exemplar for {metric}: trace {trace} sample {value} us");
-                render_tree(&spans, &trace.to_hex());
+                render_tree(&spans, trace);
                 return 0;
             }
             None => {
@@ -2918,22 +1671,22 @@ fn trace_cmd(cli: &Cli, args: &[String]) -> i32 {
         }
     }
 
-    if let Some(hex) = tree {
-        render_tree(&spans, &hex);
+    if let Some(trace) = tree {
+        render_tree(&spans, trace);
         return 0;
     }
 
     // No selector: list the traces in the buffer, largest first.
-    let mut by_trace: std::collections::HashMap<&str, (usize, u64)> =
+    let mut by_trace: std::collections::HashMap<TraceId, (usize, u64)> =
         std::collections::HashMap::new();
     for s in &spans {
-        if let Some(t) = s.trace.as_deref() {
+        if let Some(t) = s.trace {
             let e = by_trace.entry(t).or_default();
             e.0 += 1;
             e.1 = e.1.max(s.dur_us);
         }
     }
-    let mut traces: Vec<(&str, (usize, u64))> = by_trace.into_iter().collect();
+    let mut traces: Vec<(TraceId, (usize, u64))> = by_trace.into_iter().collect();
     traces.sort_by_key(|(_, (n, _))| std::cmp::Reverse(*n));
     println!("{:<32} {:>6} {:>12}", "trace", "spans", "max_dur_us");
     for (t, (n, max)) in &traces {

@@ -9,13 +9,13 @@
 //! channel while the rest idle-heartbeat, an explicit heartbeat
 //! round-trip under fleet load, and the per-batch establishment rate.
 //!
-//! Full runs target 100k channels; `PSF_BENCH_QUICK=1` (CI bench-smoke)
-//! drops to 10k. Either way the fleet is clamped to what
-//! `RLIMIT_NOFILE` permits — each in-process channel pair costs 4 fds —
-//! and the achieved count is printed so clamped runs are never mistaken
-//! for full ones. `psf bench --json` re-measures the same shape outside
-//! criterion (with a thread-per-connection RSS baseline) and writes the
-//! gated numbers to `BENCH_pr9.json`.
+//! Full runs target 100k channels; `PSF_BENCH_QUICK=1` (CI's
+//! `experiments` job) drops to 10k. Either way the fleet is clamped to
+//! what `RLIMIT_NOFILE` permits — each in-process channel pair costs 4
+//! fds — and the achieved count is printed so clamped runs are never
+//! mistaken for full ones. This is the only harness that holds a fleet;
+//! it does not measure RSS per channel, and nothing in the tree measures
+//! the thread-per-connection baseline any more (EXPERIMENTS.md F4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psf_drbac::entity::{Entity, EntityRegistry};

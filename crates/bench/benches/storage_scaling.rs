@@ -127,7 +127,7 @@ fn bench(c: &mut Criterion) {
     // Sharded store at discovery scale: tag-directed and subject lookups
     // against the hash-sharded repository vs the single-shard (fully
     // serialized) layout, both holding the same credential set. Full runs
-    // fill 10⁶ entries; `PSF_BENCH_QUICK=1` (CI bench-smoke) drops to 10⁵
+    // fill 10⁶ entries; `PSF_BENCH_QUICK=1` (CI `experiments`) drops to 10⁵
     // so the sweep stays inside the smoke budget. Dummy signatures keep
     // the fill CPU-bound on the store itself — nothing here verifies them.
     let quick = std::env::var_os("PSF_BENCH_QUICK").is_some();
@@ -194,8 +194,9 @@ fn bench(c: &mut Criterion) {
     }
 
     // Crash recovery: cold `Repository::recover_sharded` replay of an
-    // `n`-record WAL — the restart-latency row `psf bench --check` gates
-    // at 10⁵ records (here sized down so the criterion sweep stays fast).
+    // `n`-record WAL, sized so the criterion sweep stays fast; psf-bench
+    // times the same replay at world size (`drbac.wal.recover_s`, and
+    // inside the gated `setup_s`).
     for n in [1_000u64, 10_000] {
         let dir = fill_wal_dir(n);
         group.bench_with_input(BenchmarkId::new("recovery_replay", n), &n, |b, &n| {

@@ -5,8 +5,10 @@
 //! The grid is payload size (64 B – 64 KiB) × mode (plain/secure) ×
 //! issue discipline (serial `call` vs windowed `call_many`), plus the
 //! wide-vs-scalar AEAD comparison that isolates the crypto share of the
-//! win. `psf bench --json` re-measures the same shapes outside criterion
-//! and writes them to `BENCH_pr4.json` for the CI gate.
+//! win. This file regenerates the EXPERIMENTS.md F4 table and gates
+//! nothing; regressions on the same path are caught by `psf-bench/`
+//! (`sso_warm` end to end, `switchboard.echo{,_plain}_call_us` and
+//! `crypto.aead.*` per layer).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use psf_drbac::entity::{Entity, EntityRegistry};

@@ -66,9 +66,11 @@ pub enum ChannelBackend {
     /// reactor's timer wheel. The default on Linux; on other targets
     /// (no epoll) this degrades to [`Threaded`](ChannelBackend::Threaded).
     Reactor,
-    /// Legacy thread-per-connection: one reader thread plus (if
-    /// heartbeats are enabled) one heartbeat thread per channel. Kept as
-    /// the baseline the `channels_scaling` bench measures against.
+    /// Thread-per-connection: one reader thread plus (if heartbeats are
+    /// enabled) one heartbeat thread per channel. The only backend off
+    /// Linux, and the server for handlers that block — a blocking handler
+    /// parks that channel's reader thread, never a reactor shard
+    /// (`tests/reactor.rs`).
     Threaded,
 }
 

@@ -9,7 +9,7 @@
 //! "no data" and do not fail the table (a workload that never exercised a
 //! path has not violated its latency objective).
 //!
-//! `psf slo [--check]` renders the table; `psf bench --check` and the
+//! `psf slo [--check]` renders the table; `psf slo --check` and the
 //! chaos harness gate on [`SloReport::ok`].
 
 use crate::metrics::{HistogramSnapshot, Registry};

@@ -22,7 +22,8 @@
 //! buffer holds the most recent [`DEFAULT_CAPACITY`] spans, dropping the
 //! oldest under pressure; the global tracer publishes its eviction count as
 //! the `psf.trace.dropped` gauge. [`export_jsonl`] serializes the buffer one
-//! JSON object per line, in span-creation order.
+//! JSON object per line, in span-creation order; [`read_jsonl`] reads that
+//! text back, so the line format is known to this module only.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -78,6 +79,14 @@ impl TraceId {
     pub fn from_bytes(b: [u8; 16]) -> Option<TraceId> {
         let v = u128::from_be_bytes(b);
         (v != 0).then_some(TraceId(v))
+    }
+}
+
+impl std::str::FromStr for TraceId {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<TraceId, ()> {
+        TraceId::from_hex(s).ok_or(())
     }
 }
 
@@ -511,6 +520,109 @@ pub(crate) fn escape_into(s: &str, out: &mut String) {
     }
 }
 
+/// One [`Tracer::export_jsonl`] line read back: a [`SpanRecord`] with owned
+/// strings, minus `start_us` and the free-form `fields`, which no reader
+/// consumes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExportedSpan {
+    pub id: u64,
+    pub trace: Option<TraceId>,
+    pub parent: Option<u64>,
+    pub target: String,
+    pub name: String,
+    pub dur_us: u64,
+}
+
+impl From<SpanRecord> for ExportedSpan {
+    fn from(r: SpanRecord) -> Self {
+        ExportedSpan {
+            id: r.id,
+            trace: r.trace,
+            parent: r.parent,
+            target: r.target.to_string(),
+            name: r.name.to_string(),
+            dur_us: r.dur_us,
+        }
+    }
+}
+
+/// Read [`Tracer::export_jsonl`] output back, one span per line. A line
+/// that is not a whole span object through `dur_us` — foreign text, or the
+/// last line of a file whose writer was cut off — is skipped, not an error.
+pub fn read_jsonl(text: &str) -> Vec<ExportedSpan> {
+    text.lines().filter_map(read_span).collect()
+}
+
+/// The inverse of one `export_jsonl` iteration: keys are matched in the
+/// order the writer emits them, so no string value can pose as a key.
+fn read_span(line: &str) -> Option<ExportedSpan> {
+    let (id, rest) = take_u64(line.strip_prefix("{\"id\":")?)?;
+    let rest = rest.strip_prefix(",\"trace\":")?;
+    let (trace, rest) = match rest.strip_prefix("null") {
+        Some(rest) => (None, rest),
+        None => {
+            let (hex, rest) = take_string(rest.strip_prefix('"')?)?;
+            (Some(TraceId::from_hex(&hex)?), rest)
+        }
+    };
+    let rest = rest.strip_prefix(",\"parent\":")?;
+    let (parent, rest) = match rest.strip_prefix("null") {
+        Some(rest) => (None, rest),
+        None => {
+            let (parent, rest) = take_u64(rest)?;
+            (Some(parent), rest)
+        }
+    };
+    let (target, rest) = take_string(rest.strip_prefix(",\"target\":\"")?)?;
+    let (name, rest) = take_string(rest.strip_prefix(",\"name\":\"")?)?;
+    let (_start_us, rest) = take_u64(rest.strip_prefix(",\"start_us\":")?)?;
+    let (dur_us, rest) = take_u64(rest.strip_prefix(",\"dur_us\":")?)?;
+    // The number is whole only if the object continues: a line cut inside
+    // the digits must not read back as a shorter duration.
+    (rest.starts_with('}') || rest.starts_with(",\"fields\":{")).then_some(ExportedSpan {
+        id,
+        trace,
+        parent,
+        target,
+        name,
+        dur_us,
+    })
+}
+
+/// Split a leading run of decimal digits off `s`.
+fn take_u64(s: &str) -> Option<(u64, &str)> {
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    Some((s[..end].parse().ok()?, &s[end..]))
+}
+
+/// Undo [`escape_into`]: `s` starts just inside a string's opening quote;
+/// returns the value and what follows the closing quote.
+fn take_string(s: &str) -> Option<(String, &str)> {
+    let mut out = String::new();
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => return Some((out, chars.as_str())),
+            '\\' => match chars.next()? {
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    out.push(
+                        u32::from_str_radix(&hex, 16)
+                            .ok()
+                            .and_then(char::from_u32)?,
+                    );
+                }
+                c => out.push(c),
+            },
+            c => out.push(c),
+        }
+    }
+    None
+}
+
 /// RAII handle for a live span; records on drop.
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
@@ -702,6 +814,45 @@ mod tests {
         assert!(line.contains("\"target\":\"psf.test\""));
         assert!(line.contains("say \\\"hi\\\"\\n\\\\done"));
         assert!(line.ends_with('}'));
+    }
+
+    #[test]
+    fn jsonl_reads_back_what_it_wrote_and_survives_any_cut() {
+        // Every escape class, plus text that looks like one of our keys.
+        const NASTY: &str = "q\" b\\ n\n r\r t\t c\u{1} \"name\":\"x\",\"dur_us\":7}";
+        let tracer = Tracer::default();
+        // Id 1: no trace, no parent, no fields.
+        tracer.event("psf.test", "bare", Vec::new());
+        let trace = TraceId::fresh();
+        for (id, trace, parent) in [
+            (2, None, None),
+            (3, Some(trace), None),
+            (4, Some(trace), Some(3)),
+        ] {
+            tracer.push(SpanRecord {
+                id,
+                trace,
+                parent,
+                target: NASTY,
+                name: NASTY,
+                // Field keys named like span keys must not shadow them.
+                fields: vec![("trace", NASTY.to_string()), ("dur_us", "9".to_string())],
+                start_us: 1_000 * id,
+                dur_us: 12_345 * id,
+            });
+        }
+
+        let text = tracer.export_jsonl();
+        let wrote: Vec<ExportedSpan> = tracer.snapshot().into_iter().map(Into::into).collect();
+        assert_eq!(wrote.len(), 4);
+        assert_eq!(read_jsonl(&text), wrote);
+
+        // A file cut at any byte yields a prefix of the spans written —
+        // never a panic, never a span with a shortened number.
+        for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            let read = read_jsonl(&text[..cut]);
+            assert_eq!(read, wrote[..read.len()], "cut at byte {cut}");
+        }
     }
 
     #[test]

@@ -221,3 +221,64 @@ fn psf_binary_metrics_run_writes_trace_and_snapshot() {
     );
     let _ = std::fs::remove_file(&trace_path);
 }
+
+/// The CLI measures nothing (`bench` is not a command), and a numeric flag
+/// whose value does not parse is a usage error naming the flag — never a
+/// silent default.
+#[test]
+fn psf_binary_rejects_removed_bench_command_and_malformed_flag_values() {
+    let dir = std::env::temp_dir().join(format!("psf-telemetry-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let psf = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_psf"))
+            .args(args)
+            .output()
+            .expect("run psf binary")
+    };
+
+    // Neither the command nor the result files it wrote are advertised.
+    let bench = psf(&["bench", "--json"]);
+    let usage = String::from_utf8_lossy(&bench.stderr).to_lowercase();
+    assert_eq!(
+        bench.status.code(),
+        Some(2),
+        "removed command must be a usage error: {usage}"
+    );
+    assert!(usage.contains("usage: psf"), "got:\n{usage}");
+    assert!(
+        !usage.contains("bench"),
+        "usage still advertises a bench command:\n{usage}"
+    );
+
+    // (arguments, the flag stderr must name)
+    let malformed: [(&[&str], &str); 4] = [
+        (&["chaos", "--seed", "x"], "--seed"),
+        (&["plan", "sd-1", "--max-latency", "fast"], "--max-latency"),
+        (&["repo", "--dir", dir_arg, "--fill", "1e6"], "--fill"),
+        (&["repo", "--dir", dir_arg, "--shards", "abc"], "--shards"),
+    ];
+    for (args, flag) in malformed {
+        let out = psf(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "psf {args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag),
+            "psf {args:?} must name {flag}: {stderr}"
+        );
+    }
+    assert!(
+        !dir.exists(),
+        "a rejected repo invocation must not create {dir:?}"
+    );
+
+    // A well-formed value still reaches the command.
+    let out = psf(&["chaos", "--seed", "3", "--wal-dir", dir_arg]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "psf chaos --seed 3: {stdout}");
+    assert!(
+        stdout.contains("chaos: mail scenario, seed 3"),
+        "got:\n{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
