@@ -5,8 +5,8 @@
 //! without caching it re-verifies every Ed25519 signature and re-walks the
 //! delegation graph on every call. SAFE-style trust systems make this
 //! tractable by caching proof results and invalidating them through the
-//! credential-linkage graph; dRBAC's [`RevocationBus`] already broadcasts
-//! exactly the events such invalidation needs.
+//! credential-linkage graph; dRBAC's [`RevocationBus`] already holds
+//! exactly the state such invalidation needs.
 //!
 //! [`AuthCache`] bundles two memo tables:
 //!

@@ -29,7 +29,7 @@
 //! **discovery tags** ("searchable from subject" / "searchable from
 //! object"), carry optional expirations, and may require online validity
 //! monitoring — [`revocation`] implements the home-node revocation bus and
-//! the `ValidityMonitor`s that Switchboard subscribes to for continuous
+//! the `ValidityMonitor`s that Switchboard polls for continuous
 //! authorization.
 //!
 //! [`guard`] packages the per-domain *Guard* module from the paper's §3.3

@@ -644,6 +644,13 @@ impl Repository {
         *self.inner.observer.write() = observer;
     }
 
+    /// A non-owning way back to this repository, for the observer
+    /// installed on it (an owning one would be a cycle; see [`crate::wal`]).
+    pub(crate) fn weak(&self) -> impl Fn() -> Option<Repository> + Send + Sync {
+        let weak = Arc::downgrade(&self.inner);
+        move || weak.upgrade().map(|inner| Repository { inner })
+    }
+
     /// A deterministic snapshot of every stored credential with its home
     /// node and discovery tags, sorted by (home, credential id). This is
     /// what WAL compaction persists: enough to rebuild the shards *and*

@@ -73,7 +73,11 @@
 //! one segment share fsyncs without giving up per-record durability.
 //! [`FsyncPolicy::EveryN`] / [`FsyncPolicy::Never`] batch frames per
 //! segment in memory (note the loss window for buffered frames then
-//! includes a process crash, not just power loss — `sync()` flushes).
+//! includes a process crash, not just power loss — `sync()` flushes, and
+//! so does dropping the last handle: the engine is owned by the
+//! [`ShardedDurableRepository`] handles and by the logging observers of
+//! the repository and the bus, never the other way round, so it goes —
+//! buffers written, files closed — with the last of them).
 //!
 //! ## Legacy import
 //!
@@ -482,8 +486,11 @@ pub enum FsyncPolicy {
     Always,
     /// fsync every N appends: bounded loss window, much cheaper.
     EveryN(u32),
-    /// Never fsync explicitly; the OS flushes when it pleases. Survives
-    /// process crashes (the page cache persists) but not power loss.
+    /// Never fsync explicitly; the OS flushes when it pleases. Frames
+    /// wait in a user-space buffer of up to 64 KiB per segment until it
+    /// fills, `sync()` runs or the last handle drops; only what has left
+    /// that buffer survives a process crash (the page cache persists), and
+    /// nothing is safe from power loss.
     Never,
 }
 
@@ -1099,7 +1106,10 @@ pub struct DurabilityStats {
 }
 
 /// The on-disk half of a [`ShardedDurableRepository`]: its segments and
-/// the counters that span them.
+/// the counters that span them. It owns files only — the in-memory state
+/// it logs for and snapshots is lent to each call — and is itself owned
+/// by the handle and by the two logging observers, so dropping the last
+/// of them flushes and closes the files.
 struct Engine {
     dir: PathBuf,
     config: WalConfig,
@@ -1188,12 +1198,90 @@ impl Engine {
             seg.synced_gen.fetch_max(cover, Ordering::AcqRel);
         }
     }
+
+    /// Append `payload` to segment `seg`, auto-compacting the segment
+    /// when it crosses the threshold (`repo` and `bus` as for
+    /// [`compact_segment`](Self::compact_segment)). The in-memory mutation
+    /// has already happened, so a failure cannot be returned to the
+    /// mutator; all we can do is surface the durability gap loudly.
+    fn log(&self, seg: usize, payload: &[u8], repo: &Repository, bus: Option<&RevocationBus>) {
+        let (what, detail) = match self.append(&self.segments[seg], payload) {
+            Ok(false) => return,
+            Ok(true) => match self.compact_segment(seg, repo, bus) {
+                Ok(_) => return,
+                Err(e) => ("wal-compact", format!("auto-compaction failed: {e}")),
+            },
+            Err(e) => ("wal-append", format!("append failed: {e}")),
+        };
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        psf_telemetry::counter!("psf.repo.wal.errors").inc();
+        psf_telemetry::audit::record(
+            psf_telemetry::Decision::Revocation,
+            "",
+            what,
+            psf_telemetry::Verdict::Deny,
+        )
+        .detail(format!("{} {detail}", self.segments[seg].dir.display()))
+        .commit();
+    }
+
+    /// Compact one segment: write its state — shard `i` of `repo`, or for
+    /// the bus segment (`bus` is `Some`) the revoked ids — to
+    /// `snapshot.tmp`, fsync, rename over `snapshot.bin`, fsync the
+    /// directory, then truncate the segment's log. A crash at any point
+    /// leaves a recoverable segment (the snapshot/log overlap after an
+    /// un-truncated rename is absorbed by replay dedup). Other segments'
+    /// writers are untouched.
+    fn compact_segment(
+        &self,
+        i: usize,
+        repo: &Repository,
+        bus: Option<&RevocationBus>,
+    ) -> std::io::Result<CompactReport> {
+        let seg = &self.segments[i];
+        // Writer lock held for the whole operation: no append interleaves
+        // with the truncate. Observers fire outside repository locks, so
+        // reading snapshot state here cannot deadlock with a publisher.
+        let mut w = seg.writer.lock();
+        let (entries, revoked) = match bus {
+            None => (repo.snapshot_shard(i), Vec::new()),
+            Some(bus) => (Vec::new(), bus.revoked_ids()),
+        };
+        let epoch = repo.epoch();
+        let image = encode_snapshot(epoch, &entries, &revoked);
+
+        w.flush()?;
+        let tmp = seg.dir.join(SNAPSHOT_TMP);
+        {
+            let mut f = File::create(&tmp)?;
+            f.write_all(&image)?;
+            f.sync_data()?;
+        }
+        std::fs::rename(&tmp, seg.dir.join(SNAPSHOT_FILE))?;
+        if let Ok(d) = File::open(&seg.dir) {
+            let _ = d.sync_all(); // directory entry durability (best effort)
+        }
+        let dropped = w.file.seek(SeekFrom::End(0))?;
+        w.file.set_len(0)?;
+        w.file.seek(SeekFrom::Start(0))?;
+        w.file.sync_data()?;
+        w.appends_since_compact = 0;
+
+        seg.compactions.fetch_add(1, Ordering::Relaxed);
+        seg.last_compact_epoch.store(epoch, Ordering::Relaxed);
+        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
+        Ok(CompactReport {
+            snapshot_entries: entries.len(),
+            snapshot_revocations: revoked.len(),
+            log_bytes_dropped: dropped,
+        })
+    }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Best-effort flush of group-commit buffers on clean shutdown;
-        // a real crash loses them by design (see FsyncPolicy docs).
+        // Clean shutdown: hand the group-commit buffers to the OS (best
+        // effort; a real crash loses them by design, see FsyncPolicy).
         for seg in &self.segments {
             let _ = seg.writer.lock().flush();
         }
@@ -1265,35 +1353,41 @@ impl ShardedDurableRepository {
         };
 
         // Attach observers only now — replay must not re-log itself.
-        {
-            let d = durable.clone();
-            repo.set_observer(Some(Arc::new(move |ev: RepoEvent<'_>| match ev {
+        // Ownership runs one way: repository → its observer → engine, and
+        // bus → its observer → engine + repository (for the epoch it
+        // stamps). Each observer reaches the structure it is installed on
+        // through `weak()` — an owning handle there would be a cycle that
+        // keeps the files open and their buffers unflushed for ever.
+        const ALIVE: &str = "an observer runs inside a method of the structure it observes";
+        let (engine, this) = (durable.inner.clone(), repo.weak());
+        repo.set_observer(Some(Arc::new(move |ev: RepoEvent<'_>| {
+            let repo = this().expect(ALIVE);
+            match ev {
                 RepoEvent::Published { home, cred, tag } => {
                     let skey = crate::repository::subject_key(&cred.body.subject);
-                    let shard = d.repo.shard_index(&skey);
-                    let payload = encode_publish_payload(d.repo.epoch(), home, tag, cred);
-                    d.log(shard, &payload);
+                    let payload = encode_publish_payload(repo.epoch(), home, tag, cred);
+                    engine.log(repo.shard_index(&skey), &payload, &repo, None);
                 }
                 RepoEvent::PurgedExpired { now, .. } => {
                     // Replicated to every shard: each segment must know to
                     // re-apply the purge to its own credentials at replay.
-                    let payload = encode_payload(d.repo.epoch(), &WalOp::PurgeExpired { now });
+                    let payload = encode_payload(repo.epoch(), &WalOp::PurgeExpired { now });
                     for shard in 0..n {
-                        d.log(shard, &payload);
+                        engine.log(shard, &payload, &repo, None);
                     }
                 }
-            })));
-            let d = durable.clone();
-            bus.set_observer(Some(Arc::new(move |ids: &[String]| {
-                let payload = match ids {
-                    [id] => encode_payload(d.repo.epoch(), &WalOp::Revoke { id: id.clone() }),
-                    many => {
-                        encode_payload(d.repo.epoch(), &WalOp::RevokeBatch { ids: many.to_vec() })
-                    }
-                };
-                d.log(n, &payload); // the bus segment follows the n shards
-            })));
-        }
+            }
+        })));
+        let (engine, repo, this) = (durable.inner.clone(), repo.clone(), bus.weak());
+        bus.set_observer(Some(Arc::new(move |ids: &[String]| {
+            let op = match ids {
+                [id] => WalOp::Revoke { id: id.clone() },
+                many => WalOp::RevokeBatch { ids: many.to_vec() },
+            };
+            // The bus segment follows the n shards.
+            let bus = this().expect(ALIVE);
+            engine.log(n, &encode_payload(repo.epoch(), &op), &repo, Some(&bus));
+        })));
         if legacy_pending(dir) {
             durable.import_legacy(&mut report)?;
         }
@@ -1332,34 +1426,6 @@ impl ShardedDurableRepository {
         Ok(())
     }
 
-    /// Append `payload` to segment `seg`, auto-compacting the segment
-    /// when it crosses the threshold. The in-memory mutation has already
-    /// happened, so a failure cannot be returned to the mutator; all we
-    /// can do is surface the durability gap loudly.
-    fn log(&self, seg: usize, payload: &[u8]) {
-        let (what, detail) = match self.inner.append(&self.inner.segments[seg], payload) {
-            Ok(false) => return,
-            Ok(true) => match self.compact_segment(seg) {
-                Ok(_) => return,
-                Err(e) => ("wal-compact", format!("auto-compaction failed: {e}")),
-            },
-            Err(e) => ("wal-append", format!("append failed: {e}")),
-        };
-        self.inner.errors.fetch_add(1, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.errors").inc();
-        psf_telemetry::audit::record(
-            psf_telemetry::Decision::Revocation,
-            "",
-            what,
-            psf_telemetry::Verdict::Deny,
-        )
-        .detail(format!(
-            "{} {detail}",
-            self.inner.segments[seg].dir.display()
-        ))
-        .commit();
-    }
-
     /// The in-memory sharded repository (shared handle). Mutations
     /// through it are logged transparently.
     pub fn repository(&self) -> &Repository {
@@ -1388,53 +1454,6 @@ impl ShardedDurableRepository {
         Ok(())
     }
 
-    /// Compact one segment: write its state — a shard's credentials, or
-    /// the bus's revoked ids — to `snapshot.tmp`, fsync, rename over
-    /// `snapshot.bin`, fsync the directory, then truncate the segment's
-    /// log. A crash at any point leaves a recoverable segment (the
-    /// snapshot/log overlap after an un-truncated rename is absorbed by
-    /// replay dedup). Other segments' writers are untouched.
-    fn compact_segment(&self, i: usize) -> std::io::Result<CompactReport> {
-        let seg = &self.inner.segments[i];
-        // Writer lock held for the whole operation: no append interleaves
-        // with the truncate. Observers fire outside repository locks, so
-        // reading snapshot state here cannot deadlock with a publisher.
-        let mut w = seg.writer.lock();
-        let (entries, revoked) = if i < self.repo.shard_count() {
-            (self.repo.snapshot_shard(i), Vec::new())
-        } else {
-            (Vec::new(), self.bus.revoked_ids())
-        };
-        let epoch = self.repo.epoch();
-        let image = encode_snapshot(epoch, &entries, &revoked);
-
-        w.flush()?;
-        let tmp = seg.dir.join(SNAPSHOT_TMP);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, seg.dir.join(SNAPSHOT_FILE))?;
-        if let Ok(d) = File::open(&seg.dir) {
-            let _ = d.sync_all(); // directory entry durability (best effort)
-        }
-        let dropped = w.file.seek(SeekFrom::End(0))?;
-        w.file.set_len(0)?;
-        w.file.seek(SeekFrom::Start(0))?;
-        w.file.sync_data()?;
-        w.appends_since_compact = 0;
-
-        seg.compactions.fetch_add(1, Ordering::Relaxed);
-        seg.last_compact_epoch.store(epoch, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
-        Ok(CompactReport {
-            snapshot_entries: entries.len(),
-            snapshot_revocations: revoked.len(),
-            log_bytes_dropped: dropped,
-        })
-    }
-
     /// Compact every shard segment and the bus segment. Returns the
     /// aggregate report.
     pub fn compact(&self) -> std::io::Result<CompactReport> {
@@ -1443,8 +1462,10 @@ impl ShardedDurableRepository {
             snapshot_revocations: 0,
             log_bytes_dropped: 0,
         };
-        for i in 0..self.inner.segments.len() {
-            let r = self.compact_segment(i)?;
+        let bus_segment = self.inner.segments.len() - 1;
+        for i in 0..=bus_segment {
+            let bus = (i == bus_segment).then_some(&self.bus);
+            let r = self.inner.compact_segment(i, &self.repo, bus)?;
             total.snapshot_entries += r.snapshot_entries;
             total.snapshot_revocations += r.snapshot_revocations;
             total.log_bytes_dropped += r.log_bytes_dropped;
@@ -1482,8 +1503,9 @@ impl ShardedDurableRepository {
 
     /// Detach the logging observers (used by tests simulating a crash:
     /// the files stay as-is, the in-memory halves keep working unlogged).
-    /// Group-commit buffers are **not** flushed — that is the point of a
-    /// simulated crash.
+    /// Group-commit buffers are **not** flushed by this call — that is
+    /// the point of a simulated crash — though the drop of the last handle
+    /// still writes them out.
     pub fn detach(&self) {
         self.repo.set_observer(None);
         self.bus.set_observer(None);
@@ -1669,7 +1691,7 @@ mod tests {
                 let (d, _) = open(&dir, shards);
                 d.repository().publish_at_issuer(c.clone());
                 d.bus().revoke(&id);
-                d.detach(); // simulate crash: no clean shutdown path exists anyway
+                d.detach(); // simulate crash
             }
             let (d2, report) = open(&dir, shards);
             assert_eq!(report.records_replayed, 2);
@@ -1917,8 +1939,8 @@ mod tests {
                         (FsyncPolicy::EveryN(_), _) => assert!(stats.fsyncs <= 1),
                         (FsyncPolicy::Never, _) => assert_eq!(stats.fsyncs, 0),
                     }
-                    // Buffered policies hold frames in memory; dropping
-                    // the handle without a sync() is a crash, not a close.
+                    // Buffered policies hold frames in memory until a
+                    // sync() or the drop of the last handle.
                     d.sync().unwrap();
                 }
                 let (repo, _, _) = Repository::recover_sharded(&dir).unwrap();
@@ -2186,6 +2208,42 @@ mod tests {
         }
         let (repo, _, _) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(repo.len(), 10);
+    }
+
+    // -- ownership: the observers do not own what they observe -------------
+
+    /// No `sync()` and no `detach()` anywhere: the engine lives while a
+    /// handle or a clone of either half can still log through it, and its
+    /// drop writes the group-commit buffers out. (The descriptor count of
+    /// the plain open / publish / drop loop is `tests/descriptors.rs`.)
+    #[test]
+    fn surviving_clone_keeps_logging_until_it_drops() {
+        let dir = tmpdir("survivor");
+        let ny = Entity::with_seed("Comp.NY", b"swal");
+        let cfg = WalConfig {
+            fsync: FsyncPolicy::Never,
+            auto_compact_appends: None,
+        };
+        let (d, _) = ShardedDurableRepository::open(&dir, 8, cfg).unwrap();
+        let (repo, bus) = (d.repository().clone(), d.bus().clone());
+        let engine = Arc::downgrade(&d.inner);
+        let revoked = sharded_workload(&d, &ny, 10);
+        drop(d);
+        assert!(engine.upgrade().is_some(), "clones still log through it");
+        let late = cred(&ny, &Entity::with_seed("Late", b"swal"), "Member");
+        repo.publish_at_issuer(late.clone());
+        drop(repo);
+        assert!(engine.upgrade().is_some(), "the bus alone keeps it too");
+        bus.revoke(&late.id());
+        drop(bus);
+        assert!(engine.upgrade().is_none(), "engine outlived every clone");
+
+        let (repo, bus, report) = Repository::recover_sharded(&dir).unwrap();
+        // 10 publishes and their batch revoke, then the two late records.
+        assert_eq!(report.records_replayed, 13);
+        assert_eq!(repo.len(), 11);
+        assert_eq!(bus.revoked_count(), revoked.len() + 1);
+        assert!(bus.is_revoked(&late.id()));
     }
 
     // -- legacy single-log directories -------------------------------------

@@ -105,8 +105,9 @@ impl Default for ChannelConfig {
 pub enum ChannelStatus {
     /// Traffic flows.
     Healthy,
-    /// The peer's authorization was invalidated (credential id recorded);
-    /// application traffic is refused until re-validation succeeds.
+    /// The peer's authorization was invalidated (the revoked credential's
+    /// id, or `"expired"`, recorded); application traffic is refused until
+    /// re-validation succeeds.
     RevalidationRequired(String),
     /// Closed (by either side or transport loss).
     Closed,
@@ -718,16 +719,13 @@ impl Channel {
         // Continuous authorization: our monitor watches the peer.
         let mut monitor = self.inner.monitor.lock();
         if let Some(m) = monitor.as_mut() {
-            if !m.is_valid() {
-                let id = m
-                    .revocation_notice()
-                    .unwrap_or_else(|| "unknown credential".into());
+            if let Some(id) = m.refusal() {
                 // Re-validate via the admission certificate, checker-only:
                 // the independent checker replays the certificate against
                 // live registry/revocation state — no repository access,
                 // no proof search. One shot per invalidation; the audited
                 // verdict carries the certificate digest. If the
-                // certificate still replays (the notice did not concern
+                // certificate still replays (the revocation did not concern
                 // the admitted chain), trust holds and traffic continues.
                 if m.take_recheck() {
                     if let (Some(auth), Some(cert)) = (&self.inner.authorizer, m.certificate()) {
@@ -1066,21 +1064,9 @@ fn handle_request(inner: &Arc<ChannelInner>, body: &[u8], responses: &mut Vec<Po
     }
     // Continuous authorization: refuse service while the peer's proof is
     // invalid.
-    let monitor_ok = {
-        let monitor = inner.monitor.lock();
-        monitor.as_ref().map(|m| m.is_valid()).unwrap_or(true)
-    };
-    let (status, payload) = if !monitor_ok {
-        {
-            let m = inner.monitor.lock();
-            if let Some(m) = m.as_ref() {
-                if let Some(cred) = m.revocation_notice() {
-                    *inner.status.write() = ChannelStatus::RevalidationRequired(cred);
-                } else if !matches!(*inner.status.read(), ChannelStatus::RevalidationRequired(_)) {
-                    *inner.status.write() = ChannelStatus::RevalidationRequired("revoked".into());
-                }
-            }
-        }
+    let refusal = inner.monitor.lock().as_ref().and_then(|m| m.refusal());
+    let (status, payload) = if let Some(why) = refusal {
+        *inner.status.write() = ChannelStatus::RevalidationRequired(why);
         psf_telemetry::counter!("psf.swbd.authz.refused").inc();
         (RpcStatus::RevalidationRequired, Vec::new())
     } else {

@@ -22,9 +22,9 @@
 //!   rejection by construction), "replay-resistant heartbeats that
 //!   indicate liveness and round-trip latency", and revocation-driven
 //!   re-validation: when the dRBAC proof underlying the peer's
-//!   authorization is invalidated, the `AuthorizationMonitor` fires, the
-//!   channel refuses further application traffic, and the peer may present
-//!   fresh credentials to re-validate.
+//!   authorization is invalidated, the `AuthorizationMonitor` says so at
+//!   the next request, the channel refuses further application traffic,
+//!   and the peer may present fresh credentials to re-validate.
 //! * **RPC** ([`rpc`]) — "a two-way procedure-call (RPC) interface" on
 //!   which the views runtime routes remote method invocations.
 //! * **Transports** ([`transport`]) — real TCP (loopback or otherwise) and

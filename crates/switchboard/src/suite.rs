@@ -160,7 +160,7 @@ impl Authorizer {
     /// epoch window are re-derived from the certificate bytes against live
     /// registry and revocation state. No repository access and no proof
     /// search happen here — this is the continuous-authorization fast path
-    /// the channel runs when a RevocationBus event invalidates a monitor.
+    /// the channel runs when it finds its monitor invalidated.
     /// The decision is audited under cache provenance `cert-verified`
     /// with the certificate digest.
     pub fn recheck_certificate(&self, cert: &AuthCertificate) -> Result<(), CertError> {
@@ -287,14 +287,24 @@ impl AuthorizationMonitor {
         self.monitor.is_valid()
     }
 
+    /// Why traffic must stop, if it must: the id of the revoked credential,
+    /// or `"expired"` when only `valid_until` has passed.
+    pub(crate) fn refusal(&self) -> Option<String> {
+        if self.is_valid() {
+            return None;
+        }
+        Some(self.revocation_notice().unwrap_or_else(|| "expired".into()))
+    }
+
     /// When the authorization lapses by expiry, if bounded.
     pub fn valid_until(&self) -> Option<u64> {
         self.valid_until
     }
 
-    /// Which credential was revoked, if any notice is pending.
+    /// Which credential was revoked, if the monitor died of a revocation
+    /// (`None` while valid, and when only `valid_until` has passed).
     pub fn revocation_notice(&self) -> Option<String> {
-        self.monitor.try_notice().map(|n| n.credential_id)
+        self.monitor.revoked_id().map(str::to_string)
     }
 
     /// Credential ids under watch.

@@ -180,10 +180,10 @@ fn revocation_mid_connection_blocks_requests_then_revalidation_restores() {
         Err(SwitchboardError::RevalidationRequired(_)) => {}
         other => panic!("expected RevalidationRequired, got {other:?}"),
     }
-    assert!(matches!(
+    assert_eq!(
         server.status(),
-        ChannelStatus::RevalidationRequired(_)
-    ));
+        ChannelStatus::RevalidationRequired(w.client_cred.id())
+    );
 
     // The domain issues a fresh credential; the client re-validates.
     let fresh = DelegationBuilder::new(&w.domain)
@@ -405,4 +405,8 @@ fn expired_peer_lapses_mid_connection() {
         Err(SwitchboardError::RevalidationRequired(_)) => {}
         other => panic!("expected expiry-driven refusal, got {other:?}"),
     }
+    assert_eq!(
+        server.status(),
+        ChannelStatus::RevalidationRequired("expired".into())
+    );
 }

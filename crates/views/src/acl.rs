@@ -210,7 +210,7 @@ impl ViewAcl {
 
 /// A single-sign-on token: the outcome of the one authorization decision
 /// made at view-instantiation time. Subsequent requests check only the
-/// (push-updated) monitor — no proof search, no signature verification.
+/// monitor — no proof search, no signature verification.
 pub struct SsoToken {
     /// Who was authorized.
     pub subject: Subject,
@@ -231,7 +231,7 @@ impl SsoToken {
 
     /// Which credential was revoked, if the token died.
     pub fn revocation_notice(&self) -> Option<String> {
-        self.monitor.try_notice().map(|n| n.credential_id)
+        self.monitor.revoked_id().map(str::to_string)
     }
 }
 
