@@ -2,16 +2,10 @@
 //!
 //! The analyzer computes the **role-reachability closure** of a
 //! repository snapshot: for every entity that appears as a credential
-//! subject, the set of roles it can prove, with attributes attenuated
-//! along each path. The walk deliberately mirrors
-//! `ProofEngine::prove_search` edge for edge — same candidate source
-//! (`credentials_by_subject`), same validity checks (registry lookup,
-//! signature/structure/expiry verification, revocation), same
-//! authorization rule for third-party edges (an assignment chain back to
-//! the role owner), and same attribute attenuation — so a pair in the
-//! closure is a pair the runtime engine will prove, and vice versa (the
-//! differential property test in `tests/property_suite.rs` holds the two
-//! implementations together).
+//! subject, the set of roles it can prove. It does not know what a valid
+//! delegation chain is — it asks `ProofEngine::reachable_roles`, the
+//! runtime search run to exhaustion, so a pair is in the closure exactly
+//! when the engine would prove it (DESIGN.md "Delegation-chain rules").
 //!
 //! On top of the closure the pass reports:
 //! * **PSF001** privilege escalation — a closure pair absent from the
@@ -27,10 +21,10 @@
 use crate::diag::{Diagnostic, LintCode, Report};
 use psf_drbac::repository::subject_key;
 use psf_drbac::{
-    AttrSet, CredentialSource, DelegationKind, EntityRegistry, Repository, RevocationBus, RoleName,
-    SignedDelegation, Subject, Timestamp,
+    AuthCache, CredentialSource, DelegationKind, EntityRegistry, ProofEngine, Repository,
+    RevocationBus, RoleName, SignedDelegation, Subject, Timestamp,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Inputs to the delegation-graph pass.
@@ -53,152 +47,58 @@ pub struct GraphInput<'a> {
     pub expiry_horizon: u64,
 }
 
-struct Ctx<'a> {
-    registry: &'a EntityRegistry,
-    repository: &'a Repository,
-    bus: &'a RevocationBus,
-    now: Timestamp,
+/// All entity subjects appearing in the snapshot, deterministic order.
+fn seeds(snapshot: &[Arc<SignedDelegation>]) -> Vec<Subject> {
+    let mut by_key: BTreeMap<String, Subject> = BTreeMap::new();
+    for cred in snapshot {
+        if let Subject::Entity { .. } = &cred.body.subject {
+            by_key
+                .entry(subject_key(&cred.body.subject))
+                .or_insert_with(|| cred.body.subject.clone());
+        }
+    }
+    by_key.into_values().collect()
 }
 
-impl Ctx<'_> {
-    /// `check_edge_common` mirror: issuer known, credential verifies
-    /// (structure + expiry + signature), not revoked.
-    fn edge_valid(&self, cred: &SignedDelegation, skip: &HashSet<String>) -> bool {
-        if skip.contains(&cred.id()) {
-            return false;
-        }
-        let Some(issuer_key) = self.registry.lookup(&cred.body.issuer) else {
-            return false;
-        };
-        if cred.verify(&issuer_key, self.now).is_err() {
-            return false;
-        }
-        !self.bus.is_revoked(&cred.id())
-    }
+/// The runtime engine looking at `source`. `reachable_roles` and
+/// `assignment_support` touch only the credential half of `cache`, and a
+/// signature verdict is a fact about the credential, not the source, so
+/// one cache serves every source an analysis looks through.
+fn engine_over<'a>(
+    input: &GraphInput<'a>,
+    source: &'a dyn CredentialSource,
+    cache: &'a AuthCache,
+) -> ProofEngine<'a> {
+    ProofEngine::with_cache(input.registry, source, input.bus, input.now, cache)
+}
 
-    /// `ProofEngine::prove_assignment` mirror: the holder entity is the
-    /// role owner, or a chain of valid assignment credentials leads back
-    /// to the owner. Returns the chain (owner base case = empty).
-    fn assignment_chain(
-        &self,
-        holder: &Subject,
-        role: &RoleName,
-        in_progress: &mut HashSet<String>,
-        skip: &HashSet<String>,
-    ) -> Option<Vec<Arc<SignedDelegation>>> {
-        let holder_name = match holder {
-            Subject::Entity { name, .. } => name.clone(),
-            Subject::Role(_) => return None,
-        };
-        if holder_name == role.owner {
-            return Some(Vec::new());
-        }
-        let key = format!("{}@{role}", subject_key(holder));
-        if !in_progress.insert(key) {
-            return None; // cycle
-        }
-        for cred in self.repository.credentials_by_subject(holder) {
-            if cred.body.kind != DelegationKind::Assignment || cred.body.object != *role {
-                continue;
-            }
-            if !self.edge_valid(&cred, skip) {
-                continue;
-            }
-            let Some(issuer_key) = self.registry.lookup(&cred.body.issuer) else {
-                continue;
-            };
-            let issuer_subject = Subject::Entity {
-                name: cred.body.issuer.clone(),
-                key: issuer_key,
-            };
-            if let Some(upstream) = self.assignment_chain(&issuer_subject, role, in_progress, skip)
-            {
-                let mut chain = vec![cred];
-                chain.extend(upstream);
-                return Some(chain);
-            }
-        }
-        None
-    }
-
-    /// `effective_edge_attrs` mirror: the attributes a membership edge
-    /// actually conveys.
-    fn effective_attrs(
-        &self,
-        cred: &Arc<SignedDelegation>,
-        skip: &HashSet<String>,
-    ) -> Option<AttrSet> {
-        match cred.body.kind {
-            DelegationKind::SelfCertifying => Some(cred.body.attrs.clone()),
-            DelegationKind::ThirdParty => {
-                let issuer_key = self.registry.lookup(&cred.body.issuer)?;
-                let issuer_subject = Subject::Entity {
-                    name: cred.body.issuer.clone(),
-                    key: issuer_key,
-                };
-                let chain = self.assignment_chain(
-                    &issuer_subject,
-                    &cred.body.object,
-                    &mut HashSet::new(),
-                    skip,
-                )?;
-                let mut bound = AttrSet::new();
-                for support in &chain {
-                    bound = bound.attenuate(&support.body.attrs)?;
-                }
-                cred.body.attrs.attenuate(&bound)
-            }
-            DelegationKind::Assignment => None,
+/// Every (seed, role) pair `engine` would prove.
+fn closure_of(engine: &ProofEngine<'_>, seeds: &[Subject]) -> Vec<(Subject, RoleName)> {
+    let mut out = Vec::new();
+    for seed in seeds {
+        for role in engine.reachable_roles(seed, &[]) {
+            out.push((seed.clone(), role));
         }
     }
+    out
+}
 
-    /// BFS membership closure from one seed, mirroring `prove_search`
-    /// (each role visited once, first-arrival attributes).
-    fn membership_closure(&self, seed: &Subject, skip: &HashSet<String>) -> Vec<RoleName> {
-        let mut reached: Vec<RoleName> = Vec::new();
-        let mut reached_set: HashSet<String> = HashSet::new();
-        let mut visited: HashSet<String> = HashSet::new();
-        let mut queue: VecDeque<(Subject, AttrSet)> = VecDeque::new();
-        visited.insert(subject_key(seed));
-        queue.push_back((seed.clone(), AttrSet::new()));
-        while let Some((node, attrs)) = queue.pop_front() {
-            for cred in self.repository.credentials_by_subject(&node) {
-                if cred.body.kind == DelegationKind::Assignment {
-                    continue;
-                }
-                if !self.edge_valid(&cred, skip) {
-                    continue;
-                }
-                let Some(effective) = self.effective_attrs(&cred, skip) else {
-                    continue;
-                };
-                let Some(new_attrs) = attrs.attenuate(&effective) else {
-                    continue;
-                };
-                let object = cred.body.object.clone();
-                if reached_set.insert(object.to_string()) {
-                    reached.push(object.clone());
-                }
-                let next = Subject::Role(object);
-                if visited.insert(subject_key(&next)) {
-                    queue.push_back((next, new_attrs));
-                }
-            }
-        }
-        reached
+/// `inner` as it will read once credential `hidden` has lapsed.
+struct Without<'a> {
+    inner: &'a Repository,
+    hidden: &'a str,
+}
+
+impl CredentialSource for Without<'_> {
+    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<SignedDelegation>> {
+        let mut creds = self.inner.credentials_by_subject(subject);
+        creds.retain(|c| c.id() != self.hidden);
+        creds
     }
-
-    /// All entity subjects appearing in the snapshot, deterministic order.
-    fn seeds(&self, snapshot: &[Arc<SignedDelegation>]) -> Vec<Subject> {
-        let mut by_key: BTreeMap<String, Subject> = BTreeMap::new();
-        for cred in snapshot {
-            if let Subject::Entity { .. } = &cred.body.subject {
-                by_key
-                    .entry(subject_key(&cred.body.subject))
-                    .or_insert_with(|| cred.body.subject.clone());
-            }
-        }
-        by_key.into_values().collect()
+    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<SignedDelegation>> {
+        let mut creds = self.inner.credentials_by_object(role);
+        creds.retain(|c| c.id() != self.hidden);
+        creds
     }
 }
 
@@ -206,41 +106,26 @@ impl Ctx<'_> {
 /// role) pair the proof engine would prove from the current snapshot.
 /// Deterministic order (seeds by subject key, roles by discovery order).
 pub fn closure(input: &GraphInput<'_>) -> Vec<(Subject, RoleName)> {
-    let ctx = Ctx {
-        registry: input.registry,
-        repository: input.repository,
-        bus: input.bus,
-        now: input.now,
-    };
-    let snapshot = input.repository.all_credentials();
-    closure_with_skip(&ctx, &snapshot, &HashSet::new())
-}
-
-fn closure_with_skip(
-    ctx: &Ctx<'_>,
-    snapshot: &[Arc<SignedDelegation>],
-    skip: &HashSet<String>,
-) -> Vec<(Subject, RoleName)> {
-    let mut out = Vec::new();
-    for seed in ctx.seeds(snapshot) {
-        for role in ctx.membership_closure(&seed, skip) {
-            out.push((seed.clone(), role));
-        }
-    }
-    out
+    let seeds = seeds(&input.repository.all_credentials());
+    closure_of(
+        &engine_over(input, input.repository, &AuthCache::new()),
+        &seeds,
+    )
 }
 
 /// Run the delegation-graph pass, appending findings to `report`.
 pub fn analyze_graph(input: &GraphInput<'_>, report: &mut Report) {
-    let ctx = Ctx {
-        registry: input.registry,
-        repository: input.repository,
-        bus: input.bus,
-        now: input.now,
-    };
+    analyze_graph_cached(input, &AuthCache::new(), report);
+}
+
+/// [`analyze_graph`] over a caller-visible cache: every closure and
+/// support query of one analysis shares it, so each credential's
+/// signature is verified once however many snapshots PSF005 recomputes.
+fn analyze_graph_cached(input: &GraphInput<'_>, cache: &AuthCache, report: &mut Report) {
     let snapshot = input.repository.all_credentials();
-    let no_skip: HashSet<String> = HashSet::new();
-    let baseline = closure_with_skip(&ctx, &snapshot, &no_skip);
+    let seeds = seeds(&snapshot);
+    let engine = engine_over(input, input.repository, cache);
+    let baseline = closure_of(&engine, &seeds);
 
     // PSF001 — closure pairs outside the intent matrix.
     if let Some(intent) = input.intent {
@@ -283,16 +168,8 @@ pub fn analyze_graph(input: &GraphInput<'_>, report: &mut Report) {
         if !needs_support {
             continue;
         }
-        let supported = ctx
-            .registry
-            .lookup(&cred.body.issuer)
-            .map(|key| Subject::Entity {
-                name: cred.body.issuer.clone(),
-                key,
-            })
-            .and_then(|issuer| {
-                ctx.assignment_chain(&issuer, &cred.body.object, &mut HashSet::new(), &no_skip)
-            })
+        let supported = engine
+            .assignment_support(&cred.body.issuer, &cred.body.object)
             .is_some();
         if !supported {
             report.push(Diagnostic::new(
@@ -329,10 +206,6 @@ pub fn analyze_graph(input: &GraphInput<'_>, report: &mut Report) {
     // disconnects a proof is a single point of failure: when it lapses,
     // those grants silently disappear.
     if input.expiry_horizon > 0 {
-        let baseline_set: HashSet<(String, String)> = baseline
-            .iter()
-            .map(|(s, r)| (subject_key(s), r.to_string()))
-            .collect();
         for cred in &snapshot {
             let Some(expires) = cred.body.expires else {
                 continue;
@@ -340,18 +213,17 @@ pub fn analyze_graph(input: &GraphInput<'_>, report: &mut Report) {
             if expires <= input.now || expires > input.now + input.expiry_horizon {
                 continue;
             }
-            let skip: HashSet<String> = [cred.id()].into_iter().collect();
-            let without = closure_with_skip(&ctx, &snapshot, &skip);
-            let without_set: HashSet<(String, String)> = without
-                .iter()
-                .map(|(s, r)| (subject_key(s), r.to_string()))
-                .collect();
+            let lapsed = Without {
+                inner: input.repository,
+                hidden: &cred.id(),
+            };
+            let without: HashSet<(Subject, RoleName)> =
+                closure_of(&engine_over(input, &lapsed, cache), &seeds)
+                    .into_iter()
+                    .collect();
             let mut lost: Vec<String> = baseline
                 .iter()
-                .filter(|(s, r)| {
-                    let k = (subject_key(s), r.to_string());
-                    baseline_set.contains(&k) && !without_set.contains(&k)
-                })
+                .filter(|pair| !without.contains(pair))
                 .map(|(s, r)| format!("{} → {r}", s.render()))
                 .collect();
             lost.sort();
@@ -649,6 +521,57 @@ mod tests {
             .find(|d| d.code == LintCode::ExpiringSpof)
             .expect("spof finding");
         assert!(spof.message.contains("Comp.NY.Member"));
+    }
+
+    #[test]
+    fn each_credential_is_signature_verified_once_per_analysis() {
+        let w = world();
+        // Three expiring credentials, so PSF005 recomputes the closure
+        // over three further views of the same four credentials.
+        w.repository.publish_at_issuer(
+            DelegationBuilder::new(&w.sd)
+                .subject_entity(&w.alice)
+                .role(w.sd.role("Member"))
+                .expires(50)
+                .sign(),
+        );
+        w.repository.publish_at_issuer(
+            DelegationBuilder::new(&w.ny)
+                .subject_role(w.sd.role("Member"))
+                .role(w.ny.role("Member"))
+                .expires(60)
+                .sign(),
+        );
+        w.repository.publish_at_issuer(
+            DelegationBuilder::new(&w.ny)
+                .subject_entity(&w.sd)
+                .assignment()
+                .role(w.ny.role("Partner"))
+                .sign(),
+        );
+        w.repository.publish_at_issuer(
+            DelegationBuilder::new(&w.sd)
+                .subject_entity(&w.alice)
+                .role(w.ny.role("Partner"))
+                .expires(70)
+                .sign(),
+        );
+        let cache = AuthCache::new();
+        let mut report = Report::new();
+        analyze_graph_cached(&input(&w, None, 100), &cache, &mut report);
+        let spofs = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == LintCode::ExpiringSpof)
+            .count();
+        assert_eq!(spofs, 3, "{}", report.render_human());
+        let stats = cache.stats();
+        assert_eq!(
+            stats.cred_misses,
+            w.repository.all_credentials().len() as u64,
+            "one signature check per distinct credential examined"
+        );
+        assert!(stats.cred_hits > stats.cred_misses);
     }
 
     #[test]

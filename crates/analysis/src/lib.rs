@@ -5,7 +5,7 @@
 //!
 //! 1. **Delegation-graph analysis** ([`graph`], PSF001–PSF005): computes
 //!    the role-reachability closure of a credential repository snapshot
-//!    (mirroring `ProofEngine::prove_search` edge for edge) and reports
+//!    (`ProofEngine::reachable_roles` from every entity subject) and reports
 //!    privilege escalations against an intent matrix, role-mapping
 //!    cycles, dangling third-party credentials, expired credentials, and
 //!    expiring single points of failure.
@@ -28,10 +28,11 @@
 //!
 //! ## Soundness
 //!
-//! The closure walk reuses the engine's own candidate enumeration and
-//! validity checks, so graph findings are *faithful*: every closure pair
-//! is live-provable and vice versa (held in place by a differential
-//! property test). PSF001 is only as good as the supplied intent matrix
+//! The closure is the engine's own search run to exhaustion, so graph
+//! findings are *faithful* by construction: a pair is in the closure
+//! exactly when the engine proves it (a differential property test
+//! additionally holds both to the independent certificate checker and
+//! to a naive fixpoint). PSF001 is only as good as the supplied intent matrix
 //! — with no intent the pass is skipped, not silently approximated. ACL
 //! monotonicity assumes rule order encodes privilege order (the runtime
 //! picks the first matching rule), and exposed-method comparison ignores

@@ -127,7 +127,9 @@ fn bench(c: &mut Criterion) {
             b.iter(|| prove(w));
         });
     }
-    // Verification of an already-built proof (what a remote Guard pays).
+    // The certificate-checker row: `Proof::verify` lowers the proof to a
+    // certificate and runs the independent `psf-cert` check over it (what
+    // a remote Guard pays for an already-built proof).
     let w = build_world(8, 0);
     let proof = prove(&w);
     group.bench_function("verify_depth_8", |b| {

@@ -945,8 +945,9 @@ pub fn check_bytes(bytes: &[u8], ctx: &CheckContext<'_>) -> Result<AuthCertifica
 /// issuer authorization (assignment chains to the owner), attenuation
 /// monotonicity, expiry at `ctx.now`, and revocation of every edge.
 ///
-/// Accepts exactly when the engine's own `Proof::verify` would accept the
-/// underlying proof — the differential property the test suite pins.
+/// Accepts every certificate the engine emits for a proof it found, and
+/// nothing the chain rules forbid — the differential property the test
+/// suite pins. (The engine's `Proof::verify` is this function.)
 ///
 /// With a [`CheckMemo`] in the context, a certificate whose payload was
 /// already fully verified replays only the environment-dependent half

@@ -13,14 +13,17 @@
 
 use crate::attr::AttrSet;
 use crate::cache::{AuthCache, Frontier, PresentedFingerprint, ProofKey};
+use crate::certify::{certify, check_certificate};
 use crate::delegation::{DelegationKind, SignedDelegation};
-use crate::entity::{EntityRegistry, RoleName, Subject};
+use crate::entity::{EntityName, EntityRegistry, RoleName, Subject};
 #[cfg(test)]
 use crate::repository::Repository;
 use crate::repository::{subject_key, CredentialSource};
 use crate::revocation::RevocationBus;
 use crate::{DrbacError, Timestamp};
+use psf_cert::CertError;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// One edge of a proof chain: the credential plus, for third-party
@@ -81,140 +84,24 @@ impl Proof {
             .sum()
     }
 
-    /// Independently re-verify the whole proof: chain structure, every
-    /// signature, expirations at `now`, revocations against `bus`, issuer
-    /// authorization, and attribute accumulation.
+    /// Independently re-verify the whole proof: lower it to a certificate
+    /// and hand that to the trusted checker (`psf-cert`), which re-derives
+    /// chain structure, every signature, expirations at `now`, revocations
+    /// against `bus`, issuer authorization, and attribute accumulation
+    /// without sharing a line with the search that built the proof.
     pub fn verify(
         &self,
         registry: &EntityRegistry,
         bus: &RevocationBus,
         now: Timestamp,
-    ) -> Result<(), DrbacError> {
-        self.verify_with(registry, bus, now, None)
-    }
-
-    /// As [`verify`](Self::verify), answering repeat signature checks from
-    /// `cache` when one is supplied. Structure, expiry, and revocation are
-    /// always re-checked fresh.
-    pub fn verify_with(
-        &self,
-        registry: &EntityRegistry,
-        bus: &RevocationBus,
-        now: Timestamp,
-        cache: Option<&AuthCache>,
-    ) -> Result<(), DrbacError> {
-        if self.assignment {
-            return self.verify_assignment(registry, bus, now, cache);
-        }
-        if self.edges.is_empty() {
-            return Err(DrbacError::BrokenChain(
-                "membership proof must have at least one edge".into(),
-            ));
-        }
-        let mut attrs = AttrSet::new();
-        let mut expected_subject = self.subject.clone();
-        for edge in &self.edges {
-            let cred = &edge.credential;
-            check_edge_common(cred, registry, bus, now, cache)?;
-            if subject_key(&cred.body.subject) != subject_key(&expected_subject) {
-                return Err(DrbacError::BrokenChain(format!(
-                    "edge {} subject '{}' does not follow '{}'",
-                    cred.id(),
-                    cred.body.subject.render(),
-                    expected_subject.render()
-                )));
-            }
-            let effective = effective_edge_attrs(edge, registry, bus, now, cache)?;
-            attrs = attrs.attenuate(&effective).ok_or_else(|| {
-                DrbacError::BrokenChain(format!("attributes annihilate at edge {}", cred.id()))
-            })?;
-            expected_subject = Subject::Role(cred.body.object.clone());
-        }
-        let last = &self.edges.last().unwrap().credential;
-        if last.body.object != self.role {
-            return Err(DrbacError::BrokenChain(format!(
-                "chain ends at '{}', not target '{}'",
-                last.body.object, self.role
-            )));
-        }
-        if attrs != self.attrs {
-            return Err(DrbacError::BrokenChain(
-                "claimed attributes do not match the chain".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    fn verify_assignment(
-        &self,
-        registry: &EntityRegistry,
-        bus: &RevocationBus,
-        now: Timestamp,
-        cache: Option<&AuthCache>,
-    ) -> Result<(), DrbacError> {
-        // Zero edges: the subject *is* the role owner.
-        if self.edges.is_empty() {
-            match &self.subject {
-                Subject::Entity { name, key } if *name == self.role.owner => {
-                    let expected = registry
-                        .lookup(name)
-                        .ok_or_else(|| DrbacError::UnknownIssuer(name.0.clone()))?;
-                    if expected != *key {
-                        return Err(DrbacError::BrokenChain(
-                            "owner key mismatch in assignment proof".into(),
-                        ));
-                    }
-                    return Ok(());
-                }
-                _ => {
-                    return Err(DrbacError::BrokenChain(
-                        "empty assignment proof whose subject is not the role owner".into(),
-                    ))
-                }
-            }
-        }
-        // Chain: [S → R'] I₁, [I₁ → R'] I₂, …, [Iₙ → R'] owner.
-        let mut expected_subject = self.subject.clone();
-        for edge in &self.edges {
-            let cred = &edge.credential;
-            check_edge_common(cred, registry, bus, now, cache)?;
-            if cred.body.kind != DelegationKind::Assignment {
-                return Err(DrbacError::BrokenChain(format!(
-                    "assignment proof contains non-assignment edge {}",
-                    cred.id()
-                )));
-            }
-            if cred.body.object != self.role {
-                return Err(DrbacError::BrokenChain(format!(
-                    "assignment edge {} targets '{}', expected '{}'",
-                    cred.id(),
-                    cred.body.object,
-                    self.role
-                )));
-            }
-            if subject_key(&cred.body.subject) != subject_key(&expected_subject) {
-                return Err(DrbacError::BrokenChain(format!(
-                    "assignment edge {} subject does not follow chain",
-                    cred.id()
-                )));
-            }
-            // Next link: the issuer must itself be authorized.
-            let issuer_key = registry
-                .lookup(&cred.body.issuer)
-                .ok_or_else(|| DrbacError::UnknownIssuer(cred.body.issuer.0.clone()))?;
-            expected_subject = Subject::Entity {
-                name: cred.body.issuer.clone(),
-                key: issuer_key,
-            };
-        }
-        let last = &self.edges.last().unwrap().credential;
-        if last.body.issuer != self.role.owner {
-            return Err(DrbacError::BrokenChain(format!(
-                "assignment chain terminates at '{}', not the role owner '{}'",
-                last.body.issuer, self.role.owner
-            )));
-        }
-        Ok(())
+    ) -> Result<(), CertError> {
+        check_certificate(
+            &certify(self, None, registry.epoch()),
+            registry,
+            bus,
+            now,
+            None,
+        )
     }
 
     /// Human-readable rendering of the chain in paper syntax.
@@ -262,63 +149,15 @@ fn check_edge_common(
     Ok(())
 }
 
-/// The attributes a membership edge actually conveys: its own attributes
-/// attenuated by its supporting assignment chain (a delegatee cannot grant
-/// more than it was assigned).
-fn effective_edge_attrs(
-    edge: &ProofEdge,
-    registry: &EntityRegistry,
-    bus: &RevocationBus,
-    now: Timestamp,
-    cache: Option<&AuthCache>,
-) -> Result<AttrSet, DrbacError> {
-    let cred = &edge.credential;
-    match cred.body.kind {
-        DelegationKind::SelfCertifying => {
-            if cred.body.issuer != cred.body.object.owner {
-                return Err(DrbacError::BrokenChain(
-                    "self-certifying edge not issued by owner".into(),
-                ));
-            }
-            Ok(cred.body.attrs.clone())
-        }
-        DelegationKind::ThirdParty => {
-            let support = edge
-                .support
-                .as_ref()
-                .ok_or_else(|| DrbacError::UnauthorizedIssuer {
-                    id: cred.id(),
-                    issuer: cred.body.issuer.0.clone(),
-                    role: cred.body.object.to_string(),
-                })?;
-            if !support.assignment
-                || support.role != cred.body.object
-                || !matches!(&support.subject, Subject::Entity { name, .. } if *name == cred.body.issuer)
-            {
-                return Err(DrbacError::BrokenChain(format!(
-                    "support proof for edge {} does not authorize its issuer",
-                    cred.id()
-                )));
-            }
-            support.verify_with(registry, bus, now, cache)?;
-            // Attenuate by the assignment chain's own attribute bounds.
-            let mut bound = AttrSet::new();
-            for e in &support.edges {
-                bound = bound
-                    .attenuate(&e.credential.body.attrs)
-                    .ok_or_else(|| DrbacError::BrokenChain("assignment attrs annihilate".into()))?;
-            }
-            cred.body.attrs.attenuate(&bound).ok_or_else(|| {
-                DrbacError::BrokenChain(format!(
-                    "edge {} grants more than its assignment allows",
-                    cred.id()
-                ))
-            })
-        }
-        DelegationKind::Assignment => Err(DrbacError::BrokenChain(
-            "assignment delegation used as a membership edge".into(),
-        )),
+/// The attributes a membership edge conveys given its support chain: its
+/// own, attenuated by every bound along the assignment chain (a delegatee
+/// cannot grant more than it was assigned). `None` when they annihilate.
+fn conveyed_attrs(cred: &SignedDelegation, support: Option<&Proof>) -> Option<AttrSet> {
+    let mut bound = AttrSet::new();
+    for e in support.into_iter().flat_map(|s| &s.edges) {
+        bound = bound.attenuate(&e.credential.body.attrs)?;
     }
+    cred.body.attrs.attenuate(&bound)
 }
 
 /// Search statistics from a proof query (drives experiments F2/F8).
@@ -550,6 +389,8 @@ impl<'a> ProofEngine<'a> {
         }
     }
 
+    /// The search: [`walk`](Self::walk) breaking at the first edge into
+    /// `target`.
     fn prove_search(
         &self,
         subject: &Subject,
@@ -558,6 +399,84 @@ impl<'a> ProofEngine<'a> {
         frontier: &mut Frontier,
     ) -> Result<(Proof, SearchStats), ProofError> {
         let mut stats = SearchStats::default();
+        let found = self.walk(
+            subject,
+            presented,
+            &mut stats,
+            frontier,
+            |role, attrs, path| {
+                if role != target {
+                    return ControlFlow::Continue(());
+                }
+                ControlFlow::Break(Proof {
+                    subject: subject.clone(),
+                    role: target.clone(),
+                    assignment: false,
+                    attrs: attrs.clone(),
+                    edges: path.to_vec(),
+                })
+            },
+        );
+        match found {
+            Some(proof) => Ok((proof, stats)),
+            None => Err(ProofError {
+                error: DrbacError::NoProof {
+                    subject: subject.render(),
+                    role: target.to_string(),
+                },
+                stats,
+            }),
+        }
+    }
+
+    /// Every role `subject` can prove from `presented` plus the
+    /// repository, in the order the search first reaches them:
+    /// [`prove`](Self::prove)`(subject, r, presented)` succeeds exactly
+    /// for the roles `r` returned. This is the same walk run to
+    /// exhaustion; it decides nothing, so it leaves no audit record and
+    /// touches no proof-cache entry.
+    pub fn reachable_roles(
+        &self,
+        subject: &Subject,
+        presented: &[SignedDelegation],
+    ) -> Vec<RoleName> {
+        let mut roles = Vec::new();
+        let mut seen = HashSet::new();
+        self.walk::<std::convert::Infallible>(
+            subject,
+            presented,
+            &mut SearchStats::default(),
+            &mut Frontier::default(),
+            |role, _, _| {
+                if seen.insert(role.clone()) {
+                    roles.push(role.clone());
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        roles
+    }
+
+    /// The one untrusted-side statement of what a delegation chain is
+    /// (DESIGN.md "Delegation-chain rules"): a breadth-first walk from
+    /// `subject` over membership edges. An edge is followed when its
+    /// credential passes [`check_edge_common`], its issuer is authorized
+    /// (owner, or an assignment support chain — [`support_for`]), and
+    /// the path's attributes survive attenuation by what the edge
+    /// conveys. `visit` sees every such edge as (object role, attributes
+    /// on arrival, path including the edge) and may stop the walk; each
+    /// role is expanded once, with the attributes of the first path to
+    /// reach it.
+    ///
+    /// [`support_for`]: Self::support_for
+    fn walk<B>(
+        &self,
+        subject: &Subject,
+        presented: &[SignedDelegation],
+        stats: &mut SearchStats,
+        frontier: &mut Frontier,
+        mut visit: impl FnMut(&RoleName, &AttrSet, &[ProofEdge]) -> ControlFlow<B>,
+    ) -> Option<B> {
         // Share the presented credentials for the whole search: one Arc
         // per credential here, never a deep clone per expansion again.
         let presented: Vec<Arc<SignedDelegation>> =
@@ -571,7 +490,6 @@ impl<'a> ProofEngine<'a> {
                 .push(c.clone());
         }
 
-        #[derive(Clone)]
         struct State {
             node: Subject,
             attrs: AttrSet,
@@ -607,50 +525,23 @@ impl<'a> ProofEngine<'a> {
                     stats.credentials_rejected += 1;
                     continue;
                 }
-                // Issuer authorization (+ support construction).
-                let edge = match self.authorize_edge(&cred, &presented, &mut stats, frontier) {
-                    Some(e) => e,
-                    None => {
-                        stats.credentials_rejected += 1;
-                        continue;
-                    }
+                // Issuer authorization, then attenuation by what the
+                // edge conveys under its support chain.
+                let followed = self
+                    .authorize_edge(cred, &presented, stats, frontier)
+                    .and_then(|(edge, conveyed)| Some((edge, state.attrs.attenuate(&conveyed)?)));
+                let Some((edge, new_attrs)) = followed else {
+                    stats.credentials_rejected += 1;
+                    continue;
                 };
-                let effective = match effective_edge_attrs(
-                    &edge,
-                    self.registry,
-                    self.bus,
-                    self.now,
-                    self.cache,
-                ) {
-                    Ok(a) => a,
-                    Err(_) => {
-                        stats.credentials_rejected += 1;
-                        continue;
-                    }
-                };
-                let new_attrs = match state.attrs.attenuate(&effective) {
-                    Some(a) => a,
-                    None => {
-                        stats.credentials_rejected += 1;
-                        continue;
-                    }
-                };
-                let mut path = state.path.clone();
                 let object = edge.credential.body.object.clone();
+                let mut path = state.path.clone();
                 path.push(edge);
-                if object == *target {
-                    let proof = Proof {
-                        subject: subject.clone(),
-                        role: target.clone(),
-                        assignment: false,
-                        attrs: new_attrs,
-                        edges: path,
-                    };
-                    return Ok((proof, stats));
+                if let ControlFlow::Break(found) = visit(&object, &new_attrs, &path) {
+                    return Some(found);
                 }
                 let next = Subject::Role(object);
-                let next_key = subject_key(&next);
-                if visited.insert(next_key) {
+                if visited.insert(subject_key(&next)) {
                     queue.push_back(State {
                         node: next,
                         attrs: new_attrs,
@@ -659,14 +550,7 @@ impl<'a> ProofEngine<'a> {
                 }
             }
         }
-
-        Err(ProofError {
-            error: DrbacError::NoProof {
-                subject: subject.render(),
-                role: target.to_string(),
-            },
-            stats,
-        })
+        None
     }
 
     /// Like [`prove`](Self::prove) but additionally requires the resulting
@@ -703,45 +587,78 @@ impl<'a> ProofEngine<'a> {
         self.prove(subject, target, presented).is_ok()
     }
 
+    /// Issuer authorization for a membership credential: the edge it
+    /// becomes (a third-party edge carries its support proof) and the
+    /// attributes that edge conveys.
     fn authorize_edge(
         &self,
-        cred: &Arc<SignedDelegation>,
+        cred: Arc<SignedDelegation>,
         presented: &[Arc<SignedDelegation>],
         stats: &mut SearchStats,
         frontier: &mut Frontier,
-    ) -> Option<ProofEdge> {
-        match cred.body.kind {
-            DelegationKind::SelfCertifying => Some(ProofEdge {
-                credential: cred.clone(),
-                support: None,
-            }),
-            DelegationKind::ThirdParty => {
-                let issuer_key = self.registry.lookup(&cred.body.issuer)?;
-                let holder = Subject::Entity {
-                    name: cred.body.issuer.clone(),
-                    key: issuer_key,
-                };
-                let support = self.prove_assignment(
-                    &holder,
-                    &cred.body.object,
-                    presented,
-                    &mut HashSet::new(),
-                    stats,
-                    frontier,
-                )?;
-                Some(ProofEdge {
-                    credential: cred.clone(),
-                    support: Some(Box::new(support)),
-                })
-            }
-            DelegationKind::Assignment => None,
-        }
+    ) -> Option<(ProofEdge, AttrSet)> {
+        let support = match cred.body.kind {
+            // `check_edge_common` already confirmed the owner issued it.
+            DelegationKind::SelfCertifying => None,
+            DelegationKind::ThirdParty => Some(Box::new(self.support_for(
+                &cred.body.issuer,
+                &cred.body.object,
+                presented,
+                stats,
+                frontier,
+            )?)),
+            DelegationKind::Assignment => return None,
+        };
+        let conveyed = conveyed_attrs(&cred, support.as_deref())?;
+        Some((
+            ProofEdge {
+                credential: cred,
+                support,
+            },
+            conveyed,
+        ))
+    }
+
+    /// Proof that `issuer` holds the right of assignment for `role` over
+    /// the repository alone — the support a third-party credential issued
+    /// by `issuer` for `role` would need. `None` when the issuer is
+    /// unknown to the registry or no valid chain leads back to the owner.
+    pub fn assignment_support(&self, issuer: &EntityName, role: &RoleName) -> Option<Proof> {
+        self.support_for(
+            issuer,
+            role,
+            &[],
+            &mut SearchStats::default(),
+            &mut Frontier::default(),
+        )
+    }
+
+    fn support_for(
+        &self,
+        issuer: &EntityName,
+        role: &RoleName,
+        presented: &[Arc<SignedDelegation>],
+        stats: &mut SearchStats,
+        frontier: &mut Frontier,
+    ) -> Option<Proof> {
+        let holder = Subject::Entity {
+            name: issuer.clone(),
+            key: self.registry.lookup(issuer)?,
+        };
+        self.prove_assignment(
+            &holder,
+            role,
+            presented,
+            &mut HashSet::new(),
+            stats,
+            frontier,
+        )
     }
 
     /// Prove that `holder` (an entity) has the right of assignment for
     /// `role`: either it is the owner, or a chain of assignment
     /// delegations leads back to the owner.
-    pub fn prove_assignment(
+    fn prove_assignment(
         &self,
         holder: &Subject,
         role: &RoleName,
@@ -985,6 +902,31 @@ mod tests {
     }
 
     #[test]
+    fn support_credentials_are_checked_once_per_search() {
+        let w = world();
+        let a1 = DelegationBuilder::new(&w.ny)
+            .subject_entity(&w.sd)
+            .assignment()
+            .role(w.ny.role("Partner"))
+            .sign();
+        let a2 = DelegationBuilder::new(&w.sd)
+            .subject_entity(&w.se)
+            .assignment()
+            .role(w.ny.role("Partner"))
+            .sign();
+        let m = DelegationBuilder::new(&w.se)
+            .subject_entity(&w.bob)
+            .role(w.ny.role("Partner"))
+            .sign();
+        let cache = AuthCache::new();
+        ProofEngine::with_cache(&w.registry, &w.repo, &w.bus, 0, &cache)
+            .prove(&w.bob.as_subject(), &w.ny.role("Partner"), &[a1, a2, m])
+            .unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.cred_misses, stats.cred_hits), (3, 0));
+    }
+
+    #[test]
     fn attribute_attenuation_along_chain() {
         let w = world();
         let mail = Entity::with_seed("Mail", b"w");
@@ -1086,7 +1028,7 @@ mod tests {
         // The already-issued proof also fails re-verification.
         assert!(matches!(
             proof.verify(&w.registry, &w.bus, 0),
-            Err(DrbacError::Revoked(_))
+            Err(CertError::Revoked(_))
         ));
     }
 
@@ -1190,6 +1132,84 @@ mod tests {
         assert!(monitor.is_valid());
         w.bus.revoke(&c11.id());
         assert!(!monitor.is_valid());
+    }
+
+    #[test]
+    fn reachable_roles_is_the_search_run_to_exhaustion() {
+        let w = world();
+        let quiet = Entity::with_seed("Quiet.Subject", b"w");
+        w.registry.register(&quiet);
+        // quiet → SD.Member → NY.Member, plus a third-party grant of
+        // NY.Partner by SD (supported) and of NY.Admin by SE (dangling).
+        for c in [
+            DelegationBuilder::new(&w.sd)
+                .subject_entity(&quiet)
+                .role(w.sd.role("Member"))
+                .sign(),
+            DelegationBuilder::new(&w.ny)
+                .subject_role(w.sd.role("Member"))
+                .role(w.ny.role("Member"))
+                .sign(),
+            DelegationBuilder::new(&w.ny)
+                .subject_entity(&w.sd)
+                .assignment()
+                .role(w.ny.role("Partner"))
+                .sign(),
+            DelegationBuilder::new(&w.sd)
+                .subject_entity(&quiet)
+                .role(w.ny.role("Partner"))
+                .sign(),
+            DelegationBuilder::new(&w.se)
+                .subject_entity(&quiet)
+                .role(w.ny.role("Admin"))
+                .sign(),
+        ] {
+            w.repo.publish_at_issuer(c);
+        }
+        let engine = w.engine();
+        let roles = engine.reachable_roles(&quiet.as_subject(), &[]);
+        assert_eq!(
+            roles,
+            [
+                w.sd.role("Member"),
+                w.ny.role("Partner"),
+                w.ny.role("Member")
+            ],
+            "first-arrival order"
+        );
+        // It decides nothing, so it leaves no audit record; `prove` does.
+        let audited = || psf_telemetry::audit::global().query(Some("Quiet.Subject"), false, None);
+        assert!(audited().is_empty());
+        for role in roles.iter().chain([&w.ny.role("Admin")]) {
+            let proved = engine.prove(&quiet.as_subject(), role, &[]).is_ok();
+            assert_eq!(proved, roles.contains(role), "{role}");
+        }
+        assert_eq!(audited().len(), 4);
+    }
+
+    #[test]
+    fn assignment_support_is_the_support_a_third_party_edge_would_carry() {
+        let w = world();
+        w.repo.publish_at_issuer(
+            DelegationBuilder::new(&w.ny)
+                .subject_entity(&w.sd)
+                .assignment()
+                .role(w.ny.role("Partner"))
+                .sign(),
+        );
+        let engine = w.engine();
+        let partner = w.ny.role("Partner");
+        let via_chain = engine.assignment_support(&w.sd.name, &partner).unwrap();
+        assert_eq!(via_chain.edges.len(), 1);
+        via_chain.verify(&w.registry, &w.bus, 0).unwrap();
+        // The owner needs no credential: a zero-edge proof the checker accepts.
+        let owner = engine.assignment_support(&w.ny.name, &partner).unwrap();
+        assert!(owner.assignment && owner.edges.is_empty());
+        owner.verify(&w.registry, &w.bus, 0).unwrap();
+        assert!(engine.assignment_support(&w.se.name, &partner).is_none());
+        assert!(engine
+            .assignment_support(&EntityName::new("Nobody"), &partner)
+            .is_none());
     }
 
     #[test]

@@ -9,6 +9,7 @@ use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
 use psf_drbac::wire::{decode_credentials, encode_credentials, Reader};
 use psf_drbac::{AttrSet, AttrValue, AuthCache, DelegationBuilder, SignedDelegation};
+use std::collections::BTreeSet;
 
 // ------------------------------------------------------------ crypto --
 
@@ -496,120 +497,355 @@ proptest! {
 
 // ------------------------------------- static/dynamic proof agreement --
 
+/// Evaluation time of the differential worlds (expiry 5 is past, 60–80
+/// lie inside the PSF005 horizon).
+const DIFF_NOW: u64 = 10;
+const DIFF_HORIZON: u64 = 100;
+
+/// One seeded delegation world for the static/dynamic differential.
+struct DiffWorld {
+    registry: EntityRegistry,
+    repo: Repository,
+    bus: RevocationBus,
+    /// Every registered principal: the rows of the subject × role grid.
+    entities: Vec<Entity>,
+    /// Ids of the credentials expiring inside the PSF005 horizon.
+    expiring: Vec<String>,
+    /// Roles no subject may reach: behind the dangling support chain, the
+    /// expired credential and the revoked credential.
+    dead_roles: Vec<RoleName>,
+}
+
+/// splitmix64, so a world is a pure function of `(seed, with_attrs)`.
+struct DiffRng {
+    state: u64,
+    with_attrs: bool,
+}
+
+impl DiffRng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// Maybe attach a capacity and a range to the credential being built.
+    fn decorate<'a>(&mut self, b: DelegationBuilder<'a>) -> DelegationBuilder<'a> {
+        if !self.with_attrs {
+            return b;
+        }
+        let b = match self.below(2) {
+            0 => b.attr("CPU", AttrValue::Capacity(10 + self.below(90) as i64)),
+            _ => b,
+        };
+        match self.below(3) {
+            // Ranges of width 3 inside 0..10: two of them on one path
+            // are disjoint often enough to annihilate it.
+            0 => {
+                let lo = self.below(7) as i64;
+                b.attr("Trust", AttrValue::Range(lo, lo + 3))
+            }
+            _ => b,
+        }
+    }
+}
+
+/// Build the world `seed` names. Every world holds a role-mapping chain
+/// closed into a role→role cycle, three third-party grants behind 1-, 2-
+/// and 3-deep assignment chains (the first chain missing its root link),
+/// one expired and one revoked credential each gating a further role,
+/// and three credentials expiring inside the horizon. With `with_attrs`
+/// the membership and assignment credentials carry capacities and ranges
+/// that attenuate along the chain and sometimes annihilate.
+fn diff_world(seed: u64, with_attrs: bool) -> DiffWorld {
+    let mut rng = DiffRng {
+        state: seed ^ 0xD1B5_4A32_D192_ED03,
+        with_attrs,
+    };
+    let w = DiffWorld {
+        registry: EntityRegistry::new(),
+        repo: Repository::new(),
+        bus: RevocationBus::new(),
+        entities: Vec::new(),
+        expiring: Vec::new(),
+        dead_roles: Vec::new(),
+    };
+    let mut entities = Vec::new();
+    let mut entity = |name: String| {
+        let e = Entity::with_seed(name, b"diff");
+        w.registry.register(&e);
+        entities.push(e.clone());
+        e
+    };
+    let mut expiring = Vec::new();
+    let mut publish = |b: DelegationBuilder| -> String {
+        let cred = b.sign();
+        let id = cred.id();
+        if cred.body.expires.is_some_and(|e| e > DIFF_NOW) {
+            expiring.push(id.clone());
+        }
+        w.repo.publish_at_issuer(cred);
+        id
+    };
+
+    let users = [entity(format!("u{seed}-0")), entity(format!("u{seed}-1"))];
+    let n = 2 + rng.below(3) as usize;
+    let domains: Vec<Entity> = (0..n).map(|i| entity(format!("d{seed}-{i}"))).collect();
+
+    // The chain u0 → d[n-1].R → … → d[0].R, closed into a cycle by
+    // d[0].R → d[n-1].R; u1 enters it at d[0].R. The entry credential and
+    // one mapping expire inside the horizon; half the worlds back the
+    // entry with a second, unexpiring credential (then it is no SPOF).
+    let last = &domains[n - 1];
+    publish(
+        rng.decorate(
+            DelegationBuilder::new(last)
+                .subject_entity(&users[0])
+                .role(last.role("R"))
+                .expires(60),
+        ),
+    );
+    if rng.below(2) == 0 {
+        publish(
+            DelegationBuilder::new(last)
+                .subject_entity(&users[0])
+                .role(last.role("R"))
+                .serial(1),
+        );
+    }
+    for i in (0..n - 1).rev() {
+        let b = DelegationBuilder::new(&domains[i])
+            .subject_role(domains[i + 1].role("R"))
+            .role(domains[i].role("R"));
+        publish(rng.decorate(if i == 0 { b.expires(70) } else { b }));
+    }
+    publish(
+        rng.decorate(
+            DelegationBuilder::new(last)
+                .subject_role(domains[0].role("R"))
+                .role(last.role("R")),
+        ),
+    );
+    publish(
+        rng.decorate(
+            DelegationBuilder::new(&domains[0])
+                .subject_entity(&users[1])
+                .role(domains[0].role("R")),
+        ),
+    );
+
+    // Third-party grants: holder h_depth issues `user → owner.P{g}` on
+    // the strength of owner ⇒ h_1 ⇒ … ⇒ h_depth. Grant 0 lacks the
+    // owner's root link, so its whole chain dangles. Each granted role
+    // maps onward into a role of the next domain.
+    let mut dead_roles = Vec::new();
+    for g in 0..3usize {
+        let owner = &domains[rng.below(n as u64) as usize];
+        let role = owner.role(format!("P{g}"));
+        let holders: Vec<Entity> = (0..=g)
+            .map(|k| entity(format!("h{seed}-{g}-{k}")))
+            .collect();
+        for (k, holder) in holders.iter().enumerate() {
+            let issuer = if k == 0 { owner } else { &holders[k - 1] };
+            if g == 0 && k == 0 {
+                continue;
+            }
+            let b = DelegationBuilder::new(issuer)
+                .subject_entity(holder)
+                .assignment()
+                .role(role.clone());
+            publish(rng.decorate(if g == 2 && k == 1 { b.expires(80) } else { b }));
+        }
+        publish(
+            rng.decorate(
+                DelegationBuilder::new(&holders[g])
+                    .subject_entity(&users[g % 2])
+                    .role(role.clone()),
+            ),
+        );
+        let onward = &domains[(g + 1) % n];
+        publish(
+            rng.decorate(
+                DelegationBuilder::new(onward)
+                    .subject_role(role.clone())
+                    .role(onward.role(format!("Q{g}"))),
+            ),
+        );
+        if g == 0 {
+            dead_roles.extend([role, onward.role("Q0")]);
+        }
+    }
+
+    // One expired and one revoked grant, each the only way into a role.
+    for (name, expired) in [("Old", true), ("Gone", false)] {
+        let b = DelegationBuilder::new(&domains[0])
+            .subject_entity(&users[1])
+            .role(domains[0].role(name));
+        let id = publish(if expired { b.expires(5) } else { b });
+        if !expired {
+            w.bus.revoke(&id);
+        }
+        publish(
+            DelegationBuilder::new(&domains[1])
+                .subject_role(domains[0].role(name))
+                .role(domains[1].role(format!("Past{name}"))),
+        );
+        dead_roles.extend([
+            domains[0].role(name),
+            domains[1].role(format!("Past{name}")),
+        ]);
+    }
+
+    DiffWorld {
+        entities,
+        expiring,
+        dead_roles,
+        ..w
+    }
+}
+
+/// The closure computed without the engine: two least fixpoints over the
+/// raw credential list (who may assign a role; who holds a role). It
+/// shares no walk, support search or visiting order with
+/// `ProofEngine`; it ignores attributes, so it is an oracle only for the
+/// attribute-free worlds.
+fn naive_closure(w: &DiffWorld) -> BTreeSet<(String, String)> {
+    use psf_drbac::{subject_key, DelegationKind, Subject};
+    let all = w.repo.all_credentials();
+    let live = all.iter().filter(|c| {
+        let key = w.registry.lookup(&c.body.issuer);
+        key.is_some_and(|k| c.verify(&k, DIFF_NOW).is_ok()) && !w.bus.is_revoked(&c.id())
+    });
+    let live: Vec<_> = live.collect();
+    let seeds: Vec<String> = w
+        .entities
+        .iter()
+        .map(|e| subject_key(&e.as_subject()))
+        .collect();
+    let right = |c: &SignedDelegation, who: &str| (who.to_string(), c.body.object.to_string());
+    // Owners may assign their own roles; an assignment passes the right on.
+    let owners = all.iter().map(|c| right(c, &c.body.object.owner.0));
+    let mut may_assign: BTreeSet<_> = owners.collect();
+    let mut holds = BTreeSet::new();
+    loop {
+        let before = (may_assign.len(), holds.len());
+        for c in &live {
+            if !may_assign.contains(&right(c, &c.body.issuer.0)) {
+                continue;
+            }
+            if c.body.kind == DelegationKind::Assignment {
+                if let Subject::Entity { name, .. } = &c.body.subject {
+                    may_assign.insert(right(c, &name.0));
+                }
+                continue;
+            }
+            for seed in &seeds {
+                let linked = match &c.body.subject {
+                    Subject::Role(r) => holds.contains(&(seed.clone(), r.to_string())),
+                    entity => subject_key(entity) == *seed,
+                };
+                if linked {
+                    holds.insert((seed.clone(), c.body.object.to_string()));
+                }
+            }
+        }
+        if before == (may_assign.len(), holds.len()) {
+            return holds;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The static analyzer's reachability closure and the live
-    /// `ProofEngine` must agree exactly over random delegation worlds:
+    /// The static analyzer's reachability closure, the live `ProofEngine`
+    /// and the independent certificate checker must agree over seeded
+    /// delegation worlds (third-party grants behind assignment chains,
+    /// attenuating attributes, expiry, revocation, a role cycle):
     ///
-    /// * every (subject, role) pair in the closure is provable live;
-    /// * every provable pair appears in the closure (completeness over
-    ///   the world's subject × role grid);
-    /// * with the full closure as intent the analyzer reports no
-    ///   escalation, and removing pairs from the intent flags exactly
-    ///   those pairs as PSF001 — each still backed by a live proof.
+    /// * (i) every closure pair's certificate passes `check_certificate`,
+    ///   as emitted and after a wire round-trip;
+    /// * (ii) on attribute-free worlds the closure equals `naive_closure`;
+    /// * (iii) a (subject, role) pair of the world's grid is in the closure
+    ///   exactly when `engine.prove` succeeds, and with the closure as
+    ///   intent the analyzer reports no escalation, while dropping one pair
+    ///   flags exactly that pair as PSF001;
+    /// * (iv) PSF005's hide-one-credential view loses exactly the pairs
+    ///   that revoking that credential in a rebuilt world loses.
     #[test]
     fn static_closure_agrees_with_proof_engine(
-        seed in 0u64..500,
-        chain_len in 1usize..5,
-        extra_grants in 0usize..4,
-        decoys in 0usize..6,
-        drop_index in 0usize..16,
+        seed in 0u64..10_000,
+        with_attrs in any::<bool>(),
+        drop_index in 0usize..64,
     ) {
         use psf_analysis::{analyze_graph, closure, GraphInput, LintCode, Report};
-        use psf_drbac::repository::subject_key;
+        use psf_cert::AuthCertificate;
+        use psf_drbac::{check_certificate, subject_key, CredentialSource};
 
-        let registry = EntityRegistry::new();
-        let repo = Repository::new();
-        let bus = RevocationBus::new();
-        let user = Entity::with_seed(format!("user{seed}"), b"diff");
-        registry.register(&user);
-
-        let mut domains = Vec::new();
-        for i in 0..chain_len {
-            let d = Entity::with_seed(format!("d{seed}-{i}"), b"diff");
-            registry.register(&d);
-            domains.push(d);
-        }
-        repo.publish_at_issuer(
-            DelegationBuilder::new(&domains[chain_len - 1])
-                .subject_entity(&user)
-                .role(domains[chain_len - 1].role("R"))
-                .sign(),
-        );
-        for i in (0..chain_len - 1).rev() {
-            repo.publish_at_issuer(
-                DelegationBuilder::new(&domains[i])
-                    .subject_role(domains[i + 1].role("R"))
-                    .role(domains[i].role("R"))
-                    .sign(),
-            );
-        }
-        // Extra direct grants to the user from random domains.
-        for g in 0..extra_grants {
-            let d = &domains[g % domains.len()];
-            repo.publish_at_issuer(
-                DelegationBuilder::new(d)
-                    .subject_entity(&user)
-                    .role(d.role(format!("Extra{g}")))
-                    .sign(),
-            );
-        }
-        // Decoy role mappings rooted at a role nothing reaches.
-        for i in 0..decoys {
-            let d = Entity::with_seed(format!("decoy{seed}-{i}"), b"diff");
-            registry.register(&d);
-            repo.publish_at_issuer(
-                DelegationBuilder::new(&d)
-                    .subject_role(RoleName::new("Nowhere.Else", "X"))
-                    .role(d.role("Y"))
-                    .sign(),
-            );
-        }
-
+        let w = diff_world(seed, with_attrs);
         let input = GraphInput {
-            registry: &registry,
-            repository: &repo,
-            bus: &bus,
-            now: 0,
+            registry: &w.registry,
+            repository: &w.repo,
+            bus: &w.bus,
+            now: DIFF_NOW,
             intent: None,
-            expiry_horizon: 0,
+            expiry_horizon: DIFF_HORIZON,
+        };
+        let keyed = |pairs: &[(psf_drbac::Subject, RoleName)]| -> BTreeSet<(String, String)> {
+            pairs.iter().map(|(s, r)| (subject_key(s), r.to_string())).collect()
         };
         let pairs = closure(&input);
+        let closure_keys = keyed(&pairs);
+        prop_assert_eq!(closure_keys.len(), pairs.len(), "closure repeats a pair");
         prop_assert!(!pairs.is_empty());
-        let engine = ProofEngine::new(&registry, &repo, &bus, 0);
-
-        // Soundness: every closure pair proves live.
-        for (subject, role) in &pairs {
+        for dead in &w.dead_roles {
             prop_assert!(
-                engine.prove(subject, role, &[]).is_ok(),
-                "closure pair {} -> {role} is not live-provable",
-                subject.render()
+                !pairs.iter().any(|(_, r)| r == dead),
+                "closure reaches {dead} through a dangling, expired or revoked credential"
             );
         }
+        let engine = ProofEngine::new(&w.registry, &w.repo, &w.bus, DIFF_NOW);
 
-        // Completeness: every provable (entity, role) pair over the
-        // world's grid is in the closure.
-        let closure_keys: std::collections::HashSet<(String, String)> = pairs
-            .iter()
-            .map(|(s, r)| (subject_key(s), r.to_string()))
-            .collect();
-        let all_roles: Vec<RoleName> = repo
+        // (i) engine ⇒ checker, in memory and over the wire.
+        let mut supported = 0;
+        for (subject, role) in &pairs {
+            let (proof, cert, _) = engine.prove_certified(subject, role, &[]).unwrap();
+            supported += proof.edges.iter().filter(|e| e.support.is_some()).count();
+            let wire = AuthCertificate::decode(&cert.encode()).unwrap();
+            for c in [&*cert, &wire] {
+                let verdict = check_certificate(c, &w.registry, &w.bus, DIFF_NOW, w.repo.version());
+                prop_assert!(
+                    verdict.is_ok(),
+                    "checker rejects {} -> {role}: {verdict:?}",
+                    subject.render()
+                );
+            }
+        }
+
+        // (ii) completeness against the independent oracle.
+        if !with_attrs {
+            prop_assert_eq!(&closure_keys, &naive_closure(&w));
+            prop_assert!(supported >= 2, "third-party grants must carry proofs");
+        }
+
+        // (iii) the grid: in the closure ⇔ live-provable.
+        let all_roles: BTreeSet<RoleName> = w
+            .repo
             .all_credentials()
             .iter()
             .map(|c| c.body.object.clone())
             .collect();
-        let mut entities: Vec<&Entity> = vec![&user];
-        entities.extend(domains.iter());
-        for e in entities {
+        for e in &w.entities {
             for role in &all_roles {
-                if engine.prove(&e.as_subject(), role, &[]).is_ok() {
-                    prop_assert!(
-                        closure_keys.contains(&(subject_key(&e.as_subject()), role.to_string())),
-                        "live-provable pair {} -> {role} missing from closure",
-                        e.name.0
-                    );
-                }
+                prop_assert_eq!(
+                    engine.prove(&e.as_subject(), role, &[]).is_ok(),
+                    closure_keys.contains(&(subject_key(&e.as_subject()), role.to_string())),
+                    "engine and closure disagree on {} -> {}",
+                    &e.name.0,
+                    role
+                );
             }
         }
 
@@ -653,6 +889,38 @@ proptest! {
         );
         prop_assert!(escalations[0].message.contains(&victim_role.to_string()));
         prop_assert!(engine.prove(victim_subject, victim_role, &[]).is_ok());
+
+        // (iv) PSF005 hides one credential id; revoking that credential
+        // in a world rebuilt from the same seed must lose the same pairs.
+        prop_assert!(w.expiring.len() >= 3);
+        for id in &w.expiring {
+            let rebuilt = diff_world(seed, with_attrs);
+            rebuilt.bus.revoke(id);
+            let survivors = keyed(&closure(&GraphInput {
+                registry: &rebuilt.registry,
+                repository: &rebuilt.repo,
+                bus: &rebuilt.bus,
+                ..input
+            }));
+            let mut lost: Vec<String> = pairs
+                .iter()
+                .filter(|(s, r)| !survivors.contains(&(subject_key(s), r.to_string())))
+                .map(|(s, r)| format!("{} → {r}", s.render()))
+                .collect();
+            lost.sort();
+            let reported = clean
+                .diagnostics
+                .iter()
+                .find(|d| d.code == LintCode::ExpiringSpof && d.subject.as_deref() == Some(id));
+            match reported {
+                None => prop_assert!(lost.is_empty(), "PSF005 missed {id}: loses {lost:?}"),
+                Some(d) => prop_assert!(
+                    d.message.ends_with(&format!("disconnects: {}", lost.join(", "))),
+                    "PSF005 on {id} says '{}', revocation loses {lost:?}",
+                    d.message
+                ),
+            }
+        }
     }
 }
 
