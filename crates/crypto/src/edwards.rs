@@ -2,6 +2,13 @@
 //! used by Ed25519, in extended homogeneous coordinates (X : Y : Z : T)
 //! with `x = X/Z`, `y = Y/Z`, `x·y = T/Z`.
 //!
+//! Extended points are the public form. Inside a scalar multiplication a
+//! run of doublings stays projective (no `T`: 4 squarings + 3
+//! multiplications a doubling), additions take their second operand in
+//! cached form `(Y+X, Y−X, 2d·T[, Z])` so none multiplies by `2d`, and a
+//! step's result is "completed" into whichever form the next step needs.
+//! Everything here is variable-time (see the crate security note).
+//!
 //! The curve constant `d = −121665/121666` and the standard base point
 //! (`y = 4/5`, sign(x) = 0) are derived at runtime from first principles,
 //! avoiding transcription errors; structural tests then pin them down
@@ -12,13 +19,49 @@ use crate::scalar::Scalar;
 use crate::CryptoError;
 use std::sync::OnceLock;
 
-/// A point on the Ed25519 curve, extended coordinates.
+/// A point on the Ed25519 curve, extended coordinates. Every coordinate
+/// is tight (see [`crate::field`]'s limb bounds).
 #[derive(Debug, Clone, Copy)]
 pub struct EdwardsPoint {
     pub(crate) x: Fe,
     pub(crate) y: Fe,
     pub(crate) z: Fe,
     pub(crate) t: Fe,
+}
+
+/// `(X : Y : Z)` without `T`: the form a run of doublings stays in.
+#[derive(Clone, Copy)]
+struct ProjectivePoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// The result of an addition or doubling before its final
+/// multiplications: `x = X/Z`, `y = Y/T`. `x` and `t` are tight, `y` and
+/// `z` loose.
+#[derive(Clone, Copy)]
+struct CompletedPoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// A point with `Z = 1` prepared as an addend: `(y+x, y−x, 2d·x·y)`,
+/// so adding it costs no multiplication by `2d` (nor one by `Z`).
+#[derive(Clone, Copy)]
+struct AffineCachedPoint {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    t2d: Fe,
+}
+
+/// The same for any `Z`: `(Y+X, Y−X, 2d·T)` and `Z` beside them.
+#[derive(Clone, Copy)]
+struct CachedPoint {
+    scaled: AffineCachedPoint,
+    z: Fe,
 }
 
 /// The curve constant d = -121665/121666 mod p.
@@ -31,7 +74,7 @@ pub fn d() -> &'static Fe {
     })
 }
 
-/// 2·d, used by the unified addition formula.
+/// 2·d, folded into cached addends.
 fn d2() -> &'static Fe {
     static D2: OnceLock<Fe> = OnceLock::new();
     D2.get_or_init(|| d().add(d()))
@@ -49,26 +92,39 @@ pub fn basepoint() -> &'static EdwardsPoint {
 }
 
 /// Precomputed fixed-base table: `table[w][d-1] = d · 16^w · B` for 64
-/// 4-bit windows and digits d ∈ 1..=15. ~60 KiB once, built lazily;
-/// turns the 256-double-and-add basepoint multiplication into 64 table
-/// additions (the standard comb optimization — signing, key generation
-/// and the `s·B` half of verification all sit on this path).
-fn basepoint_table() -> &'static Vec<[EdwardsPoint; 15]> {
-    static T: OnceLock<Vec<[EdwardsPoint; 15]>> = OnceLock::new();
+/// 4-bit windows and digits d ∈ 1..=15, as cached addends: 64 × 15 ×
+/// 160 B = 150 KiB on the heap, built lazily. Turns the basepoint
+/// multiplication of signing and key generation into 64 table additions
+/// (the standard comb optimization).
+fn basepoint_table() -> &'static Vec<[CachedPoint; 15]> {
+    static T: OnceLock<Vec<[CachedPoint; 15]>> = OnceLock::new();
     T.get_or_init(|| {
         let mut table = Vec::with_capacity(64);
         let mut window_base = *basepoint(); // 16^w · B
         for _ in 0..64 {
-            let mut row = [EdwardsPoint::identity(); 15];
+            let step = window_base.to_cached();
+            let mut row = [step; 15];
             let mut acc = window_base; // d · 16^w · B
             for slot in row.iter_mut() {
-                *slot = acc;
-                acc = acc.add(&window_base);
+                *slot = acc.to_cached();
+                acc = acc.add_cached(&step).to_extended();
             }
             table.push(row);
             window_base = acc; // 16 · 16^w · B = 16^(w+1) · B
         }
         table
+    })
+}
+
+/// The odd multiples `B, 3B, …, 127B` as affine cached addends: the
+/// basepoint half of [`EdwardsPoint::double_scalar_mul_basepoint`]'s
+/// width-8 NAF. 64 × 120 B = 7.5 KiB, built lazily.
+fn basepoint_odd_multiples() -> &'static [AffineCachedPoint; 64] {
+    static T: OnceLock<[AffineCachedPoint; 64]> = OnceLock::new();
+    T.get_or_init(|| {
+        basepoint()
+            .odd_multiples::<64>()
+            .map(|p| p.to_affine_cached())
     })
 }
 
@@ -84,13 +140,120 @@ pub fn mul_basepoint(s: &Scalar) -> EdwardsPoint {
         let lo = (byte & 0x0f) as usize;
         let hi = (byte >> 4) as usize;
         if lo != 0 {
-            acc = acc.add(&table[2 * i][lo - 1]);
+            acc = acc.add_cached(&table[2 * i][lo - 1]).to_extended();
         }
         if hi != 0 {
-            acc = acc.add(&table[2 * i + 1][hi - 1]);
+            acc = acc.add_cached(&table[2 * i + 1][hi - 1]).to_extended();
         }
     }
     acc
+}
+
+/// Width-`w` non-adjacent form of a scalar below 2^255: `Σ naf[i]·2^i`
+/// is the scalar, every non-zero digit is odd with `|digit| < 2^(w−1)`,
+/// and any `w` consecutive digits hold at most one non-zero.
+fn non_adjacent_form(scalar: &[u8; 32], w: usize) -> [i8; 256] {
+    debug_assert!((2..=8).contains(&w));
+    let mut x = [0u64; 5]; // one limb of headroom for the straddling read
+    for (limb, chunk) in x.iter_mut().zip(scalar.chunks_exact(8)) {
+        *limb = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    }
+    let width = 1u64 << w;
+    let mut naf = [0i8; 256];
+    let mut pos = 0;
+    let mut carry = 0;
+    while pos < 256 {
+        let (limb, bit) = (pos / 64, pos % 64);
+        let bits = if bit <= 64 - w {
+            x[limb] >> bit
+        } else {
+            (x[limb] >> bit) | (x[limb + 1] << (64 - bit))
+        };
+        let window = carry + (bits & (width - 1));
+        if window & 1 == 0 {
+            // Also covers window == width: the carry moves up a bit.
+            pos += 1;
+            continue;
+        }
+        if window < width / 2 {
+            carry = 0;
+            naf[pos] = window as i8;
+        } else {
+            carry = 1;
+            naf[pos] = (window as i16 - width as i16) as i8;
+        }
+        pos += w;
+    }
+    debug_assert_eq!(carry, 0, "scalar must leave headroom below 2^256");
+    naf
+}
+
+impl ProjectivePoint {
+    /// Doubling (dbl-2008-hwcd with a = −1, `T` not needed): 4 squarings.
+    fn double(&self) -> CompletedPoint {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let zz2 = zz.add(&zz);
+        let x_plus_y_sq = self.x.add(&self.y).square();
+        let yy_plus_xx = yy.add(&xx);
+        let yy_minus_xx = yy.sub(&xx);
+        CompletedPoint {
+            x: x_plus_y_sq.sub(&yy_plus_xx),
+            y: yy_plus_xx,
+            z: yy_minus_xx,
+            t: zz2.sub(&yy_minus_xx),
+        }
+    }
+}
+
+impl CompletedPoint {
+    /// The identity, as the starting value of an accumulation.
+    const IDENTITY: CompletedPoint = CompletedPoint {
+        x: Fe::ZERO,
+        y: Fe::ONE,
+        z: Fe::ONE,
+        t: Fe::ONE,
+    };
+
+    /// Finish without `T` (3 multiplications): enough when the next step
+    /// is a doubling.
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x.mul(&self.t),
+            y: self.y.mul(&self.z),
+            z: self.z.mul(&self.t),
+        }
+    }
+
+    /// Finish with `T` (4 multiplications): needed before an addition.
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.x.mul(&self.t),
+            y: self.y.mul(&self.z),
+            z: self.z.mul(&self.t),
+            t: self.x.mul(&self.y),
+        }
+    }
+}
+
+impl AffineCachedPoint {
+    fn neg(&self) -> AffineCachedPoint {
+        AffineCachedPoint {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+impl CachedPoint {
+    fn neg(&self) -> CachedPoint {
+        CachedPoint {
+            scaled: self.scaled.neg(),
+            z: self.z,
+        }
+    }
 }
 
 impl EdwardsPoint {
@@ -110,42 +273,77 @@ impl EdwardsPoint {
         self.x.is_zero() && self.y.ct_eq(&self.z)
     }
 
-    /// Point addition (unified formula add-2008-hwcd-3 for a = −1).
-    pub fn add(&self, rhs: &EdwardsPoint) -> EdwardsPoint {
-        let a = self.y.sub(&self.x).mul(&rhs.y.sub(&rhs.x));
-        let b = self.y.add(&self.x).mul(&rhs.y.add(&rhs.x));
-        let c = self.t.mul(d2()).mul(&rhs.t);
-        let dd = self.z.mul(&rhs.z);
-        let dd = dd.add(&dd);
-        let e = b.sub(&a);
-        let f = dd.sub(&c);
-        let g = dd.add(&c);
-        let h = b.add(&a);
-        EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x,
+            y: self.y,
+            z: self.z,
         }
     }
 
-    /// Point doubling (dbl-2008-hwcd, a = −1).
-    pub fn double(&self) -> EdwardsPoint {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square();
-        let c = c.add(&c);
-        let d = a.neg(); // a·X² with a = −1
-        let e = self.x.add(&self.y).square().sub(&a).sub(&b);
-        let g = d.add(&b);
-        let f = g.sub(&c);
-        let h = d.sub(&b);
-        EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
+    fn to_cached(self) -> CachedPoint {
+        CachedPoint {
+            scaled: AffineCachedPoint {
+                y_plus_x: self.y.add(&self.x),
+                y_minus_x: self.y.sub(&self.x),
+                t2d: self.t.mul(d2()),
+            },
+            z: self.z,
         }
+    }
+
+    fn to_affine_cached(self) -> AffineCachedPoint {
+        let zinv = self.z.invert();
+        let x = self.x.mul(&zinv);
+        let y = self.y.mul(&zinv);
+        AffineCachedPoint {
+            y_plus_x: y.add(&x),
+            y_minus_x: y.sub(&x),
+            t2d: x.mul(&y).mul(d2()),
+        }
+    }
+
+    /// The unified addition add-2008-hwcd-3 (a = −1) against a cached
+    /// addend whose `Z` times ours is `zz`.
+    fn add_scaled(&self, rhs: &AffineCachedPoint, zz: &Fe) -> CompletedPoint {
+        let pp = self.y.add(&self.x).mul(&rhs.y_plus_x);
+        let mm = self.y.sub(&self.x).mul(&rhs.y_minus_x);
+        let tt2d = self.t.mul(&rhs.t2d);
+        let zz2 = zz.add(zz);
+        CompletedPoint {
+            x: pp.sub(&mm),
+            y: pp.add(&mm),
+            z: zz2.add(&tt2d),
+            t: zz2.sub(&tt2d),
+        }
+    }
+
+    fn add_cached(&self, rhs: &CachedPoint) -> CompletedPoint {
+        self.add_scaled(&rhs.scaled, &self.z.mul(&rhs.z))
+    }
+
+    fn add_affine_cached(&self, rhs: &AffineCachedPoint) -> CompletedPoint {
+        self.add_scaled(rhs, &self.z)
+    }
+
+    /// `[P, 3P, …, (2N−1)P]`.
+    fn odd_multiples<const N: usize>(&self) -> [EdwardsPoint; N] {
+        let twice = self.double().to_cached();
+        let mut out = [*self; N];
+        for i in 1..N {
+            out[i] = out[i - 1].add_cached(&twice).to_extended();
+        }
+        out
+    }
+
+    /// Point addition.
+    pub fn add(&self, rhs: &EdwardsPoint) -> EdwardsPoint {
+        self.add_cached(&rhs.to_cached()).to_extended()
+    }
+
+    /// Point doubling.
+    pub fn double(&self) -> EdwardsPoint {
+        self.to_projective().double().to_extended()
     }
 
     /// Point negation.
@@ -158,36 +356,58 @@ impl EdwardsPoint {
         }
     }
 
-    /// Scalar multiplication by a canonical scalar, using a 4-bit window:
-    /// 15 precomputed multiples, then 4 doublings + ≤1 addition per
-    /// window. Variable-time in the scalar (see the crate security note);
-    /// [`mul_scalar_uniform`](Self::mul_scalar_uniform) keeps the
-    /// uniform-control-flow ladder for callers that prefer it.
+    /// Scalar multiplication by a canonical scalar. Variable-time in the
+    /// scalar (see the crate security note).
     pub fn mul_scalar(&self, s: &Scalar) -> EdwardsPoint {
-        // table[d-1] = d · P for d in 1..=15
-        let mut table = [EdwardsPoint::identity(); 15];
-        let mut acc = *self;
-        for slot in table.iter_mut() {
-            *slot = acc;
-            acc = acc.add(self);
-        }
-        let bytes = s.to_bytes();
-        let mut acc = EdwardsPoint::identity();
-        for byte in bytes.iter().rev() {
-            for digit in [byte >> 4, byte & 0x0f] {
-                acc = acc.double().double().double().double();
-                if digit != 0 {
-                    acc = acc.add(&table[digit as usize - 1]);
+        EdwardsPoint::double_scalar_mul_basepoint(s, self, &Scalar::ZERO)
+    }
+
+    /// `a·A + b·B` for the base point `B`, in one interleaved (Straus)
+    /// pass over both scalars' signed-window non-adjacent forms: width 5
+    /// over the eight odd multiples `A … 15A` built here, width 8 over
+    /// the static [`basepoint_odd_multiples`]. One doubling per bit (the
+    /// accumulator stays projective between doublings) and one addition
+    /// per non-zero digit — about 253 doublings and 253/6 + 253/9 ≈ 70
+    /// additions. Variable-time in both scalars: this is the signature
+    /// verification routine and sees public data only.
+    pub fn double_scalar_mul_basepoint(a: &Scalar, pa: &EdwardsPoint, b: &Scalar) -> EdwardsPoint {
+        let a_naf = non_adjacent_form(&a.to_bytes(), 5);
+        let b_naf = non_adjacent_form(&b.to_bytes(), 8);
+        let table_a = pa.odd_multiples::<8>().map(|p| p.to_cached());
+        let table_b = basepoint_odd_multiples();
+
+        let digits = (0..256)
+            .rev()
+            .find(|&i| a_naf[i] != 0 || b_naf[i] != 0)
+            .map_or(0, |top| top + 1);
+        // A non-zero digit d is odd: ±d selects multiple (|d|−1)/2 = |d|/2.
+        let index = |d: i8| usize::from(d.unsigned_abs() / 2);
+        let mut acc = CompletedPoint::IDENTITY;
+        for i in (0..digits).rev() {
+            acc = acc.to_projective().double();
+            match a_naf[i] {
+                0 => {}
+                d if d > 0 => acc = acc.to_extended().add_cached(&table_a[index(d)]),
+                d => acc = acc.to_extended().add_cached(&table_a[index(d)].neg()),
+            }
+            match b_naf[i] {
+                0 => {}
+                d if d > 0 => acc = acc.to_extended().add_affine_cached(&table_b[index(d)]),
+                d => {
+                    acc = acc
+                        .to_extended()
+                        .add_affine_cached(&table_b[index(d)].neg())
                 }
             }
         }
-        acc
+        acc.to_extended()
     }
 
-    /// Double-and-add over all 256 bits with uniform structure (the
-    /// original ladder; one addition computed per bit regardless of its
-    /// value).
-    pub fn mul_scalar_uniform(&self, s: &Scalar) -> EdwardsPoint {
+    /// Double-and-add over all 256 bits with uniform structure: the
+    /// original ladder, kept as the differential oracle for the windowed
+    /// routines above.
+    #[cfg(test)]
+    pub(crate) fn mul_scalar_uniform(&self, s: &Scalar) -> EdwardsPoint {
         let bytes = s.to_bytes();
         let mut acc = EdwardsPoint::identity();
         for byte in bytes.iter().rev() {
@@ -200,16 +420,6 @@ impl EdwardsPoint {
             }
         }
         acc
-    }
-
-    /// `a·A + b·B` (Shamir's trick not needed for correctness; simple sum).
-    pub fn double_scalar_mul(
-        a: &Scalar,
-        pa: &EdwardsPoint,
-        b: &Scalar,
-        pb: &EdwardsPoint,
-    ) -> EdwardsPoint {
-        pa.mul_scalar(a).add(&pb.mul_scalar(b))
     }
 
     /// Compress to the 32-byte encoding (y with the sign of x in the top
@@ -438,5 +648,166 @@ mod window_tests {
         }
         assert!(p.mul_scalar(&Scalar::ZERO).is_identity());
         assert!(p.mul_scalar(&Scalar::from_u64(1)).eq_point(&p));
+    }
+}
+
+/// The interleaved routine, its digit recoding and the point formulas
+/// against oracles that share none of their structure: the bit-at-a-time
+/// uniform ladder, the comb table, and the affine addition law evaluated
+/// with field operations alone.
+#[cfg(test)]
+mod interleaved_tests {
+    use super::*;
+    use crate::bigint::U256;
+    use proptest::prelude::*;
+
+    fn arb_scalar() -> impl Strategy<Value = Scalar> {
+        prop::array::uniform32(any::<u8>()).prop_map(|b| Scalar::from_bytes_mod_order(&b))
+    }
+
+    /// Any point of the curve, torsion component and all (seven in eight
+    /// decodable encodings are outside the prime-order subgroup).
+    fn arb_point() -> impl Strategy<Value = Option<EdwardsPoint>> {
+        prop::array::uniform32(any::<u8>()).prop_map(|b| EdwardsPoint::decompress(&b).ok())
+    }
+
+    fn l_minus_1() -> Scalar {
+        Scalar::ZERO.sub(&Scalar::from_u64(1))
+    }
+
+    fn power_of_two(bit: usize) -> Scalar {
+        let mut bytes = [0u8; 32];
+        bytes[bit / 8] = 1 << (bit % 8);
+        Scalar::from_canonical_bytes(&bytes).expect("2^bit < ℓ for bit ≤ 252")
+    }
+
+    fn oracle(a: &Scalar, pa: &EdwardsPoint, b: &Scalar) -> EdwardsPoint {
+        pa.mul_scalar_uniform(a).add(&mul_basepoint(b))
+    }
+
+    /// Undo the recoding digit by digit from the low end; exact over the
+    /// integers, not merely mod ℓ.
+    fn check_naf(s: &Scalar, w: usize) {
+        let naf = non_adjacent_form(&s.to_bytes(), w);
+        let mut rest = U256::from_le_bytes(&s.to_bytes());
+        let mut since_nonzero = w;
+        for &digit in naf.iter() {
+            assert_eq!(rest.0[0] & 1 == 1, digit != 0);
+            if digit != 0 {
+                assert!(digit & 1 == 1 && (digit.unsigned_abs() as u64) < 1 << (w - 1));
+                assert!(since_nonzero >= w, "non-zero digits closer than {w}");
+                since_nonzero = 0;
+                let magnitude = U256([digit.unsigned_abs() as u64, 0, 0, 0]);
+                let (next, wrapped) = if digit > 0 {
+                    rest.overflowing_sub(magnitude)
+                } else {
+                    rest.overflowing_add(magnitude)
+                };
+                assert!(!wrapped);
+                rest = next;
+            }
+            since_nonzero += 1;
+            for i in 0..4 {
+                let above = if i < 3 { rest.0[i + 1] << 63 } else { 0 };
+                rest.0[i] = (rest.0[i] >> 1) | above;
+            }
+        }
+        assert!(rest.is_zero());
+    }
+
+    #[test]
+    fn recoding_is_exact_at_the_edges() {
+        let mut edges = vec![Scalar::ZERO, Scalar::from_u64(1), l_minus_1()];
+        edges.extend((0..=252).map(power_of_two));
+        edges.extend((1..=252).map(|bit| power_of_two(bit).sub(&Scalar::from_u64(1))));
+        for s in &edges {
+            for w in 2..=8 {
+                check_naf(s, w);
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_matches_oracle_at_the_edges() {
+        let pa = basepoint().mul_scalar_uniform(&Scalar::from_u64(987654321));
+        let mut edges = vec![Scalar::ZERO, Scalar::from_u64(1), l_minus_1()];
+        edges.extend([0, 1, 4, 5, 7, 8, 63, 64, 127, 128, 200, 251, 252].map(power_of_two));
+        for a in &edges {
+            for b in &edges {
+                let got = EdwardsPoint::double_scalar_mul_basepoint(a, &pa, b);
+                assert!(got.is_on_curve());
+                assert!(got.eq_point(&oracle(a, &pa, b)));
+            }
+        }
+        assert!(
+            EdwardsPoint::double_scalar_mul_basepoint(&Scalar::ZERO, &pa, &Scalar::ZERO)
+                .is_identity()
+        );
+    }
+
+    #[test]
+    fn basepoint_odd_multiples_are_the_odd_multiples() {
+        let table = basepoint_odd_multiples();
+        assert!(core::mem::size_of_val(table) <= 8 << 10);
+        for (i, entry) in table.iter().enumerate() {
+            let want = basepoint().mul_scalar_uniform(&Scalar::from_u64(2 * i as u64 + 1));
+            let got = EdwardsPoint::identity()
+                .add_affine_cached(entry)
+                .to_extended();
+            assert!(got.eq_point(&want), "entry {i}");
+            let back = got.add_affine_cached(&entry.neg()).to_extended();
+            assert!(back.is_identity(), "entry {i} negated");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn recoding_is_exact(s in arb_scalar(), w in 2usize..9) {
+            check_naf(&s, w);
+        }
+
+        #[test]
+        fn interleaved_matches_oracle(a in arb_scalar(), b in arb_scalar(), pa in arb_point()) {
+            prop_assume!(pa.is_some());
+            let pa = pa.unwrap();
+            let got = EdwardsPoint::double_scalar_mul_basepoint(&a, &pa, &b);
+            prop_assert!(got.is_on_curve());
+            prop_assert!(got.eq_point(&oracle(&a, &pa, &b)));
+            prop_assert!(pa.mul_scalar(&a).eq_point(&pa.mul_scalar_uniform(&a)));
+        }
+
+        /// `add`, `double` and `neg` against the affine law
+        /// x₃ = (x₁y₂ + y₁x₂)/(1 + d·x₁x₂y₁y₂), y₃ = (y₁y₂ + x₁x₂)/(1 − d·x₁x₂y₁y₂).
+        #[test]
+        fn point_formulas_match_the_affine_law(
+            p in arb_point(), q in arb_point(), k in arb_scalar(),
+        ) {
+            prop_assume!(p.is_some() && q.is_some());
+            // Move off Z = 1 so the projective paths are exercised.
+            let p = p.unwrap().add(&mul_basepoint(&k));
+            let q = q.unwrap();
+            let affine = |pt: &EdwardsPoint| {
+                let zinv = pt.z.invert();
+                (pt.x.mul(&zinv), pt.y.mul(&zinv))
+            };
+            let law = |(x1, y1): (Fe, Fe), (x2, y2): (Fe, Fe)| {
+                let cross = d().mul(&x1.mul(&x2)).mul(&y1.mul(&y2));
+                let x3 = x1.mul(&y2).add(&y1.mul(&x2)).mul(&Fe::ONE.add(&cross).invert());
+                let y3 = y1.mul(&y2).add(&x1.mul(&x2)).mul(&Fe::ONE.sub(&cross).invert());
+                (x3, y3)
+            };
+            for (got, want) in [
+                (p.add(&q), law(affine(&p), affine(&q))),
+                (q.add(&p), law(affine(&p), affine(&q))),
+                (p.double(), law(affine(&p), affine(&p))),
+                (q.double(), law(affine(&q), affine(&q))),
+            ] {
+                prop_assert!(got.is_on_curve());
+                prop_assert!(affine(&got) == want);
+            }
+            prop_assert!(p.add(&p.neg()).is_identity());
+        }
     }
 }

@@ -13,8 +13,8 @@
 //! * [`chacha`] / [`poly1305`] / [`aead`] — the ChaCha20-Poly1305 AEAD
 //!   construction of RFC 8439.
 //! * [`field`] / [`edwards`] / [`scalar`] — arithmetic in GF(2^255 − 19)
-//!   (radix-2^51), the twisted Edwards curve used by Ed25519, and the
-//!   scalar field modulo the group order ℓ.
+//!   (radix-2^51, lazily reduced), the twisted Edwards curve used by
+//!   Ed25519, and the scalar field modulo the group order ℓ.
 //! * [`ed25519`] — EdDSA signatures (RFC 8032 construction).
 //! * [`x25519`] — Diffie-Hellman key agreement (RFC 7748), checked against
 //!   the RFC test vector.
@@ -24,8 +24,17 @@
 //!
 //! This crate exists to make the HPDC'03 reproduction *real* — credentials
 //! are actually signed, channels actually encrypted — not to be a hardened
-//! production library. Scalar multiplication uses a uniform double-and-add
-//! ladder but we make no formal constant-time claims; see `DESIGN.md`.
+//! production library. Curve arithmetic is variable-time everywhere and no
+//! constant-time claim is made: signing and key generation index the
+//! fixed-base comb table by the secret scalar's digits, the X25519 ladder
+//! swaps with a branch, and verification runs one interleaved signed-window
+//! double-scalar multiplication whose control flow follows its scalars —
+//! which on that path are public data only. See `DESIGN.md` §4.
+//!
+//! [`edwards`] keeps two lazily built static tables: the comb table behind
+//! `mul_basepoint` (64 × 15 cached points × 160 B = 150 KiB, on the heap)
+//! and the 64 odd multiples of the base point verification adds from
+//! (64 × 120 B = 7.5 KiB).
 //!
 //! `unsafe` is denied crate-wide with exactly one sanctioned exception: the
 //! SIMD ChaCha20 backend in [`chacha`] calls `#[target_feature]` functions
