@@ -21,8 +21,8 @@
 use crate::diag::{Diagnostic, LintCode, Report};
 use psf_drbac::repository::subject_key;
 use psf_drbac::{
-    AuthCache, CredentialSource, DelegationKind, EntityRegistry, ProofEngine, Repository,
-    RevocationBus, RoleName, SignedDelegation, Subject, Timestamp,
+    AuthCache, CredId, Credential, CredentialSource, DelegationKind, EntityRegistry, ProofEngine,
+    Repository, RevocationBus, RoleName, Subject, Timestamp,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ pub struct GraphInput<'a> {
 }
 
 /// All entity subjects appearing in the snapshot, deterministic order.
-fn seeds(snapshot: &[Arc<SignedDelegation>]) -> Vec<Subject> {
+fn seeds(snapshot: &[Arc<Credential>]) -> Vec<Subject> {
     let mut by_key: BTreeMap<String, Subject> = BTreeMap::new();
     for cred in snapshot {
         if let Subject::Entity { .. } = &cred.body.subject {
@@ -86,18 +86,18 @@ fn closure_of(engine: &ProofEngine<'_>, seeds: &[Subject]) -> Vec<(Subject, Role
 /// `inner` as it will read once credential `hidden` has lapsed.
 struct Without<'a> {
     inner: &'a Repository,
-    hidden: &'a str,
+    hidden: CredId,
 }
 
 impl CredentialSource for Without<'_> {
-    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<SignedDelegation>> {
+    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<Credential>> {
         let mut creds = self.inner.credentials_by_subject(subject);
-        creds.retain(|c| c.id() != self.hidden);
+        creds.retain(|c| c.cred_id() != self.hidden);
         creds
     }
-    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<SignedDelegation>> {
+    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<Credential>> {
         let mut creds = self.inner.credentials_by_object(role);
-        creds.retain(|c| c.id() != self.hidden);
+        creds.retain(|c| c.cred_id() != self.hidden);
         creds
     }
 }
@@ -215,7 +215,7 @@ fn analyze_graph_cached(input: &GraphInput<'_>, cache: &AuthCache, report: &mut 
             }
             let lapsed = Without {
                 inner: input.repository,
-                hidden: &cred.id(),
+                hidden: cred.cred_id(),
             };
             let without: HashSet<(Subject, RoleName)> =
                 closure_of(&engine_over(input, &lapsed, cache), &seeds)
@@ -245,7 +245,7 @@ fn analyze_graph_cached(input: &GraphInput<'_>, cache: &AuthCache, report: &mut 
 
 /// Tarjan SCC over the role→role mapping edges. Returns each cycle as a
 /// sorted role list (an SCC of size > 1, or a self-loop).
-fn role_cycles(snapshot: &[Arc<SignedDelegation>]) -> Vec<Vec<String>> {
+fn role_cycles(snapshot: &[Arc<Credential>]) -> Vec<Vec<String>> {
     // Build adjacency: subject role → object role.
     let mut nodes: Vec<String> = Vec::new();
     let mut index_of: HashMap<String, usize> = HashMap::new();

@@ -1192,7 +1192,9 @@ fn crash_check(
         };
         for rec in wal::scan_log(&image).records {
             match rec.op {
-                wal::WalOp::Publish { home, tag, cred } => oracle_repo.publish(home, cred, tag),
+                wal::WalOp::Publish { home, tag, cred } => {
+                    oracle_repo.publish(home, cred, tag);
+                }
                 wal::WalOp::Revoke { id } => oracle_bus.revoke(&id),
                 wal::WalOp::RevokeBatch { ids } => {
                     oracle_bus.revoke_all(&ids);

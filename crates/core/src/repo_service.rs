@@ -11,7 +11,7 @@ use psf_drbac::entity::{EntityName, RoleName, Subject};
 use psf_drbac::repository::{CredentialSource, DiscoveryTag, Repository};
 use psf_drbac::wal::ShardedDurableRepository;
 use psf_drbac::wire::{decode_credentials, encode_credentials, Reader};
-use psf_drbac::SignedDelegation;
+use psf_drbac::{Credential, SignedDelegation};
 use psf_switchboard::Channel;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -136,9 +136,8 @@ pub fn serve_sharded_durable_repository(channel: &Channel, durable: &ShardedDura
     let repo = durable.repository().clone();
     channel.register_handler(PUBLISH, move |args| {
         let (home, tag, cred) = decode_publish_args(args)?;
-        let id = cred.id();
-        repo.publish(home, cred, tag);
-        Ok(id.into_bytes())
+        let id = repo.publish(home, cred, tag);
+        Ok(id.as_str().as_bytes().to_vec())
     });
 }
 
@@ -147,7 +146,7 @@ pub fn serve_sharded_durable_repository(channel: &Channel, durable: &ShardedDura
 /// enforced separately by the bus, so caching is sound).
 pub struct RemoteRepository {
     channel: Arc<Channel>,
-    cache: Mutex<HashMap<Vec<u8>, Vec<Arc<SignedDelegation>>>>,
+    cache: Mutex<HashMap<Vec<u8>, Vec<Arc<Credential>>>>,
     caching: bool,
 }
 
@@ -167,7 +166,7 @@ impl RemoteRepository {
         self
     }
 
-    fn query(&self, method: &str, args: Vec<u8>) -> Vec<Arc<SignedDelegation>> {
+    fn query(&self, method: &str, args: Vec<u8>) -> Vec<Arc<Credential>> {
         let cache_key = {
             let mut k = method.as_bytes().to_vec();
             k.push(0);
@@ -179,14 +178,14 @@ impl RemoteRepository {
                 return hit.clone();
             }
         }
-        let result: Vec<Arc<SignedDelegation>> = self
+        let result: Vec<Arc<Credential>> = self
             .channel
             .call(method, &args)
             .ok()
             .and_then(|bytes| decode_credentials(&bytes).ok())
             .unwrap_or_default()
             .into_iter()
-            .map(Arc::new)
+            .map(|c| Arc::new(Credential::new(c)))
             .collect();
         if self.caching {
             self.cache.lock().insert(cache_key, result.clone());
@@ -214,11 +213,11 @@ impl RemoteRepository {
 }
 
 impl CredentialSource for RemoteRepository {
-    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<SignedDelegation>> {
+    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<Credential>> {
         self.query(QUERY_BY_SUBJECT, subject_query_key(subject))
     }
 
-    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<SignedDelegation>> {
+    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<Credential>> {
         self.query(QUERY_BY_OBJECT, role.to_string().into_bytes())
     }
     // No `version()` override: a remote source has no coherent epoch, so
@@ -303,7 +302,7 @@ mod tests {
             .expect("remote discovery must find the chain");
         assert_eq!(proof.edges.len(), 2);
         let ids = proof.credential_ids();
-        assert!(w.cred_ids.iter().all(|id| ids.contains(id)));
+        assert!(w.cred_ids.iter().all(|id| ids.iter().any(|i| i == id)));
         // Re-verification works against the same remote source world.
         proof.verify(&w.registry, &w.bus, 0).unwrap();
     }

@@ -36,8 +36,9 @@
 //! entries record epochs of *those* structures. [`Guard`](crate::Guard)
 //! and the planner's oracle own their cache for exactly this reason.
 
-use crate::delegation::SignedDelegation;
+use crate::delegation::{CredId, Credential};
 use crate::proof::{Proof, SearchStats};
+use crate::repository::fnv1a;
 use crate::revocation::{RevocationBus, ValidityMonitor};
 use crate::{DrbacError, Timestamp};
 use parking_lot::Mutex;
@@ -73,12 +74,12 @@ pub struct PresentedFingerprint {
 }
 
 impl PresentedFingerprint {
-    /// Fingerprint a presented credential slice.
-    pub fn of(presented: &[SignedDelegation]) -> PresentedFingerprint {
+    /// Fingerprint a presented credential slice from the carried ids.
+    pub fn of(presented: &[Arc<Credential>]) -> PresentedFingerprint {
         let mut sum = 0u64;
         let mut xor = 0u64;
         for c in presented {
-            let h = fnv1a(c.id().as_bytes());
+            let h = fnv1a(c.cred_id().as_str().as_bytes());
             sum = sum.wrapping_add(h);
             xor ^= h;
         }
@@ -90,15 +91,6 @@ impl PresentedFingerprint {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// What the search touched: every credential id examined, every subject
 /// key queried against the repository, plus the earliest expiry (strictly
 /// after the evaluation time) among the examined credentials. Recorded on
@@ -106,7 +98,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug, Default, Clone)]
 pub struct Frontier {
     /// Ids of every credential the search examined.
-    pub ids: Vec<String>,
+    pub ids: Vec<CredId>,
     /// Canonical subject keys the search queried the repository for —
     /// including keys that returned nothing (a later publish for such a
     /// key can change the result, so its shard must be pinned too).
@@ -117,8 +109,8 @@ pub struct Frontier {
 
 impl Frontier {
     /// Record one examined credential.
-    pub fn note(&mut self, cred: &SignedDelegation, now: Timestamp) {
-        self.ids.push(cred.id());
+    pub fn note(&mut self, cred: &Credential, now: Timestamp) {
+        self.ids.push(cred.cred_id());
         if let Some(exp) = cred.body.expires {
             if exp > now && self.next_expiry.is_none_or(|e| exp < e) {
                 self.next_expiry = Some(exp);
@@ -203,7 +195,7 @@ struct StatCells {
 }
 
 struct CacheInner {
-    creds: Mutex<HashMap<String, CredVerdict>>,
+    creds: Mutex<HashMap<CredId, CredVerdict>>,
     proofs: Mutex<HashMap<ProofKey, ProofEntry>>,
     stats: StatCells,
 }
@@ -241,13 +233,13 @@ impl AuthCache {
     /// path so error precedence is identical.
     pub fn verify_credential(
         &self,
-        cred: &SignedDelegation,
+        cred: &Credential,
         issuer_key: &psf_crypto::ed25519::VerifyingKey,
         now: Timestamp,
     ) -> Result<(), DrbacError> {
         cred.check_structure()?;
         cred.check_expiry(now)?;
-        let id = cred.id();
+        let id = cred.cred_id();
         {
             let creds = self.inner.creds.lock();
             if let Some(v) = creds.get(&id) {
@@ -367,7 +359,7 @@ impl AuthCache {
                 proof: proof.clone(),
                 stats: *stats,
                 cert: None,
-                monitor: bus.monitor(frontier.ids.iter().cloned()),
+                monitor: bus.monitor(frontier.ids.iter().copied()),
                 next_expiry: frontier.next_expiry,
                 repo_epoch,
                 shard_marks: shard_pins,
@@ -453,7 +445,7 @@ impl AuthCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delegation::DelegationBuilder;
+    use crate::delegation::{DelegationBuilder, SignedDelegation};
     use crate::entity::Entity;
 
     #[test]
@@ -465,6 +457,7 @@ mod tests {
             .role(ny.role("Member"))
             .expires(100)
             .sign();
+        let cred = Credential::new(cred);
         let cache = AuthCache::new();
         let key = ny.public_key();
         cache.verify_credential(&cred, &key, 0).unwrap();
@@ -497,10 +490,12 @@ mod tests {
             .subject_entity(&bob)
             .role(ny.role("Member"))
             .sign();
-        let fwd = PresentedFingerprint::of(&[a.clone(), b.clone()]);
-        let rev = PresentedFingerprint::of(&[b.clone(), a.clone()]);
+        let of =
+            |creds: &[SignedDelegation]| PresentedFingerprint::of(&Credential::wrap_all(creds));
+        let fwd = of(&[a.clone(), b.clone()]);
+        let rev = of(&[b.clone(), a.clone()]);
         assert_eq!(fwd, rev);
-        assert_ne!(fwd, PresentedFingerprint::of(&[a]));
-        assert_ne!(fwd, PresentedFingerprint::of(&[b]));
+        assert_ne!(fwd, of(&[a]));
+        assert_ne!(fwd, of(&[b]));
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::attr::{AttrSet, AttrValue};
 use crate::cache::{PresentedFingerprint, ProofKey};
-use crate::delegation::SignedDelegation;
+use crate::delegation::{Credential, SignedDelegation};
 use crate::entity::{EntityName, EntityRegistry, RoleName, Subject};
 use crate::proof::{Proof, ProofEngine, ProofError, SearchStats};
 use crate::repository::subject_key;
@@ -88,7 +88,11 @@ pub fn certify(proof: &Proof, repo_epoch: Option<u64>, registry_epoch: u64) -> A
             .iter()
             .map(|e| cert_edge(&e.credential, e.support.as_deref()))
             .collect(),
-        watch: proof.credential_ids(),
+        watch: proof
+            .credential_ids()
+            .into_iter()
+            .map(String::from)
+            .collect(),
     }
 }
 
@@ -154,14 +158,15 @@ impl ProofEngine<'_> {
         target: &RoleName,
         presented: &[SignedDelegation],
     ) -> Result<(Proof, Arc<AuthCertificate>, SearchStats), ProofError> {
+        let presented = Credential::wrap_all(presented);
         let repo_epoch = self.source().version();
-        let (proof, stats) = self.prove(subject, target, presented)?;
+        let (proof, stats) = self.prove_carried(subject, target, &presented)?;
         let cert = match self.auth_cache() {
             Some(cache) => {
                 let key = ProofKey {
                     subject: subject_key(subject),
                     role: target.to_string(),
-                    presented: PresentedFingerprint::of(presented),
+                    presented: PresentedFingerprint::of(&presented),
                 };
                 match cache.lookup_certificate(&key) {
                     Some(cert) => cert,

@@ -15,6 +15,7 @@ use crate::attr::AttrSet;
 use crate::entity::{Entity, EntityName, RoleName, Subject};
 use crate::{DrbacError, Timestamp};
 use psf_crypto::ed25519::Signature;
+use std::sync::Arc;
 
 /// The three delegation types of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,13 +114,136 @@ pub struct SignedDelegation {
     pub signature: Signature,
 }
 
-impl SignedDelegation {
-    /// Stable credential id: hex SHA-256 (truncated) of body + signature.
-    pub fn id(&self) -> String {
-        let mut data = self.body.encode();
-        data.extend_from_slice(&self.signature.to_bytes());
+pub(crate) const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// A credential id: the first eight bytes of SHA-256(body ‖ signature),
+/// held as their sixteen lowercase hex characters — `Copy`, fixed-size,
+/// and byte-for-byte what [`SignedDelegation::id`] renders. Ordering and
+/// equality are those of the rendered string.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct CredId([u8; 16]);
+
+impl CredId {
+    /// The one place a credential is hashed (`psf.drbac.cred.ids_hashed`
+    /// counts the calls).
+    fn of(signed: &SignedDelegation) -> CredId {
+        psf_telemetry::counter!("psf.drbac.cred.ids_hashed").inc();
+        let mut data = signed.body.encode();
+        data.extend_from_slice(&signed.signature.to_bytes());
         let digest = psf_crypto::sha256(&data);
-        digest[..8].iter().map(|b| format!("{b:02x}")).collect()
+        let mut hex = [0u8; 16];
+        for (pair, b) in hex.chunks_exact_mut(2).zip(&digest[..8]) {
+            pair[0] = HEX[(b >> 4) as usize];
+            pair[1] = HEX[(b & 0x0f) as usize];
+        }
+        CredId(hex)
+    }
+
+    /// The id as the string the revocation bus, the WAL and the audit
+    /// trail key on.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
+}
+
+impl AsRef<str> for CredId {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl core::fmt::Display for CredId {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl core::fmt::Debug for CredId {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        core::fmt::Display::fmt(self, f)
+    }
+}
+
+impl From<CredId> for String {
+    fn from(id: CredId) -> String {
+        id.as_str().to_string()
+    }
+}
+
+impl PartialEq<String> for CredId {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<CredId> for String {
+    fn eq(&self, other: &CredId) -> bool {
+        self == other.as_str()
+    }
+}
+
+/// A [`SignedDelegation`] that carries its id: what the repository
+/// stores, sources hand out and proof edges rest on. The id is computed
+/// once, by [`Credential::new`], and cannot go stale — private fields,
+/// `Deref` but no `DerefMut`. A bare `SignedDelegation` stays freely
+/// mutable precisely because it stores no id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Credential {
+    id: CredId,
+    signed: SignedDelegation,
+}
+
+impl Credential {
+    /// Wrap `signed`, hashing it for its id.
+    pub fn new(signed: SignedDelegation) -> Credential {
+        Credential {
+            id: CredId::of(&signed),
+            signed,
+        }
+    }
+
+    /// Wrap a presented credential slice, one hash each — done once per
+    /// authorization decision, however many rules it tries.
+    pub fn wrap_all(presented: &[SignedDelegation]) -> Vec<Arc<Credential>> {
+        presented
+            .iter()
+            .map(|c| Arc::new(Credential::new(c.clone())))
+            .collect()
+    }
+
+    /// The carried id (no hashing, no allocation).
+    pub fn cred_id(&self) -> CredId {
+        self.id
+    }
+
+    /// The carried id rendered as [`SignedDelegation::id`] would —
+    /// shadows that re-hashing method behind the `Deref`.
+    pub fn id(&self) -> String {
+        self.id.into()
+    }
+}
+
+impl std::ops::Deref for Credential {
+    type Target = SignedDelegation;
+    fn deref(&self) -> &SignedDelegation {
+        &self.signed
+    }
+}
+
+/// Lets [`encode_credentials`](crate::wire::encode_credentials) take a
+/// query result (`&[Arc<Credential>]`) as it takes `&[SignedDelegation]`.
+impl std::borrow::Borrow<SignedDelegation> for Arc<Credential> {
+    fn borrow(&self) -> &SignedDelegation {
+        &self.signed
+    }
+}
+
+impl SignedDelegation {
+    /// Stable credential id: hex SHA-256 (truncated) of body + signature,
+    /// hashed on every call — a stored credential carries it instead
+    /// ([`Credential::cred_id`]).
+    pub fn id(&self) -> String {
+        CredId::of(self).into()
     }
 
     /// Structural check (self-certifying ⇒ issuer owns the role): the
@@ -431,6 +555,35 @@ mod tests {
             forged.verify(&sd.public_key(), 0),
             Err(DrbacError::BrokenChain(_))
         ));
+    }
+
+    /// The id's definition is frozen: these two were computed before
+    /// credentials carried their ids, and every route to an id — the
+    /// re-hashing method, the wrapper, a wire round trip — must agree.
+    #[test]
+    fn golden_ids_hold_on_every_route() {
+        let (ny, _, alice) = entities();
+        let member = || {
+            DelegationBuilder::new(&ny)
+                .subject_entity(&alice)
+                .role(ny.role("Member"))
+        };
+        for (cred, golden) in [
+            (member().sign(), "75c76ac51005ee2e"),
+            (member().serial(7).expires(100).sign(), "23a20c9c5c68e5b8"),
+        ] {
+            assert_eq!(cred.id(), golden);
+            let wrapped = Credential::new(cred.clone());
+            assert_eq!(wrapped.cred_id().as_str(), golden);
+            assert_eq!(wrapped.id(), golden);
+            assert_eq!(
+                format!("{} {:?}", wrapped.cred_id(), wrapped.cred_id()),
+                format!("{golden} {golden}")
+            );
+            let wire = cred.to_wire();
+            let back = SignedDelegation::from_wire(&mut crate::wire::Reader::new(&wire)).unwrap();
+            assert_eq!(Credential::new(back), wrapped);
+        }
     }
 
     #[test]

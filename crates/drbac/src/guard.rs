@@ -7,7 +7,7 @@
 
 use crate::attr::AttrSet;
 use crate::cache::AuthCache;
-use crate::delegation::{DelegationBuilder, SignedDelegation};
+use crate::delegation::{Credential, DelegationBuilder, SignedDelegation};
 use crate::entity::{Entity, EntityRegistry, RoleName, Subject};
 use crate::proof::{Proof, ProofEngine, ProofError};
 use crate::repository::Repository;
@@ -228,11 +228,12 @@ impl Guard {
         use psf_telemetry::audit::{self, Decision, Verdict};
         let engine = self.engine(now);
         let rules = self.acl.read().clone();
+        let presented = Credential::wrap_all(presented);
         for rule in &rules {
             match &rule.role {
                 Some(role) => {
                     if let Ok((proof, _)) =
-                        engine.prove_with(subject, role, &rule.required, presented)
+                        engine.prove_with_carried(subject, role, &rule.required, &presented)
                     {
                         audit::record(
                             Decision::Authorize,
@@ -296,7 +297,7 @@ mod tests {
         let proof = g
             .authorize(&alice.as_subject(), &g.role("Member"), &[], 0)
             .unwrap();
-        assert_eq!(*proof.edges[0].credential, cred);
+        assert_eq!(**proof.edges[0].credential, cred);
     }
 
     #[test]

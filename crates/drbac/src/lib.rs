@@ -61,7 +61,9 @@ pub use cache::{AuthCache, CacheStats};
 pub use certify::{
     attrs_to_cert, certify, check_certificate, check_certificate_memo, subject_to_cert,
 };
-pub use delegation::{Delegation, DelegationBuilder, DelegationKind, SignedDelegation};
+pub use delegation::{
+    CredId, Credential, Delegation, DelegationBuilder, DelegationKind, SignedDelegation,
+};
 pub use entity::{Entity, EntityName, EntityRegistry, RoleName, Subject};
 pub use guard::Guard;
 pub use proof::{Proof, ProofEngine, ProofError, SearchStats};

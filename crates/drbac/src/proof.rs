@@ -14,7 +14,7 @@
 use crate::attr::AttrSet;
 use crate::cache::{AuthCache, Frontier, PresentedFingerprint, ProofKey};
 use crate::certify::{certify, check_certificate};
-use crate::delegation::{DelegationKind, SignedDelegation};
+use crate::delegation::{CredId, Credential, DelegationKind, SignedDelegation};
 use crate::entity::{EntityName, EntityRegistry, RoleName, Subject};
 #[cfg(test)]
 use crate::repository::Repository;
@@ -30,11 +30,12 @@ use std::sync::Arc;
 /// delegations, the assignment-right proof authorizing its issuer.
 ///
 /// The credential is `Arc`-shared with the repository/presented set — a
-/// proof references signed blobs, it does not copy them.
+/// proof references signed blobs, it does not copy them — and carries the
+/// id it was given when it was wrapped.
 #[derive(Debug, Clone)]
 pub struct ProofEdge {
-    /// The signed delegation this edge rests on.
-    pub credential: Arc<SignedDelegation>,
+    /// The signed delegation this edge rests on, with its id.
+    pub credential: Arc<Credential>,
     /// For third-party edges: proof that the issuer holds the right of
     /// assignment for the edge's object role.
     pub support: Option<Box<Proof>>,
@@ -60,16 +61,17 @@ pub struct Proof {
 impl Proof {
     /// Every credential id this proof depends on (recursing into
     /// supports) — the set a [`ValidityMonitor`](crate::ValidityMonitor)
-    /// must watch for continuous authorization.
-    pub fn credential_ids(&self) -> Vec<String> {
+    /// must watch for continuous authorization. The ids are the carried
+    /// ones: nothing is hashed.
+    pub fn credential_ids(&self) -> Vec<CredId> {
         let mut out = Vec::new();
         self.collect_ids(&mut out);
         out
     }
 
-    fn collect_ids(&self, out: &mut Vec<String>) {
+    fn collect_ids(&self, out: &mut Vec<CredId>) {
         for e in &self.edges {
-            out.push(e.credential.id());
+            out.push(e.credential.cred_id());
             if let Some(s) = &e.support {
                 s.collect_ids(out);
             }
@@ -130,7 +132,7 @@ impl Proof {
 }
 
 fn check_edge_common(
-    cred: &SignedDelegation,
+    cred: &Credential,
     registry: &EntityRegistry,
     bus: &RevocationBus,
     now: Timestamp,
@@ -143,8 +145,9 @@ fn check_edge_common(
         Some(c) => c.verify_credential(cred, &issuer_key, now)?,
         None => cred.verify(&issuer_key, now)?,
     }
-    if bus.is_revoked(&cred.id()) {
-        return Err(DrbacError::Revoked(cred.id()));
+    let id = cred.cred_id();
+    if bus.is_revoked(id.as_str()) {
+        return Err(DrbacError::Revoked(id.into()));
     }
     Ok(())
 }
@@ -152,7 +155,7 @@ fn check_edge_common(
 /// The attributes a membership edge conveys given its support chain: its
 /// own, attenuated by every bound along the assignment chain (a delegatee
 /// cannot grant more than it was assigned). `None` when they annihilate.
-fn conveyed_attrs(cred: &SignedDelegation, support: Option<&Proof>) -> Option<AttrSet> {
+fn conveyed_attrs(cred: &Credential, support: Option<&Proof>) -> Option<AttrSet> {
     let mut bound = AttrSet::new();
     for e in support.into_iter().flat_map(|s| &s.edges) {
         bound = bound.attenuate(&e.credential.body.attrs)?;
@@ -253,11 +256,25 @@ impl<'a> ProofEngine<'a> {
     /// Prove that `subject` holds `target`, drawing on `presented`
     /// credentials (the set X handed over by the requester) plus whatever
     /// the repository can discover. Returns the proof and search stats.
+    /// The presented credentials are wrapped (hashed) here; a caller that
+    /// decides several roles for one presented set wraps once and calls
+    /// [`prove_carried`](Self::prove_carried).
     pub fn prove(
         &self,
         subject: &Subject,
         target: &RoleName,
         presented: &[SignedDelegation],
+    ) -> Result<(Proof, SearchStats), ProofError> {
+        self.prove_carried(subject, target, &Credential::wrap_all(presented))
+    }
+
+    /// [`prove`](Self::prove) over presented credentials that already
+    /// carry their ids.
+    pub fn prove_carried(
+        &self,
+        subject: &Subject,
+        target: &RoleName,
+        presented: &[Arc<Credential>],
     ) -> Result<(Proof, SearchStats), ProofError> {
         let mut span = psf_telemetry::span("psf.drbac", "prove");
         span.field("target", target);
@@ -395,7 +412,7 @@ impl<'a> ProofEngine<'a> {
         &self,
         subject: &Subject,
         target: &RoleName,
-        presented: &[SignedDelegation],
+        presented: &[Arc<Credential>],
         frontier: &mut Frontier,
     ) -> Result<(Proof, SearchStats), ProofError> {
         let mut stats = SearchStats::default();
@@ -444,7 +461,7 @@ impl<'a> ProofEngine<'a> {
         let mut seen = HashSet::new();
         self.walk::<std::convert::Infallible>(
             subject,
-            presented,
+            &Credential::wrap_all(presented),
             &mut SearchStats::default(),
             &mut Frontier::default(),
             |role, _, _| {
@@ -472,18 +489,14 @@ impl<'a> ProofEngine<'a> {
     fn walk<B>(
         &self,
         subject: &Subject,
-        presented: &[SignedDelegation],
+        presented: &[Arc<Credential>],
         stats: &mut SearchStats,
         frontier: &mut Frontier,
         mut visit: impl FnMut(&RoleName, &AttrSet, &[ProofEdge]) -> ControlFlow<B>,
     ) -> Option<B> {
-        // Share the presented credentials for the whole search: one Arc
-        // per credential here, never a deep clone per expansion again.
-        let presented: Vec<Arc<SignedDelegation>> =
-            presented.iter().cloned().map(Arc::new).collect();
         // Index presented credentials by subject key.
-        let mut presented_idx: HashMap<String, Vec<Arc<SignedDelegation>>> = HashMap::new();
-        for c in &presented {
+        let mut presented_idx: HashMap<String, Vec<Arc<Credential>>> = HashMap::new();
+        for c in presented {
             presented_idx
                 .entry(subject_key(&c.body.subject))
                 .or_default()
@@ -510,7 +523,7 @@ impl<'a> ProofEngine<'a> {
             let key = subject_key(&state.node);
             frontier.note_subject(&key);
             // Candidate edges: presented + repository (both Arc-shared).
-            let mut candidates: Vec<Arc<SignedDelegation>> =
+            let mut candidates: Vec<Arc<Credential>> =
                 presented_idx.get(&key).cloned().unwrap_or_default();
             candidates.extend(self.repository.credentials_by_subject(&state.node));
 
@@ -528,7 +541,7 @@ impl<'a> ProofEngine<'a> {
                 // Issuer authorization, then attenuation by what the
                 // edge conveys under its support chain.
                 let followed = self
-                    .authorize_edge(cred, &presented, stats, frontier)
+                    .authorize_edge(cred, presented, stats, frontier)
                     .and_then(|(edge, conveyed)| Some((edge, state.attrs.attenuate(&conveyed)?)));
                 let Some((edge, new_attrs)) = followed else {
                     stats.credentials_rejected += 1;
@@ -563,7 +576,19 @@ impl<'a> ProofEngine<'a> {
         required: &AttrSet,
         presented: &[SignedDelegation],
     ) -> Result<(Proof, SearchStats), ProofError> {
-        let (proof, stats) = self.prove(subject, target, presented)?;
+        self.prove_with_carried(subject, target, required, &Credential::wrap_all(presented))
+    }
+
+    /// [`prove_with`](Self::prove_with) over presented credentials that
+    /// already carry their ids.
+    pub fn prove_with_carried(
+        &self,
+        subject: &Subject,
+        target: &RoleName,
+        required: &AttrSet,
+        presented: &[Arc<Credential>],
+    ) -> Result<(Proof, SearchStats), ProofError> {
+        let (proof, stats) = self.prove_carried(subject, target, presented)?;
         if proof.attrs.satisfies(required) {
             Ok((proof, stats))
         } else {
@@ -592,8 +617,8 @@ impl<'a> ProofEngine<'a> {
     /// attributes that edge conveys.
     fn authorize_edge(
         &self,
-        cred: Arc<SignedDelegation>,
-        presented: &[Arc<SignedDelegation>],
+        cred: Arc<Credential>,
+        presented: &[Arc<Credential>],
         stats: &mut SearchStats,
         frontier: &mut Frontier,
     ) -> Option<(ProofEdge, AttrSet)> {
@@ -637,7 +662,7 @@ impl<'a> ProofEngine<'a> {
         &self,
         issuer: &EntityName,
         role: &RoleName,
-        presented: &[Arc<SignedDelegation>],
+        presented: &[Arc<Credential>],
         stats: &mut SearchStats,
         frontier: &mut Frontier,
     ) -> Option<Proof> {
@@ -662,7 +687,7 @@ impl<'a> ProofEngine<'a> {
         &self,
         holder: &Subject,
         role: &RoleName,
-        presented: &[Arc<SignedDelegation>],
+        presented: &[Arc<Credential>],
         in_progress: &mut HashSet<String>,
         stats: &mut SearchStats,
         frontier: &mut Frontier,
@@ -688,7 +713,7 @@ impl<'a> ProofEngine<'a> {
 
         // Assignment credentials naming this holder for this role.
         frontier.note_subject(&hkey);
-        let mut candidates: Vec<Arc<SignedDelegation>> = presented
+        let mut candidates: Vec<Arc<Credential>> = presented
             .iter()
             .filter(|c| {
                 c.body.kind == DelegationKind::Assignment

@@ -24,7 +24,7 @@
 //! the shards a search read ([`CredentialSource::shard_marks`]), so a
 //! publish into an unrelated shard no longer evicts every cached proof.
 
-use crate::delegation::SignedDelegation;
+use crate::delegation::{CredId, Credential, SignedDelegation, HEX};
 use crate::entity::{EntityName, RoleName, Subject};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -40,14 +40,15 @@ pub const DEFAULT_SHARD_COUNT: usize = 32;
 /// repository is distributed; this trait is the seam that makes proof
 /// search location-transparent.
 ///
-/// Credentials are handed out as `Arc<SignedDelegation>` so query results
-/// and proof edges share one allocation per stored credential instead of
-/// deep-cloning signed blobs on every hop of every proof search.
+/// Credentials are handed out as `Arc<Credential>` — the signed
+/// delegation plus its id, hashed once when the source wrapped it — so
+/// query results and proof edges share one allocation per stored
+/// credential and nothing downstream re-derives an id.
 pub trait CredentialSource: Send + Sync {
     /// Credentials whose subject matches `subject`.
-    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<SignedDelegation>>;
+    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<Credential>>;
     /// Credentials conveying `role`.
-    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<SignedDelegation>>;
+    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<Credential>>;
     /// A monotone version of the source's contents, bumped on every
     /// publish/purge, or `None` when the source cannot track one (e.g. a
     /// remote repository). Negative proof-cache entries are only reusable
@@ -70,10 +71,10 @@ pub trait CredentialSource: Send + Sync {
 }
 
 impl CredentialSource for Repository {
-    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<SignedDelegation>> {
+    fn credentials_by_subject(&self, subject: &Subject) -> Vec<Arc<Credential>> {
         self.query_by_subject(subject)
     }
-    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<SignedDelegation>> {
+    fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<Credential>> {
         self.query_by_object(role)
     }
     fn version(&self) -> Option<u64> {
@@ -151,8 +152,8 @@ pub enum RepoEvent<'a> {
     Published {
         /// The home node the credential was stored at.
         home: &'a EntityName,
-        /// The stored credential (shared allocation).
-        cred: &'a Arc<SignedDelegation>,
+        /// The stored credential (shared allocation, carrying its id).
+        cred: &'a Arc<Credential>,
         /// Its discovery tags.
         tag: DiscoveryTag,
     },
@@ -167,8 +168,6 @@ pub enum RepoEvent<'a> {
 
 /// Callback observing repository mutations (see [`RepoEvent`]).
 pub type RepoObserver = Arc<dyn Fn(RepoEvent<'_>) + Send + Sync>;
-
-const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// Canonical lookup key for a delegation subject. Entity keys include the
 /// public key so two principals with the same display name cannot alias
@@ -206,7 +205,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 
 struct Entry {
     home: EntityName,
-    cred: Arc<SignedDelegation>,
+    cred: Arc<Credential>,
     tag: DiscoveryTag,
 }
 
@@ -228,7 +227,7 @@ impl ShardData {
         &mut self,
         subject_key: &str,
         home: EntityName,
-        cred: Arc<SignedDelegation>,
+        cred: Arc<Credential>,
         tag: DiscoveryTag,
     ) {
         let idx = self.entries.len() as u32;
@@ -366,9 +365,20 @@ impl Repository {
     }
 
     /// Store a credential at `home` (normally the issuer's domain), with
-    /// the given discovery tags.
-    pub fn publish(&self, home: EntityName, cred: SignedDelegation, tag: DiscoveryTag) {
-        let cred = Arc::new(cred);
+    /// the given discovery tags. This is a door: the credential is hashed
+    /// here, once, and the id it will carry is handed back.
+    pub fn publish(&self, home: EntityName, cred: SignedDelegation, tag: DiscoveryTag) -> CredId {
+        self.publish_wrapped(home, Arc::new(Credential::new(cred)), tag)
+    }
+
+    /// [`publish`](Self::publish) for a credential a caller already
+    /// wrapped (WAL replay dedupes on the id before storing).
+    pub(crate) fn publish_wrapped(
+        &self,
+        home: EntityName,
+        cred: Arc<Credential>,
+        tag: DiscoveryTag,
+    ) -> CredId {
         let skey = subject_key(&cred.body.subject);
         // Track the home set (read-check first: the set stabilizes fast
         // and write locks on it would serialize unrelated publishers).
@@ -405,12 +415,13 @@ impl Repository {
                 tag,
             });
         }
+        cred.cred_id()
     }
 
     /// Convenience: publish at the issuer's own domain with both tags (the
     /// common case in the mail scenario).
-    pub fn publish_at_issuer(&self, cred: SignedDelegation) {
-        self.publish(cred.body.issuer.clone(), cred, DiscoveryTag::Both);
+    pub fn publish_at_issuer(&self, cred: SignedDelegation) -> CredId {
+        self.publish(cred.body.issuer.clone(), cred, DiscoveryTag::Both)
     }
 
     /// All credentials whose subject matches `subject`, served from the
@@ -418,13 +429,13 @@ impl Repository {
     /// advertises the key; broadcast (counted against every home)
     /// otherwise. Results share the repository's allocations (`Arc`) — no
     /// signed blob is cloned.
-    pub fn query_by_subject(&self, subject: &Subject) -> Vec<Arc<SignedDelegation>> {
+    pub fn query_by_subject(&self, subject: &Subject) -> Vec<Arc<Credential>> {
         self.query_by_subject_key(&subject_key(subject))
     }
 
     /// [`query_by_subject`](Self::query_by_subject) by pre-computed
     /// canonical key (hot-path variant: skips re-deriving the key).
-    pub fn query_by_subject_key(&self, key: &str) -> Vec<Arc<SignedDelegation>> {
+    pub fn query_by_subject_key(&self, key: &str) -> Vec<Arc<Credential>> {
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
         psf_telemetry::counter!("psf.drbac.repo.queries").inc();
         let shard = &self.inner.shards[self.shard_index(key)];
@@ -472,12 +483,12 @@ impl Repository {
     /// by their *subjects*, so the query fans over every shard (brief read
     /// lock each, never a global lock); the advertised-home union across
     /// shards decides directed vs broadcast.
-    pub fn query_by_object(&self, role: &RoleName) -> Vec<Arc<SignedDelegation>> {
+    pub fn query_by_object(&self, role: &RoleName) -> Vec<Arc<Credential>> {
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
         psf_telemetry::counter!("psf.drbac.repo.queries").inc();
         let key = role.to_string();
         let mut advertised: HashSet<EntityName> = HashSet::new();
-        let mut matches: Vec<(EntityName, Arc<SignedDelegation>)> = Vec::new();
+        let mut matches: Vec<(EntityName, Arc<Credential>)> = Vec::new();
         for shard in &self.inner.shards {
             let data = shard.data.read();
             if let Some(homes) = data.tag_object.get(&key) {
@@ -519,13 +530,13 @@ impl Repository {
     /// graph-extraction entry point for static analysis (psf-analysis):
     /// cycle, expiry, and dangling-support passes walk this snapshot
     /// rather than issuing directed queries.
-    pub fn all_credentials(&self) -> Vec<Arc<SignedDelegation>> {
-        let mut out: Vec<Arc<SignedDelegation>> = Vec::new();
+    pub fn all_credentials(&self) -> Vec<Arc<Credential>> {
+        let mut out: Vec<Arc<Credential>> = Vec::new();
         for shard in &self.inner.shards {
             let data = shard.data.read();
             out.extend(data.entries.iter().map(|e| e.cred.clone()));
         }
-        out.sort_by_key(|a| a.id());
+        out.sort_by_key(|c| c.cred_id());
         out
     }
 
@@ -655,12 +666,12 @@ impl Repository {
     /// node and discovery tags, sorted by (home, credential id). This is
     /// what WAL compaction persists: enough to rebuild the shards *and*
     /// the tag index byte-for-byte.
-    pub fn snapshot_entries(&self) -> Vec<(EntityName, DiscoveryTag, Arc<SignedDelegation>)> {
-        let mut out: Vec<(EntityName, DiscoveryTag, Arc<SignedDelegation>)> = Vec::new();
+    pub fn snapshot_entries(&self) -> Vec<(EntityName, DiscoveryTag, Arc<Credential>)> {
+        let mut out: Vec<(EntityName, DiscoveryTag, Arc<Credential>)> = Vec::new();
         for i in 0..self.inner.shards.len() {
             out.extend(self.snapshot_shard(i));
         }
-        out.sort_by(|a, b| (&a.0 .0, a.2.id()).cmp(&(&b.0 .0, b.2.id())));
+        out.sort_by(|a, b| (&a.0 .0, a.2.cred_id()).cmp(&(&b.0 .0, b.2.cred_id())));
         out
     }
 
@@ -668,16 +679,13 @@ impl Repository {
     /// [`snapshot_entries`](Self::snapshot_entries), sorted by (home,
     /// credential id). The sharded WAL compacts one shard at a time with
     /// it.
-    pub fn snapshot_shard(
-        &self,
-        shard: usize,
-    ) -> Vec<(EntityName, DiscoveryTag, Arc<SignedDelegation>)> {
+    pub fn snapshot_shard(&self, shard: usize) -> Vec<(EntityName, DiscoveryTag, Arc<Credential>)> {
         let data = self.inner.shards[shard].data.read();
-        let mut out: Vec<(EntityName, DiscoveryTag, Arc<SignedDelegation>)> = Vec::new();
+        let mut out: Vec<(EntityName, DiscoveryTag, Arc<Credential>)> = Vec::new();
         for e in &data.entries {
             out.push((e.home.clone(), e.tag, e.cred.clone()));
         }
-        out.sort_by(|a, b| (&a.0 .0, a.2.id()).cmp(&(&b.0 .0, b.2.id())));
+        out.sort_by(|a, b| (&a.0 .0, a.2.cred_id()).cmp(&(&b.0 .0, b.2.cred_id())));
         out
     }
 
@@ -826,7 +834,7 @@ mod tests {
         // The survivor is still indexed and findable.
         let found = repo.query_by_subject(&alice.as_subject());
         assert_eq!(found.len(), 1);
-        assert_eq!(*found[0], eternal);
+        assert_eq!(**found[0], eternal);
     }
 
     #[test]

@@ -150,10 +150,13 @@ impl RevocationBus {
     /// Create a monitor over a set of credential ids (typically every
     /// credential in a proof). The monitor is immediately invalid if any
     /// id is already revoked; dropping it leaves nothing behind.
-    pub fn monitor<I: IntoIterator<Item = String>>(&self, credential_ids: I) -> ValidityMonitor {
+    pub fn monitor(
+        &self,
+        credential_ids: impl IntoIterator<Item = impl Into<String>>,
+    ) -> ValidityMonitor {
         let monitor = ValidityMonitor {
             bus: self.clone(),
-            ids: credential_ids.into_iter().collect(),
+            ids: credential_ids.into_iter().map(Into::into).collect(),
             state: AtomicU64::new(UNSCANNED),
         };
         monitor.rescan();

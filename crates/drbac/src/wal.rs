@@ -93,7 +93,7 @@
 //! refuse an un-imported directory with a typed `InvalidData` error
 //! rather than serve it as an empty repository.
 
-use crate::delegation::SignedDelegation;
+use crate::delegation::{CredId, Credential, SignedDelegation};
 use crate::entity::EntityName;
 use crate::repository::{DiscoveryTag, RepoEvent, Repository};
 use crate::revocation::RevocationBus;
@@ -397,7 +397,7 @@ pub struct Snapshot {
 
 fn encode_snapshot(
     epoch: u64,
-    entries: &[(EntityName, DiscoveryTag, Arc<SignedDelegation>)],
+    entries: &[(EntityName, DiscoveryTag, Arc<Credential>)],
     revoked: &[String],
 ) -> Vec<u8> {
     let mut out = Vec::new();
@@ -854,21 +854,24 @@ fn replay_segment(
     // dedup for snapshot/log overlap and replayed double-publishes. A
     // replayed purge *removes* expired pairs, so a later re-publish of a
     // purged credential is applied rather than mistaken for a duplicate.
-    let mut seen: HashMap<(String, String), Option<u64>> = HashMap::new();
+    let mut seen: HashMap<(String, CredId), Option<u64>> = HashMap::new();
     if let Apply::Import = how {
         // Re-logged records must not carry epoch tags below the legacy ones.
         repo.raise_epoch(out.max_epoch);
         for (home, _, cred) in repo.snapshot_entries() {
-            seen.insert((home.0, cred.id()), cred.body.expires);
+            seen.insert((home.0, cred.cred_id()), cred.body.expires);
         }
     }
     // Publish unless the pair is already applied; true when it was fresh.
+    // Replay is a door: the credential is wrapped here, and both the
+    // dedupe and the store read the id it then carries.
     let publish = |seen: &mut HashMap<_, _>, home: EntityName, tag, cred: SignedDelegation| {
+        let cred = Arc::new(Credential::new(cred));
         let fresh = seen
-            .insert((home.0.clone(), cred.id()), cred.body.expires)
+            .insert((home.0.clone(), cred.cred_id()), cred.body.expires)
             .is_none();
         if fresh {
-            repo.publish(home, cred, tag);
+            repo.publish_wrapped(home, cred, tag);
         }
         fresh
     };
@@ -1575,6 +1578,37 @@ mod tests {
     /// pinned at both ends of the range.
     const SHARD_COUNTS: [usize; 2] = [1, 8];
 
+    /// A published credential comes back from recovery carrying the id
+    /// the parent commit computed for it (golden, see `delegation.rs`).
+    #[test]
+    fn golden_ids_survive_publish_and_recover() {
+        let ny = Entity::with_seed("Comp.NY", b"t");
+        let alice = Entity::with_seed("Alice", b"t");
+        let member = cred(&ny, &alice, "Member");
+        let reissued = DelegationBuilder::new(&ny)
+            .subject_entity(&alice)
+            .role(ny.role("Member"))
+            .serial(7)
+            .expires(100)
+            .sign();
+        for shards in SHARD_COUNTS {
+            let dir = tmpdir("golden");
+            {
+                let (d, _) = open(&dir, shards);
+                let acked = d.repository().publish_at_issuer(member.clone());
+                assert_eq!(acked.as_str(), "75c76ac51005ee2e");
+                d.repository().publish_at_issuer(reissued.clone());
+            }
+            let (d, report) = open(&dir, shards);
+            assert_eq!(report.publishes, 2);
+            assert_eq!(
+                repo_fingerprint(d.repository()),
+                ["23a20c9c5c68e5b8", "75c76ac51005ee2e"]
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn record_roundtrip_all_kinds() {
         let ny = Entity::with_seed("Comp.NY", b"wal");
@@ -1701,7 +1735,7 @@ mod tests {
             assert!(d2.bus().is_revoked(&id));
             let found = d2.repository().query_by_subject(&alice.as_subject());
             assert_eq!(found.len(), 1);
-            assert_eq!(**found.first().unwrap(), c);
+            assert_eq!(***found.first().unwrap(), c);
         }
     }
 
@@ -2269,7 +2303,10 @@ mod tests {
 
         let snap_entries: Vec<_> = [&alice, &doomed]
             .into_iter()
-            .map(|c| (home.clone(), DiscoveryTag::Both, Arc::new(c.clone())))
+            .map(|c| {
+                let c = Arc::new(Credential::new(c.clone()));
+                (home.clone(), DiscoveryTag::Both, c)
+            })
             .collect();
         let snapshot = encode_snapshot(40, &snap_entries, &["old-revoked".to_string()]);
         let publish = |c: &SignedDelegation| WalOp::Publish {
@@ -2301,7 +2338,7 @@ mod tests {
         bus.revoke("old-revoked");
         for op in ops {
             match op {
-                WalOp::Publish { home, tag, cred } => repo.publish(home, cred, tag),
+                WalOp::Publish { home, tag, cred } => drop(repo.publish(home, cred, tag)),
                 WalOp::Revoke { id } => bus.revoke(&id),
                 WalOp::RevokeBatch { ids } => drop(bus.revoke_all(&ids)),
                 WalOp::PurgeExpired { now } => drop(repo.purge_expired(now)),

@@ -11,7 +11,7 @@ use psf_drbac::entity::{EntityRegistry, RoleName, Subject};
 use psf_drbac::proof::{Proof, ProofEngine};
 use psf_drbac::repository::Repository;
 use psf_drbac::revocation::{RevocationBus, ValidityMonitor};
-use psf_drbac::{AuthCache, SignedDelegation, Timestamp};
+use psf_drbac::{AuthCache, Credential, SignedDelegation, Timestamp};
 
 /// Table 4 as data: ordered rules mapping a role (or the catch-all
 /// "others") to a view name.
@@ -112,10 +112,12 @@ impl ViewAcl {
     ) -> Option<(String, Option<Proof>)> {
         use psf_telemetry::audit::{self, Decision, Verdict};
         let mut span = psf_telemetry::span("psf.views", "select_view");
+        // Hashed once per decision, not once per rule tried.
+        let presented = Credential::wrap_all(presented);
         for (role, view) in &self.rules {
             match role {
                 Some(role) => {
-                    if let Ok((proof, _)) = engine.prove(subject, role, presented) {
+                    if let Ok((proof, _)) = engine.prove_carried(subject, role, &presented) {
                         span.field("view", view);
                         audit::record(
                             Decision::SelectView,

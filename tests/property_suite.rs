@@ -8,7 +8,7 @@ use psf_drbac::proof::ProofEngine;
 use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
 use psf_drbac::wire::{decode_credentials, encode_credentials, Reader};
-use psf_drbac::{AttrSet, AttrValue, AuthCache, DelegationBuilder, SignedDelegation};
+use psf_drbac::{AttrSet, AttrValue, AuthCache, Credential, DelegationBuilder, SignedDelegation};
 use std::collections::BTreeSet;
 
 // ------------------------------------------------------------ crypto --
@@ -187,6 +187,41 @@ proptest! {
         let back = SignedDelegation::from_wire(&mut Reader::new(&wire)).unwrap();
         prop_assert_eq!(&back, &cred);
         prop_assert_eq!(back.id(), cred.id());
+    }
+
+    /// One id, three derivations: the wrapper's carried id, the
+    /// re-hashing `SignedDelegation::id()` and the one the trusted checker
+    /// derives from the raw signed bytes agree on every delegation kind,
+    /// and an audit `chain_digest` over carried ids is the digest over the
+    /// re-hashed strings.
+    #[test]
+    fn carried_id_agrees_with_every_derivation(
+        creds in prop::collection::vec(arb_credential(), 1..5),
+    ) {
+        use psf_drbac::proof::{Proof, ProofEdge};
+        use psf_telemetry::audit::chain_digest;
+        let mut edges = Vec::new();
+        for cred in &creds {
+            let carried = Credential::new(cred.clone());
+            let checker = psf_cert::CertEdge {
+                signed: cred.body.encode(),
+                signature: cred.signature.to_bytes(),
+                support: None,
+            };
+            prop_assert_eq!(carried.cred_id(), cred.id());
+            prop_assert_eq!(carried.id(), cred.id());
+            prop_assert_eq!(checker.id(), cred.id());
+            edges.push(ProofEdge { credential: std::sync::Arc::new(carried), support: None });
+        }
+        let proof = Proof {
+            subject: creds[0].body.subject.clone(),
+            role: creds[0].body.object.clone(),
+            assignment: false,
+            attrs: AttrSet::new(),
+            edges,
+        };
+        let rehashed: Vec<String> = creds.iter().map(|c| c.id()).collect();
+        prop_assert_eq!(chain_digest(&proof.credential_ids()), chain_digest(&rehashed));
     }
 
     #[test]
@@ -370,7 +405,7 @@ proptest! {
         // re-verifying must fail.
         let ids = proof.credential_ids();
         let victim = &ids[(seed as usize) % ids.len()];
-        bus.revoke(victim);
+        bus.revoke(victim.as_str());
         prop_assert!(proof.verify(&registry, &bus, 0).is_err());
         prop_assert!(engine.prove(&user.as_subject(), &target, &[]).is_err());
     }
@@ -1185,7 +1220,7 @@ fn crash_recovery_matches_oracle(
         for rec in wal::scan_log(&image).records {
             replayable += 1;
             match rec.op {
-                wal::WalOp::Publish { home, tag, cred } => local.publish(home, cred, tag),
+                wal::WalOp::Publish { home, tag, cred } => drop(local.publish(home, cred, tag)),
                 wal::WalOp::PurgeExpired { now } => {
                     local.purge_expired(now);
                 }
@@ -1195,7 +1230,7 @@ fn crash_recovery_matches_oracle(
             }
         }
         for (home, tag, cred) in local.snapshot_entries() {
-            oracle_repo.publish(home, (*cred).clone(), tag);
+            oracle_repo.publish(home, (**cred).clone(), tag);
         }
     }
     let bus_image = std::fs::read(bus_segment.join(wal::LOG_FILE)).unwrap();
@@ -1317,7 +1352,7 @@ proptest! {
         let mut issued: Vec<String> = Vec::new();
         let mut serial = 0u64;
 
-        let ids = |creds: Vec<std::sync::Arc<SignedDelegation>>| {
+        let ids = |creds: Vec<std::sync::Arc<Credential>>| {
             let mut v: Vec<String> = creds.iter().map(|c| c.id()).collect();
             v.sort();
             v
