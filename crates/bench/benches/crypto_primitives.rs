@@ -9,7 +9,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto");
     group.sample_size(30);
 
-    for size in [64usize, 1 << 10, 64 << 10] {
+    for size in [64usize, 128, 1 << 10, 64 << 10] {
         let data = vec![0xabu8; size];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("sha256", size), &data, |b, d| {

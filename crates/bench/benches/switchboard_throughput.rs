@@ -111,18 +111,15 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Crypto share of the win: wide (multi-block) vs scalar seal on a
-    // 16 KiB record, the largest chunk the stream layer moves by default.
-    let mut group = c.benchmark_group("f4_aead_wide_vs_scalar");
+    // Crypto share of a 16 KiB record, the largest chunk the stream layer
+    // moves by default: allocating vs in-place seal.
+    let mut group = c.benchmark_group("f4_aead_seal_16k");
     let aead = psf_crypto::ChaCha20Poly1305::new([7u8; 32]);
     let nonce = [1u8; 12];
     let payload = vec![0x3cu8; 16 << 10];
     group.throughput(Throughput::Bytes(payload.len() as u64));
     group.bench_function("seal_16k_wide", |b| {
         b.iter(|| aead.seal(&nonce, b"swbd-record", &payload));
-    });
-    group.bench_function("seal_16k_scalar", |b| {
-        b.iter(|| aead.seal_scalar(&nonce, b"swbd-record", &payload));
     });
     let mut buf = Vec::with_capacity(8 + payload.len() + 16);
     group.bench_function("seal_16k_in_place", |b| {

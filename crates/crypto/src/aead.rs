@@ -5,12 +5,12 @@
 //! zero copies: [`ChaCha20Poly1305::seal_in_place`] encrypts a buffer
 //! suffix and appends the tag, [`ChaCha20Poly1305::open_in_place`]
 //! verifies and decrypts without allocating. The allocating `seal`/`open`
-//! wrappers remain for convenience. Keystream generation uses the wide
-//! four-block ChaCha20 and the two-block Poly1305 accumulator; the scalar
-//! reference construction is kept as [`ChaCha20Poly1305::seal_scalar`]
-//! for differential tests and benchmarks.
+//! wrappers remain for convenience. Encryption is [`chacha20_xor`]
+//! (lane-major kernels for the bulk, scalar blocks for records of at most
+//! 128 B) and the MAC is [`Poly1305::update`]; the tests hold both to a
+//! reference seal built from the one-block primitives.
 
-use crate::chacha::{chacha20_block, chacha20_xor, chacha20_xor_scalar};
+use crate::chacha::{chacha20_block, chacha20_xor};
 use crate::ct::ct_eq;
 use crate::poly1305::Poly1305;
 use crate::CryptoError;
@@ -101,28 +101,6 @@ impl ChaCha20Poly1305 {
         out.truncate(len);
         Ok(out)
     }
-
-    /// Reference seal built entirely from the scalar one-block ChaCha20
-    /// and one-block Poly1305 paths. Byte-identical to [`Self::seal`];
-    /// kept for differential tests and the wide-vs-scalar benchmark.
-    pub fn seal_scalar(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
-        chacha20_xor_scalar(&self.key, 1, nonce, &mut out);
-
-        let block0 = chacha20_block(&self.key, 0, nonce);
-        let mut otk = [0u8; 32];
-        otk.copy_from_slice(&block0[..32]);
-        let mut mac = Poly1305::new(&otk);
-        mac.update_scalar(aad);
-        mac.update_scalar(&[0u8; 16][..(16 - aad.len() % 16) % 16]);
-        mac.update_scalar(&out);
-        mac.update_scalar(&[0u8; 16][..(16 - out.len() % 16) % 16]);
-        mac.update_scalar(&(aad.len() as u64).to_le_bytes());
-        mac.update_scalar(&(out.len() as u64).to_le_bytes());
-        let tag = mac.finalize();
-        out.extend_from_slice(&tag);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -203,15 +181,42 @@ mod tests {
         assert_eq!(&buf[8..8 + len], b"secret payload body");
     }
 
+    /// The oracle: ChaCha20 one scalar block at a time, and Poly1305 fed
+    /// slices of at most 16 bytes, each of which takes the one-block step.
+    fn scalar_seal(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = plaintext.to_vec();
+        for (i, chunk) in out.chunks_mut(64).enumerate() {
+            let ks = chacha20_block(key, 1 + i as u32, nonce);
+            for (b, k) in chunk.iter_mut().zip(ks) {
+                *b ^= k;
+            }
+        }
+        let otk: [u8; 32] = chacha20_block(key, 0, nonce)[..32].try_into().unwrap();
+        let mut mac = Poly1305::new(&otk);
+        let pad = |n: usize| &[0u8; 16][..(16 - n % 16) % 16];
+        let (aad_len, ct_len) = (
+            (aad.len() as u64).to_le_bytes(),
+            (out.len() as u64).to_le_bytes(),
+        );
+        for part in [aad, pad(aad.len()), &out, pad(out.len()), &aad_len, &ct_len] {
+            for slice in part.chunks(16) {
+                mac.update(slice);
+            }
+        }
+        out.extend_from_slice(&mac.finalize());
+        out
+    }
+
     #[test]
     fn scalar_seal_matches_wide_seal() {
-        let aead = ChaCha20Poly1305::new([0xabu8; 32]);
+        let key = [0xabu8; 32];
+        let aead = ChaCha20Poly1305::new(key);
         let nonce = [0x11u8; 12];
-        for len in [0usize, 1, 64, 255, 256, 1000, 4096] {
+        for len in [0usize, 1, 64, 128, 129, 255, 256, 1000, 4096] {
             let payload: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
             assert_eq!(
                 aead.seal(&nonce, b"hdr", &payload),
-                aead.seal_scalar(&nonce, b"hdr", &payload),
+                scalar_seal(&key, &nonce, b"hdr", &payload),
                 "len {len}"
             );
         }

@@ -1,18 +1,13 @@
 //! The ChaCha20 stream cipher (RFC 8439 §2.3/§2.4).
 //!
-//! Two keystream generators share the same state schedule: the scalar
-//! one-block function ([`chacha20_block`]) and a wide four-block function
-//! ([`chacha20_block4`]) that keeps four independent block states in
-//! lane-major form — one 4-lane vector per state word, lane `b` belonging
-//! to block `counter + b` — so every quarter-round step is a single 4-lane
-//! operation. On x86-64 the wide path is lowered explicitly to SSE2
-//! intrinsics (with SSSE3 `pshufb` rotates when the CPU has them, an
-//! 8-wide AVX2 kernel for 512-byte chunks, and a 16-wide AVX-512 kernel
-//! for 1024-byte chunks when available; LLVM's SLP vectorizer does not
-//! find this shape on its own once state setup and serialization join the
-//! rounds in one function); elsewhere a portable `[u32; 4]` formulation is
-//! used. Every wide path is byte-identical to running the scalar block
-//! function at counters `c..c+4` (`c..c+8`, `c..c+16`).
+//! [`chacha20_block`] is the scalar one-block function and the RFC
+//! reference. One lane-major kernel body keeps `L` block states side by
+//! side — one `L`-lane vector per state word, lane `b` belonging to block
+//! `counter + b` — and is instantiated on x86-64 at 4 lanes (SSSE3), 8
+//! (AVX2) and 16 (AVX-512F); each is byte-identical to the scalar function
+//! at counters `counter..counter + L`. [`chacha20_xor`] picks kernels by
+//! what the CPU reports; without SSSE3, or off x86-64, it runs scalar
+//! (correct everywhere, measured only on x86-64).
 
 /// The ChaCha20 block function state constant: "expand 32-byte k".
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -29,8 +24,9 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Compute one 64-byte ChaCha20 keystream block.
-pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
+/// The block state before the rounds: constants, key, counter, nonce.
+#[inline]
+fn initial_state(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
     for i in 0..8 {
@@ -44,7 +40,12 @@ pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64
         w.copy_from_slice(&nonce[i * 4..i * 4 + 4]);
         state[13 + i] = u32::from_le_bytes(w);
     }
+    state
+}
 
+/// Compute one 64-byte ChaCha20 keystream block.
+pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
+    let state = initial_state(key, counter, nonce);
     let mut working = state;
     for _ in 0..10 {
         // column rounds
@@ -66,551 +67,223 @@ pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64
     out
 }
 
-/// Portable lane-major wide backend: one `[u32; 4]` per state word, every
-/// quarter-round step an element-wise 4-lane operation. This is the
-/// reference the SIMD backend is differentially tested against, and the
-/// only wide backend on non-x86-64 targets.
-mod portable {
-    use super::SIGMA;
-
-    type Lanes = [u32; 4];
-
-    #[inline(always)]
-    fn add4(a: Lanes, b: Lanes) -> Lanes {
-        [
-            a[0].wrapping_add(b[0]),
-            a[1].wrapping_add(b[1]),
-            a[2].wrapping_add(b[2]),
-            a[3].wrapping_add(b[3]),
-        ]
-    }
-
-    #[inline(always)]
-    fn xor4(a: Lanes, b: Lanes) -> Lanes {
-        [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
-    }
-
-    #[inline(always)]
-    fn rotl4<const R: u32>(a: Lanes) -> Lanes {
-        [
-            a[0].rotate_left(R),
-            a[1].rotate_left(R),
-            a[2].rotate_left(R),
-            a[3].rotate_left(R),
-        ]
-    }
-
-    macro_rules! quarter_round4 {
-        ($a:ident, $b:ident, $c:ident, $d:ident) => {
-            $a = add4($a, $b);
-            $d = rotl4::<16>(xor4($d, $a));
-            $c = add4($c, $d);
-            $b = rotl4::<12>(xor4($b, $c));
-            $a = add4($a, $b);
-            $d = rotl4::<8>(xor4($d, $a));
-            $c = add4($c, $d);
-            $b = rotl4::<7>(xor4($b, $c));
-        };
-    }
-
-    // On x86-64 the SIMD backend supersedes this outside differential tests.
-    #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
-    pub fn block4(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8; 256]) {
-        let mut init = [[0u32; 4]; 16];
-        for i in 0..4 {
-            init[i] = [SIGMA[i]; 4];
-        }
-        for i in 0..8 {
-            let mut w = [0u8; 4];
-            w.copy_from_slice(&key[i * 4..i * 4 + 4]);
-            init[4 + i] = [u32::from_le_bytes(w); 4];
-        }
-        for l in 0..4u32 {
-            init[12][l as usize] = counter.wrapping_add(l);
-        }
-        for i in 0..3 {
-            let mut w = [0u8; 4];
-            w.copy_from_slice(&nonce[i * 4..i * 4 + 4]);
-            init[13 + i] = [u32::from_le_bytes(w); 4];
-        }
-
-        let [mut x0, mut x1, mut x2, mut x3, mut x4, mut x5, mut x6, mut x7, mut x8, mut x9, mut x10, mut x11, mut x12, mut x13, mut x14, mut x15] =
-            init;
-        for _ in 0..10 {
-            // column rounds
-            quarter_round4!(x0, x4, x8, x12);
-            quarter_round4!(x1, x5, x9, x13);
-            quarter_round4!(x2, x6, x10, x14);
-            quarter_round4!(x3, x7, x11, x15);
-            // diagonal rounds
-            quarter_round4!(x0, x5, x10, x15);
-            quarter_round4!(x1, x6, x11, x12);
-            quarter_round4!(x2, x7, x8, x13);
-            quarter_round4!(x3, x4, x9, x14);
-        }
-        let working = [
-            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15,
-        ];
-        for b in 0..4 {
-            for i in 0..16 {
-                let word = working[i][b].wrapping_add(init[i][b]);
-                out[b * 64 + i * 4..b * 64 + i * 4 + 4].copy_from_slice(&word.to_le_bytes());
-            }
-        }
-    }
-}
-
-/// Explicit SSE2/SSSE3 lowering of the lane-major wide path. All intrinsics
-/// used are value-based (no raw pointers); lane extraction goes through
-/// `_mm_cvtsi128_si64`, so the only `unsafe` is the feature-gated calls in
-/// [`block4`], justified by the x86-64 SSE2 baseline and a runtime SSSE3
-/// check.
+/// The x86-64 instantiations of the lane-major kernel. Every intrinsic
+/// used is value-based (no raw pointers), so the kernels are safe
+/// `#[target_feature]` functions; only calling one needs the CPU check.
 #[cfg(target_arch = "x86_64")]
-mod simd {
-    use super::SIGMA;
+mod x86 {
     use core::arch::x86_64::*;
 
-    macro_rules! gen_block4 {
-        ($name:ident, $feat:literal, $rot16:expr, $rot8:expr) => {
+    /// The lane-major kernel body. `$name` XORs every whole
+    /// `64 · $lanes`-byte chunk of `data` with the keystream from block
+    /// `counter` on and returns the shorter remainder untouched;
+    /// `$quarters` splits a state vector into its 128-bit quarters (blocks
+    /// `4q..4q+4`) for serialization.
+    macro_rules! kernel {
+        ($name:ident, $feat:literal, lanes: $lanes:literal, add: $add:ident, xor: $xor:ident,
+         splat: $splat:ident, iota: $iota:expr, rotl: $rotl:ident, quarters: $quarters:expr) => {
             #[target_feature(enable = $feat)]
-            fn $name(
+            pub(super) fn $name<'a>(
                 key: &[u8; 32],
                 counter: u32,
                 nonce: &[u8; 12],
-                out: &mut [u8; 256],
-                xor: bool,
-            ) {
-                let rot16 = $rot16;
-                let rot8 = $rot8;
-                macro_rules! qr {
-                    ($x:ident, $a:expr, $b:expr, $c:expr, $d:expr) => {
-                        $x[$a] = _mm_add_epi32($x[$a], $x[$b]);
-                        $x[$d] = rot16(_mm_xor_si128($x[$d], $x[$a]));
-                        $x[$c] = _mm_add_epi32($x[$c], $x[$d]);
-                        $x[$b] = {
-                            let v = _mm_xor_si128($x[$b], $x[$c]);
-                            _mm_or_si128(_mm_slli_epi32::<12>(v), _mm_srli_epi32::<20>(v))
+                data: &'a mut [u8],
+            ) -> &'a mut [u8] {
+                let state = super::initial_state(key, counter, nonce);
+                let mut init = [$splat(0); 16];
+                for (v, w) in init.iter_mut().zip(state) {
+                    *v = $splat(w as i32);
+                }
+                init[12] = $add(init[12], $iota);
+                let quarters = $quarters;
+                let mut chunks = data.chunks_exact_mut(64 * $lanes);
+                for chunk in &mut chunks {
+                    let buf: &mut [u8; 64 * $lanes] = chunk.try_into().unwrap();
+                    let mut x = init;
+                    macro_rules! qr {
+                        ($a:literal, $b:literal, $c:literal, $d:literal) => {
+                            x[$a] = $add(x[$a], x[$b]);
+                            x[$d] = $rotl!(16, $xor(x[$d], x[$a]));
+                            x[$c] = $add(x[$c], x[$d]);
+                            x[$b] = $rotl!(12, $xor(x[$b], x[$c]));
+                            x[$a] = $add(x[$a], x[$b]);
+                            x[$d] = $rotl!(8, $xor(x[$d], x[$a]));
+                            x[$c] = $add(x[$c], x[$d]);
+                            x[$b] = $rotl!(7, $xor(x[$b], x[$c]));
                         };
-                        $x[$a] = _mm_add_epi32($x[$a], $x[$b]);
-                        $x[$d] = rot8(_mm_xor_si128($x[$d], $x[$a]));
-                        $x[$c] = _mm_add_epi32($x[$c], $x[$d]);
-                        $x[$b] = {
-                            let v = _mm_xor_si128($x[$b], $x[$c]);
-                            _mm_or_si128(_mm_slli_epi32::<7>(v), _mm_srli_epi32::<25>(v))
-                        };
-                    };
-                }
-                let mut init = [_mm_setzero_si128(); 16];
-                for i in 0..4 {
-                    init[i] = _mm_set1_epi32(SIGMA[i] as i32);
-                }
-                for i in 0..8 {
-                    let w = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().unwrap());
-                    init[4 + i] = _mm_set1_epi32(w as i32);
-                }
-                init[12] = _mm_set_epi32(
-                    counter.wrapping_add(3) as i32,
-                    counter.wrapping_add(2) as i32,
-                    counter.wrapping_add(1) as i32,
-                    counter as i32,
-                );
-                for i in 0..3 {
-                    let w = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().unwrap());
-                    init[13 + i] = _mm_set1_epi32(w as i32);
-                }
-                let mut x = init;
-                for _ in 0..10 {
-                    // column rounds
-                    qr!(x, 0, 4, 8, 12);
-                    qr!(x, 1, 5, 9, 13);
-                    qr!(x, 2, 6, 10, 14);
-                    qr!(x, 3, 7, 11, 15);
-                    // diagonal rounds
-                    qr!(x, 0, 5, 10, 15);
-                    qr!(x, 1, 6, 11, 12);
-                    qr!(x, 2, 7, 8, 13);
-                    qr!(x, 3, 4, 9, 14);
-                }
-                for i in 0..16 {
-                    let v = _mm_add_epi32(x[i], init[i]);
-                    let lo = _mm_cvtsi128_si64(v) as u64;
-                    let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)) as u64;
-                    let lanes = [lo as u32, (lo >> 32) as u32, hi as u32, (hi >> 32) as u32];
-                    for (b, w) in lanes.iter().enumerate() {
-                        let off = b * 64 + i * 4;
-                        let ks = if xor {
-                            let cur = u32::from_le_bytes(out[off..off + 4].try_into().unwrap());
-                            cur ^ w
-                        } else {
-                            *w
-                        };
-                        out[off..off + 4].copy_from_slice(&ks.to_le_bytes());
                     }
+                    for _ in 0..10 {
+                        // column rounds
+                        qr!(0, 4, 8, 12);
+                        qr!(1, 5, 9, 13);
+                        qr!(2, 6, 10, 14);
+                        qr!(3, 7, 11, 15);
+                        // diagonal rounds
+                        qr!(0, 5, 10, 15);
+                        qr!(1, 6, 11, 12);
+                        qr!(2, 7, 8, 13);
+                        qr!(3, 4, 9, 14);
+                    }
+                    for i in 0..16 {
+                        for (q, h) in quarters($add(x[i], init[i])).into_iter().enumerate() {
+                            let lo = _mm_cvtsi128_si64(h) as u64;
+                            let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(h, h)) as u64;
+                            for (l, k) in [lo, lo >> 32, hi, hi >> 32].into_iter().enumerate() {
+                                let off = (4 * q + l) * 64 + 4 * i;
+                                let word: &mut [u8; 4] =
+                                    (&mut buf[off..off + 4]).try_into().unwrap();
+                                *word = (u32::from_le_bytes(*word) ^ k as u32).to_le_bytes();
+                            }
+                        }
+                    }
+                    init[12] = $add(init[12], $splat($lanes));
                 }
+                chunks.into_remainder()
             }
         };
     }
 
-    gen_block4!(
-        block4_sse2,
-        "sse2",
-        |v| _mm_or_si128(_mm_slli_epi32::<16>(v), _mm_srli_epi32::<16>(v)),
-        |v| _mm_or_si128(_mm_slli_epi32::<8>(v), _mm_srli_epi32::<24>(v))
-    );
-    gen_block4!(
-        block4_ssse3,
-        "ssse3",
-        // Byte-granular rotations by 16 and 8 as pshufb lane shuffles.
-        |v| _mm_shuffle_epi8(
-            v,
-            _mm_set_epi8(13, 12, 15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2)
-        ),
-        |v| _mm_shuffle_epi8(
-            v,
-            _mm_set_epi8(14, 13, 12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3)
-        )
-    );
-
-    /// Eight-block lane-major kernel on 256-bit vectors: one `__m256i` per
-    /// state word, lane `b` belonging to block `counter + b`. Exactly the
-    /// 4-wide shape doubled; `vpshufb` operates per 128-bit half, so the
-    /// rotation masks are the SSSE3 masks replicated across both halves.
-    #[target_feature(enable = "avx2")]
-    fn block8_avx2(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8; 512], xor: bool) {
-        #[rustfmt::skip]
-        let rot16_mask = _mm256_set_epi8(
-            13, 12, 15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2,
-            13, 12, 15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2,
-        );
-        #[rustfmt::skip]
-        let rot8_mask = _mm256_set_epi8(
-            14, 13, 12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3,
-            14, 13, 12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3,
-        );
-        macro_rules! qr {
-            ($x:ident, $a:expr, $b:expr, $c:expr, $d:expr) => {
-                $x[$a] = _mm256_add_epi32($x[$a], $x[$b]);
-                $x[$d] = _mm256_shuffle_epi8(_mm256_xor_si256($x[$d], $x[$a]), rot16_mask);
-                $x[$c] = _mm256_add_epi32($x[$c], $x[$d]);
-                $x[$b] = {
-                    let v = _mm256_xor_si256($x[$b], $x[$c]);
-                    _mm256_or_si256(_mm256_slli_epi32::<12>(v), _mm256_srli_epi32::<20>(v))
-                };
-                $x[$a] = _mm256_add_epi32($x[$a], $x[$b]);
-                $x[$d] = _mm256_shuffle_epi8(_mm256_xor_si256($x[$d], $x[$a]), rot8_mask);
-                $x[$c] = _mm256_add_epi32($x[$c], $x[$d]);
-                $x[$b] = {
-                    let v = _mm256_xor_si256($x[$b], $x[$c]);
-                    _mm256_or_si256(_mm256_slli_epi32::<7>(v), _mm256_srli_epi32::<25>(v))
-                };
-            };
-        }
-        let mut init = [_mm256_setzero_si256(); 16];
-        for i in 0..4 {
-            init[i] = _mm256_set1_epi32(SIGMA[i] as i32);
-        }
-        for i in 0..8 {
-            let w = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().unwrap());
-            init[4 + i] = _mm256_set1_epi32(w as i32);
-        }
-        init[12] = _mm256_set_epi32(
-            counter.wrapping_add(7) as i32,
-            counter.wrapping_add(6) as i32,
-            counter.wrapping_add(5) as i32,
-            counter.wrapping_add(4) as i32,
-            counter.wrapping_add(3) as i32,
-            counter.wrapping_add(2) as i32,
-            counter.wrapping_add(1) as i32,
-            counter as i32,
-        );
-        for i in 0..3 {
-            let w = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().unwrap());
-            init[13 + i] = _mm256_set1_epi32(w as i32);
-        }
-        let mut x = init;
-        for _ in 0..10 {
-            // column rounds
-            qr!(x, 0, 4, 8, 12);
-            qr!(x, 1, 5, 9, 13);
-            qr!(x, 2, 6, 10, 14);
-            qr!(x, 3, 7, 11, 15);
-            // diagonal rounds
-            qr!(x, 0, 5, 10, 15);
-            qr!(x, 1, 6, 11, 12);
-            qr!(x, 2, 7, 8, 13);
-            qr!(x, 3, 4, 9, 14);
-        }
-        for i in 0..16 {
-            let v = _mm256_add_epi32(x[i], init[i]);
-            for half in 0..2 {
-                let h = if half == 0 {
-                    _mm256_extracti128_si256::<0>(v)
-                } else {
-                    _mm256_extracti128_si256::<1>(v)
-                };
-                let lo = _mm_cvtsi128_si64(h) as u64;
-                let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(h, h)) as u64;
-                let lanes = [lo as u32, (lo >> 32) as u32, hi as u32, (hi >> 32) as u32];
-                for (l, w) in lanes.iter().enumerate() {
-                    let off = (half * 4 + l) * 64 + i * 4;
-                    let ks = if xor {
-                        let cur = u32::from_le_bytes(out[off..off + 4].try_into().unwrap());
-                        cur ^ w
-                    } else {
-                        *w
-                    };
-                    out[off..off + 4].copy_from_slice(&ks.to_le_bytes());
-                }
-            }
-        }
+    // Below AVX-512 there is no vector rotate: the byte-granular 16 and 8
+    // are one `pshufb` (per 128-bit half) with these masks, 12 and 7 a
+    // shift pair.
+    macro_rules! rot_mask {
+        (16) => {
+            _mm_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13)
+        };
+        (8) => {
+            _mm_setr_epi8(3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14)
+        };
+    }
+    macro_rules! rotl_ssse3 {
+        (16, $v:expr) => {
+            _mm_shuffle_epi8($v, rot_mask!(16))
+        };
+        (8, $v:expr) => {
+            _mm_shuffle_epi8($v, rot_mask!(8))
+        };
+        ($r:literal, $v:expr) => {{
+            let v = $v;
+            _mm_or_si128(_mm_slli_epi32::<$r>(v), _mm_srli_epi32::<{ 32 - $r }>(v))
+        }};
+    }
+    macro_rules! rotl_avx2 {
+        (16, $v:expr) => {
+            _mm256_shuffle_epi8($v, _mm256_broadcastsi128_si256(rot_mask!(16)))
+        };
+        (8, $v:expr) => {
+            _mm256_shuffle_epi8($v, _mm256_broadcastsi128_si256(rot_mask!(8)))
+        };
+        ($r:literal, $v:expr) => {{
+            let v = $v;
+            _mm256_or_si256(
+                _mm256_slli_epi32::<$r>(v),
+                _mm256_srli_epi32::<{ 32 - $r }>(v),
+            )
+        }};
+    }
+    macro_rules! rotl_avx512 {
+        ($r:literal, $v:expr) => {
+            _mm512_rol_epi32::<$r>($v)
+        };
     }
 
-    /// Sixteen-block lane-major kernel on 512-bit vectors. AVX-512F has a
-    /// native 32-bit rotate (`vprold`), so every rotation in the quarter
-    /// round is one instruction — no shift-or pairs, no shuffle masks.
-    #[target_feature(enable = "avx512f")]
-    fn block16_avx512(
+    kernel! {
+        xor4, "ssse3", lanes: 4, add: _mm_add_epi32, xor: _mm_xor_si128,
+        splat: _mm_set1_epi32, iota: _mm_setr_epi32(0, 1, 2, 3),
+        rotl: rotl_ssse3, quarters: |v| [v]
+    }
+    kernel! {
+        xor8, "avx2", lanes: 8, add: _mm256_add_epi32, xor: _mm256_xor_si256,
+        splat: _mm256_set1_epi32, iota: _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        rotl: rotl_avx2,
+        quarters: |v| [_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)]
+    }
+    kernel! {
+        xor16, "avx512f", lanes: 16, add: _mm512_add_epi32, xor: _mm512_xor_si512,
+        splat: _mm512_set1_epi32,
+        iota: _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        rotl: rotl_avx512,
+        quarters: |v| [
+            _mm512_extracti32x4_epi32::<0>(v),
+            _mm512_extracti32x4_epi32::<1>(v),
+            _mm512_extracti32x4_epi32::<2>(v),
+            _mm512_extracti32x4_epi32::<3>(v),
+        ]
+    }
+}
+
+/// A kernel instantiation whose target feature the CPU has reported:
+/// `f` XORs every whole `64 · lanes`-byte chunk of its input with the
+/// keystream from block `counter` on and returns the remainder. Only
+/// [`kernels`] builds one.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Kernel {
+    lanes: usize,
+    f: KernelFn,
+}
+
+type KernelFn = for<'a> unsafe fn(&[u8; 32], u32, &[u8; 12], &'a mut [u8]) -> &'a mut [u8];
+
+impl Kernel {
+    #[allow(unsafe_code)]
+    fn xor<'a>(
+        self,
         key: &[u8; 32],
         counter: u32,
         nonce: &[u8; 12],
-        out: &mut [u8; 1024],
-        xor: bool,
-    ) {
-        macro_rules! qr {
-            ($x:ident, $a:expr, $b:expr, $c:expr, $d:expr) => {
-                $x[$a] = _mm512_add_epi32($x[$a], $x[$b]);
-                $x[$d] = _mm512_rol_epi32::<16>(_mm512_xor_si512($x[$d], $x[$a]));
-                $x[$c] = _mm512_add_epi32($x[$c], $x[$d]);
-                $x[$b] = _mm512_rol_epi32::<12>(_mm512_xor_si512($x[$b], $x[$c]));
-                $x[$a] = _mm512_add_epi32($x[$a], $x[$b]);
-                $x[$d] = _mm512_rol_epi32::<8>(_mm512_xor_si512($x[$d], $x[$a]));
-                $x[$c] = _mm512_add_epi32($x[$c], $x[$d]);
-                $x[$b] = _mm512_rol_epi32::<7>(_mm512_xor_si512($x[$b], $x[$c]));
-            };
-        }
-        let mut init = [_mm512_setzero_si512(); 16];
-        for i in 0..4 {
-            init[i] = _mm512_set1_epi32(SIGMA[i] as i32);
-        }
-        for i in 0..8 {
-            let w = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().unwrap());
-            init[4 + i] = _mm512_set1_epi32(w as i32);
-        }
-        init[12] = _mm512_set_epi32(
-            counter.wrapping_add(15) as i32,
-            counter.wrapping_add(14) as i32,
-            counter.wrapping_add(13) as i32,
-            counter.wrapping_add(12) as i32,
-            counter.wrapping_add(11) as i32,
-            counter.wrapping_add(10) as i32,
-            counter.wrapping_add(9) as i32,
-            counter.wrapping_add(8) as i32,
-            counter.wrapping_add(7) as i32,
-            counter.wrapping_add(6) as i32,
-            counter.wrapping_add(5) as i32,
-            counter.wrapping_add(4) as i32,
-            counter.wrapping_add(3) as i32,
-            counter.wrapping_add(2) as i32,
-            counter.wrapping_add(1) as i32,
-            counter as i32,
-        );
-        for i in 0..3 {
-            let w = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().unwrap());
-            init[13 + i] = _mm512_set1_epi32(w as i32);
-        }
-        let mut x = init;
-        for _ in 0..10 {
-            // column rounds
-            qr!(x, 0, 4, 8, 12);
-            qr!(x, 1, 5, 9, 13);
-            qr!(x, 2, 6, 10, 14);
-            qr!(x, 3, 7, 11, 15);
-            // diagonal rounds
-            qr!(x, 0, 5, 10, 15);
-            qr!(x, 1, 6, 11, 12);
-            qr!(x, 2, 7, 8, 13);
-            qr!(x, 3, 4, 9, 14);
-        }
-        for i in 0..16 {
-            let v = _mm512_add_epi32(x[i], init[i]);
-            for quarter in 0..4 {
-                let h = match quarter {
-                    0 => _mm512_extracti32x4_epi32::<0>(v),
-                    1 => _mm512_extracti32x4_epi32::<1>(v),
-                    2 => _mm512_extracti32x4_epi32::<2>(v),
-                    _ => _mm512_extracti32x4_epi32::<3>(v),
-                };
-                let lo = _mm_cvtsi128_si64(h) as u64;
-                let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(h, h)) as u64;
-                let lanes = [lo as u32, (lo >> 32) as u32, hi as u32, (hi >> 32) as u32];
-                for (l, w) in lanes.iter().enumerate() {
-                    let off = (quarter * 4 + l) * 64 + i * 4;
-                    let ks = if xor {
-                        let cur = u32::from_le_bytes(out[off..off + 4].try_into().unwrap());
-                        cur ^ w
-                    } else {
-                        *w
-                    };
-                    out[off..off + 4].copy_from_slice(&ks.to_le_bytes());
-                }
-            }
-        }
-    }
-
-    /// Whether the 16-wide AVX-512 backend is usable on this CPU.
-    pub fn has_avx512() -> bool {
-        std::arch::is_x86_feature_detected!("avx512f")
-    }
-
-    /// XOR 1024 bytes of keystream (counters `counter..counter+16`) into
-    /// `buf` in place. Panics if AVX-512F is unavailable — callers gate on
-    /// [`has_avx512`].
-    #[allow(unsafe_code)]
-    pub fn xor16(key: &[u8; 32], counter: u32, nonce: &[u8; 12], buf: &mut [u8; 1024]) {
-        assert!(std::arch::is_x86_feature_detected!("avx512f"));
-        // SAFETY: AVX-512F availability asserted just above.
-        unsafe { block16_avx512(key, counter, nonce, buf, true) }
-    }
-
-    /// Write 1024 bytes of keystream for counters `counter..counter+16`.
-    /// Panics if AVX-512F is unavailable — callers gate on [`has_avx512`].
-    #[allow(unsafe_code)]
-    #[cfg(test)]
-    pub fn block16(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8; 1024]) {
-        assert!(std::arch::is_x86_feature_detected!("avx512f"));
-        // SAFETY: AVX-512F availability asserted just above.
-        unsafe { block16_avx512(key, counter, nonce, out, false) }
-    }
-
-    /// Whether the 8-wide AVX2 backend is usable on this CPU.
-    pub fn has_avx2() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// XOR 512 bytes of keystream (counters `counter..counter+8`) into
-    /// `buf` in place. Panics if AVX2 is unavailable — callers gate on
-    /// [`has_avx2`].
-    #[allow(unsafe_code)]
-    pub fn xor8(key: &[u8; 32], counter: u32, nonce: &[u8; 12], buf: &mut [u8; 512]) {
-        assert!(std::arch::is_x86_feature_detected!("avx2"));
-        // SAFETY: AVX2 availability asserted just above.
-        unsafe { block8_avx2(key, counter, nonce, buf, true) }
-    }
-
-    /// Write 512 bytes of keystream for counters `counter..counter+8`.
-    /// Panics if AVX2 is unavailable — callers gate on [`has_avx2`].
-    #[allow(unsafe_code)]
-    #[cfg(test)]
-    pub fn block8(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8; 512]) {
-        assert!(std::arch::is_x86_feature_detected!("avx2"));
-        // SAFETY: AVX2 availability asserted just above.
-        unsafe { block8_avx2(key, counter, nonce, out, false) }
-    }
-
-    #[allow(unsafe_code)]
-    fn dispatch(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8; 256], xor: bool) {
-        if std::arch::is_x86_feature_detected!("ssse3") {
-            // SAFETY: SSSE3 availability just verified at runtime.
-            unsafe { block4_ssse3(key, counter, nonce, out, xor) }
-        } else {
-            // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-            unsafe { block4_sse2(key, counter, nonce, out, xor) }
-        }
-    }
-
-    /// Write 256 bytes of keystream for counters `counter..counter+4`.
-    pub fn block4(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8; 256]) {
-        dispatch(key, counter, nonce, out, false);
-    }
-
-    /// XOR 256 bytes of keystream into `buf` in place, without staging the
-    /// keystream through a separate buffer.
-    pub fn xor4(key: &[u8; 32], counter: u32, nonce: &[u8; 12], buf: &mut [u8; 256]) {
-        dispatch(key, counter, nonce, buf, true);
+        data: &'a mut [u8],
+    ) -> &'a mut [u8] {
+        // SAFETY: `kernels` builds a `Kernel` only after the CPU reported
+        // the target feature `f` is compiled for.
+        unsafe { (self.f)(key, counter, nonce, data) }
     }
 }
 
-/// Compute four consecutive 64-byte keystream blocks (counters
-/// `counter..counter+4`, wrapping) in one pass. Byte-identical to calling
-/// [`chacha20_block`] four times.
-pub fn chacha20_block4(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 256] {
-    let mut out = [0u8; 256];
-    #[cfg(target_arch = "x86_64")]
-    simd::block4(key, counter, nonce, &mut out);
-    #[cfg(not(target_arch = "x86_64"))]
-    portable::block4(key, counter, nonce, &mut out);
-    out
+/// The kernels this CPU runs, widest first.
+#[cfg(target_arch = "x86_64")]
+fn kernels() -> [Option<Kernel>; 3] {
+    use std::arch::is_x86_feature_detected as has;
+    let detected = |on: bool, lanes, f: KernelFn| on.then_some(Kernel { lanes, f });
+    [
+        detected(has!("avx512f"), 16, x86::xor16),
+        detected(has!("avx2"), 8, x86::xor8),
+        detected(has!("ssse3"), 4, x86::xor4),
+    ]
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn kernels() -> [Option<Kernel>; 0] {
+    []
 }
 
 /// XOR `data` in place with the ChaCha20 keystream starting at block
-/// `counter`, using the wide four-block generator for the bulk and the
-/// scalar block function for the sub-256-byte tail.
-pub fn chacha20_xor(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
+/// `counter`: whole chunks through the widest kernel the CPU runs, the
+/// remainder through each narrower one, and a last tail of under 256 B
+/// scalar (at most 128 B) or through one 4-lane keystream pass.
+pub fn chacha20_xor(key: &[u8; 32], counter: u32, nonce: &[u8; 12], mut data: &mut [u8]) {
     let mut ctr = counter;
-    // Widest kernel first: 1024-byte chunks through the 16-wide AVX-512
-    // path, then 512-byte chunks through the 8-wide AVX2 path, remainder
-    // through the 4-wide path, and a final sub-4-block tail.
-    #[cfg(target_arch = "x86_64")]
-    let data = if simd::has_avx512() {
-        let mut chunks = data.chunks_exact_mut(1024);
-        for chunk in &mut chunks {
-            let chunk: &mut [u8; 1024] = chunk.try_into().expect("exact 1024-byte chunk");
-            simd::xor16(key, ctr, nonce, chunk);
-            ctr = ctr.wrapping_add(16);
-        }
-        chunks.into_remainder()
-    } else {
-        data
-    };
-    #[cfg(target_arch = "x86_64")]
-    let data = if simd::has_avx2() {
-        let mut chunks = data.chunks_exact_mut(512);
-        for chunk in &mut chunks {
-            let chunk: &mut [u8; 512] = chunk.try_into().expect("exact 512-byte chunk");
-            simd::xor8(key, ctr, nonce, chunk);
-            ctr = ctr.wrapping_add(8);
-        }
-        chunks.into_remainder()
-    } else {
-        data
-    };
-    let mut chunks = data.chunks_exact_mut(256);
-    for chunk in &mut chunks {
-        let chunk: &mut [u8; 256] = chunk.try_into().expect("exact 256-byte chunk");
-        #[cfg(target_arch = "x86_64")]
-        simd::xor4(key, ctr, nonce, chunk);
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let mut ks = [0u8; 256];
-            portable::block4(key, ctr, nonce, &mut ks);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
+    // Two scalar blocks beat one 4-lane pass into a stack buffer (102 B:
+    // 195–208 ns against 240–253 ns on a 2-vCPU AVX-512 x86-64 guest);
+    // from 144 B on the pass wins (228–266 ns against 310–340 ns). So up
+    // to 128 B run scalar.
+    if data.len() > 128 {
+        for k in kernels().into_iter().flatten() {
+            let len = data.len();
+            if len >= 64 * k.lanes {
+                data = k.xor(key, ctr, nonce, std::mem::take(&mut data));
+                ctr = ctr.wrapping_add(((len - data.len()) / 64) as u32);
+            }
+            if k.lanes == 4 && data.len() > 128 {
+                let mut ks = [0u8; 256];
+                k.xor(key, ctr, nonce, &mut ks);
+                for (b, s) in data.iter_mut().zip(ks.iter()) {
+                    *b ^= s;
+                }
+                return;
             }
         }
-        ctr = ctr.wrapping_add(4);
     }
-    let tail = chunks.into_remainder();
-    if tail.len() > 64 {
-        // 2-4 blocks left: one wide-kernel pass beats per-block scalar
-        // passes — small records (RPC frames) live entirely in this tail.
-        let mut ks = [0u8; 256];
-        #[cfg(target_arch = "x86_64")]
-        simd::block4(key, ctr, nonce, &mut ks);
-        #[cfg(not(target_arch = "x86_64"))]
-        portable::block4(key, ctr, nonce, &mut ks);
-        for (b, k) in tail.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
-    } else {
-        chacha20_xor_scalar(key, ctr, nonce, tail);
-    }
-}
-
-/// XOR `data` in place using only the scalar one-block generator.
-/// Retained as the differential-testing and benchmark reference for the
-/// wide path — both produce identical bytes.
-pub fn chacha20_xor_scalar(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
-    let mut ctr = counter;
     for chunk in data.chunks_mut(64) {
         let ks = chacha20_block(key, ctr, nonce);
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
@@ -623,6 +296,16 @@ pub fn chacha20_xor_scalar(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data:
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The oracle: the scalar block function, one block at a time.
+    fn scalar_xor(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(64).enumerate() {
+            let ks = chacha20_block(key, counter.wrapping_add(i as u32), nonce);
+            for (b, k) in chunk.iter_mut().zip(ks) {
+                *b ^= k;
+            }
+        }
+    }
 
     #[test]
     fn rfc8439_quarter_round() {
@@ -667,98 +350,73 @@ mod tests {
         assert_eq!(data, orig);
     }
 
-    #[test]
-    fn wide_block4_matches_scalar_blocks() {
+    /// XORs zeros through the `lanes`-wide kernel instantiation, if this
+    /// CPU runs it, and compares each block with the scalar one.
+    fn kernel_matches_scalar_blocks(lanes: usize) {
+        let Some(k) = kernels().into_iter().flatten().find(|k| k.lanes == lanes) else {
+            return; // nothing to test on this CPU
+        };
         let mut key = [0u8; 32];
         for (i, b) in key.iter_mut().enumerate() {
             *b = (i * 7 + 3) as u8;
         }
         let nonce = [0x5a; 12];
-        for counter in [0u32, 1, 1000, u32::MAX - 1] {
-            let wide = chacha20_block4(&key, counter, &nonce);
-            for b in 0..4u32 {
-                let scalar = chacha20_block(&key, counter.wrapping_add(b), &nonce);
+        for counter in [0u32, 1, 9, 1000, u32::MAX - 1, u32::MAX - 2, u32::MAX - 11] {
+            // Two chunks, so the kernel's own counter step is checked too.
+            let mut wide = vec![0u8; 2 * 64 * lanes];
+            k.xor(&key, counter, &nonce, &mut wide);
+            for b in 0..2 * lanes {
+                let scalar = chacha20_block(&key, counter.wrapping_add(b as u32), &nonce);
                 assert_eq!(
-                    &wide[b as usize * 64..(b as usize + 1) * 64],
+                    &wide[b * 64..(b + 1) * 64],
                     &scalar[..],
-                    "counter {counter} block {b}"
+                    "{lanes} lanes, counter {counter}, block {b}"
                 );
             }
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx512_backend_matches_scalar_blocks() {
-        if !simd::has_avx512() {
-            return; // nothing to test on this CPU
-        }
-        let key = [0x42u8; 32];
-        let nonce = [0x17u8; 12];
-        for counter in [0u32, 9, u32::MAX - 11] {
-            let mut wide = [0u8; 1024];
-            simd::block16(&key, counter, &nonce, &mut wide);
-            for b in 0..16u32 {
-                let scalar = chacha20_block(&key, counter.wrapping_add(b), &nonce);
-                assert_eq!(
-                    &wide[b as usize * 64..(b as usize + 1) * 64],
-                    &scalar[..],
-                    "counter {counter} block {b}"
-                );
-            }
-        }
+    fn wide_block4_matches_scalar_blocks() {
+        kernel_matches_scalar_blocks(4);
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_backend_matches_scalar_blocks() {
-        if !simd::has_avx2() {
-            return; // nothing to test on this CPU
-        }
-        let key = [0x42u8; 32];
-        let nonce = [0x17u8; 12];
-        for counter in [0u32, 9, u32::MAX - 5] {
-            let mut wide = [0u8; 512];
-            simd::block8(&key, counter, &nonce, &mut wide);
-            for b in 0..8u32 {
-                let scalar = chacha20_block(&key, counter.wrapping_add(b), &nonce);
-                assert_eq!(
-                    &wide[b as usize * 64..(b as usize + 1) * 64],
-                    &scalar[..],
-                    "counter {counter} block {b}"
-                );
-            }
-        }
+        kernel_matches_scalar_blocks(8);
     }
 
     #[test]
-    fn portable_backend_matches_scalar_blocks() {
-        let key = [0x42u8; 32];
-        let nonce = [0x17u8; 12];
-        for counter in [0u32, 9, u32::MAX - 2] {
-            let mut wide = [0u8; 256];
-            portable::block4(&key, counter, &nonce, &mut wide);
-            for b in 0..4u32 {
-                let scalar = chacha20_block(&key, counter.wrapping_add(b), &nonce);
-                assert_eq!(
-                    &wide[b as usize * 64..(b as usize + 1) * 64],
-                    &scalar[..],
-                    "counter {counter} block {b}"
-                );
-            }
-        }
+    fn avx512_backend_matches_scalar_blocks() {
+        kernel_matches_scalar_blocks(16);
     }
 
     #[test]
     fn wide_xor_matches_scalar_xor() {
         let key = [0x21u8; 32];
         let nonce = [9u8; 12];
-        for len in [0usize, 1, 63, 64, 255, 256, 257, 511, 512, 1024 + 17] {
+        for len in [
+            0usize,
+            1,
+            63,
+            64,
+            128,
+            129,
+            255,
+            256,
+            257,
+            511,
+            512,
+            767,
+            1023,
+            1024 + 17,
+            1024 + 512 + 256 + 17,
+        ] {
             let src: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let mut wide = src.clone();
             let mut scalar = src.clone();
             chacha20_xor(&key, 3, &nonce, &mut wide);
-            chacha20_xor_scalar(&key, 3, &nonce, &mut scalar);
+            scalar_xor(&key, 3, &nonce, &mut scalar);
             assert_eq!(wide, scalar, "len {len}");
         }
     }

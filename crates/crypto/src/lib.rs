@@ -36,11 +36,12 @@
 //! and the 64 odd multiples of the base point verification adds from
 //! (64 × 120 B = 7.5 KiB).
 //!
-//! `unsafe` is denied crate-wide with exactly one sanctioned exception: the
-//! SIMD ChaCha20 backend in [`chacha`] calls `#[target_feature]` functions
-//! built from value-based SSE2/SSSE3 intrinsics (no raw pointers). Each
-//! `unsafe` block there is a feature-availability assertion only, and the
-//! portable path remains the differential-testing reference.
+//! `unsafe` is denied crate-wide with exactly one sanctioned exception, a
+//! single block in [`chacha`]: the call through which every lane-major
+//! ChaCha20 kernel (SSSE3, AVX2, AVX-512F; value-based intrinsics, no raw
+//! pointers) runs, reachable only after the CPU reported the kernel's
+//! target feature. The scalar block function is the reference the tests
+//! hold every kernel to.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,10 +8,10 @@
 //! `(((h + m₁)·r + m₂)·r + m₃)·r + m₄` is evaluated as
 //! `(h + m₁)·r⁴ + m₂·r³ + m₃·r² + m₄·r`, with all four products summed
 //! limb-wise in u128 before a single reduction. The accumulator converts
-//! between radices once per `update` call, never per block. The one-block
-//! radix-2²⁶ path is retained (and reachable via
-//! [`Poly1305::update_scalar`]) as the differential-testing reference;
-//! both produce identical tags.
+//! between radices once per `update` call, never per block. An `update`
+//! of at most 16 bytes takes only the one-block radix-2²⁶ step, so the
+//! tests build their reference MAC by feeding 16-byte slices; every
+//! split produces the same tag.
 
 /// Incremental Poly1305 MAC. The key must never be reused across messages;
 /// the AEAD construction derives a fresh one per nonce.
@@ -372,32 +372,6 @@ impl Poly1305 {
         self.buf_len = data.len();
     }
 
-    /// Absorb message bytes strictly one block per reduction — the
-    /// reference path the two-block accumulator is differential-tested
-    /// against. Interleaving `update` and `update_scalar` is sound; tags
-    /// are identical either way.
-    pub fn update_scalar(&mut self, mut data: &[u8]) {
-        if self.buf_len > 0 {
-            let take = (16 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 16 {
-                let block = self.buf;
-                self.block(&block, 1);
-                self.buf_len = 0;
-            } else {
-                return; // buffer not full ⇒ data exhausted
-            }
-        }
-        while data.len() >= 16 {
-            self.block(data[..16].try_into().unwrap(), 1);
-            data = &data[16..];
-        }
-        self.buf[..data.len()].copy_from_slice(data);
-        self.buf_len = data.len();
-    }
-
     /// Produce the 16-byte tag.
     pub fn finalize(mut self) -> [u8; 16] {
         if self.buf_len > 0 {
@@ -470,13 +444,6 @@ pub fn poly1305(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
     p.finalize()
 }
 
-/// One-shot Poly1305 MAC via the one-block-per-reduction reference path.
-pub fn poly1305_scalar(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
-    let mut p = Poly1305::new(key);
-    p.update_scalar(msg);
-    p.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,6 +456,15 @@ mod tests {
         (0..s.len() / 2)
             .map(|i| u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).unwrap())
             .collect()
+    }
+
+    /// The oracle: 16-byte slices, each absorbed by the one-block step.
+    fn poly1305_by_blocks(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+        let mut p = Poly1305::new(key);
+        for block in msg.chunks(16) {
+            p.update(block);
+        }
+        p.finalize()
     }
 
     #[test]
@@ -526,7 +502,7 @@ mod tests {
         ] {
             assert_eq!(
                 poly1305(&key, &msg[..len]),
-                poly1305_scalar(&key, &msg[..len]),
+                poly1305_by_blocks(&key, &msg[..len]),
                 "len {len}"
             );
         }
@@ -538,7 +514,9 @@ mod tests {
         let msg: Vec<u8> = (0..192u8).collect();
         let mut mixed = Poly1305::new(&key);
         mixed.update(&msg[..50]);
-        mixed.update_scalar(&msg[50..90]);
+        for slice in msg[50..90].chunks(16) {
+            mixed.update(slice);
+        }
         mixed.update(&msg[90..]);
         assert_eq!(mixed.finalize(), poly1305(&key, &msg));
     }
