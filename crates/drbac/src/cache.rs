@@ -18,36 +18,39 @@
 //!    every use (they depend on `now`), preserving the uncached engine's
 //!    exact error precedence.
 //!
-//! 2. **Proof cache** — memoizes whole `prove()` results, keyed by
-//!    `(subject, role, fingerprint of the presented credential set)`.
-//!    Entries pin the repository and registry epochs they were computed
-//!    under and are checked against them on lookup, so repository
-//!    publishes/purges and registry registrations invalidate. Positive
-//!    entries additionally carry a [`ValidityMonitor`] over **every
-//!    credential examined by the search** (a superset of
-//!    `Proof::credential_ids`) plus the earliest future expiry among
-//!    them; negative entries are valid only while logical time moves
-//!    forward. Together these make a cache hit *bit-identical* to a fresh
-//!    search: under pinned epochs, an unchanged frontier, and an unexpired
-//!    window, BFS is deterministic and must reproduce the recorded result.
+//! 2. **Proof cache** — memoizes whole `prove()` results, failures
+//!    included, keyed by `(subject, role, fingerprint of the presented
+//!    credential set)`. An entry pins every input its search read: the
+//!    mark of each key bucket it queried (see [`crate::repository`]), the
+//!    registry epoch, a [`ValidityMonitor`] over every credential that
+//!    passed its checks, and the earliest future expiry among those; it is
+//!    served only at or after the time it was derived. A hit is therefore
+//!    *bit-identical* to a fresh search: BFS is deterministic, and over
+//!    unchanged inputs it reproduces the recorded result, a proof or a
+//!    failure alike.
+//!
+//! Both tables are bounded and evict by CLOCK (second chance): an entry
+//! hit since the hand last passed it survives, so a hot working set is
+//! never flushed by a stream of one-off decisions.
 //!
 //! One `AuthCache` must only ever be used with a single
 //! `(EntityRegistry, CredentialSource, RevocationBus)` triple — the
-//! entries record epochs of *those* structures. [`Guard`](crate::Guard)
-//! and the planner's oracle own their cache for exactly this reason.
+//! entries record marks and epochs of *those* structures.
+//! [`Guard`](crate::Guard) and the planner's oracle own their cache for
+//! exactly this reason.
 
+use crate::clock_table::ClockTable;
 use crate::delegation::{CredId, Credential};
 use crate::proof::{Proof, SearchStats};
-use crate::repository::fnv1a;
+use crate::repository::{fnv1a, CredentialSource, KeyMark};
 use crate::revocation::{RevocationBus, ValidityMonitor};
 use crate::{DrbacError, Timestamp};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Maximum cached proof entries before the table is flushed.
+/// Proof entries kept; the CLOCK hand picks which one a new entry replaces.
 const PROOF_CAP: usize = 1024;
-/// Maximum cached credential verdicts before the table is flushed.
+/// Credential verdicts kept, evicted the same way.
 const CRED_CAP: usize = 8192;
 
 /// Key of a proof-cache entry: who is being authorized for what, under
@@ -91,24 +94,29 @@ impl PresentedFingerprint {
     }
 }
 
-/// What the search touched: every credential id examined, every subject
-/// key queried against the repository, plus the earliest expiry (strictly
-/// after the evaluation time) among the examined credentials. Recorded on
-/// a cache miss; decides how long the resulting entry stays exact.
+/// What a search read, recorded on a cache miss: the key buckets it
+/// queried and the credentials whose status can still change. It decides
+/// how long the resulting entry, proof or failure, stays exact.
 #[derive(Debug, Default, Clone)]
 pub struct Frontier {
-    /// Ids of every credential the search examined.
+    /// Ids of every credential that passed signature, expiry and
+    /// revocation checks. Only these can change the outcome later — by
+    /// being revoked or by expiring; a rejected credential stays rejected
+    /// (the revoked set only grows, time only moves forward).
     pub ids: Vec<CredId>,
-    /// Canonical subject keys the search queried the repository for —
-    /// including keys that returned nothing (a later publish for such a
-    /// key can change the result, so its shard must be pinned too).
-    pub subjects: Vec<String>,
+    /// `(bucket, mark)` of every key the search queried, including keys
+    /// that returned nothing: a later publish for such a key can change
+    /// the result, so its bucket is pinned too.
+    pub marks: Vec<KeyMark>,
+    /// Some query came from a source that keeps no marks: the result is
+    /// not cached.
+    pub unmarked: bool,
     /// Earliest expiry strictly after the evaluation time, if any.
     pub next_expiry: Option<Timestamp>,
 }
 
 impl Frontier {
-    /// Record one examined credential.
+    /// Record one credential that passed its checks.
     pub fn note(&mut self, cred: &Credential, now: Timestamp) {
         self.ids.push(cred.cred_id());
         if let Some(exp) = cred.body.expires {
@@ -118,50 +126,51 @@ impl Frontier {
         }
     }
 
-    /// Record one repository subject-key query.
-    pub fn note_subject(&mut self, subject_key: &str) {
-        self.subjects.push(subject_key.to_string());
+    /// Record the mark one subject-key query returned.
+    pub fn note_query(&mut self, mark: Option<KeyMark>) {
+        match mark {
+            Some(mark) => self.marks.push(mark),
+            None => self.unmarked = true,
+        }
     }
 }
 
-struct PositiveEntry {
-    proof: Proof,
-    stats: SearchStats,
-    /// The proof-carrying certificate emitted for this entry, attached
+type ProveResult = Result<(Proof, SearchStats), (DrbacError, SearchStats)>;
+
+struct ProofEntry {
+    result: ProveResult,
+    /// The proof-carrying certificate emitted for a proved entry, attached
     /// lazily by `ProofEngine::prove_certified`. It shares the entry's
-    /// validity window exactly: the certificate pins the same epochs the
-    /// entry does, so whenever the entry is a legal hit the certificate
-    /// is still the one a fresh emission would produce (modulo nothing —
-    /// emission is deterministic in the proof and the pinned epochs).
+    /// validity window exactly: whenever the entry is a legal hit the
+    /// certificate is the one a fresh emission would produce (emission is
+    /// deterministic in the proof and the pinned epochs).
     cert: Option<Arc<psf_cert::AuthCertificate>>,
-    /// Watches every credential the search examined — any revocation in
-    /// the frontier (not just the proof chain) invalidates.
+    /// `(bucket, mark)` of every key bucket the search queried, sorted and
+    /// deduplicated.
+    marks: Box<[KeyMark]>,
+    /// Watches every credential that passed the search's checks.
     monitor: ValidityMonitor,
-    /// First instant at which some examined credential's expiry status
-    /// changes; the entry is exact only strictly before it.
+    /// First instant at which one of those credentials expires; the entry
+    /// is exact only strictly before it.
     next_expiry: Option<Timestamp>,
-    repo_epoch: Option<u64>,
-    /// Per-shard pins `(shard, high-water mark)` for every shard the
-    /// search queried, captured **before** the search read any data. When
-    /// present, the entry stays valid while those shards' current marks
-    /// are unchanged — publishes into other shards don't evict it. When
-    /// absent (unsharded source), the global `repo_epoch` pin applies.
-    shard_marks: Option<Vec<(u32, u64)>>,
     registry_epoch: u64,
     observed_now: Timestamp,
 }
 
-struct NegativeEntry {
-    error: DrbacError,
-    stats: SearchStats,
-    repo_epoch: Option<u64>,
-    registry_epoch: u64,
-    observed_now: Timestamp,
-}
-
-enum ProofEntry {
-    Proved(PositiveEntry),
-    Failed(NegativeEntry),
+impl ProofEntry {
+    /// Whether every input the recorded search read is unchanged. Cheap
+    /// checks first; the monitor rescans its ids under the bus lock only
+    /// after the revoked set has grown.
+    fn current(&self, source: &dyn CredentialSource, now: Timestamp, registry_epoch: u64) -> bool {
+        self.registry_epoch == registry_epoch
+            && now >= self.observed_now
+            && self.next_expiry.is_none_or(|e| now < e)
+            && self
+                .marks
+                .iter()
+                .all(|&(bucket, mark)| source.bucket_mark(bucket) == Some(mark))
+            && self.monitor.is_valid()
+    }
 }
 
 struct CredVerdict {
@@ -177,7 +186,7 @@ pub struct CacheStats {
     pub proof_hits: u64,
     /// Proof-cache lookups that fell through to a full search.
     pub proof_misses: u64,
-    /// Entries dropped because revocation/expiry/epoch checks failed.
+    /// Entries dropped because one of their pinned inputs changed.
     pub proof_invalidations: u64,
     /// Signature verifications answered from the credential cache.
     pub cred_hits: u64,
@@ -195,8 +204,8 @@ struct StatCells {
 }
 
 struct CacheInner {
-    creds: Mutex<HashMap<CredId, CredVerdict>>,
-    proofs: Mutex<HashMap<ProofKey, ProofEntry>>,
+    creds: Mutex<ClockTable<CredId, CredVerdict>>,
+    proofs: Mutex<ClockTable<ProofKey, ProofEntry>>,
     stats: StatCells,
 }
 
@@ -219,8 +228,8 @@ impl AuthCache {
     pub fn new() -> AuthCache {
         AuthCache {
             inner: Arc::new(CacheInner {
-                creds: Mutex::new(HashMap::new()),
-                proofs: Mutex::new(HashMap::new()),
+                creds: Mutex::new(ClockTable::new(CRED_CAP)),
+                proofs: Mutex::new(ClockTable::new(PROOF_CAP)),
                 stats: StatCells::default(),
             }),
         }
@@ -231,6 +240,8 @@ impl AuthCache {
     /// when the same `(id, issuer key)` pair has been verified before.
     /// Check order — structure, expiry, signature — matches the uncached
     /// path so error precedence is identical.
+    ///
+    /// [`SignedDelegation::verify`]: crate::SignedDelegation::verify
     pub fn verify_credential(
         &self,
         cred: &Credential,
@@ -240,24 +251,17 @@ impl AuthCache {
         cred.check_structure()?;
         cred.check_expiry(now)?;
         let id = cred.cred_id();
-        {
-            let creds = self.inner.creds.lock();
-            if let Some(v) = creds.get(&id) {
-                if v.issuer_key == issuer_key.0 {
-                    self.inner.stats.cred_hits.fetch_add(1, Relaxed);
-                    psf_telemetry::counter!("psf.drbac.cache.cred.hits").inc();
-                    return v.result.clone();
-                }
+        if let Some(v) = self.inner.creds.lock().get(&id) {
+            if v.issuer_key == issuer_key.0 {
+                self.inner.stats.cred_hits.fetch_add(1, Relaxed);
+                psf_telemetry::counter!("psf.drbac.cache.cred.hits").inc();
+                return v.result.clone();
             }
         }
         self.inner.stats.cred_misses.fetch_add(1, Relaxed);
         psf_telemetry::counter!("psf.drbac.cache.cred.misses").inc();
         let result = cred.verify_signature(issuer_key);
-        let mut creds = self.inner.creds.lock();
-        if creds.len() >= CRED_CAP {
-            creds.clear();
-        }
-        creds.insert(
+        self.inner.creds.lock().insert(
             id,
             CredVerdict {
                 issuer_key: issuer_key.0,
@@ -267,19 +271,16 @@ impl AuthCache {
         result
     }
 
-    /// Look up a memoized `prove()` result. Returns `None` on a miss
-    /// (including entries that had to be invalidated). `shard_marks` is
-    /// the source's *current* high-water snapshot (captured by the engine
-    /// at the start of this authorization), used to validate per-shard
-    /// pins on positive entries.
+    /// Look up a memoized `prove()` result. Returns `None` on a miss,
+    /// including an entry dropped because an input it pinned changed:
+    /// `source` answers the current mark of each bucket the entry pinned.
     pub(crate) fn lookup_proof(
         &self,
         key: &ProofKey,
         now: Timestamp,
-        repo_epoch: Option<u64>,
-        shard_marks: Option<&[u64]>,
+        source: &dyn CredentialSource,
         registry_epoch: u64,
-    ) -> Option<Result<(Proof, SearchStats), (DrbacError, SearchStats)>> {
+    ) -> Option<ProveResult> {
         let mut proofs = self.inner.proofs.lock();
         let hit = match proofs.get(key) {
             None => {
@@ -287,129 +288,86 @@ impl AuthCache {
                 psf_telemetry::counter!("psf.drbac.cache.proof.misses").inc();
                 return None;
             }
-            Some(ProofEntry::Proved(p)) => {
-                // Per-shard pins beat the global epoch when both sides
-                // are sharded: unchanged marks on every queried shard ⇒
-                // the search's entire read set is unchanged.
-                let universe_pinned = match (&p.shard_marks, shard_marks) {
-                    (Some(pins), Some(current)) => pins
-                        .iter()
-                        .all(|&(s, m)| current.get(s as usize) == Some(&m)),
-                    _ => p.repo_epoch.is_some() && p.repo_epoch == repo_epoch,
-                };
-                universe_pinned
-                    && p.registry_epoch == registry_epoch
-                    && now >= p.observed_now
-                    && p.next_expiry.is_none_or(|e| now < e)
-                    && p.monitor.is_valid()
-            }
-            Some(ProofEntry::Failed(n)) => {
-                // A failure stays a failure while the credential universe
-                // is pinned and time only moves forward: validity is
-                // monotone-decreasing in `now` and revocations only grow.
-                n.repo_epoch.is_some()
-                    && n.repo_epoch == repo_epoch
-                    && n.registry_epoch == registry_epoch
-                    && now >= n.observed_now
-            }
+            Some(e) => e
+                .current(source, now, registry_epoch)
+                .then(|| e.result.clone()),
         };
-        if !hit {
+        if hit.is_none() {
             proofs.remove(key);
             self.inner.stats.proof_invalidations.fetch_add(1, Relaxed);
             self.inner.stats.proof_misses.fetch_add(1, Relaxed);
             psf_telemetry::counter!("psf.drbac.cache.proof.invalidations").inc();
             psf_telemetry::counter!("psf.drbac.cache.proof.misses").inc();
-            return None;
+        } else {
+            self.inner.stats.proof_hits.fetch_add(1, Relaxed);
+            psf_telemetry::counter!("psf.drbac.cache.proof.hits").inc();
         }
-        self.inner.stats.proof_hits.fetch_add(1, Relaxed);
-        psf_telemetry::counter!("psf.drbac.cache.proof.hits").inc();
-        match proofs.get(key) {
-            Some(ProofEntry::Proved(p)) => Some(Ok((p.proof.clone(), p.stats))),
-            Some(ProofEntry::Failed(n)) => Some(Err((n.error.clone(), n.stats))),
-            None => unreachable!("entry checked above"),
-        }
+        hit
     }
 
-    /// Record a fresh `prove()` result together with the search frontier
-    /// that produced it. `shard_pins` are the `(shard, high-water mark)`
-    /// pairs for every shard the search queried, with marks captured
-    /// **before** the search read any data (soundness: if a mark is still
-    /// unchanged at a later lookup, no mutation became visible to the
-    /// recorded search).
-    #[allow(clippy::too_many_arguments)]
+    /// Record a fresh `prove()` result — proof or failure — together with
+    /// the frontier of the search that produced it. `registry_epoch` is
+    /// the epoch read *before* the search; the marks in `frontier` were
+    /// each read under the lock of the query they pin. Soundness: if every
+    /// pin still holds at a later lookup, no input the search read has
+    /// changed since it read it.
     pub(crate) fn insert_proof(
         &self,
         key: ProofKey,
-        result: &Result<(Proof, SearchStats), (DrbacError, SearchStats)>,
-        frontier: &Frontier,
+        result: ProveResult,
+        frontier: Frontier,
         bus: &RevocationBus,
-        repo_epoch: Option<u64>,
-        shard_pins: Option<Vec<(u32, u64)>>,
         registry_epoch: u64,
         now: Timestamp,
     ) {
-        // No caching at all without a repository epoch: a versionless
-        // (remote) source could change content silently, and both entry
-        // kinds pin the credential universe for their exactness argument.
-        if repo_epoch.is_none() {
+        // A source without marks (a remote repository) could change
+        // content silently: nothing read from it is cached.
+        if frontier.unmarked {
             return;
         }
-        let entry = match result {
-            Ok((proof, stats)) => ProofEntry::Proved(PositiveEntry {
-                proof: proof.clone(),
-                stats: *stats,
-                cert: None,
-                monitor: bus.monitor(frontier.ids.iter().copied()),
-                next_expiry: frontier.next_expiry,
-                repo_epoch,
-                shard_marks: shard_pins,
-                registry_epoch,
-                observed_now: now,
-            }),
-            Err((error, stats)) => ProofEntry::Failed(NegativeEntry {
-                error: error.clone(),
-                stats: *stats,
-                repo_epoch,
-                registry_epoch,
-                observed_now: now,
-            }),
+        let mut marks = frontier.marks;
+        marks.sort_unstable();
+        marks.dedup();
+        let entry = ProofEntry {
+            result,
+            cert: None,
+            marks: marks.into(),
+            monitor: bus.monitor(frontier.ids),
+            next_expiry: frontier.next_expiry,
+            registry_epoch,
+            observed_now: now,
         };
-        let mut proofs = self.inner.proofs.lock();
-        if proofs.len() >= PROOF_CAP {
-            proofs.clear();
-        }
-        proofs.insert(key, entry);
+        self.inner.proofs.lock().insert(key, entry);
     }
 
-    /// Certificate stored alongside a positive proof entry, if one has
-    /// been attached. Callers must only use this immediately after a
-    /// validated `lookup_proof` hit for the same key (the certificate
-    /// shares the entry's validity window).
+    /// Certificate stored alongside a proved entry, if one has been
+    /// attached. Callers must only use this immediately after a validated
+    /// `lookup_proof` hit for the same key (the certificate shares the
+    /// entry's validity window).
     pub(crate) fn lookup_certificate(
         &self,
         key: &ProofKey,
     ) -> Option<Arc<psf_cert::AuthCertificate>> {
-        match self.inner.proofs.lock().get(key) {
-            Some(ProofEntry::Proved(p)) => p.cert.clone(),
-            _ => None,
-        }
+        self.inner.proofs.lock().get(key)?.cert.clone()
     }
 
-    /// Attach an emitted certificate to the positive entry for `key` (a
+    /// Attach an emitted certificate to the proved entry for `key` (a
     /// no-op if the entry has been evicted or replaced meanwhile).
     pub(crate) fn attach_certificate(&self, key: &ProofKey, cert: Arc<psf_cert::AuthCertificate>) {
-        if let Some(ProofEntry::Proved(p)) = self.inner.proofs.lock().get_mut(key) {
-            p.cert = Some(cert);
+        if let Some(entry) = self.inner.proofs.lock().get(key) {
+            if entry.result.is_ok() {
+                entry.cert = Some(cert);
+            }
         }
     }
 
-    /// Number of positive proof entries carrying a certificate.
+    /// Number of proved entries carrying a certificate.
     pub fn cert_entries(&self) -> usize {
         self.inner
             .proofs
             .lock()
             .values()
-            .filter(|e| matches!(e, ProofEntry::Proved(p) if p.cert.is_some()))
+            .filter(|e| e.cert.is_some())
             .count()
     }
 

@@ -403,7 +403,7 @@ mod tests {
 
     #[test]
     fn cross_shard_publish_keeps_unrelated_proofs_cached() {
-        use crate::repository::{subject_key, CredentialSource};
+        use crate::repository::subject_key;
         let repo = Repository::with_shard_count(64);
         let g = Guard::new(
             Entity::with_seed("Comp.NY", b"g"),
@@ -412,23 +412,25 @@ mod tests {
             RevocationBus::new(),
         );
         let alice = g.create_principal("Alice");
-        // Shards the proof search will touch (and therefore pin): the
+        // Key buckets the proof search will read (and therefore pin): the
         // entity node and the target-role node.
         let pinned: Vec<u32> = [
             subject_key(&alice.as_subject()),
             subject_key(&Subject::Role(g.role("Member"))),
         ]
         .iter()
-        .filter_map(|k| repo.shard_of_key(k))
+        .map(|k| repo.key_bucket(k))
         .collect();
         // Registered up front: registering later would bump the registry
         // epoch and invalidate the cache for the right reason but the
-        // wrong test.
+        // wrong test. The first stranger sharing Alice's *shard* but not
+        // a pinned bucket: a publish for it reads as unrelated.
+        let alice_shard = repo.shard_index(&subject_key(&alice.as_subject()));
         let stranger = (0..)
             .map(|i| g.create_principal(format!("Stranger{i}")))
             .find(|s| {
-                let shard = repo.shard_of_key(&subject_key(&s.as_subject())).unwrap();
-                !pinned.contains(&shard)
+                let key = subject_key(&s.as_subject());
+                repo.shard_index(&key) == alice_shard && !pinned.contains(&repo.key_bucket(&key))
             })
             .unwrap();
         g.publish(
@@ -444,8 +446,8 @@ mod tests {
             .unwrap();
         assert_eq!(g.auth_cache().stats().proof_hits, 1);
 
-        // Publish for a principal living in a shard the proof never
-        // queried: the cached entry must survive.
+        // Publish for a principal whose key bucket the proof never read:
+        // the cached entry must survive.
         g.publish(
             g.issue()
                 .subject_entity(&stranger)
@@ -457,10 +459,10 @@ mod tests {
         assert_eq!(
             g.auth_cache().stats().proof_hits,
             2,
-            "publish to an unpinned shard must not evict the cached proof"
+            "publish to an unread bucket of the same shard must not evict the cached proof"
         );
 
-        // Publish into Alice's own shard: the entry must be re-derived.
+        // Publish under Alice's own key: the entry must be re-derived.
         g.publish(
             g.issue()
                 .subject_entity(&alice)
@@ -472,7 +474,7 @@ mod tests {
         assert_eq!(
             g.auth_cache().stats().proof_hits,
             2,
-            "publish to a pinned shard must invalidate the cached proof"
+            "publish to a pinned bucket must invalidate the cached proof"
         );
     }
 

@@ -45,6 +45,7 @@
 pub mod attr;
 pub mod cache;
 pub mod certify;
+mod clock_table;
 pub mod delegation;
 pub mod entity;
 pub mod guard;

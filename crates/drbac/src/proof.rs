@@ -286,16 +286,14 @@ impl<'a> ProofEngine<'a> {
             role: target.to_string(),
             presented: PresentedFingerprint::of(presented),
         });
-        // Epoch and per-shard high-water marks captured BEFORE the search
-        // reads any repository data. If a mark is unchanged at some later
-        // lookup, no mutation to that shard was visible to this search —
-        // the seqlock-style argument per-shard pinning rests on.
         let repo_epoch = self.repository.version();
-        let marks = self.repository.shard_marks();
+        // Read BEFORE the search, so an unchanged epoch at a later lookup
+        // means no registration the search could have missed. (Repository
+        // marks are read by each query, under the lock of the data they
+        // pin.)
+        let registry_epoch = self.registry.epoch();
         if let (Some(cache), Some(key)) = (self.cache, key.as_ref()) {
-            let registry_epoch = self.registry.epoch();
-            if let Some(cached) =
-                cache.lookup_proof(key, self.now, repo_epoch, marks.as_deref(), registry_epoch)
+            if let Some(cached) = cache.lookup_proof(key, self.now, self.repository, registry_epoch)
             {
                 let result = cached.map_err(|(error, stats)| ProofError { error, stats });
                 if result.is_err() {
@@ -315,30 +313,7 @@ impl<'a> ProofEngine<'a> {
                 Ok(ok) => Ok(ok.clone()),
                 Err(e) => Err((e.error.clone(), e.stats)),
             };
-            // Pin the pre-search mark of every shard the search queried
-            // (hit or miss — an empty shard gaining a credential changes
-            // the result too), deduplicated per shard.
-            let shard_pins = marks.as_ref().map(|marks| {
-                let mut pins: Vec<(u32, u64)> = frontier
-                    .subjects
-                    .iter()
-                    .filter_map(|k| self.repository.shard_of_key(k))
-                    .map(|s| (s, marks.get(s as usize).copied().unwrap_or(0)))
-                    .collect();
-                pins.sort_unstable();
-                pins.dedup();
-                pins
-            });
-            cache.insert_proof(
-                key,
-                &plain,
-                &frontier,
-                self.bus,
-                repo_epoch,
-                shard_pins,
-                self.registry.epoch(),
-                self.now,
-            );
+            cache.insert_proof(key, plain, frontier, self.bus, registry_epoch, self.now);
         }
         let stats = match &result {
             Ok((_, stats)) => *stats,
@@ -521,15 +496,15 @@ impl<'a> ProofEngine<'a> {
         while let Some(state) = queue.pop_front() {
             stats.nodes_expanded += 1;
             let key = subject_key(&state.node);
-            frontier.note_subject(&key);
+            let (stored, mark) = self.repository.credentials_by_key(&state.node, &key);
+            frontier.note_query(mark);
             // Candidate edges: presented + repository (both Arc-shared).
             let mut candidates: Vec<Arc<Credential>> =
                 presented_idx.get(&key).cloned().unwrap_or_default();
-            candidates.extend(self.repository.credentials_by_subject(&state.node));
+            candidates.extend(stored);
 
             for cred in candidates {
                 stats.credentials_examined += 1;
-                frontier.note(&cred, self.now);
                 if cred.body.kind == DelegationKind::Assignment {
                     continue; // not a membership edge
                 }
@@ -538,6 +513,7 @@ impl<'a> ProofEngine<'a> {
                     stats.credentials_rejected += 1;
                     continue;
                 }
+                frontier.note(&cred, self.now);
                 // Issuer authorization, then attenuation by what the
                 // edge conveys under its support chain.
                 let followed = self
@@ -712,7 +688,8 @@ impl<'a> ProofEngine<'a> {
         }
 
         // Assignment credentials naming this holder for this role.
-        frontier.note_subject(&hkey);
+        let (stored, mark) = self.repository.credentials_by_key(holder, &hkey);
+        frontier.note_query(mark);
         let mut candidates: Vec<Arc<Credential>> = presented
             .iter()
             .filter(|c| {
@@ -723,19 +700,18 @@ impl<'a> ProofEngine<'a> {
             .cloned()
             .collect();
         candidates.extend(
-            self.repository
-                .credentials_by_subject(holder)
+            stored
                 .into_iter()
                 .filter(|c| c.body.kind == DelegationKind::Assignment && c.body.object == *role),
         );
 
         for cred in candidates {
             stats.credentials_examined += 1;
-            frontier.note(&cred, self.now);
             if check_edge_common(&cred, self.registry, self.bus, self.now, self.cache).is_err() {
                 stats.credentials_rejected += 1;
                 continue;
             }
+            frontier.note(&cred, self.now);
             let issuer_key = match self.registry.lookup(&cred.body.issuer) {
                 Some(k) => k,
                 None => continue,

@@ -18,11 +18,15 @@
 //! broadcast discovery.
 //!
 //! Invalidation is epoch-batched: one global mutation epoch (backing
-//! [`CredentialSource::version`]) plus a per-shard *high-water mark* — the
-//! epoch of the shard's latest mutation, updated while the shard's write
-//! lock is still held. Proof caches pin the high-water marks of exactly
-//! the shards a search read ([`CredentialSource::shard_marks`]), so a
-//! publish into an unrelated shard no longer evicts every cached proof.
+//! [`CredentialSource::version`]) plus a *mark* per key bucket — the epoch
+//! of the latest mutation to any subject key hashing into the bucket,
+//! stored while the owning shard's write lock is still held. A bucket is a
+//! finer cut of the FNV-1a hash that picks the shard (at least 4 096 of
+//! them, each inside one shard). A subject query hands back its bucket's
+//! mark, read under the lock it read the credentials under
+//! ([`CredentialSource::credentials_by_key`]); proof caches pin exactly
+//! those marks, so a publish evicts only the proofs whose search read a
+//! key in the publish's bucket.
 
 use crate::delegation::{CredId, Credential, SignedDelegation, HEX};
 use crate::entity::{EntityName, RoleName, Subject};
@@ -33,6 +37,17 @@ use std::sync::Arc;
 
 /// Default number of hash shards for [`Repository::new`].
 pub const DEFAULT_SHARD_COUNT: usize = 32;
+
+/// Key buckets a repository keeps a mark for: this many, or one per shard
+/// when there are more shards. 32 KiB of marks; a search reads a handful
+/// of keys, so a publish for an unread key collides with its pins about
+/// once in a thousand.
+const MARK_BUCKETS: usize = 4096;
+
+/// A key bucket and its mark: `(bucket, epoch of the bucket's latest
+/// mutation)`. A proof-cache entry pinned to one is current while
+/// [`CredentialSource::bucket_mark`] still returns the same epoch.
+pub type KeyMark = (u32, u64);
 
 /// Anything the proof engine can pull credentials from: the in-process
 /// sharded [`Repository`], or a remote repository reached over a
@@ -51,21 +66,26 @@ pub trait CredentialSource: Send + Sync {
     fn credentials_by_object(&self, role: &RoleName) -> Vec<Arc<Credential>>;
     /// A monotone version of the source's contents, bumped on every
     /// publish/purge, or `None` when the source cannot track one (e.g. a
-    /// remote repository). Negative proof-cache entries are only reusable
-    /// while the version is unchanged; `None` disables negative caching.
+    /// remote repository). Certificates and audit records carry it; proof
+    /// caching rests on [`bucket_mark`](Self::bucket_mark) instead.
     fn version(&self) -> Option<u64> {
         None
     }
-    /// Snapshot of every shard's high-water mark (the global epoch of its
-    /// latest mutation), or `None` when the source is unsharded. Positive
-    /// proof-cache entries pin the marks of the shards their search read;
-    /// they stay valid while only *other* shards mutate.
-    fn shard_marks(&self) -> Option<Vec<u64>> {
-        None
+    /// [`credentials_by_subject`](Self::credentials_by_subject) for a
+    /// subject whose canonical key (`key`, see [`subject_key`]) the caller
+    /// already holds, plus the mark of the key's bucket read under the
+    /// same lock as the credentials — or `None` for a source that keeps no
+    /// marks, whose results the proof cache then never stores.
+    fn credentials_by_key(
+        &self,
+        subject: &Subject,
+        _key: &str,
+    ) -> (Vec<Arc<Credential>>, Option<KeyMark>) {
+        (self.credentials_by_subject(subject), None)
     }
-    /// The shard index a canonical subject key maps to, or `None` when
-    /// the source is unsharded.
-    fn shard_of_key(&self, _subject_key: &str) -> Option<u32> {
+    /// The current mark of key bucket `bucket` (`None`: no such bucket, or
+    /// a source that keeps no marks).
+    fn bucket_mark(&self, _bucket: u32) -> Option<u64> {
         None
     }
 }
@@ -80,17 +100,17 @@ impl CredentialSource for Repository {
     fn version(&self) -> Option<u64> {
         Some(self.inner.epoch.load(Ordering::Acquire))
     }
-    fn shard_marks(&self) -> Option<Vec<u64>> {
-        Some(
-            self.inner
-                .shards
-                .iter()
-                .map(|s| s.high_water.load(Ordering::Acquire))
-                .collect(),
-        )
+    fn credentials_by_key(
+        &self,
+        _subject: &Subject,
+        key: &str,
+    ) -> (Vec<Arc<Credential>>, Option<KeyMark>) {
+        let (creds, mark) = self.query_key(key);
+        (creds, Some(mark))
     }
-    fn shard_of_key(&self, subject_key: &str) -> Option<u32> {
-        Some(self.shard_index(subject_key) as u32)
+    fn bucket_mark(&self, bucket: u32) -> Option<u64> {
+        let mark = self.inner.marks.get(bucket as usize)?;
+        Some(mark.load(Ordering::Acquire))
     }
 }
 
@@ -245,14 +265,6 @@ impl ShardData {
     }
 }
 
-struct ShardState {
-    data: RwLock<ShardData>,
-    /// Global epoch of this shard's latest mutation, stored while the
-    /// shard's write lock is still held — if a reader sees an unchanged
-    /// mark, no mutation has become visible since the mark was read.
-    high_water: AtomicU64,
-}
-
 /// Counters describing repository traffic (reset with
 /// [`Repository::reset_stats`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -280,8 +292,6 @@ pub struct ShardInfo {
     pub object_keys: usize,
     /// Discovery-tag index entries (subject side + object side).
     pub tag_keys: usize,
-    /// Global epoch of the shard's latest mutation (0 = never mutated).
-    pub high_water: u64,
 }
 
 /// A hash-sharded credential repository with a discovery-tag index.
@@ -291,8 +301,13 @@ pub struct Repository {
 }
 
 struct RepositoryInner {
-    shards: Vec<ShardState>,
+    shards: Vec<RwLock<ShardData>>,
     mask: u64,
+    /// One mark per key bucket: the global epoch of the latest mutation to
+    /// a key in the bucket, stored while the owning shard's write lock is
+    /// held. Bucket `b` lies in shard `b & mask`.
+    marks: Box<[AtomicU64]>,
+    bucket_mask: u64,
     // Every home node ever published to; backs broadcast message counts
     // and `home_count` (homes are never removed, matching the old
     // per-home-shard behavior where a purged-empty home still counted).
@@ -326,15 +341,13 @@ impl Repository {
     /// scaling benchmarks compare against.
     pub fn with_shard_count(shards: usize) -> Repository {
         let n = shards.clamp(1, 1024).next_power_of_two();
+        let buckets = MARK_BUCKETS.max(n);
         Repository {
             inner: Arc::new(RepositoryInner {
-                shards: (0..n)
-                    .map(|_| ShardState {
-                        data: RwLock::new(ShardData::default()),
-                        high_water: AtomicU64::new(0),
-                    })
-                    .collect(),
+                shards: (0..n).map(|_| RwLock::default()).collect(),
                 mask: (n - 1) as u64,
+                marks: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
+                bucket_mask: (buckets - 1) as u64,
                 homes: RwLock::new(HashSet::new()),
                 queries: AtomicU64::new(0),
                 messages: AtomicU64::new(0),
@@ -358,10 +371,25 @@ impl Repository {
         (fnv1a(subject_key.as_bytes()) & self.inner.mask) as usize
     }
 
-    /// A shard's high-water mark: the global epoch of its latest
-    /// mutation (0 when never mutated).
-    pub fn shard_high_water(&self, shard: usize) -> u64 {
-        self.inner.shards[shard].high_water.load(Ordering::Acquire)
+    /// The key bucket a canonical subject key maps to: the shard's hash,
+    /// masked finer, so bucket `b` lies in shard `b % shard_count()`.
+    pub fn key_bucket(&self, subject_key: &str) -> u32 {
+        (fnv1a(subject_key.as_bytes()) & self.inner.bucket_mask) as u32
+    }
+
+    /// The shard holding key bucket `bucket`.
+    fn shard_of_bucket(&self, bucket: u32) -> &RwLock<ShardData> {
+        &self.inner.shards[(u64::from(bucket) & self.inner.mask) as usize]
+    }
+
+    /// Advance the mark of every bucket in `buckets` to a fresh epoch. The
+    /// caller holds the write lock of the shard they lie in: a reader that
+    /// later finds a mark unchanged therefore read before this mutation.
+    fn bump_marks(&self, buckets: impl IntoIterator<Item = u32>) {
+        let e = self.inner.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        for b in buckets {
+            self.inner.marks[b as usize].store(e, Ordering::Release);
+        }
     }
 
     /// Store a credential at `home` (normally the issuer's domain), with
@@ -385,9 +413,9 @@ impl Repository {
         if !self.inner.homes.read().contains(&home) {
             self.inner.homes.write().insert(home.clone());
         }
-        let shard = &self.inner.shards[self.shard_index(&skey)];
+        let bucket = self.key_bucket(&skey);
         {
-            let mut data = shard.data.write();
+            let mut data = self.shard_of_bucket(bucket).write();
             if tag.advertises_subject() {
                 data.tag_subject
                     .entry(skey.clone())
@@ -401,11 +429,7 @@ impl Repository {
                     .insert(home.clone());
             }
             data.insert(&skey, home.clone(), cred.clone(), tag);
-            // High-water mark while the write lock is still held: a
-            // reader that later sees an unchanged mark is guaranteed this
-            // mutation was not yet visible when the mark was read.
-            let e = self.inner.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-            shard.high_water.fetch_max(e, Ordering::AcqRel);
+            self.bump_marks([bucket]);
         }
         let observer = self.inner.observer.read().clone();
         if let Some(obs) = observer {
@@ -436,10 +460,19 @@ impl Repository {
     /// [`query_by_subject`](Self::query_by_subject) by pre-computed
     /// canonical key (hot-path variant: skips re-deriving the key).
     pub fn query_by_subject_key(&self, key: &str) -> Vec<Arc<Credential>> {
+        self.query_key(key).0
+    }
+
+    /// The subject query plus `(bucket, mark)` of the key's bucket, the
+    /// mark read under the shard read lock the credentials were read under.
+    fn query_key(&self, key: &str) -> (Vec<Arc<Credential>>, KeyMark) {
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
         psf_telemetry::counter!("psf.drbac.repo.queries").inc();
-        let shard = &self.inner.shards[self.shard_index(key)];
-        let data = shard.data.read();
+        let bucket = self.key_bucket(key);
+        let data = self.shard_of_bucket(bucket).read();
+        // Marks are stored under the write lock: under the read lock this
+        // one belongs to exactly the contents read below.
+        let mark = self.inner.marks[bucket as usize].load(Ordering::Relaxed);
         let mut out = Vec::new();
         match data.tag_subject.get(key) {
             Some(homes) => {
@@ -476,7 +509,7 @@ impl Repository {
                 }
             }
         }
-        out
+        (out, (bucket, mark))
     }
 
     /// All credentials conveying `role`. Matching credentials are sharded
@@ -490,7 +523,7 @@ impl Repository {
         let mut advertised: HashSet<EntityName> = HashSet::new();
         let mut matches: Vec<(EntityName, Arc<Credential>)> = Vec::new();
         for shard in &self.inner.shards {
-            let data = shard.data.read();
+            let data = shard.read();
             if let Some(homes) = data.tag_object.get(&key) {
                 advertised.extend(homes.iter().cloned());
             }
@@ -533,7 +566,7 @@ impl Repository {
     pub fn all_credentials(&self) -> Vec<Arc<Credential>> {
         let mut out: Vec<Arc<Credential>> = Vec::new();
         for shard in &self.inner.shards {
-            let data = shard.data.read();
+            let data = shard.read();
             out.extend(data.entries.iter().map(|e| e.cred.clone()));
         }
         out.sort_by_key(|c| c.cred_id());
@@ -545,7 +578,7 @@ impl Repository {
         self.inner
             .shards
             .iter()
-            .map(|s| s.data.read().entries.len())
+            .map(|s| s.read().entries.len())
             .sum()
     }
 
@@ -591,13 +624,16 @@ impl Repository {
     /// (callers outside the crate go through [`purge_expired`], which
     /// notifies the observer).
     pub(crate) fn purge_expired_shard(&self, shard: usize, now: u64) -> usize {
-        let state = &self.inner.shards[shard];
-        let mut data = state.data.write();
-        let expired = data
+        let mut data = self.inner.shards[shard].write();
+        // The buckets of the purged credentials' keys: only their contents
+        // (credentials and subject advertisements) change.
+        let mut touched: Vec<u32> = data
             .entries
             .iter()
             .filter(|e| e.cred.body.expires.is_some_and(|t| now >= t))
-            .count();
+            .map(|e| self.key_bucket(&subject_key(&e.cred.body.subject)))
+            .collect();
+        let expired = touched.len();
         if expired > 0 {
             let old = std::mem::take(&mut *data);
             let mut rebuilt = ShardData::default();
@@ -622,8 +658,9 @@ impl Repository {
                 }
             }
             *data = rebuilt;
-            let e = self.inner.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-            state.high_water.fetch_max(e, Ordering::AcqRel);
+            touched.sort_unstable();
+            touched.dedup();
+            self.bump_marks(touched);
         }
         expired
     }
@@ -633,11 +670,16 @@ impl Repository {
         self.inner.epoch.load(Ordering::Acquire)
     }
 
-    /// Bump the mutation epoch without changing contents. Recovery calls
-    /// this once after replay so negative proof-cache entries pinned to a
-    /// pre-crash epoch can never be mistaken for current.
+    /// Advance the mutation epoch, and every bucket mark to it, without
+    /// changing contents. Recovery calls this once after replay, so no
+    /// epoch or mark pinned before the crash — by a certificate, an audit
+    /// record or a proof-cache entry — names the recovered contents.
     pub fn bump_epoch(&self) -> u64 {
-        self.inner.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        let e = self.inner.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        for mark in self.inner.marks.iter() {
+            mark.store(e, Ordering::Release);
+        }
+        e
     }
 
     /// Raise the mutation epoch to at least `floor` (no-op when already
@@ -680,7 +722,7 @@ impl Repository {
     /// credential id). The sharded WAL compacts one shard at a time with
     /// it.
     pub fn snapshot_shard(&self, shard: usize) -> Vec<(EntityName, DiscoveryTag, Arc<Credential>)> {
-        let data = self.inner.shards[shard].data.read();
+        let data = self.inner.shards[shard].read();
         let mut out: Vec<(EntityName, DiscoveryTag, Arc<Credential>)> = Vec::new();
         for e in &data.entries {
             out.push((e.home.clone(), e.tag, e.cred.clone()));
@@ -689,22 +731,21 @@ impl Repository {
         out
     }
 
-    /// Per-shard occupancy snapshot (entries, index sizes, high-water
-    /// marks) for `psf repo --stats`.
+    /// Per-shard occupancy snapshot (entries, index sizes) for `psf repo
+    /// --stats`.
     pub fn shard_infos(&self) -> Vec<ShardInfo> {
         self.inner
             .shards
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let data = s.data.read();
+                let data = s.read();
                 ShardInfo {
                     index: i,
                     entries: data.entries.len(),
                     subject_keys: data.by_subject.len(),
                     object_keys: data.by_object.len(),
                     tag_keys: data.tag_subject.len() + data.tag_object.len(),
-                    high_water: s.high_water.load(Ordering::Acquire),
                 }
             })
             .collect()
@@ -923,33 +964,47 @@ mod tests {
         assert_eq!(snap(&wide), snap(&narrow));
     }
 
-    /// Publishing into one shard must not move any other shard's
-    /// high-water mark — the property the proof cache's per-shard
-    /// invalidation rests on.
+    /// A publish moves the mark of its own key's bucket and no other —
+    /// not those of other shards, nor those of other buckets of its own
+    /// shard: the property the proof cache's invalidation rests on.
     #[test]
     fn high_water_marks_move_only_for_the_mutated_shard() {
         let repo = Repository::with_shard_count(16);
         let ny = Entity::with_seed("Comp.NY", b"hw");
         let alice = Entity::with_seed("Alice", b"hw");
+        let key_of = |e: &Entity| subject_key(&e.as_subject());
+        let mark_of = |e: &Entity| repo.credentials_by_key(&e.as_subject(), &key_of(e)).1;
         repo.publish_at_issuer(cred(&ny, &alice, "Member"));
-        let alice_shard = repo.shard_index(&subject_key(&alice.as_subject()));
-        let marks: Vec<u64> = repo.shard_marks().unwrap();
-        assert!(marks[alice_shard] > 0);
-        // Find a subject landing in a different shard and publish it.
-        let other = (0..64)
+        let (bucket, mark) = mark_of(&alice).unwrap();
+        assert_eq!(bucket, repo.key_bucket(&key_of(&alice)));
+        assert!(mark > 0);
+        assert_eq!(repo.bucket_mark(bucket), Some(mark));
+        // A subject in another shard, and one in Alice's shard but in
+        // another bucket: publishing either leaves her mark where it was.
+        let probes: Vec<Entity> = (0..256)
             .map(|i| Entity::with_seed(format!("Probe{i}"), b"hw"))
-            .find(|e| repo.shard_index(&subject_key(&e.as_subject())) != alice_shard)
-            .expect("64 probes must hit a second shard of 16");
-        repo.publish_at_issuer(cred(&ny, &other, "Member"));
-        let after: Vec<u64> = repo.shard_marks().unwrap();
-        assert_eq!(
-            marks[alice_shard], after[alice_shard],
-            "untouched shard's mark moved"
-        );
-        let other_shard = repo.shard_index(&subject_key(&other.as_subject()));
-        assert!(after[other_shard] > marks[other_shard]);
-        // The global version still advances on every publish.
-        assert!(repo.version().unwrap() >= 2);
+            .collect();
+        let shard = |e: &Entity| repo.shard_index(&key_of(e));
+        let other_shard = probes.iter().find(|e| shard(e) != shard(&alice));
+        let same_shard = probes
+            .iter()
+            .find(|e| shard(e) == shard(&alice) && repo.key_bucket(&key_of(e)) != bucket);
+        for other in [other_shard, same_shard] {
+            let other = other.expect("256 probes cover both cases");
+            let before = mark_of(other).unwrap().1;
+            repo.publish_at_issuer(cred(&ny, other, "Member"));
+            assert_eq!(
+                mark_of(&alice),
+                Some((bucket, mark)),
+                "untouched mark moved"
+            );
+            assert!(mark_of(other).unwrap().1 > before);
+        }
+        // Alice's own publish moves it; the version moved on every publish.
+        repo.publish_at_issuer(cred(&ny, &alice, "Admin"));
+        assert!(repo.bucket_mark(bucket).unwrap() > mark);
+        assert_eq!(repo.version(), Some(4));
+        assert_eq!(repo.bucket_mark(u32::MAX), None);
     }
 
     #[test]
@@ -968,10 +1023,7 @@ mod tests {
             "40 subjects should spread across shards"
         );
         for s in &infos {
-            if s.entries > 0 {
-                assert!(s.high_water > 0);
-                assert!(s.subject_keys > 0);
-            }
+            assert_eq!(s.entries > 0, s.subject_keys > 0);
         }
     }
 

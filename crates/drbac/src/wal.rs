@@ -970,7 +970,8 @@ fn replay_sharded(
         report.absorb(o);
     }
     // Epoch monotonicity across the crash: never below anything a cache
-    // may have pinned, and strictly above it so stale negative entries die.
+    // may have pinned, and strictly above it (marks included) so stale
+    // entries die.
     repo.raise_epoch(report.epoch);
     report.epoch = repo.bump_epoch();
     psf_telemetry::counter!("psf.repo.wal.replays").add(report.records_replayed as u64);

@@ -418,17 +418,20 @@ proptest! {
 
     /// The authorization cache must be semantically invisible. Over a
     /// random delegation world and a random interleaving of proof
-    /// queries, revocations, clock advances, and repository publishes,
-    /// an engine sharing one `AuthCache` must return byte-identical
-    /// proofs — and identical errors — to a fresh uncached engine at
-    /// every step.
+    /// queries, revocations, clock advances, and repository publishes —
+    /// onto keys no search reads and onto keys the searches read — an
+    /// engine sharing one `AuthCache` must return byte-identical proofs,
+    /// and identical errors, to a fresh uncached engine at every step.
+    /// Two targets are asked each step: the chain's, and one that fails
+    /// until a publish grants it, so failed searches are cached and
+    /// invalidated too.
     #[test]
     fn cached_prove_is_indistinguishable_from_uncached(
         seed in 0u64..500,
         chain_len in 1usize..5,
         decoys in 0usize..6,
         membership_expiry in proptest::option::of(1u64..30),
-        schedule in prop::collection::vec((0u8..4, 0u64..16), 1..24),
+        schedule in prop::collection::vec((0u8..5, 0u64..16), 1..24),
     ) {
         let registry = EntityRegistry::new();
         let repo = Repository::new();
@@ -473,6 +476,7 @@ proptest! {
 
         let cache = AuthCache::new();
         let target = domains[0].role("R");
+        let side = domains[0].role("Side");
         let subject = user.as_subject();
         let mut now = 0u64;
         let mut extra = 0usize;
@@ -489,7 +493,8 @@ proptest! {
                         bus.revoke(&chain[(arg as usize) % chain.len()].id());
                     }
                 }
-                // Publish an unrelated credential (repository epoch bump).
+                // Publish an unrelated credential: its key is one no
+                // search reads (the repository epoch still moves).
                 2 => {
                     let d = Entity::with_seed(format!("extra{seed}-{extra}"), b"cachew");
                     extra += 1;
@@ -501,26 +506,40 @@ proptest! {
                             .sign(),
                     );
                 }
+                // Publish onto a key the searches read: a direct grant of
+                // the chain's target to the user (a shorter proof), or a
+                // mapping from a chain role onto `side` (lifting its
+                // cached failure).
+                3 => {
+                    extra += 1;
+                    let grant = if arg % 2 == 0 {
+                        DelegationBuilder::new(&domains[0]).subject_entity(&user).role(target.clone())
+                    } else {
+                        let lower = domains[(arg as usize / 2) % chain_len].role("R");
+                        DelegationBuilder::new(&domains[0]).subject_role(lower).role(side.clone())
+                    };
+                    repo.publish_at_issuer(grant.serial(extra as u64).sign());
+                }
                 // Plain query step (drives cache hits).
                 _ => {}
             }
             let cached = ProofEngine::with_cache(&registry, &repo, &bus, now, &cache);
             let plain = ProofEngine::new(&registry, &repo, &bus, now);
-            match (
-                cached.prove(&subject, &target, &[]),
-                plain.prove(&subject, &target, &[]),
-            ) {
-                (Ok((pc, _)), Ok((pp, _))) => {
-                    // Full structural identity, supports included.
-                    prop_assert_eq!(format!("{pc:?}"), format!("{pp:?}"));
+            for role in [&target, &side] {
+                match (cached.prove(&subject, role, &[]), plain.prove(&subject, role, &[])) {
+                    (Ok((pc, _)), Ok((pp, _))) => {
+                        // Full structural identity, supports included.
+                        prop_assert_eq!(format!("{pc:?}"), format!("{pp:?}"));
+                    }
+                    (Err(ec), Err(ep)) => prop_assert_eq!(ec.error, ep.error),
+                    (c, p) => prop_assert!(
+                        false,
+                        "cached/uncached diverged on {}: cached ok={} plain ok={}",
+                        role,
+                        c.is_ok(),
+                        p.is_ok()
+                    ),
                 }
-                (Err(ec), Err(ep)) => prop_assert_eq!(ec.error, ep.error),
-                (c, p) => prop_assert!(
-                    false,
-                    "cached/uncached diverged: cached ok={} plain ok={}",
-                    c.is_ok(),
-                    p.is_ok()
-                ),
             }
         }
         // The schedule must have produced at least one hit for the
