@@ -1795,7 +1795,6 @@ fn exercise_full_stack(cli: &Cli) -> Result<(), String> {
     let cfg = psf_switchboard::ChannelConfig {
         heartbeat_interval: None,
         rpc_timeout: Duration::from_secs(2),
-        ..Default::default()
     };
     let (a, b) = psf_switchboard::pair_in_memory_plain(cfg);
     a.send_heartbeat().map_err(|e| format!("heartbeat: {e}"))?;

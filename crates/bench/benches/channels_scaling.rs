@@ -23,8 +23,7 @@ use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
 use psf_drbac::DelegationBuilder;
 use psf_switchboard::{
-    connect_tcp, listen_tcp, AuthSuite, Authorizer, Channel, ChannelBackend, ChannelConfig,
-    ClockRef,
+    connect_tcp, listen_tcp, AuthSuite, Authorizer, Channel, ChannelConfig, ClockRef,
 };
 use std::time::Duration;
 
@@ -68,7 +67,6 @@ fn config(heartbeat: Option<Duration>) -> ChannelConfig {
     ChannelConfig {
         heartbeat_interval: heartbeat,
         rpc_timeout: Duration::from_secs(10),
-        backend: ChannelBackend::Reactor,
     }
 }
 

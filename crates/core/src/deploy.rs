@@ -325,7 +325,6 @@ impl Deployer {
             config: ChannelConfig {
                 heartbeat_interval: None,
                 rpc_timeout: std::time::Duration::from_secs(10),
-                ..Default::default()
             },
             running: Mutex::new(HashMap::new()),
             serial: std::sync::atomic::AtomicU64::new(1),

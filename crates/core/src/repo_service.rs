@@ -239,7 +239,6 @@ mod tests {
         ChannelConfig {
             heartbeat_interval: None,
             rpc_timeout: Duration::from_secs(5),
-            ..Default::default()
         }
     }
 

@@ -2,6 +2,15 @@
 //! records, heartbeats with RTT tracking, continuous authorization, and
 //! the two-way RPC interface.
 //!
+//! ## Engine
+//!
+//! Every channel is driven by the [reactor](crate::reactor): its shard's
+//! timer wheel sends the heartbeats, and a TCP stream the platform's
+//! poller can watch (Linux) is read by the shard too, so such a channel
+//! owns no thread. Any other transport keeps one reader thread, which is
+//! also where its handlers run — a handler that blocks parks that thread,
+//! never a shard.
+//!
 //! ## Data plane
 //!
 //! Frames are staged in buffers from a per-channel [`FramePool`]: the
@@ -20,14 +29,14 @@ use crate::suite::{AuthorizationMonitor, Authorizer};
 use crate::transport::{FrameReceiver, FrameSender};
 use crate::SwitchboardError;
 use crossbeam::channel::{bounded, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use psf_crypto::aead::ChaCha20Poly1305;
 use psf_crypto::ed25519::VerifyingKey;
 use psf_drbac::entity::EntityName;
 use psf_drbac::wire;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Inner frame types.
@@ -57,23 +66,6 @@ pub enum Mode {
     },
 }
 
-/// How a channel's receive path and heartbeats are driven.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChannelBackend {
-    /// Readiness-driven: TCP channels register with the shared epoll
-    /// [reactor](crate::reactor) (no per-channel threads); in-memory
-    /// channels keep their reader thread but heartbeat from the
-    /// reactor's timer wheel. The default on Linux; on other targets
-    /// (no epoll) this degrades to [`Threaded`](ChannelBackend::Threaded).
-    Reactor,
-    /// Thread-per-connection: one reader thread plus (if heartbeats are
-    /// enabled) one heartbeat thread per channel. The only backend off
-    /// Linux, and the server for handlers that block — a blocking handler
-    /// parks that channel's reader thread, never a reactor shard
-    /// (`tests/reactor.rs`).
-    Threaded,
-}
-
 /// User-facing channel configuration.
 #[derive(Clone, Debug)]
 pub struct ChannelConfig {
@@ -82,8 +74,6 @@ pub struct ChannelConfig {
     pub heartbeat_interval: Option<Duration>,
     /// Default timeout for [`Channel::call`].
     pub rpc_timeout: Duration,
-    /// Receive-path engine (reactor vs legacy threads).
-    pub backend: ChannelBackend,
 }
 
 impl Default for ChannelConfig {
@@ -91,11 +81,6 @@ impl Default for ChannelConfig {
         ChannelConfig {
             heartbeat_interval: Some(Duration::from_millis(200)),
             rpc_timeout: Duration::from_secs(10),
-            backend: if cfg!(target_os = "linux") {
-                ChannelBackend::Reactor
-            } else {
-                ChannelBackend::Threaded
-            },
         }
     }
 }
@@ -159,24 +144,31 @@ type CloseWatcher = Box<dyn FnOnce() + Send>;
 
 // --------------------------------------------------------- RPC waiters --
 
+type CallResult = Result<Vec<u8>, SwitchboardError>;
+
 /// One in-flight RPC waiter: a mutex'd result cell plus a condvar. The
-/// caller parks on the condvar; the reader thread (or `mark_closed`)
-/// completes the slot and wakes it.
+/// caller parks on the condvar; the receive path (or `mark_closed`)
+/// completes the slot and wakes it. A poisoned lock is recovered: the
+/// cell holds a plain `Option`, valid whatever a panicking holder did.
 struct CallSlot {
-    result: Mutex<Option<Result<Vec<u8>, SwitchboardError>>>,
+    result: std::sync::Mutex<Option<CallResult>>,
     ready: Condvar,
 }
 
 impl CallSlot {
     fn new() -> Arc<CallSlot> {
         Arc::new(CallSlot {
-            result: Mutex::new(None),
+            result: std::sync::Mutex::new(None),
             ready: Condvar::new(),
         })
     }
 
-    fn complete(&self, r: Result<Vec<u8>, SwitchboardError>) {
-        let mut slot = self.result.lock();
+    fn lock(&self) -> MutexGuard<'_, Option<CallResult>> {
+        self.result.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn complete(&self, r: CallResult) {
+        let mut slot = self.lock();
         if slot.is_none() {
             *slot = Some(r);
             self.ready.notify_all();
@@ -184,18 +176,12 @@ impl CallSlot {
     }
 
     /// Block until completed or the deadline passes.
-    fn wait_deadline(&self, deadline: Instant) -> Option<Result<Vec<u8>, SwitchboardError>> {
-        let mut slot = self.result.lock();
-        while slot.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let timed_out = self.ready.wait_for(&mut slot, deadline - now).timed_out();
-            if timed_out && slot.is_none() {
-                return None;
-            }
-        }
+    fn wait_deadline(&self, deadline: Instant) -> Option<CallResult> {
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        let (mut slot, _) = self
+            .ready
+            .wait_timeout_while(self.lock(), timeout, |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
         slot.take()
     }
 }
@@ -294,12 +280,10 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Assemble a channel over split transport halves. With the
-    /// [`Reactor`](ChannelBackend::Reactor) backend a TCP channel hands
-    /// its stream to the epoll reactor and owns **zero** threads; other
-    /// transports keep a reader thread but heartbeat from the reactor's
-    /// timer wheel. The [`Threaded`](ChannelBackend::Threaded) backend
-    /// reproduces the legacy reader + heartbeat thread pair. Called by
+    /// Assemble a channel over split transport halves. A TCP stream the
+    /// reactor's poller can watch is handed to a shard and the channel
+    /// owns **zero** threads; any other transport keeps a reader thread.
+    /// Either way heartbeats come from the shard's timer wheel. Called by
     /// the handshake module.
     pub(crate) fn start(
         sender: Box<dyn FrameSender>,
@@ -342,57 +326,26 @@ impl Channel {
         });
 
         let heartbeat = inner.config.heartbeat_interval;
-        // Off Linux there is no epoll shim: an explicit Reactor request
-        // degrades to the threaded backend rather than failing.
-        if cfg!(target_os = "linux") && inner.config.backend == ChannelBackend::Reactor {
-            if let Some(stream) = receiver.take_stream() {
-                // TCP under the reactor: the channel owns no threads at
-                // all. Flipping the (shared) file description nonblocking
-                // also covers the sender half, whose vectored writes
-                // absorb `EWOULDBLOCK` by queueing the unsent tail in a
-                // bounded backlog the reactor flushes on writable edges —
-                // no send path ever blocks a reactor shard.
-                stream.set_nonblocking(true).expect("set_nonblocking");
-                crate::reactor::register_connection(stream, &inner, heartbeat);
-                return Channel { inner };
-            }
-            // Non-TCP (in-memory) transport: blocking reads stay on a
-            // reader thread, but heartbeats come from the timer wheel
-            // instead of a dedicated thread.
-            if let Some(interval) = heartbeat {
-                crate::reactor::register_heartbeat(&inner, interval);
-            }
-            let reader = inner.clone();
-            std::thread::Builder::new()
-                .name("swbd-reader".into())
-                .spawn(move || reader_loop(reader, receiver))
-                .expect("spawn reader");
+        if let Some(stream) = crate::reactor::claim_stream(&mut *receiver) {
+            // The channel owns no threads at all. Flipping the (shared)
+            // file description nonblocking also covers the sender half,
+            // whose vectored writes absorb `EWOULDBLOCK` by queueing the
+            // unsent tail in a bounded backlog the reactor flushes on
+            // writable edges — no send path ever blocks a reactor shard.
+            stream.set_nonblocking(true).expect("set_nonblocking");
+            crate::reactor::register_connection(stream, &inner, heartbeat);
             return Channel { inner };
         }
-
-        // Legacy thread-per-connection backend.
-        {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("swbd-reader".into())
-                .spawn(move || reader_loop(inner, receiver))
-                .expect("spawn reader");
-        }
+        // Blocking reads (and the handlers they dispatch to) stay on a
+        // reader thread; heartbeats still come from the timer wheel.
         if let Some(interval) = heartbeat {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("swbd-heartbeat".into())
-                .spawn(move || {
-                    while !inner.closed.load(Ordering::SeqCst) {
-                        std::thread::sleep(interval);
-                        if inner.closed.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let _ = send_heartbeat_frame(&inner);
-                    }
-                })
-                .expect("spawn heartbeat");
+            crate::reactor::register_heartbeat(&inner, interval, receiver.peer_ip());
         }
+        let reader = inner.clone();
+        std::thread::Builder::new()
+            .name("swbd-reader".into())
+            .spawn(move || reader_loop(reader, receiver))
+            .expect("spawn reader");
         Channel { inner }
     }
 
@@ -530,7 +483,7 @@ impl Channel {
         buf.extend_from_slice(&[0u8; 8]); // sequence header, filled at send
         buf.push(FT_RPC_REQ);
         rpc::encode_request_into(&mut buf, id, method, args, ctx);
-        if let Err(e) = send_pooled_frame(&self.inner, buf) {
+        if let Err(e) = send_pooled_frames(&self.inner, std::slice::from_mut(&mut buf)) {
             self.inner.pending.remove(id);
             return Err(e);
         }
@@ -667,8 +620,8 @@ impl Channel {
         results
     }
 
-    /// Send one heartbeat now (used when the automatic thread is
-    /// disabled).
+    /// Send one heartbeat now (used when automatic heartbeats are
+    /// disabled, i.e. `heartbeat_interval` is `None`).
     pub fn send_heartbeat(&self) -> Result<(), SwitchboardError> {
         send_heartbeat_frame(&self.inner)
     }
@@ -772,7 +725,7 @@ impl PendingCall {
     /// Whether the response has already arrived, i.e. a subsequent
     /// [`wait`](PendingCall::wait) will return without blocking.
     pub fn is_complete(&self) -> bool {
-        self.slot.result.lock().is_some()
+        self.slot.lock().is_some()
     }
 
     /// Await the response with the channel's configured RPC timeout.
@@ -835,17 +788,19 @@ fn send_frame(inner: &Arc<ChannelInner>, ft: u8, parts: &[&[u8]]) -> Result<(), 
     for part in parts {
         buf.extend_from_slice(part);
     }
-    send_pooled_frame(inner, buf)
+    send_pooled_frames(inner, std::slice::from_mut(&mut buf))
 }
 
-/// Transmit an assembled frame: `buf` holds `zeros(8) || ft || body`. The
-/// 8-byte header receives the sequence number and secure mode seals the
-/// payload **in place** (tag appended into the same buffer), so the only
-/// allocation on a steady-state send is none at all — the buffer came
-/// from the pool and returns to it on drop.
-fn send_pooled_frame(
+/// Transmit assembled frames: each buffer holds `zeros(8) || ft ||
+/// body`. Each 8-byte header receives the next sequence number and
+/// secure mode seals the payload **in place** (tag appended into the same
+/// buffer), so a steady-state send allocates nothing — the buffers came
+/// from the pool and return to it on drop. A group leaves in one
+/// coalesced transport write; a single frame goes through
+/// [`FrameSender::send`] without building a gather list.
+pub(crate) fn send_pooled_frames(
     inner: &Arc<ChannelInner>,
-    mut buf: PooledBuf,
+    bufs: &mut [PooledBuf],
 ) -> Result<(), SwitchboardError> {
     // Sequence allocation and transmission must be atomic together: the
     // receiver enforces strictly increasing sequence numbers (replay
@@ -853,44 +808,8 @@ fn send_pooled_frame(
     // earlier. The sender mutex provides that ordering — the fetch_add
     // itself can be Relaxed because it only ever runs under the lock.
     let mut sender = inner.sender.lock();
-    let seq = inner.send_seq.fetch_add(1, Ordering::Relaxed);
-    buf[..8].copy_from_slice(&seq.to_le_bytes());
-    if let Mode::Secure { send, send_dir, .. } = &inner.mode {
-        let nonce = seal_nonce(*send_dir, seq);
-        send.seal_in_place(&nonce, b"swbd-record", &mut buf, 8);
-    }
-    // Count before transmitting (still under the sender lock) so a peer
-    // that observes the frame — and anything downstream of it — also
-    // observes the updated counters; rolled back on transport failure.
-    inner.frames_sent.fetch_add(1, Ordering::Relaxed);
-    inner
-        .bytes_sent
-        .fetch_add(buf.len() as u64, Ordering::Relaxed);
-    psf_telemetry::counter!("psf.swbd.frames.sent").inc();
-    psf_telemetry::counter!("psf.swbd.bytes.sent").add(buf.len() as u64);
-    psf_telemetry::counter!("psf.switchboard.bytes.tx").add(buf.len() as u64);
-    if let Err(e) = sender.send(&buf) {
-        inner.frames_sent.fetch_sub(1, Ordering::Relaxed);
-        inner
-            .bytes_sent
-            .fetch_sub(buf.len() as u64, Ordering::Relaxed);
-        return Err(e.into());
-    }
-    Ok(())
-}
-
-/// Multi-frame variant of [`send_pooled_frame`]: sequence numbers for the
-/// whole group are allocated contiguously under a single sender-lock
-/// acquisition, each frame is sealed in place, and the group leaves in
-/// one coalesced transport write.
-pub(crate) fn send_pooled_frames(
-    inner: &Arc<ChannelInner>,
-    bufs: &mut [PooledBuf],
-) -> Result<(), SwitchboardError> {
-    let mut sender = inner.sender.lock();
     let mut total = 0u64;
     for buf in bufs.iter_mut() {
-        // Relaxed: see `send_pooled_frame` — ordered by the sender mutex.
         let seq = inner.send_seq.fetch_add(1, Ordering::Relaxed);
         buf[..8].copy_from_slice(&seq.to_le_bytes());
         if let Mode::Secure { send, send_dir, .. } = &inner.mode {
@@ -899,18 +818,23 @@ pub(crate) fn send_pooled_frames(
         }
         total += buf.len() as u64;
     }
-    inner
-        .frames_sent
-        .fetch_add(bufs.len() as u64, Ordering::Relaxed);
+    // Count before transmitting (still under the sender lock) so a peer
+    // that observes the frames — and anything downstream of them — also
+    // observes the updated counters; rolled back on transport failure.
+    let count = bufs.len() as u64;
+    inner.frames_sent.fetch_add(count, Ordering::Relaxed);
     inner.bytes_sent.fetch_add(total, Ordering::Relaxed);
-    psf_telemetry::counter!("psf.swbd.frames.sent").add(bufs.len() as u64);
+    psf_telemetry::counter!("psf.swbd.frames.sent").add(count);
     psf_telemetry::counter!("psf.swbd.bytes.sent").add(total);
-    psf_telemetry::counter!("psf.switchboard.bytes.tx").add(total);
-    let frames: Vec<&[u8]> = bufs.iter().map(|b| &b[..]).collect();
-    if let Err(e) = sender.send_many(&frames) {
-        inner
-            .frames_sent
-            .fetch_sub(bufs.len() as u64, Ordering::Relaxed);
+    let sent = match bufs {
+        [one] => sender.send(one),
+        _ => {
+            let frames: Vec<&[u8]> = bufs.iter().map(|b| &b[..]).collect();
+            sender.send_many(&frames)
+        }
+    };
+    if let Err(e) = sent {
+        inner.frames_sent.fetch_sub(count, Ordering::Relaxed);
         inner.bytes_sent.fetch_sub(total, Ordering::Relaxed);
         return Err(e.into());
     }

@@ -153,7 +153,6 @@ mod tests {
         ChannelConfig {
             heartbeat_interval: None,
             rpc_timeout: Duration::from_millis(500),
-            ..Default::default()
         }
     }
 

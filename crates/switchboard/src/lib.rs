@@ -30,11 +30,15 @@
 //! * **Transports** ([`transport`]) — real TCP (loopback or otherwise) and
 //!   an in-memory pair for deterministic tests and simulation. A
 //!   `Plain` mode models the paper's unauthenticated `rmi` exposure type.
+//! * **Reactor** ([`reactor`]) — the one channel engine: shard threads
+//!   whose timer wheels heartbeat every channel on every target, and
+//!   which read TCP channels themselves where the platform's poller can
+//!   watch sockets (Linux); other channels keep a reader thread.
 //! * **Streams** ([`stream`]) — SwitchboardStream-style bulk transfer:
 //!   ordered chunks with an end-to-end digest, inheriting the channel's
 //!   encryption and continuous authorization.
 
-// `deny` rather than `forbid`: the reactor's audited sys layer
+// `deny` rather than `forbid`: the reactor's audited platform layer
 // (`reactor::sys`, the one module CI's unsafe_code audit permits
 // outside `crates/crypto`) opts back in with a scoped `allow`.
 #![deny(unsafe_code)]
@@ -44,22 +48,13 @@ pub mod channel;
 pub mod fault;
 pub mod handshake;
 pub mod pool;
-// The reactor's syscall shim is Linux ABI (epoll, eventfd, packed
-// x86_64 epoll_event, RLIMIT_NOFILE=7); elsewhere a stub module keeps
-// the API surface and channels degrade to the threaded backend.
-#[cfg(target_os = "linux")]
-pub mod reactor;
-#[cfg(not(target_os = "linux"))]
-#[path = "reactor_fallback.rs"]
 pub mod reactor;
 pub mod rpc;
 pub mod stream;
 pub mod suite;
 pub mod transport;
 
-pub use channel::{
-    Channel, ChannelBackend, ChannelConfig, ChannelStatus, Mode, PendingCall, TrafficStats,
-};
+pub use channel::{Channel, ChannelConfig, ChannelStatus, Mode, PendingCall, TrafficStats};
 pub use fault::{Fault, FaultLog, FaultyTransport};
 pub use handshake::{
     connect_tcp, establish_plain, establish_secure, listen_tcp, pair_in_memory,

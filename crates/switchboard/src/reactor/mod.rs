@@ -1,13 +1,11 @@
-//! Readiness-driven connection engine: epoll shards + timer-wheel
-//! heartbeats.
+//! The channel engine: reactor shards + timer-wheel heartbeats, on every
+//! target.
 //!
-//! The thread-per-connection model costs two threads and two stacks per
-//! channel; at 100k channels that is 200k stacks before a byte moves.
-//! The reactor replaces it with a fixed set of shard threads (one per
-//! core, capped), each owning an epoll instance, the connections
-//! hash-pinned to it, and a hashed [timer wheel](wheel) driving
-//! heartbeats. Per-channel steady-state cost drops to one table entry
-//! plus a timer-slot share.
+//! A fixed set of shard threads (one per core, capped at 8) services
+//! every channel: each shard owns a [poller](sys::Poller), the TCP
+//! connections hash-pinned to it, and a hashed [timer wheel](wheel)
+//! driving heartbeats. Per-channel steady-state cost is one table entry
+//! plus a timer-slot share — no channel owns a heartbeat thread.
 //!
 //! * **Sharding** — a connection's token picks its shard once at
 //!   registration; all its readiness handling, timer state, and
@@ -34,14 +32,17 @@
 //!   [`HB_GROUP_CAP`] members), so 100k channels to the same host cost
 //!   hundreds of timer fires per interval, not 100k. Group phases are
 //!   hash-staggered to avoid synchronized bursts.
-//! * **Unsafe boundary** — every raw syscall lives in [`sys`], the one
-//!   module outside `crates/crypto` that CI's unsafe_code audit
-//!   permits; everything here is safe Rust over its owning types.
+//! * **Platform boundary** — [`sys`] is the one module that knows the
+//!   platform and holds every raw syscall (the one place outside
+//!   `crates/crypto` that CI's unsafe_code audit permits); everything
+//!   here is safe Rust over its owning types.
 //!
-//! The in-memory `MemTransport` path keeps its blocking reader thread
-//! (deterministic for tests and netsim), but its heartbeats also route
-//! through the wheel, so even mem channels stop paying a heartbeat
-//! thread.
+//! Only sockets the poller can watch are read by a shard: TCP on Linux.
+//! Every other transport — the in-memory `MemTransport`, wrappers that
+//! intercept `recv`, and TCP where the poller is the portable waiter —
+//! keeps a blocking reader thread, because handlers run where frames are
+//! read and a handler may block. Its heartbeats still come from the
+//! shard's wheel.
 
 #[allow(unsafe_code)]
 pub(crate) mod sys;
@@ -52,21 +53,17 @@ use crate::channel::{
     ChannelInner,
 };
 use crate::pool::PooledBuf;
-use crate::transport::MAX_FRAME;
+use crate::transport::{FrameReceiver, MAX_FRAME};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{IpAddr, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 use wheel::{TimerId, TimerWheel, DEFAULT_SLOTS, DEFAULT_TICK};
 
 pub use sys::raise_nofile_limit;
-
-/// Event-buffer token reserved for each shard's eventfd wakeup.
-const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Heartbeat groups stop absorbing members past this size, bounding the
 /// work (and the wire burst) a single timer fire can generate.
@@ -108,7 +105,7 @@ enum Command {
 
 struct ShardHandle {
     queue: Mutex<Vec<Command>>,
-    wake: sys::WakeFd,
+    wake: sys::Waker,
 }
 
 impl ShardHandle {
@@ -125,29 +122,16 @@ struct Reactor {
 static REACTOR: OnceLock<Reactor> = OnceLock::new();
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(0);
 
-fn shard_count_config() -> usize {
-    if let Ok(v) = std::env::var("PSF_REACTOR_SHARDS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.clamp(1, 64);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 fn global() -> &'static Reactor {
     REACTOR.get_or_init(|| {
-        let count = shard_count_config();
+        let count = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8);
         psf_telemetry::gauge!("psf.switchboard.reactor.shards").set(count as i64);
         let mut shards = Vec::with_capacity(count);
         for id in 0..count {
-            let epoll = sys::Epoll::new().expect("epoll_create1");
-            let wake = sys::WakeFd::new().expect("eventfd");
-            epoll
-                .add(wake.raw(), WAKE_TOKEN, sys::EPOLLIN)
-                .expect("register wakeup fd");
+            let (poller, wake) = sys::Poller::new().expect("reactor poller");
             let handle = Arc::new(ShardHandle {
                 queue: Mutex::new(Vec::new()),
                 wake,
@@ -155,7 +139,7 @@ fn global() -> &'static Reactor {
             let thread_handle = handle.clone();
             std::thread::Builder::new()
                 .name(format!("swbd-reactor-{id}"))
-                .spawn(move || shard_loop(thread_handle, epoll))
+                .spawn(move || shard_loop(thread_handle, poller))
                 .expect("spawn reactor shard");
             shards.push(handle);
         }
@@ -173,6 +157,16 @@ fn alloc_token(reactor: &Reactor) -> (usize, u64) {
     // under this counter.
     let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
     ((token % reactor.shards.len() as u64) as usize, token)
+}
+
+/// Take the receiver's TCP stream if this platform's poller can watch
+/// it; `None` leaves the receiver to a reader thread.
+pub(crate) fn claim_stream(receiver: &mut dyn FrameReceiver) -> Option<TcpStream> {
+    if sys::Poller::WATCHES_SOCKETS {
+        receiver.take_stream()
+    } else {
+        None
+    }
 }
 
 /// Hand a connected (handshake-complete) TCP stream to the reactor: the
@@ -211,9 +205,13 @@ pub(crate) fn register_connection(
 }
 
 /// Drive a channel's heartbeats from the timer wheel without routing its
-/// reads through epoll (the in-memory transport path: reads stay on the
-/// blocking reader thread, the heartbeat thread is replaced).
-pub(crate) fn register_heartbeat(inner: &Arc<ChannelInner>, interval: Duration) {
+/// reads through the poller (reads stay on the channel's reader thread).
+/// A `peer` host lets them join that host's heartbeat groups.
+pub(crate) fn register_heartbeat(
+    inner: &Arc<ChannelInner>,
+    interval: Duration,
+    peer: Option<IpAddr>,
+) {
     let reactor = global();
     let (shard_idx, token) = alloc_token(reactor);
     inner.set_reactor_registration(Registration {
@@ -224,7 +222,7 @@ pub(crate) fn register_heartbeat(inner: &Arc<ChannelInner>, interval: Duration) 
         token,
         inner: Arc::downgrade(inner),
         interval,
-        peer: None,
+        peer,
     });
 }
 
@@ -247,7 +245,7 @@ enum GroupKey {
         interval_us: u64,
         bucket: u64,
     },
-    /// Channels with no peer address (in-memory) keep private timers.
+    /// Channels with no peer host (in-memory) keep private timers.
     Solo { token: u64 },
 }
 
@@ -265,7 +263,7 @@ struct Conn {
 }
 
 struct ShardState {
-    epoll: sys::Epoll,
+    poller: sys::Poller,
     conns: HashMap<u64, Conn>,
     wheel: TimerWheel<GroupKey>,
     groups: HashMap<GroupKey, Group>,
@@ -277,9 +275,9 @@ struct ShardState {
     scratch: Vec<u8>,
 }
 
-fn shard_loop(handle: Arc<ShardHandle>, epoll: sys::Epoll) {
+fn shard_loop(handle: Arc<ShardHandle>, poller: sys::Poller) {
     let mut st = ShardState {
-        epoll,
+        poller,
         conns: HashMap::new(),
         wheel: TimerWheel::new(DEFAULT_SLOTS, DEFAULT_TICK, Instant::now()),
         groups: HashMap::new(),
@@ -311,7 +309,7 @@ fn shard_loop(handle: Arc<ShardHandle>, epoll: sys::Epoll) {
             }
         };
         events.clear();
-        if st.epoll.wait(&mut events, timeout_ms).is_err() {
+        if st.poller.wait(&mut events, timeout_ms).is_err() {
             // Pathological (EBADF/ENOMEM): back off instead of spinning.
             std::thread::sleep(Duration::from_millis(10));
             continue;
@@ -330,10 +328,6 @@ fn shard_loop(handle: Arc<ShardHandle>, epoll: sys::Epoll) {
             service_conn(&mut st, token, &mut again);
         }
         for &(token, ev) in &events {
-            if token == WAKE_TOKEN {
-                handle.wake.drain();
-                continue;
-            }
             if ev & sys::EPOLLOUT != 0 {
                 // The socket drained: push out backlogged sends. Failure
                 // here is a dead transport.
@@ -375,9 +369,9 @@ fn apply_command(st: &mut ShardState, cmd: Command, again: &mut Vec<u64>) {
                 return;
             }
             if st
-                .epoll
+                .poller
                 .add(
-                    stream.as_raw_fd(),
+                    &stream,
                     token,
                     sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLET | sys::EPOLLRDHUP,
                 )
@@ -515,7 +509,7 @@ fn fire_group(st: &mut ShardState, key: GroupKey) {
 
 fn close_token(st: &mut ShardState, token: u64) {
     if let Some(conn) = st.conns.remove(&token) {
-        let _ = st.epoll.del(conn.stream.as_raw_fd());
+        let _ = st.poller.del(&conn.stream);
         mark_closed(&conn.inner);
     }
     if let Some(key) = st.hb_index.remove(&token) {

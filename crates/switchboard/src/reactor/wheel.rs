@@ -1,5 +1,6 @@
 //! Hashed timer wheel driving reactor heartbeats: one wheel per shard
-//! replaces the per-channel `swbd-heartbeat` threads.
+//! heartbeats every channel pinned to it, so no channel owns a timer
+//! thread.
 //!
 //! Deadlines quantize (rounding **up**, so nothing fires early) onto a
 //! ring of tick-wide slots. Scheduling and cancelling are O(1)-ish

@@ -263,7 +263,6 @@ mod tests {
         pair_in_memory_plain(ChannelConfig {
             heartbeat_interval: None,
             rpc_timeout: Duration::from_secs(5),
-            ..Default::default()
         })
     }
 

@@ -1,7 +1,7 @@
 //! Framed byte transports: real TCP and an in-memory pair.
 
 use std::io::{IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::net::{IpAddr, TcpStream};
 
 /// Maximum accepted frame size (16 MiB) — guards against hostile length
 /// prefixes.
@@ -48,12 +48,19 @@ pub trait FrameReceiver: Send {
     }
 
     /// Surrender the underlying TCP stream, if this receiver directly
-    /// owns one, so the reactor can service it with epoll instead of a
-    /// blocking reader thread. After a `Some` return, `recv` must not be
+    /// owns one, so a reactor shard can read it instead of a blocking
+    /// reader thread (only asked where the platform's poller can watch
+    /// sockets). After a `Some` return, `recv` must not be
     /// called again. Non-TCP transports — and wrappers that need to
     /// intercept `recv` (fault injection) — return `None` (the default),
     /// which keeps the channel on its reader thread.
     fn take_stream(&mut self) -> Option<TcpStream> {
+        None
+    }
+
+    /// The peer's IP address, if this receiver reads a socket. Channels
+    /// to one host share heartbeat groups on the reactor's timer wheel.
+    fn peer_ip(&self) -> Option<IpAddr> {
         None
     }
 }
@@ -128,9 +135,9 @@ const SEND_BACKLOG_CAP: usize = 8 << 20;
 /// Send the logical concatenation of `parts` without ever blocking on
 /// a full socket: bytes the kernel refuses are queued in `backlog`
 /// and flushed later (next send, or the reactor's writable edge). On
-/// a blocking stream (threaded backend, handshake) `write_vectored`
-/// itself blocks and the backlog stays empty, preserving the legacy
-/// blocking-send semantics. A reactor shard therefore never parks
+/// a blocking stream (the handshake, or a channel read by its reader
+/// thread) `write_vectored` itself blocks and the backlog stays empty,
+/// so the send simply completes. A reactor shard therefore never parks
 /// inside a send — the failure mode that could deadlock a shard when
 /// both endpoints of a connection land on it.
 fn send_parts(
@@ -285,6 +292,10 @@ impl FrameReceiver for TcpReceiver {
 
     fn take_stream(&mut self) -> Option<TcpStream> {
         self.stream.take()
+    }
+
+    fn peer_ip(&self) -> Option<IpAddr> {
+        self.stream.as_ref()?.peer_addr().ok().map(|a| a.ip())
     }
 }
 

@@ -93,7 +93,6 @@ fn quiet_config() -> ChannelConfig {
     ChannelConfig {
         heartbeat_interval: None,
         rpc_timeout: Duration::from_secs(5),
-        ..Default::default()
     }
 }
 
@@ -224,7 +223,6 @@ fn heartbeats_measure_rtt_and_liveness() {
     let config = ChannelConfig {
         heartbeat_interval: Some(Duration::from_millis(20)),
         rpc_timeout: Duration::from_secs(5),
-        ..Default::default()
     };
     let (client, server) = pair_in_memory(cs, ss, config).unwrap();
     std::thread::sleep(Duration::from_millis(150));

@@ -95,7 +95,6 @@ fn quiet_config() -> ChannelConfig {
     ChannelConfig {
         heartbeat_interval: None,
         rpc_timeout: Duration::from_secs(10),
-        ..Default::default()
     }
 }
 

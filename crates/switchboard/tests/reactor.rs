@@ -1,16 +1,17 @@
 //! Reactor torture coverage: the `tests/pipeline.rs` scenarios replayed
 //! over reactor-backed TCP channels (epoll shards, zero threads per
 //! channel), plus timer-wheel heartbeat integration — coalesced groups,
-//! liveness, RTT — and prompt in-flight failure on close with a
-//! mixed-backend (reactor client, threaded server) pair.
+//! liveness, RTT — and prompt in-flight failure on close against a
+//! server whose hanging handler parks a reader thread, not a shard.
 
 use psf_drbac::entity::{Entity, EntityRegistry};
 use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
 use psf_drbac::{DelegationBuilder, SignedDelegation};
+use psf_switchboard::transport::{FrameReceiver, FrameSender};
 use psf_switchboard::{
-    connect_tcp, listen_tcp, AuthSuite, Authorizer, ChannelBackend, ChannelConfig, ClockRef,
-    SwitchboardError,
+    connect_tcp, establish_secure, listen_tcp, AuthSuite, Authorizer, Channel, ChannelConfig,
+    ClockRef, SwitchboardError, TcpTransport, Transport,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,16 +97,53 @@ fn reactor_config(heartbeat: Option<Duration>) -> ChannelConfig {
     ChannelConfig {
         heartbeat_interval: heartbeat,
         rpc_timeout: Duration::from_secs(10),
-        backend: ChannelBackend::Reactor,
     }
 }
 
-fn threaded_config() -> ChannelConfig {
-    ChannelConfig {
-        heartbeat_interval: None,
-        rpc_timeout: Duration::from_secs(10),
-        backend: ChannelBackend::Threaded,
+/// TCP whose receiver declines `take_stream`, so the channel reads it on
+/// a reader thread: a handler that hangs parks that thread, never a
+/// reactor shard.
+struct ReaderThreadTcp(TcpTransport);
+
+struct KeepStream(Box<dyn FrameReceiver>);
+
+impl FrameReceiver for KeepStream {
+    fn recv(&mut self) -> std::io::Result<Vec<u8>> {
+        self.0.recv()
     }
+
+    fn recv_many(&mut self) -> std::io::Result<Vec<Vec<u8>>> {
+        self.0.recv_many()
+    }
+}
+
+impl Transport for ReaderThreadTcp {
+    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
+        let (tx, rx) = Box::new(self.0).split();
+        (tx, Box::new(KeepStream(rx)))
+    }
+}
+
+/// Accept one connection on `listener` and serve it over
+/// [`ReaderThreadTcp`] with a `hang` handler that blocks until `block_rx`
+/// fires (or 5 s pass).
+fn accept_hanging_server(
+    listener: &std::net::TcpListener,
+    suite: &AuthSuite,
+    block_rx: std::sync::mpsc::Receiver<()>,
+) -> Channel {
+    let (stream, _) = listener.accept().unwrap();
+    let transport = ReaderThreadTcp(TcpTransport::new(stream).unwrap());
+    let server = establish_secure(Box::new(transport), suite, false, reactor_config(None)).unwrap();
+    let block_rx = std::sync::Mutex::new(block_rx);
+    server.register_handler("hang", move |_| {
+        let _ = block_rx
+            .lock()
+            .unwrap()
+            .recv_timeout(Duration::from_secs(5));
+        Ok(vec![])
+    });
+    server
 }
 
 fn install_echo(channel: &psf_switchboard::Channel) {
@@ -241,25 +279,17 @@ fn revocation_mid_stream_refuses_pipelined_senders_over_reactor_tcp() {
 
 #[test]
 fn close_fails_pending_calls_promptly_over_reactor_tcp() {
-    // Mixed backends: reactor client, threaded server — the hanging
-    // handler parks the server's reader thread, never a reactor shard,
-    // so the test isolates the client-side close path.
+    // Reactor client; the server reads on a reader thread, so the
+    // hanging handler parks that thread, never a reactor shard, and the
+    // test isolates the client-side close path.
     let w = world();
     let (cs, ss) = w.suites();
-    let listener = listen_tcp("127.0.0.1:0").unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let (ready_tx, ready_rx) = std::sync::mpsc::channel();
     let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
     let server_thread = std::thread::spawn(move || {
-        let server = listener.accept(&ss, threaded_config()).unwrap();
-        let block_rx = std::sync::Mutex::new(block_rx);
-        server.register_handler("hang", move |_| {
-            let _ = block_rx
-                .lock()
-                .unwrap()
-                .recv_timeout(Duration::from_secs(5));
-            Ok(vec![])
-        });
+        let server = accept_hanging_server(&listener, &ss, block_rx);
         ready_tx.send(()).unwrap();
         server
     });
@@ -293,25 +323,17 @@ fn close_fails_pending_calls_promptly_over_reactor_tcp() {
 
 #[test]
 fn peer_death_fails_pending_calls_promptly_over_reactor_tcp() {
-    // The threaded server's reader thread parks in a hanging handler;
-    // dropping the server closes the channel (FT_CLOSE + fd teardown) and
-    // the reactor-backed client must fail its in-flight calls promptly.
+    // The server's reader thread parks in a hanging handler; dropping
+    // the server closes the channel (FT_CLOSE + fd teardown) and the
+    // reactor-backed client must fail its in-flight calls promptly.
     let w = world();
     let (cs, ss) = w.suites();
-    let listener = listen_tcp("127.0.0.1:0").unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let (ready_tx, ready_rx) = std::sync::mpsc::channel();
     let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
     let server_thread = std::thread::spawn(move || {
-        let server = listener.accept(&ss, threaded_config()).unwrap();
-        let block_rx = std::sync::Mutex::new(block_rx);
-        server.register_handler("hang", move |_| {
-            let _ = block_rx
-                .lock()
-                .unwrap()
-                .recv_timeout(Duration::from_secs(5));
-            Ok(vec![])
-        });
+        let server = accept_hanging_server(&listener, &ss, block_rx);
         ready_tx.send(()).unwrap();
         server
     });

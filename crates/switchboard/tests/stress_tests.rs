@@ -53,7 +53,6 @@ fn heartbeats_rpc_and_revalidation_race_safely_over_tcp() {
     let config = ChannelConfig {
         heartbeat_interval: Some(Duration::from_millis(1)),
         rpc_timeout: Duration::from_secs(10),
-        ..Default::default()
     };
 
     let listener = listen_tcp("127.0.0.1:0").unwrap();

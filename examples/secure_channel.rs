@@ -63,7 +63,6 @@ fn main() {
     let config = ChannelConfig {
         heartbeat_interval: Some(Duration::from_millis(50)),
         rpc_timeout: Duration::from_secs(5),
-        ..Default::default()
     };
 
     // Real TCP on loopback.

@@ -13,7 +13,6 @@ fn quiet() -> ChannelConfig {
     ChannelConfig {
         heartbeat_interval: None,
         rpc_timeout: Duration::from_secs(10),
-        ..Default::default()
     }
 }
 

@@ -130,7 +130,6 @@ fn heartbeat_populates_rtt_histogram_and_channel_stats() {
     let cfg = ChannelConfig {
         heartbeat_interval: None,
         rpc_timeout: Duration::from_secs(2),
-        ..Default::default()
     };
     let (a, b) = pair_in_memory_plain(cfg);
     a.send_heartbeat().unwrap();

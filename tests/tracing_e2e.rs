@@ -72,7 +72,6 @@ fn config() -> ChannelConfig {
     ChannelConfig {
         heartbeat_interval: None,
         rpc_timeout: Duration::from_secs(5),
-        ..Default::default()
     }
 }
 
