@@ -1,14 +1,14 @@
 //! Pass 3: deployment-plan pre-flight (PSF011–PSF013).
 //!
-//! Thin adapter over [`psf_core::preflight`]: the core crate simulates a
-//! plan against the deployer's world (step chain, artifacts, CPU,
-//! channel/deploy authorization) without acquiring anything; this module
-//! maps each violation onto a stable lint code so plan problems surface
-//! through the same gate as policy problems.
+//! Thin adapter over [`psf_core::preflight`]: the deployer walks a plan
+//! with recording effects (step chain, artifacts, CPU, channel/deploy
+//! authorization) without acquiring anything; this module maps each
+//! violation onto a stable lint code so plan problems surface through the
+//! same gate as policy problems.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use psf_core::preflight::{PreflightViolation, PreflightViolationKind};
-use psf_core::{Deployer, Goal, Plan, Registrar};
+use psf_core::{Deployer, Goal, Plan};
 
 /// Map a core pre-flight violation onto its lint code.
 pub fn violation_code(kind: PreflightViolationKind) -> LintCode {
@@ -36,14 +36,8 @@ pub fn violations_to_diagnostics(violations: &[PreflightViolation], report: &mut
 
 /// Run the deployer's static pre-flight over `plan` and append the
 /// findings to `report`.
-pub fn analyze_plan(
-    deployer: &Deployer,
-    registrar: &Registrar,
-    plan: &Plan,
-    goal: &Goal,
-    report: &mut Report,
-) {
-    let violations = deployer.preflight(registrar, plan, goal);
+pub fn analyze_plan(deployer: &Deployer, plan: &Plan, goal: &Goal, report: &mut Report) {
+    let violations = deployer.preflight(plan, goal);
     violations_to_diagnostics(&violations, report);
 }
 

@@ -689,9 +689,7 @@ fn analyze(cli: &Cli, args: &[String]) -> i32 {
         require_plaintext_delivery: true,
     };
     match w.plan_service(&goal) {
-        Ok((plan, _)) => {
-            psf_analysis::analyze_plan(&w.deployer, &w.registrar, &plan, &goal, &mut report)
-        }
+        Ok((plan, _)) => psf_analysis::analyze_plan(&w.deployer, &plan, &goal, &mut report),
         Err(e) => report.push(psf_analysis::Diagnostic::global(
             psf_analysis::LintCode::InvalidStepChain,
             format!("planner found no plan to pre-flight: {e}"),

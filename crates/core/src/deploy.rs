@@ -4,9 +4,18 @@
 //! the generated view its own set of credentials, downloads them onto
 //! their target nodes, and connects them to other components using secure
 //! channels".
+//!
+//! One walk over a plan, `Deployer::walk_plan`, states every rule a plan
+//! must pass and the message each broken rule reports. Its side effects
+//! come from a `PlanEffects` value: [`Deployer::execute`] walks with
+//! effects that acquire (CPU, published identities proved through the
+//! guard, channels, instances) and stop at the first violation;
+//! [`Deployer::preflight`] walks with [`crate::preflight`]'s recording
+//! effects, which acquire nothing and note every violation.
 
 use crate::model::Goal;
 use crate::planner::{Plan, PlanStep};
+use crate::preflight::{PreflightViolation, PreflightViolationKind, Record};
 use crate::PsfError;
 use parking_lot::Mutex;
 use psf_drbac::entity::Entity;
@@ -16,13 +25,15 @@ use psf_netsim::{Network, NodeId};
 use psf_switchboard::{
     pair_in_memory, pair_in_memory_plain, AuthSuite, Authorizer, Channel, ChannelConfig, ClockRef,
 };
+use psf_telemetry::SpanGuard;
 use psf_views::binding::{InProcessRemote, RemoteCall};
 use psf_views::{
-    CoherencePolicy, ComponentClass, ComponentInstance, MethodLibrary, ViewInstance, ViewSpec, Vig,
+    CoherencePolicy, ComponentClass, ComponentInstance, GeneratedView, MethodLibrary, ViewInstance,
+    ViewSpec, Vig,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministic 64-bit mixer (splitmix64 finalizer): the source of all
 /// "randomness" in fault injection and retry jitter, so a seed fully
@@ -311,7 +322,235 @@ struct TxState {
     issued_identities: Vec<Entity>,
     issued_credentials: Vec<SignedDelegation>,
     channels: Vec<(Arc<Channel>, Channel)>,
+    /// The endpoint the steps run so far deliver.
+    endpoint: Option<Arc<dyn RemoteCall>>,
+    /// The step being run; the step count once every step has run.
     step: usize,
+}
+
+/// What a plan step does besides passing the walk's rules.
+/// [`Deployer::walk_plan`] owns every rule and every message; the effects
+/// decide what a step acquires and what a broken rule costs. [`Acquire`]
+/// builds the deployment and stops at the first violation; pre-flight's
+/// [`Record`] acquires nothing and notes every violation. A default
+/// method is that effect switched off.
+pub(crate) trait PlanEffects {
+    /// An identity issued by [`identify`](Self::identify).
+    type Identity;
+    /// A rule is broken at `step` (`None`: the whole plan); `Err` ends the
+    /// walk.
+    fn violation(
+        &mut self,
+        kind: PreflightViolationKind,
+        step: Option<usize>,
+        message: String,
+    ) -> Result<(), PsfError>;
+    /// Take `cost` CPU units on `node`, which is up; `false` if it lacks
+    /// them.
+    fn reserve_cpu(&mut self, net: &Network, node: NodeId, cost: u32) -> bool;
+    /// Issue an identity for `template` on `node`, with the verdict on
+    /// whether it proves `Guard.Component`.
+    fn identify(&mut self, template: &str, node: NodeId) -> (Self::Identity, Result<(), String>);
+    /// Step `idx` begins.
+    fn begin(&mut self, _idx: usize, _step: &PlanStep) -> Result<(), PsfError> {
+        Ok(())
+    }
+    /// The step that began last passed every rule.
+    fn end(&mut self) {}
+    /// Serve a running source instance.
+    fn use_source(&mut self, _source: Arc<ComponentInstance>) {}
+    /// Carry the endpoint across a hop: a plain channel when `ends` is
+    /// `None`, else Switchboard mutual authorization between the two.
+    fn link(&mut self, _ends: Option<(Self::Identity, Self::Identity)>) -> Result<(), PsfError> {
+        Ok(())
+    }
+    /// Bind a generated view over the endpoint.
+    fn place_view(
+        &mut self,
+        _spec: &str,
+        _node: NodeId,
+        _view: &Arc<GeneratedView>,
+    ) -> Result<(), PsfError> {
+        Ok(())
+    }
+    /// Wrap the endpoint in middleware.
+    fn place_middleware(&mut self, _spec: &str, _node: NodeId, _factory: &MiddlewareFactory) {}
+    /// Instantiate a component class as the new endpoint.
+    fn place_component(&mut self, _spec: &str, _node: NodeId, _class: &Arc<ComponentClass>) {}
+}
+
+/// `execute`'s effects: reserve, issue and publish, link, instantiate —
+/// all recorded on the attempt's [`TxState`] — and fail at the first
+/// violation.
+struct Acquire<'a> {
+    deployer: &'a Deployer,
+    attempt: u32,
+    faults: Option<&'a DeployFaultPlan>,
+    fired: &'a mut u32,
+    tx: TxState,
+    /// The running step's span and start time.
+    step: Option<(SpanGuard<'static>, Instant)>,
+}
+
+impl Acquire<'_> {
+    /// The endpoint a link or layer consumes.
+    fn upstream(&self) -> Arc<dyn RemoteCall> {
+        let endpoint = self.tx.endpoint.clone();
+        endpoint.expect("walk_plan checks that an endpoint exists before it links or layers")
+    }
+}
+
+impl PlanEffects for Acquire<'_> {
+    type Identity = (Entity, SignedDelegation);
+
+    fn violation(
+        &mut self,
+        _kind: PreflightViolationKind,
+        _step: Option<usize>,
+        message: String,
+    ) -> Result<(), PsfError> {
+        Err(PsfError::DeployFailed(message))
+    }
+
+    fn reserve_cpu(&mut self, net: &Network, node: NodeId, cost: u32) -> bool {
+        let reserved = net.reserve_cpu(node, cost);
+        if reserved {
+            self.tx.reservations.push((node, cost));
+        }
+        reserved
+    }
+
+    /// Issue and publish, then prove the credential through the guard:
+    /// an identity that cannot authorize fails the deployment closed.
+    fn identify(&mut self, template: &str, node: NodeId) -> (Self::Identity, Result<(), String>) {
+        let d = self.deployer;
+        let (entity, cred) = d.issue_identity(template, node);
+        self.tx.issued_identities.push(entity.clone());
+        self.tx.issued_credentials.push(cred.clone());
+        let (subject, role) = (entity.as_subject(), d.guard.role("Component"));
+        let presented = std::slice::from_ref(&cred);
+        let verdict = d.guard.authorize(&subject, &role, presented, d.clock.now());
+        ((entity, cred), verdict.map(drop).map_err(|e| e.to_string()))
+    }
+
+    fn begin(&mut self, idx: usize, step: &PlanStep) -> Result<(), PsfError> {
+        self.tx.step = idx;
+        if let Some(fp) = self.faults {
+            if fp.should_fail(self.attempt, idx, *self.fired) {
+                *self.fired += 1;
+                psf_telemetry::counter!("psf.deploy.faults.injected").inc();
+                return Err(PsfError::DeployFailed(format!(
+                    "injected fault: attempt {}, step {idx}",
+                    self.attempt
+                )));
+            }
+        }
+        let mut span = psf_telemetry::span("psf.deploy", "step");
+        match step {
+            PlanStep::UseDeployed { spec, node, .. } => span
+                .field("kind", "use_deployed")
+                .field("template", spec)
+                .field("node", node.0),
+            PlanStep::Move {
+                from,
+                to,
+                secure_path,
+                ..
+            } => span
+                .field("kind", "move")
+                .field("from", from.0)
+                .field("to", to.0)
+                .field("secure_path", secure_path),
+            PlanStep::Deploy { spec, node, .. } => span
+                .field("kind", "deploy")
+                .field("template", spec)
+                .field("node", node.0),
+        };
+        self.step = Some((span, Instant::now()));
+        Ok(())
+    }
+
+    fn end(&mut self) {
+        if let Some((_span, start)) = self.step.take() {
+            psf_telemetry::counter!("psf.deploy.steps").inc();
+            psf_telemetry::histogram!("psf.deploy.step.us").record_duration(start.elapsed());
+        }
+        self.tx.step += 1;
+    }
+
+    fn use_source(&mut self, source: Arc<ComponentInstance>) {
+        self.tx.endpoint = Some(InProcessRemote::switchboard(source));
+    }
+
+    fn link(&mut self, ends: Option<(Self::Identity, Self::Identity)>) -> Result<(), PsfError> {
+        let d = self.deployer;
+        let (client_side, server_side) = match ends {
+            None => {
+                psf_telemetry::counter!("psf.deploy.channels.plain").inc();
+                pair_in_memory_plain(d.config.clone())
+            }
+            Some(((client, client_cred), (server, server_cred))) => {
+                let suite = |entity, cred| {
+                    let authorizer = Authorizer::new(
+                        d.guard.registry().clone(),
+                        d.guard.repository().clone(),
+                        d.guard.bus().clone(),
+                        d.clock.clone(),
+                        d.guard.role("Component"),
+                    );
+                    AuthSuite::new(entity, vec![cred], authorizer)
+                };
+                let pair = pair_in_memory(
+                    suite(client, client_cred),
+                    suite(server, server_cred),
+                    d.config.clone(),
+                )
+                .map_err(|e| PsfError::DeployFailed(format!("channel handshake: {e}")))?;
+                psf_telemetry::counter!("psf.deploy.channels.secure").inc();
+                pair
+            }
+        };
+        // Serve the upstream endpoint on the provider side.
+        let served = self.upstream();
+        server_side.register_default_handler(move |method, args| served.call_remote(method, args));
+        let client = Arc::new(client_side);
+        self.tx.endpoint = Some(client.clone());
+        // Keep both halves alive for the deployment's lifetime.
+        self.tx.channels.push((client, server_side));
+        Ok(())
+    }
+
+    fn place_view(
+        &mut self,
+        spec: &str,
+        node: NodeId,
+        view: &Arc<GeneratedView>,
+    ) -> Result<(), PsfError> {
+        let inst = view
+            .instantiate(Some(self.upstream()), CoherencePolicy::WriteThrough, 8, b"")
+            .map_err(PsfError::DeployFailed)?;
+        self.tx.endpoint = Some(Arc::new(ViewEndpoint(inst.clone())));
+        self.tx
+            .placements
+            .push((spec.to_string(), node, Deployed::View(inst)));
+        Ok(())
+    }
+
+    fn place_middleware(&mut self, spec: &str, node: NodeId, factory: &MiddlewareFactory) {
+        let wrapped = factory(self.upstream());
+        self.tx.endpoint = Some(wrapped.clone());
+        self.tx
+            .placements
+            .push((spec.to_string(), node, Deployed::Middleware(wrapped)));
+    }
+
+    fn place_component(&mut self, spec: &str, node: NodeId, class: &Arc<ComponentClass>) {
+        let inst = class.instantiate();
+        self.tx.endpoint = Some(InProcessRemote::switchboard(inst.clone()));
+        self.tx
+            .placements
+            .push((spec.to_string(), node, Deployed::Component(inst)));
+    }
 }
 
 impl Deployer {
@@ -357,27 +596,6 @@ impl Deployer {
     pub fn with_network(mut self, network: Network) -> Deployer {
         self.network = Some(network);
         self
-    }
-
-    /// The guard this deployer issues credentials through (pre-flight
-    /// analysis evaluates would-be identities against it).
-    pub fn guard(&self) -> &Arc<Guard> {
-        &self.guard
-    }
-
-    /// The application bundle (pre-flight template resolution).
-    pub fn bundle(&self) -> &AppBundle {
-        &self.bundle
-    }
-
-    /// The attached network, if any.
-    pub fn network(&self) -> Option<&Network> {
-        self.network.as_ref()
-    }
-
-    /// The clock deployments are stamped with.
-    pub fn clock(&self) -> &ClockRef {
-        &self.clock
     }
 
     /// Pre-start a source instance on a node (pairs with
@@ -429,13 +647,25 @@ impl Deployer {
         (entity, cred)
     }
 
+    /// Pre-flight: walk `plan` with effects that acquire nothing and
+    /// return every rule it breaks, first failure first. A clean plan
+    /// passes every rule [`execute`](Deployer::execute) enforces; only an
+    /// effect itself (a handshake, a view binding) or an injected fault
+    /// can still fail it. Authorization is one probe proof at this
+    /// deployer's clock time.
+    pub fn preflight(&self, plan: &Plan, goal: &Goal) -> Vec<PreflightViolation> {
+        let mut record = Record::new(&self.guard, self.clock.now());
+        // Record's hooks never stop the walk.
+        let _ = self.walk_plan(plan, goal, &mut record);
+        record.violations
+    }
+
     /// Execute a plan: instantiate every step, wire channels across
     /// nodes, and return the client's endpoint.
     ///
-    /// `secure_channels`: when true, cross-node hops over insecure paths
-    /// use full Switchboard channels (mutual auth + AEAD); secure-path
-    /// hops use plain channels, mirroring the paper's rmi/switchboard
-    /// distinction.
+    /// Cross-node hops over insecure paths use full Switchboard channels
+    /// (mutual auth + AEAD); secure-path hops use plain channels,
+    /// mirroring the paper's rmi/switchboard distinction.
     /// Execution is **transactional**: a failed attempt rolls back every
     /// acquisition it made (CPU reservations released, channels closed,
     /// issued credentials revoked) before the deployer retries under its
@@ -448,23 +678,26 @@ impl Deployer {
         let mut fired = 0u32;
         let mut attempt = 1u32;
         loop {
-            let exec_start = std::time::Instant::now();
+            let exec_start = Instant::now();
             let mut exec_span = psf_telemetry::span("psf.deploy", "execute");
             exec_span
                 .field("steps", plan.steps.len())
                 .field("goal_iface", &goal.iface)
                 .field("attempt", attempt);
             psf_telemetry::counter!("psf.deploy.executions").inc();
-            let mut tx = TxState::default();
-            match self.execute_attempt(
-                plan,
-                goal,
+            let mut fx = Acquire {
+                deployer: self,
                 attempt,
-                fault_plan.as_ref(),
-                &mut fired,
-                &mut tx,
-            ) {
-                Ok(endpoint) => {
+                faults: fault_plan.as_ref(),
+                fired: &mut fired,
+                tx: TxState::default(),
+                step: None,
+            };
+            let walked = self.walk_plan(plan, goal, &mut fx);
+            fx.step = None; // a failure leaves its step's span open
+            let tx = fx.tx;
+            match walked {
+                Ok(()) => {
                     psf_telemetry::histogram!("psf.deploy.execute.us")
                         .record_duration(exec_start.elapsed());
                     psf_telemetry::histogram!("psf.deploy.attempts").record(u64::from(attempt));
@@ -478,7 +711,7 @@ impl Deployer {
                         issued_identities: tx.issued_identities,
                         issued_credentials: tx.issued_credentials,
                         channels: tx.channels,
-                        endpoint,
+                        endpoint: tx.endpoint.expect("a plan that passes the walk delivers"),
                     });
                 }
                 Err(e) => {
@@ -538,223 +771,139 @@ impl Deployer {
         }
     }
 
-    fn execute_attempt(
+    /// The one plan walk. It owns every rule a plan must pass and the
+    /// message each broken rule reports, in the order they are checked;
+    /// `fx` decides what a step acquires and whether a violation ends the
+    /// walk. `execute` walks with [`Acquire`] and `preflight` with
+    /// [`Record`], so the two cannot disagree on a rule.
+    fn walk_plan<E: PlanEffects>(
         &self,
         plan: &Plan,
         goal: &Goal,
-        attempt: u32,
-        fault_plan: Option<&DeployFaultPlan>,
-        fired: &mut u32,
-        tx: &mut TxState,
-    ) -> Result<Arc<dyn RemoteCall>, PsfError> {
-        let mut endpoint: Option<Arc<dyn RemoteCall>> = None;
-        let mut current_node: Option<NodeId> = None;
-
-        for (idx, step) in plan.steps.iter().enumerate() {
-            tx.step = idx;
-            if let Some(fp) = fault_plan {
-                if fp.should_fail(attempt, idx, *fired) {
-                    *fired += 1;
-                    psf_telemetry::counter!("psf.deploy.faults.injected").inc();
-                    return Err(PsfError::DeployFailed(format!(
-                        "injected fault: attempt {attempt}, step {idx}"
-                    )));
-                }
-            }
-            let step_start = std::time::Instant::now();
-            let mut step_span = psf_telemetry::span("psf.deploy", "step");
-            match step {
-                PlanStep::UseDeployed { spec, node, .. } => {
-                    step_span
-                        .field("kind", "use_deployed")
-                        .field("template", spec)
-                        .field("node", node.0);
-                }
-                PlanStep::Move {
-                    from,
-                    to,
-                    secure_path,
-                    ..
-                } => {
-                    step_span
-                        .field("kind", "move")
-                        .field("from", from.0)
-                        .field("to", to.0)
-                        .field("secure_path", secure_path);
-                }
-                PlanStep::Deploy { spec, node, .. } => {
-                    step_span
-                        .field("kind", "deploy")
-                        .field("template", spec)
-                        .field("node", node.0);
-                }
-            }
-            match step {
-                PlanStep::UseDeployed { spec, node, .. } => {
-                    let inst = self.source(spec, *node).ok_or_else(|| {
-                        PsfError::DeployFailed(format!(
-                            "source '{spec}' not running on node {}",
-                            node.0
-                        ))
-                    })?;
-                    endpoint = Some(InProcessRemote::switchboard(inst));
-                    current_node = Some(*node);
-                }
-                PlanStep::Move {
-                    from,
-                    to,
-                    secure_path,
-                    ..
-                } => {
-                    if current_node != Some(*from) {
-                        return Err(PsfError::DeployFailed(
-                            "plan moves an interface from the wrong node".into(),
-                        ));
-                    }
-                    let upstream = endpoint
-                        .take()
-                        .ok_or_else(|| PsfError::DeployFailed("move before any endpoint".into()))?;
-                    let (client_side, server_side) =
-                        self.make_channel_pair(*from, *to, *secure_path, tx)?;
-                    // Serve the upstream endpoint on the provider side.
-                    let served = upstream.clone();
-                    server_side.register_default_handler(move |method, args| {
-                        served.call_remote(method, args)
-                    });
-                    let client = Arc::new(client_side);
-                    endpoint = Some(client.clone());
-                    // Keep both halves alive for the deployment's lifetime.
-                    tx.channels.push((client, server_side));
-                    current_node = Some(*to);
-                }
-                PlanStep::Deploy { spec, node, .. } => {
-                    if current_node != Some(*node) {
-                        return Err(PsfError::DeployFailed(
-                            "plan deploys a component away from its input".into(),
-                        ));
-                    }
-                    // Reserve node capacity (released at teardown).
-                    if let (Some(net), Some(&cost)) =
-                        (&self.network, self.bundle.cpu_costs.get(spec))
-                    {
-                        if cost > 0 && !net.reserve_cpu(*node, cost) {
-                            return Err(PsfError::DeployFailed(format!(
-                                "node {} lacks {cost} CPU for '{spec}'",
-                                node.0
-                            )));
-                        }
-                        if cost > 0 {
-                            tx.reservations.push((*node, cost));
-                        }
-                    }
-                    let (entity, cred) = self.issue_identity(spec, *node);
-                    tx.issued_identities.push(entity);
-                    tx.issued_credentials.push(cred);
-
-                    if let Some(vspec) = self.bundle.view_specs.get(spec) {
-                        // VIG path: generate the view against the
-                        // original's class and bind it to the upstream.
-                        let original_class =
-                            self.bundle.classes.get(&vspec.represents).ok_or_else(|| {
-                                PsfError::Unknown(format!(
-                                    "no class for represented '{}'",
-                                    vspec.represents
-                                ))
-                            })?;
-                        let vig = Vig::new(self.bundle.library.clone());
-                        let view = vig
-                            .generate(original_class, vspec)
-                            .map_err(|e| PsfError::DeployFailed(e.to_string()))?;
-                        let upstream = endpoint.clone().ok_or_else(|| {
-                            PsfError::DeployFailed("view deployed before source".into())
-                        })?;
-                        let inst = view
-                            .instantiate(Some(upstream), CoherencePolicy::WriteThrough, 8, b"")
-                            .map_err(PsfError::DeployFailed)?;
-                        endpoint = Some(Arc::new(ViewEndpoint(inst.clone())));
-                        tx.placements
-                            .push((spec.clone(), *node, Deployed::View(inst)));
-                    } else if let Some(factory) = self.bundle.middleware.get(spec) {
-                        let upstream = endpoint.clone().ok_or_else(|| {
-                            PsfError::DeployFailed("middleware before source".into())
-                        })?;
-                        let wrapped = factory(upstream);
-                        endpoint = Some(wrapped.clone());
-                        tx.placements
-                            .push((spec.clone(), *node, Deployed::Middleware(wrapped)));
-                    } else if let Some(class) = self.bundle.classes.get(spec) {
-                        let inst = class.instantiate();
-                        endpoint = Some(InProcessRemote::switchboard(inst.clone()));
-                        tx.placements
-                            .push((spec.clone(), *node, Deployed::Component(inst)));
-                    } else {
-                        return Err(PsfError::Unknown(format!(
-                            "no artifact registered for template '{spec}'"
-                        )));
-                    }
-                }
-            }
-            psf_telemetry::counter!("psf.deploy.steps").inc();
-            psf_telemetry::histogram!("psf.deploy.step.us").record_duration(step_start.elapsed());
-        }
-
-        let endpoint = endpoint.ok_or_else(|| PsfError::DeployFailed("empty plan".into()))?;
-        if current_node != Some(goal.client_node) {
-            return Err(PsfError::DeployFailed(
-                "plan does not terminate at the client's node".into(),
-            ));
-        }
-        Ok(endpoint)
-    }
-
-    /// Create a (client, server) channel pair for a hop; full Switchboard
-    /// with mutual dRBAC authorization when the path is insecure, plain
-    /// otherwise.
-    fn make_channel_pair(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        secure_path: bool,
-        tx: &mut TxState,
-    ) -> Result<(Channel, Channel), PsfError> {
-        if secure_path {
-            let (a, b) = pair_in_memory_plain(self.config.clone());
-            psf_telemetry::counter!("psf.deploy.channels.plain").inc();
-            return Ok((a, b));
-        }
-        // Issue per-endpoint identities and connect with mutual auth.
-        // Recorded on the transaction so teardown/rollback revokes them
-        // along with the component credentials.
-        let (client_entity, client_cred) = self.issue_identity("conn-client", to);
-        let (server_entity, server_cred) = self.issue_identity("conn-server", from);
-        tx.issued_identities
-            .extend([client_entity.clone(), server_entity.clone()]);
-        tx.issued_credentials
-            .extend([client_cred.clone(), server_cred.clone()]);
+        fx: &mut E,
+    ) -> Result<(), PsfError> {
+        use PreflightViolationKind::{ChannelAuthorization, DeployAuthorization, InvalidStepChain};
         let role = self.guard.role("Component");
-        let make_authorizer = || {
-            Authorizer::new(
-                self.guard.registry().clone(),
-                self.guard.repository().clone(),
-                self.guard.bus().clone(),
-                self.clock.clone(),
-                role.clone(),
-            )
-        };
-        let client_suite = AuthSuite::new(
-            client_entity.clone(),
-            vec![client_cred.clone()],
-            make_authorizer(),
-        );
-        let server_suite = AuthSuite::new(
-            server_entity.clone(),
-            vec![server_cred.clone()],
-            make_authorizer(),
-        );
-        let (a, b) = pair_in_memory(client_suite, server_suite, self.config.clone())
-            .map_err(|e| PsfError::DeployFailed(format!("channel handshake: {e}")))?;
-        psf_telemetry::counter!("psf.deploy.channels.secure").inc();
-        Ok((a, b))
+        let at = |n: Option<NodeId>| n.map_or("∅".to_string(), |n| n.0.to_string());
+        let mut current: Option<NodeId> = None;
+        let mut has_endpoint = false;
+        for (idx, step) in plan.steps.iter().enumerate() {
+            fx.begin(idx, step)?;
+            let chain =
+                |fx: &mut E, message: String| fx.violation(InvalidStepChain, Some(idx), message);
+            match step {
+                PlanStep::UseDeployed { spec, node, .. } => {
+                    match self.source(spec, *node) {
+                        Some(source) => fx.use_source(source),
+                        None => chain(
+                            fx,
+                            format!("source '{spec}' not running on node {}", node.0),
+                        )?,
+                    }
+                    has_endpoint = true;
+                    current = Some(*node);
+                }
+                PlanStep::Move {
+                    from,
+                    to,
+                    secure_path,
+                    ..
+                } => {
+                    if current != Some(*from) {
+                        let message = format!(
+                            "plan moves an interface from node {} but the service is at {}",
+                            from.0,
+                            at(current)
+                        );
+                        chain(fx, message)?;
+                    }
+                    if !has_endpoint {
+                        chain(fx, "move before any endpoint".into())?;
+                    }
+                    let ends = if *secure_path {
+                        None
+                    } else {
+                        let (client, client_ok) = fx.identify("conn-client", *to);
+                        let (server, server_ok) = fx.identify("conn-server", *from);
+                        if let Err(e) = client_ok.and(server_ok) {
+                            let message = format!(
+                                "insecure hop {}→{} requires Switchboard mutual auth, but a \
+                                 guard-issued endpoint identity cannot prove '{role}': {e}",
+                                from.0, to.0
+                            );
+                            fx.violation(ChannelAuthorization, Some(idx), message)?;
+                        }
+                        Some((client, server))
+                    };
+                    fx.link(ends)?;
+                    current = Some(*to);
+                }
+                PlanStep::Deploy { spec, node, .. } => {
+                    if current != Some(*node) {
+                        let message = format!(
+                            "plan deploys '{spec}' on node {} away from its input at {}",
+                            node.0,
+                            at(current)
+                        );
+                        chain(fx, message)?;
+                    }
+                    if let Some(net) = &self.network {
+                        let cost = self.bundle.cpu_costs.get(spec).copied().unwrap_or(0);
+                        if !net.node_is_up(*node) {
+                            chain(fx, format!("node {} is down", node.0))?;
+                        } else if cost > 0 && !fx.reserve_cpu(net, *node, cost) {
+                            chain(fx, format!("node {} lacks {cost} CPU for '{spec}'", node.0))?;
+                        }
+                    }
+                    if let (_, Err(e)) = fx.identify(spec, *node) {
+                        let message =
+                            format!("identity issued for '{spec}' could not prove '{role}': {e}");
+                        fx.violation(DeployAuthorization, Some(idx), message)?;
+                    }
+                    if let Some(vspec) = self.bundle.view_specs.get(spec) {
+                        let view = match self.bundle.classes.get(&vspec.represents) {
+                            None => Err(format!(
+                                "view '{spec}' represents unknown class '{}'",
+                                vspec.represents
+                            )),
+                            Some(class) => Vig::new(self.bundle.library.clone())
+                                .generate(class, vspec)
+                                .map_err(|e| format!("VIG rejects view '{spec}': {e}")),
+                        };
+                        match view {
+                            Err(message) => chain(fx, message)?,
+                            Ok(view) if has_endpoint => fx.place_view(spec, *node, &view)?,
+                            Ok(_) => {}
+                        }
+                        if !has_endpoint {
+                            chain(fx, "view deployed before source".into())?;
+                        }
+                    } else if let Some(factory) = self.bundle.middleware.get(spec) {
+                        if has_endpoint {
+                            fx.place_middleware(spec, *node, factory);
+                        } else {
+                            chain(fx, "middleware before source".into())?;
+                        }
+                    } else if let Some(class) = self.bundle.classes.get(spec) {
+                        fx.place_component(spec, *node, class);
+                    } else {
+                        chain(fx, format!("no artifact registered for template '{spec}'"))?;
+                    }
+                    has_endpoint = true;
+                }
+            }
+            fx.end();
+        }
+        if plan.steps.is_empty() {
+            fx.violation(InvalidStepChain, None, "empty plan".into())
+        } else if current != Some(goal.client_node) {
+            let (at, client) = (at(current), goal.client_node.0);
+            let message =
+                format!("plan terminates at node {at} instead of the client's node {client}");
+            fx.violation(InvalidStepChain, None, message)
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -1040,6 +1189,13 @@ mod tests {
             require_plaintext_delivery: false,
         };
         let (plan, _) = planner.plan(&goal).unwrap();
+        // Ghost is recorded with the registrar but never started: it is
+        // not running for pre-flight either.
+        let violations = deployer.preflight(&plan, &goal);
+        assert!(
+            violations[0].message.contains("not running"),
+            "{violations:?}"
+        );
         assert!(deployer.execute(&plan, &goal).is_err());
     }
 

@@ -28,12 +28,14 @@
 //! * [`deploy`] — the deployment infrastructure: "securely instantiates,
 //!   links, and executes the components on the given nodes"; issues each
 //!   instantiated component its own credentials and connects pairs with
-//!   Switchboard channels.
+//!   Switchboard channels. One plan walk states every deployment rule;
+//!   execution and pre-flight are that walk with different effects.
 //! * [`monitor`] — adaptation: watches netsim events and replans when the
 //!   environment changes.
-//! * [`preflight`] — static plan pre-flight: proves a plan executable
-//!   (step chain, templates, CPU, channel authorization) before the
-//!   deployer acquires anything; feeds psf-analysis PSF011–PSF013.
+//! * [`preflight`] — static plan pre-flight: the deployer's plan walk with
+//!   recording effects, reporting every rule a plan breaks (step chain,
+//!   templates, CPU, deploy and channel authorization) before anything is
+//!   acquired; feeds psf-analysis PSF011–PSF013.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +57,7 @@ pub use model::{ComponentSpec, Effect, Goal, IfaceProps, Provided};
 pub use monitor::{AdaptationLoop, AdaptationOutcome};
 pub use oracle::{AuthOracle, DrbacOracle, PermissiveOracle};
 pub use planner::{Plan, PlanStep, Planner, PlannerConfig, PlannerStats};
-pub use preflight::{preflight_plan, PreflightViolation, PreflightViolationKind};
+pub use preflight::{PreflightViolation, PreflightViolationKind};
 pub use registrar::Registrar;
 pub use repo_service::{serve_repository, RemoteRepository};
 pub use supervisor::{Supervisor, SupervisorState, TickOutcome};

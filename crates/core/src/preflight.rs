@@ -1,43 +1,35 @@
-//! Static plan pre-flight: prove a deployment plan executable *before*
-//! [`Deployer::execute`](crate::deploy::Deployer::execute) acquires
-//! anything.
+//! Static plan pre-flight: report every rule a deployment plan breaks
+//! *before* [`Deployer::execute`](crate::deploy::Deployer::execute)
+//! acquires anything. psf-analysis maps each [`PreflightViolation`] onto
+//! its PSF011–PSF013 lint codes.
 //!
-//! Runtime deployment can fail for reasons the plan already determines:
-//! the step chain is malformed, a template resolves to nothing, VIG would
-//! reject a view, a node lacks CPU, or — the expensive one — a channel
-//! endpoint pair would be denied by Switchboard mutual authorization
-//! halfway through. This module re-runs the deployer's validation logic
-//! symbolically (no reservations, no channels, no published credentials)
-//! and reports every would-be runtime denial as a
-//! [`PreflightViolation`]. psf-analysis maps these onto its PSF011–PSF013
-//! lint codes.
+//! Pre-flight is not a second statement of the rules: it is the
+//! deployer's own plan walk run with the [`Record`] effects below, which
+//! reserve nothing, publish nothing and connect nothing, and which note a
+//! violation and walk on where `execute` would stop. The first violation
+//! is the step and message `execute` fails with; an authorization message
+//! differs only in its trailing proof error, which names the probe.
 //!
 //! Authorization checks are *genuine proofs*, not heuristics: a probe
-//! identity is signed by the deployer's guard exactly as
-//! `issue_identity`/`make_channel_pair` would sign one, and the dRBAC
-//! proof engine is asked to authorize it against the live registry,
-//! repository, and revocation bus — the only difference from runtime is
-//! that nothing is published.
+//! identity is signed by the deployer's guard exactly as the deployer
+//! signs the identities it issues, and the guard's prover is asked to
+//! authorize it against the live registry, repository and revocation bus
+//! — the only difference from runtime is that nothing is published.
 
-use crate::deploy::Deployer;
-use crate::model::Goal;
-use crate::planner::{Plan, PlanStep};
-use crate::registrar::Registrar;
-use psf_drbac::delegation::DelegationBuilder;
+use crate::deploy::PlanEffects;
 use psf_drbac::entity::Entity;
-use psf_drbac::proof::ProofEngine;
+use psf_drbac::guard::Guard;
 use psf_drbac::Timestamp;
-use psf_netsim::NodeId;
-use psf_views::Vig;
+use psf_netsim::{Network, NodeId};
 use std::collections::HashMap;
 
 /// What a pre-flight violation would have failed as at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreflightViolationKind {
     /// The step chain itself is malformed: wrong-node transitions,
-    /// endpoints used before they exist, unknown templates, missing
-    /// represented classes, VIG rejections, CPU shortfalls, plans that do
-    /// not end at the client's node.
+    /// endpoints used before they exist, sources not running, unknown
+    /// templates, missing represented classes, VIG rejections, down nodes,
+    /// CPU shortfalls, plans that do not end at the client's node.
     InvalidStepChain,
     /// A component identity issued at deploy time would fail dRBAC
     /// authorization for the guard's `Component` role.
@@ -64,252 +56,77 @@ impl PreflightViolationKind {
 pub struct PreflightViolation {
     /// Violation category.
     pub kind: PreflightViolationKind,
-    /// Index of the offending [`PlanStep`], if step-specific.
+    /// Index of the offending [`PlanStep`](crate::planner::PlanStep), if
+    /// step-specific.
     pub step: Option<usize>,
-    /// Human-readable description mirroring the runtime error.
+    /// The message `execute` fails with.
     pub message: String,
 }
 
-fn violation(
-    kind: PreflightViolationKind,
-    step: usize,
-    message: impl Into<String>,
-) -> PreflightViolation {
-    PreflightViolation {
-        kind,
-        step: Some(step),
-        message: message.into(),
-    }
+/// Pre-flight's effects: acquire nothing, note every violation. CPU is a
+/// per-node demand ledger against live capacity. One probe proof — an
+/// unpublished `[probe → Guard.Component] Guard` credential — stands in
+/// for every identity the deployer would issue, component or channel
+/// endpoint, since each authorizes by that same guard-signed edge.
+pub(crate) struct Record {
+    probe: Result<(), String>,
+    cpu_demand: HashMap<NodeId, u64>,
+    pub(crate) violations: Vec<PreflightViolation>,
 }
 
-/// Statically check that `plan` would survive
-/// [`Deployer::execute`](crate::deploy::Deployer::execute) against
-/// `goal`, evaluating authorization proofs at time `now`. Returns every
-/// violation found (an empty vector means the plan is pre-flight clean).
-pub fn preflight_plan(
-    deployer: &Deployer,
-    registrar: &Registrar,
-    plan: &Plan,
-    goal: &Goal,
-    now: Timestamp,
-) -> Vec<PreflightViolation> {
-    let guard = deployer.guard();
-    let bundle = deployer.bundle();
-    let mut out = Vec::new();
-
-    if plan.steps.is_empty() {
-        out.push(PreflightViolation {
-            kind: PreflightViolationKind::InvalidStepChain,
-            step: None,
-            message: "empty plan".into(),
-        });
-        return out;
-    }
-
-    // One probe proof covers every guard-issued identity: deploy-time
-    // component credentials and per-connection endpoint identities are
-    // all self-certifying [probe → Guard.Component] Guard delegations,
-    // presented (not fetched) at authorization time.
-    let component_role = guard.role("Component");
-    let probe = Entity::with_seed("preflight-probe", guard.entity().name.0.as_bytes());
-    let probe_cred = DelegationBuilder::new(guard.entity())
-        .subject_entity(&probe)
-        .role(component_role.clone())
-        .sign();
-    let engine = ProofEngine::new(guard.registry(), guard.repository(), guard.bus(), now);
-    let probe_result: Result<(), String> = engine
-        .prove(&probe.as_subject(), &component_role, &[probe_cred])
-        .map(|_| ())
-        .map_err(|e| e.to_string());
-
-    let deployed = registrar.deployed();
-    let mut current: Option<NodeId> = None;
-    let mut has_endpoint = false;
-    // CPU demand accumulates per node across the plan, exactly as the
-    // deployer's incremental reservations would.
-    let mut cpu_demand: HashMap<NodeId, u64> = HashMap::new();
-
-    for (idx, step) in plan.steps.iter().enumerate() {
-        match step {
-            PlanStep::UseDeployed { spec, node, .. } => {
-                let running = deployer.source(spec, *node).is_some()
-                    || deployed.iter().any(|(s, n)| s == spec && *n == *node);
-                if !running {
-                    out.push(violation(
-                        PreflightViolationKind::InvalidStepChain,
-                        idx,
-                        format!("source '{spec}' not running on node {}", node.0),
-                    ));
-                }
-                has_endpoint = true;
-                current = Some(*node);
-            }
-            PlanStep::Move {
-                from,
-                to,
-                secure_path,
-                ..
-            } => {
-                if current != Some(*from) {
-                    out.push(violation(
-                        PreflightViolationKind::InvalidStepChain,
-                        idx,
-                        format!(
-                            "plan moves an interface from node {} but the service is at {}",
-                            from.0,
-                            current.map(|n| n.0.to_string()).unwrap_or("∅".into())
-                        ),
-                    ));
-                }
-                if !has_endpoint {
-                    out.push(violation(
-                        PreflightViolationKind::InvalidStepChain,
-                        idx,
-                        "move before any endpoint",
-                    ));
-                }
-                if !secure_path {
-                    if let Err(e) = &probe_result {
-                        out.push(violation(
-                            PreflightViolationKind::ChannelAuthorization,
-                            idx,
-                            format!(
-                                "insecure hop {}→{} requires Switchboard mutual auth, but a \
-                                 guard-issued endpoint identity cannot prove '{component_role}': {e}",
-                                from.0, to.0
-                            ),
-                        ));
-                    }
-                }
-                current = Some(*to);
-            }
-            PlanStep::Deploy { spec, node, .. } => {
-                if current != Some(*node) {
-                    out.push(violation(
-                        PreflightViolationKind::InvalidStepChain,
-                        idx,
-                        format!(
-                            "plan deploys '{spec}' on node {} away from its input at {}",
-                            node.0,
-                            current.map(|n| n.0.to_string()).unwrap_or("∅".into())
-                        ),
-                    ));
-                }
-                if let (Some(net), Some(&cost)) = (deployer.network(), bundle.cpu_costs.get(spec)) {
-                    if cost > 0 {
-                        let demanded = cpu_demand.entry(*node).or_insert(0);
-                        *demanded += u64::from(cost);
-                        if !net.node_is_up(*node) {
-                            out.push(violation(
-                                PreflightViolationKind::InvalidStepChain,
-                                idx,
-                                format!("node {} is down", node.0),
-                            ));
-                        } else {
-                            let available = net.node(*node).map(|n| n.cpu_available()).unwrap_or(0);
-                            if *demanded > u64::from(available) {
-                                out.push(violation(
-                                    PreflightViolationKind::InvalidStepChain,
-                                    idx,
-                                    format!(
-                                        "node {} lacks {cost} CPU for '{spec}' \
-                                         ({available} available, {demanded} demanded by this plan)",
-                                        node.0
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                if let Err(e) = &probe_result {
-                    out.push(violation(
-                        PreflightViolationKind::DeployAuthorization,
-                        idx,
-                        format!(
-                            "identity issued for '{spec}' could not prove '{component_role}': {e}"
-                        ),
-                    ));
-                }
-                if let Some(vspec) = bundle.view_specs.get(spec) {
-                    match bundle.classes.get(&vspec.represents) {
-                        None => out.push(violation(
-                            PreflightViolationKind::InvalidStepChain,
-                            idx,
-                            format!(
-                                "view '{spec}' represents unknown class '{}'",
-                                vspec.represents
-                            ),
-                        )),
-                        Some(class) => {
-                            let vig = Vig::new(bundle.library.clone());
-                            if let Err(e) = vig.generate(class, vspec) {
-                                out.push(violation(
-                                    PreflightViolationKind::InvalidStepChain,
-                                    idx,
-                                    format!("VIG would reject view '{spec}': {e}"),
-                                ));
-                            }
-                        }
-                    }
-                    if !has_endpoint {
-                        out.push(violation(
-                            PreflightViolationKind::InvalidStepChain,
-                            idx,
-                            "view deployed before source",
-                        ));
-                    }
-                } else if bundle.middleware.contains_key(spec) {
-                    if !has_endpoint {
-                        out.push(violation(
-                            PreflightViolationKind::InvalidStepChain,
-                            idx,
-                            "middleware before source",
-                        ));
-                    }
-                } else if !bundle.classes.contains_key(spec) {
-                    out.push(violation(
-                        PreflightViolationKind::InvalidStepChain,
-                        idx,
-                        format!("no artifact registered for template '{spec}'"),
-                    ));
-                }
-                has_endpoint = true;
-            }
+impl Record {
+    /// Recording effects for `guard`'s identities, proved at `now`.
+    pub(crate) fn new(guard: &Guard, now: Timestamp) -> Record {
+        let role = guard.role("Component");
+        let probe = Entity::with_seed("preflight-probe", guard.entity().name.0.as_bytes());
+        let cred = guard
+            .issue()
+            .subject_entity(&probe)
+            .role(role.clone())
+            .sign();
+        let proved = guard.authorize(&probe.as_subject(), &role, &[cred], now);
+        Record {
+            probe: proved.map(drop).map_err(|e| e.to_string()),
+            cpu_demand: HashMap::new(),
+            violations: Vec::new(),
         }
     }
-
-    if current != Some(goal.client_node) {
-        out.push(PreflightViolation {
-            kind: PreflightViolationKind::InvalidStepChain,
-            step: None,
-            message: format!(
-                "plan terminates at node {} instead of the client's node {}",
-                current.map(|n| n.0.to_string()).unwrap_or("∅".into()),
-                goal.client_node.0
-            ),
-        });
-    }
-    out
 }
 
-impl Deployer {
-    /// Convenience wrapper around [`preflight_plan`] evaluating at this
-    /// deployer's current clock time.
-    pub fn preflight(
-        &self,
-        registrar: &Registrar,
-        plan: &Plan,
-        goal: &Goal,
-    ) -> Vec<PreflightViolation> {
-        preflight_plan(self, registrar, plan, goal, self.clock().now())
+impl PlanEffects for Record {
+    type Identity = ();
+
+    fn violation(
+        &mut self,
+        kind: PreflightViolationKind,
+        step: Option<usize>,
+        message: String,
+    ) -> Result<(), crate::PsfError> {
+        self.violations.push(PreflightViolation {
+            kind,
+            step,
+            message,
+        });
+        Ok(())
+    }
+
+    fn reserve_cpu(&mut self, net: &Network, node: NodeId, cost: u32) -> bool {
+        let demanded = self.cpu_demand.entry(node).or_insert(0);
+        *demanded += u64::from(cost);
+        *demanded <= net.node(node).map_or(0, |n| u64::from(n.cpu_available()))
+    }
+
+    fn identify(&mut self, _template: &str, _node: NodeId) -> ((), Result<(), String>) {
+        ((), self.probe.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::AppBundle;
-    use crate::model::{ComponentSpec, Effect, IfaceProps};
+    use crate::deploy::{AppBundle, Deployer};
+    use crate::model::{Goal, IfaceProps};
+    use crate::planner::{Plan, PlanStep};
     use psf_drbac::entity::EntityRegistry;
     use psf_drbac::guard::Guard;
     use psf_drbac::repository::Repository;
@@ -372,16 +189,8 @@ mod tests {
         }
     }
 
-    fn world() -> (ThreeSites, Registrar, Deployer) {
+    fn world() -> (ThreeSites, Deployer) {
         let s = three_site_scenario(2);
-        let registrar = Registrar::new();
-        registrar.register(ComponentSpec::source("KvStore", "KvI"));
-        registrar.register(
-            ComponentSpec::processor("KvView", "KvI", "KvI", Effect::Cache)
-                .view_of("KvStore")
-                .cpu(5),
-        );
-        registrar.record_deployed("KvStore", s.ny[0]);
         let bundle = AppBundle::new()
             .class("KvStore", kv_class())
             .view(
@@ -398,24 +207,24 @@ mod tests {
         let deployer =
             Deployer::new(guard, ClockRef::new(), bundle).with_network(s.network.clone());
         deployer.start_source("KvStore", s.ny[0]).unwrap();
-        (s, registrar, deployer)
+        (s, deployer)
     }
 
     #[test]
     fn clean_plan_passes_preflight() {
-        let (s, registrar, deployer) = world();
-        let violations = deployer.preflight(&registrar, &plan_for(&s), &goal_at(s.sd[0]));
+        let (s, deployer) = world();
+        let violations = deployer.preflight(&plan_for(&s), &goal_at(s.sd[0]));
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn missing_source_is_flagged() {
-        let (s, registrar, deployer) = world();
+        let (s, deployer) = world();
         let mut bad = plan_for(&s);
         if let Some(PlanStep::UseDeployed { node, .. }) = bad.steps.first_mut() {
             *node = s.se[1];
         }
-        let violations = deployer.preflight(&registrar, &bad, &goal_at(s.sd[0]));
+        let violations = deployer.preflight(&bad, &goal_at(s.sd[0]));
         assert!(violations
             .iter()
             .any(|v| v.kind == PreflightViolationKind::InvalidStepChain
@@ -424,7 +233,7 @@ mod tests {
 
     #[test]
     fn broken_guard_flags_channel_and_deploy_auth() {
-        let (s, registrar, _deployer) = world();
+        let (s, _deployer) = world();
         // Simulate the registry losing the guard's key (e.g. a stale
         // cross-site replica): re-register a different key under the same
         // name. Every identity this guard issues is then unprovable.
@@ -443,7 +252,7 @@ mod tests {
         let deployer =
             Deployer::new(guard, ClockRef::new(), bundle).with_network(s.network.clone());
         deployer.start_source("KvStore", s.ny[0]).unwrap();
-        let violations = deployer.preflight(&registrar, &plan_for(&s), &goal_at(s.sd[0]));
+        let violations = deployer.preflight(&plan_for(&s), &goal_at(s.sd[0]));
         assert!(violations
             .iter()
             .any(|v| v.kind == PreflightViolationKind::DeployAuthorization));
@@ -454,17 +263,17 @@ mod tests {
 
     #[test]
     fn cpu_shortfall_is_flagged() {
-        let (s, registrar, deployer) = world();
+        let (s, deployer) = world();
         // Drain the target node's CPU first.
         assert!(s.network.reserve_cpu(s.sd[0], 98));
-        let violations = deployer.preflight(&registrar, &plan_for(&s), &goal_at(s.sd[0]));
+        let violations = deployer.preflight(&plan_for(&s), &goal_at(s.sd[0]));
         assert!(violations.iter().any(|v| v.message.contains("lacks 5 CPU")));
     }
 
     #[test]
     fn wrong_terminal_node_is_flagged() {
-        let (s, registrar, deployer) = world();
-        let violations = deployer.preflight(&registrar, &plan_for(&s), &goal_at(s.se[0]));
+        let (s, deployer) = world();
+        let violations = deployer.preflight(&plan_for(&s), &goal_at(s.se[0]));
         assert!(violations
             .iter()
             .any(|v| v.message.contains("terminates at node")));
