@@ -88,9 +88,8 @@ fn usage() -> ! {
          \x20                               prints per-shard sizes and replay\n\
          \x20                               counts (both read-only), --compact\n\
          \x20                               snapshots and truncates every\n\
-         \x20                               segment log (importing a legacy\n\
-         \x20                               single-log directory first),\n\
-         \x20                               --fill seeds N synthetic records\n\
+         \x20                               segment log, --fill seeds N\n\
+         \x20                               synthetic records\n\
          \x20                               (--shards S sizes a directory it\n\
          \x20                               creates; default 32)\n\
          \x20 cert --emit <user> <Entity.Role> [--out PATH] [--json]\n\
@@ -1316,8 +1315,8 @@ fn fill_repo_dir(dir: &std::path::Path, shards: usize, n: usize) -> std::io::Res
 /// Inspect or maintain a durable credential repository directory:
 /// `--verify` (integrity check of every segment, exit 1 if ANY is
 /// damaged) and `--stats` (replay counts + per-shard rows) are read-only;
-/// `--compact` opens the directory writable (importing a legacy
-/// single-log directory first) and snapshots + truncates every segment;
+/// `--compact` opens the directory writable and snapshots + truncates
+/// every segment;
 /// `--fill N` seeds synthetic records for demos, creating the
 /// directory with `--shards S` segments when it does not exist.
 fn repo_cmd(cli: &Cli, args: &[String]) -> i32 {

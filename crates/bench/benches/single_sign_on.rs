@@ -92,7 +92,7 @@ fn print_shape_table() {
     let t = Instant::now();
     let checks = 1_000_000u32;
     for _ in 0..checks {
-        assert!(token.is_valid());
+        assert!(token.is_valid(0));
     }
     let per_check = t.elapsed() / checks;
 
@@ -134,7 +134,7 @@ fn bench(c: &mut Criterion) {
             )
             .unwrap();
         group.bench_with_input(BenchmarkId::new("sso_check", depth), &depth, |b, _| {
-            b.iter(|| token.is_valid());
+            b.iter(|| token.is_valid(0));
         });
         group.bench_with_input(BenchmarkId::new("sso_mint", depth), &depth, |b, _| {
             b.iter(|| {

@@ -22,12 +22,12 @@
 //!    included, keyed by `(subject, role, fingerprint of the presented
 //!    credential set)`. An entry pins every input its search read: the
 //!    mark of each key bucket it queried (see [`crate::repository`]), the
-//!    registry epoch, a [`ValidityMonitor`] over every credential that
-//!    passed its checks, and the earliest future expiry among those; it is
-//!    served only at or after the time it was derived. A hit is therefore
-//!    *bit-identical* to a fresh search: BFS is deterministic, and over
-//!    unchanged inputs it reproduces the recorded result, a proof or a
-//!    failure alike.
+//!    registry epoch, and a [`ValidityMonitor`] over every credential that
+//!    passed its checks, which lapses at the earliest expiry among them;
+//!    it is served only at or after the time it was derived. A hit is
+//!    therefore *bit-identical* to a fresh search: BFS is deterministic,
+//!    and over unchanged inputs it reproduces the recorded result, a proof
+//!    or a failure alike.
 //!
 //! Both tables are bounded and evict by CLOCK (second chance): an entry
 //! hit since the hand last passed it survives, so a hot working set is
@@ -111,19 +111,15 @@ pub struct Frontier {
     /// Some query came from a source that keeps no marks: the result is
     /// not cached.
     pub unmarked: bool,
-    /// Earliest expiry strictly after the evaluation time, if any.
+    /// Earliest expiry among `ids`, if any of them expires.
     pub next_expiry: Option<Timestamp>,
 }
 
 impl Frontier {
     /// Record one credential that passed its checks.
-    pub fn note(&mut self, cred: &Credential, now: Timestamp) {
+    pub fn note(&mut self, cred: &Credential) {
         self.ids.push(cred.cred_id());
-        if let Some(exp) = cred.body.expires {
-            if exp > now && self.next_expiry.is_none_or(|e| exp < e) {
-                self.next_expiry = Some(exp);
-            }
-        }
+        self.next_expiry = self.next_expiry.into_iter().chain(cred.body.expires).min();
     }
 
     /// Record the mark one subject-key query returned.
@@ -148,11 +144,9 @@ struct ProofEntry {
     /// `(bucket, mark)` of every key bucket the search queried, sorted and
     /// deduplicated.
     marks: Box<[KeyMark]>,
-    /// Watches every credential that passed the search's checks.
+    /// Watches every credential that passed the search's checks, up to
+    /// the first instant at which one of them expires.
     monitor: ValidityMonitor,
-    /// First instant at which one of those credentials expires; the entry
-    /// is exact only strictly before it.
-    next_expiry: Option<Timestamp>,
     registry_epoch: u64,
     observed_now: Timestamp,
 }
@@ -164,12 +158,11 @@ impl ProofEntry {
     fn current(&self, source: &dyn CredentialSource, now: Timestamp, registry_epoch: u64) -> bool {
         self.registry_epoch == registry_epoch
             && now >= self.observed_now
-            && self.next_expiry.is_none_or(|e| now < e)
             && self
                 .marks
                 .iter()
                 .all(|&(bucket, mark)| source.bucket_mark(bucket) == Some(mark))
-            && self.monitor.is_valid()
+            && self.monitor.is_valid(now)
     }
 }
 
@@ -332,8 +325,7 @@ impl AuthCache {
             result,
             cert: None,
             marks: marks.into(),
-            monitor: bus.monitor(frontier.ids),
-            next_expiry: frontier.next_expiry,
+            monitor: bus.monitor(frontier.ids, frontier.next_expiry),
             registry_epoch,
             observed_now: now,
         };

@@ -371,10 +371,10 @@ mod tests {
                 .sign(),
         );
         // A monitor on the original credential…
-        let monitor = g.bus().monitor(vec![original.id()]);
+        let monitor = g.bus().monitor(vec![original.id()], original.body.expires);
         let renewed = g.renew(&original, Some(500));
         // …fires on renewal (the old credential is revoked)…
-        assert!(!monitor.is_valid());
+        assert!(!monitor.is_valid(0));
         assert_ne!(renewed.id(), original.id());
         assert_eq!(renewed.body.expires, Some(500));
         // …and authorization continues via the renewal, even past the

@@ -19,7 +19,7 @@ use crate::entity::{EntityName, EntityRegistry, RoleName, Subject};
 #[cfg(test)]
 use crate::repository::Repository;
 use crate::repository::{subject_key, CredentialSource};
-use crate::revocation::RevocationBus;
+use crate::revocation::{RevocationBus, ValidityMonitor};
 use crate::{DrbacError, Timestamp};
 use psf_cert::CertError;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -65,15 +65,27 @@ impl Proof {
     /// ones: nothing is hashed.
     pub fn credential_ids(&self) -> Vec<CredId> {
         let mut out = Vec::new();
-        self.collect_ids(&mut out);
+        self.for_each_credential(&mut |c| out.push(c.cred_id()));
         out
     }
 
-    fn collect_ids(&self, out: &mut Vec<CredId>) {
+    /// The standing decision this proof supports: a monitor over every
+    /// credential it rests on, supports included, which lapses at the
+    /// earliest expiry among them or when any of them is revoked.
+    pub fn monitor(&self, bus: &RevocationBus) -> ValidityMonitor {
+        let (mut ids, mut expires) = (Vec::new(), None);
+        self.for_each_credential(&mut |c| {
+            ids.push(c.cred_id());
+            expires = expires.into_iter().chain(c.body.expires).min();
+        });
+        bus.monitor(ids, expires)
+    }
+
+    fn for_each_credential(&self, f: &mut impl FnMut(&Credential)) {
         for e in &self.edges {
-            out.push(e.credential.cred_id());
+            f(&e.credential);
             if let Some(s) = &e.support {
-                s.collect_ids(out);
+                s.for_each_credential(f);
             }
         }
     }
@@ -513,7 +525,7 @@ impl<'a> ProofEngine<'a> {
                     stats.credentials_rejected += 1;
                     continue;
                 }
-                frontier.note(&cred, self.now);
+                frontier.note(&cred);
                 // Issuer authorization, then attenuation by what the
                 // edge conveys under its support chain.
                 let followed = self
@@ -711,7 +723,7 @@ impl<'a> ProofEngine<'a> {
                 stats.credentials_rejected += 1;
                 continue;
             }
-            frontier.note(&cred, self.now);
+            frontier.note(&cred);
             let issuer_key = match self.registry.lookup(&cred.body.issuer) {
                 Some(k) => k,
                 None => continue,
@@ -1127,12 +1139,12 @@ mod tests {
                 &[c11.clone(), c2],
             )
             .unwrap();
-        let ids = proof.credential_ids();
-        assert_eq!(ids.len(), 2);
-        let monitor = w.bus.monitor(ids);
-        assert!(monitor.is_valid());
+        assert_eq!(proof.credential_ids().len(), 2);
+        let monitor = proof.monitor(&w.bus);
+        assert_eq!(monitor.watched_ids().len(), 2);
+        assert!(monitor.is_valid(0));
         w.bus.revoke(&c11.id());
-        assert!(!monitor.is_valid());
+        assert!(!monitor.is_valid(0));
     }
 
     #[test]

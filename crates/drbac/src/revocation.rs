@@ -4,10 +4,17 @@
 //! monitoring from an authorized *home* which is aware of any revocation
 //! of the delegation". The [`RevocationBus`] is that home's interface:
 //! issuers revoke credential ids, and a [`ValidityMonitor`] — one per
-//! outstanding proof — answers whether every credential it depends on is
-//! still unrevoked. Switchboard's `AuthorizationMonitor` (paper §4.3) is
-//! built directly on this: a revocation mid-connection invalidates the
-//! dRBAC proof and both endpoints are told to re-validate.
+//! standing decision — answers whether every credential it depends on is
+//! still unrevoked and unexpired. Switchboard's `AuthorizationMonitor`
+//! (paper §4.3) is built directly on this: a revocation mid-connection
+//! invalidates the dRBAC proof and both endpoints are told to re-validate.
+//!
+//! The lapse rule is stated here once, for every holder (proof cache,
+//! sign-on token, channel): a decision holds "continuously over some
+//! duration" (§3.1) — strictly before the earliest expiry among the
+//! credentials it rests on, supports included — and until one of them is
+//! revoked. The holder names that evidence when it creates the monitor;
+//! the registry is not watched, since trust is withdrawn by revocation.
 //!
 //! Revocation is *state*, not a broadcast: the bus is a set of revoked
 //! ids and a generation counter, and keeps no list of monitors. A monitor
@@ -24,6 +31,7 @@
 //! stores, which forces a rescan: once `revoke` has returned, no monitor
 //! over that id — created before or after — reports valid.
 
+use crate::Timestamp;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,16 +155,19 @@ impl RevocationBus {
         self.inner.revoked.lock().contains(credential_id)
     }
 
-    /// Create a monitor over a set of credential ids (typically every
-    /// credential in a proof). The monitor is immediately invalid if any
-    /// id is already revoked; dropping it leaves nothing behind.
+    /// Create a monitor over the evidence of one decision: the ids of
+    /// every credential it rests on and the earliest expiry among them.
+    /// The monitor is immediately invalid if any id is already revoked;
+    /// dropping it leaves nothing behind.
     pub fn monitor(
         &self,
         credential_ids: impl IntoIterator<Item = impl Into<String>>,
+        expires: Option<Timestamp>,
     ) -> ValidityMonitor {
         let monitor = ValidityMonitor {
             bus: self.clone(),
             ids: credential_ids.into_iter().map(Into::into).collect(),
+            expires,
             state: AtomicU64::new(UNSCANNED),
         };
         monitor.rescan();
@@ -198,23 +209,32 @@ fn audit(target: &str, detail: String) {
 const DEAD: u64 = 1 << 63;
 const UNSCANNED: u64 = DEAD - 1;
 
-/// Watches the credentials underlying a proof: valid until any of them is
-/// revoked, dead for good from then on. It is a bus handle, the ids and
+/// Watches the credentials underlying a decision: valid strictly before
+/// their earliest expiry and until any of them is revoked, dead for good
+/// from the revocation on. It is a bus handle, the ids, the expiry and
 /// one word of state; the bus does not know it exists.
 pub struct ValidityMonitor {
     bus: RevocationBus,
     ids: Vec<String>,
+    expires: Option<Timestamp>,
     // The generation at which `ids` were last found clean, or
     // `DEAD | index of the revoked id`. Stored under the `revoked` lock.
     state: AtomicU64,
 }
 
 impl ValidityMonitor {
-    /// Whether every watched credential is still valid: two loads and a
-    /// compare while the revoked set has not grown since the last look,
-    /// one pass over the ids under the bus lock once it has.
+    /// Whether the decision still holds at `now`: no watched credential
+    /// has expired or been revoked. A compare and two loads while the
+    /// revoked set has not grown since the last look, one pass over the
+    /// ids under the bus lock once it has.
     #[inline]
-    pub fn is_valid(&self) -> bool {
+    pub fn is_valid(&self, now: Timestamp) -> bool {
+        self.expires.is_none_or(|e| now < e) && self.unrevoked()
+    }
+
+    /// No watched credential has been revoked (expiry aside).
+    #[inline]
+    fn unrevoked(&self) -> bool {
         // Acquire pairs with the Release bump in `RevocationBus::insert`:
         // whoever sees a `revoke` as returned reads its generation here.
         let state = self.state.load(Ordering::Acquire);
@@ -241,13 +261,20 @@ impl ValidityMonitor {
     }
 
     /// The watched credential whose revocation killed this monitor: `None`
-    /// while it is valid, then the same id on every call.
+    /// until one is revoked (expiry alone names none), then the same id
+    /// on every call.
     pub fn revoked_id(&self) -> Option<&str> {
-        if self.is_valid() {
+        if self.unrevoked() {
             return None;
         }
         let state = self.state.load(Ordering::Acquire);
         Some(&self.ids[(state & !DEAD) as usize])
+    }
+
+    /// The earliest expiry among the watched credentials, if any expires:
+    /// the first instant at which the decision no longer holds.
+    pub fn expires(&self) -> Option<Timestamp> {
+        self.expires
     }
 
     /// The credential ids this monitor covers.
@@ -267,19 +294,32 @@ mod tests {
     #[test]
     fn revocation_flips_monitor() {
         let bus = RevocationBus::new();
-        let m = bus.monitor(["cred-a".to_string(), "cred-b".to_string()]);
-        assert!(m.is_valid());
+        let m = bus.monitor(["cred-a".to_string(), "cred-b".to_string()], None);
+        assert!(m.is_valid(0));
         bus.revoke("cred-b");
-        assert!(!m.is_valid());
+        assert!(!m.is_valid(0));
         assert_eq!(m.revoked_id(), Some("cred-b"));
+    }
+
+    #[test]
+    fn expiry_lapses_the_monitor_without_naming_a_revocation() {
+        let bus = RevocationBus::new();
+        let m = bus.monitor(["cred-a".to_string()], Some(100));
+        assert_eq!(m.expires(), Some(100));
+        assert!(m.is_valid(99));
+        assert!(!m.is_valid(100));
+        assert_eq!(m.revoked_id(), None, "an expiry is not a revocation");
+        bus.revoke("cred-a");
+        assert!(!m.is_valid(0));
+        assert_eq!(m.revoked_id(), Some("cred-a"));
     }
 
     #[test]
     fn unrelated_revocation_ignored() {
         let bus = RevocationBus::new();
-        let m = bus.monitor(["cred-a".to_string()]);
+        let m = bus.monitor(["cred-a".to_string()], None);
         bus.revoke("cred-zzz");
-        assert!(m.is_valid());
+        assert!(m.is_valid(0));
         assert!(m.revoked_id().is_none());
     }
 
@@ -287,29 +327,29 @@ mod tests {
     fn already_revoked_is_immediately_invalid() {
         let bus = RevocationBus::new();
         bus.revoke("cred-a");
-        let m = bus.monitor(["cred-a".to_string()]);
-        assert!(!m.is_valid());
+        let m = bus.monitor(["cred-a".to_string()], None);
+        assert!(!m.is_valid(0));
         assert!(m.revoked_id().is_some());
     }
 
     #[test]
     fn multiple_monitors_all_notified() {
         let bus = RevocationBus::new();
-        let m1 = bus.monitor(["x".to_string()]);
-        let m2 = bus.monitor(["x".to_string(), "y".to_string()]);
+        let m1 = bus.monitor(["x".to_string()], None);
+        let m2 = bus.monitor(["x".to_string(), "y".to_string()], None);
         bus.revoke("x");
-        assert!(!m1.is_valid());
-        assert!(!m2.is_valid());
+        assert!(!m1.is_valid(0));
+        assert!(!m2.is_valid(0));
     }
 
     #[test]
     fn revoke_all_batches_and_counts_fresh() {
         let bus = RevocationBus::new();
-        let m = bus.monitor(["a".to_string(), "b".to_string()]);
+        let m = bus.monitor(["a".to_string(), "b".to_string()], None);
         bus.revoke("b");
         let fresh = bus.revoke_all(["a", "b", "c"]);
         assert_eq!(fresh, 2, "b was already revoked");
-        assert!(!m.is_valid());
+        assert!(!m.is_valid(0));
         assert!(bus.is_revoked("a") && bus.is_revoked("b") && bus.is_revoked("c"));
         assert_eq!(bus.revoked_count(), 3);
     }
@@ -331,11 +371,11 @@ mod tests {
         bus.set_observer(Some(Arc::new(move |ids: &[String]| {
             seen.lock().extend_from_slice(ids)
         })));
-        let a = bus.monitor(["a".to_string()]);
-        let bc = bus.monitor(["b".to_string(), "c".to_string()]);
-        let d = bus.monitor(["d".to_string()]);
+        let a = bus.monitor(["a".to_string()], None);
+        let bc = bus.monitor(["b".to_string(), "c".to_string()], None);
+        let d = bus.monitor(["d".to_string()], None);
         assert_eq!(bus.restore(["c", "unwatched"]), 2);
-        assert!(a.is_valid() && d.is_valid());
+        assert!(a.is_valid(0) && d.is_valid(0));
         assert_eq!(bc.revoked_id(), Some("c"));
         // A later revocation of an earlier id does not change the verdict.
         bus.revoke("b");
@@ -363,20 +403,20 @@ mod tests {
                 s.spawn(|| {
                     for (round, returned) in returned.iter().enumerate() {
                         let ids = [format!("x{round}"), format!("other{round}")];
-                        let mut monitors = vec![bus.monitor(ids.clone())];
+                        let mut monitors = vec![bus.monitor(ids.clone(), None)];
                         start.wait();
                         while !returned.load(Ordering::Acquire) {
                             if monitors.len() < 32 {
-                                monitors.push(bus.monitor(ids.clone()));
+                                monitors.push(bus.monitor(ids.clone(), None));
                             }
                             // Either answer is fine while the race is on;
                             // a valid one stores the generation it saw.
                             for m in &monitors {
-                                std::hint::black_box(m.is_valid());
+                                std::hint::black_box(m.is_valid(0));
                             }
                         }
-                        monitors.push(bus.monitor(ids.clone()));
-                        let valid = monitors.iter().filter(|m| m.is_valid()).count();
+                        monitors.push(bus.monitor(ids.clone(), None));
+                        let valid = monitors.iter().filter(|m| m.is_valid(0)).count();
                         survivors.fetch_add(valid as u64, Ordering::Relaxed);
                     }
                 });
@@ -421,7 +461,7 @@ mod tests {
             for (op, arg) in script {
                 let ids = subset(arg);
                 match op {
-                    0 => live.push((bus.monitor(ids), None)),
+                    0 => live.push((bus.monitor(ids, None), None)),
                     1 => {
                         let id = format!("c{}", arg as usize % UNIVERSE);
                         bus.revoke(&id);
@@ -439,7 +479,7 @@ mod tests {
                 prop_assert_eq!(bus.revoked_ids(), revoked.iter().cloned().collect::<Vec<_>>());
                 for (monitor, died_of) in &mut live {
                     let clean = monitor.watched_ids().iter().all(|id| !revoked.contains(id));
-                    prop_assert_eq!(monitor.is_valid(), clean);
+                    prop_assert_eq!(monitor.is_valid(0), clean);
                     let named = monitor.revoked_id().map(str::to_string);
                     match (&named, &died_of) {
                         (None, _) => prop_assert!(clean),

@@ -71,27 +71,19 @@
 //! Under [`FsyncPolicy::Always`] a frame is handed to the OS under the
 //! segment's writer lock and fsynced outside it, so concurrent writers to
 //! one segment share fsyncs without giving up per-record durability.
-//! [`FsyncPolicy::EveryN`] / [`FsyncPolicy::Never`] batch frames per
-//! segment in memory (note the loss window for buffered frames then
-//! includes a process crash, not just power loss — `sync()` flushes, and
-//! so does dropping the last handle: the engine is owned by the
-//! [`ShardedDurableRepository`] handles and by the logging observers of
-//! the repository and the bus, never the other way round, so it goes —
-//! buffers written, files closed — with the last of them).
+//! [`FsyncPolicy::Never`] batches frames per segment in memory (note the
+//! loss window for buffered frames then includes a process crash, not
+//! just power loss — `sync()` flushes, and so does dropping the last
+//! handle: the engine is owned by the [`ShardedDurableRepository`]
+//! handles and by the logging observers of the repository and the bus,
+//! never the other way round, so it goes — buffers written, files closed
+//! — with the last of them).
 //!
-//! ## Legacy import
-//!
-//! Directories written before the layout above hold one root-level
-//! `delegations.wal` / `snapshot.bin` (same frame and snapshot formats).
-//! [`ShardedDurableRepository::open`] imports such a directory once: the
-//! root files are replayed *through the live observers*, so every record
-//! is re-logged into the segments; the segments are fsynced; only then
-//! are the root files removed (snapshot first). "Root files present"
-//! therefore means "import pending": a crash anywhere before the removal
-//! re-runs the import, and dedup against what the segments already
-//! recovered makes the re-run idempotent. The read-only entry points
-//! refuse an un-imported directory with a typed `InvalidData` error
-//! rather than serve it as an empty repository.
+//! A directory holding a root-level `delegations.wal` / `snapshot.bin`
+//! (the single-log layout that preceded segments) is refused by every
+//! entry point, [`ShardedDurableRepository::open`] included, with a typed
+//! `InvalidData` error and without touching it, rather than served as an
+//! empty repository.
 
 use crate::delegation::{CredId, Credential, SignedDelegation};
 use crate::entity::EntityName;
@@ -484,8 +476,6 @@ pub enum FsyncPolicy {
     /// call returns. The only policy under which "committed" in the
     /// acceptance sense — survives `kill -9` — is guaranteed.
     Always,
-    /// fsync every N appends: bounded loss window, much cheaper.
-    EveryN(u32),
     /// Never fsync explicitly; the OS flushes when it pleases. Frames
     /// wait in a user-space buffer of up to 64 KiB per segment until it
     /// fills, `sync()` runs or the last handle drops; only what has left
@@ -611,28 +601,29 @@ fn segment_paths(dir: &Path, n: usize) -> Vec<PathBuf> {
         .collect()
 }
 
-/// Whether `dir` still holds root-level files of the legacy single-log
-/// layout, i.e. an import by [`ShardedDurableRepository::open`] is pending.
-fn legacy_pending(dir: &Path) -> bool {
-    dir.join(LOG_FILE).is_file() || dir.join(SNAPSHOT_FILE).is_file()
+/// Refuse a directory holding root-level files of the legacy single-log
+/// layout, which no entry point reads.
+fn refuse_legacy(dir: &Path) -> std::io::Result<()> {
+    if dir.join(LOG_FILE).is_file() || dir.join(SNAPSHOT_FILE).is_file() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "{}: legacy single-log files ({LOG_FILE} / {SNAPSHOT_FILE}) at the root; \
+                 that layout is no longer read",
+                dir.display()
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Every segment directory of the durable directory at `dir` — shards in
 /// order, the bus segment last — as declared by its `shards.meta`.
 /// Read-only. Fails with `NotFound` when `dir` is not a durable directory
-/// and with `InvalidData` when it holds un-imported legacy files.
+/// and with `InvalidData` when it holds legacy single-log files.
 pub fn segment_dirs(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     use std::io::{Error, ErrorKind};
-    if legacy_pending(dir) {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            format!(
-                "{}: un-imported legacy single-log files ({LOG_FILE} / {SNAPSHOT_FILE}); \
-                 open it writable once to import them (e.g. `psf repo --dir DIR --compact`)",
-                dir.display()
-            ),
-        ));
-    }
+    refuse_legacy(dir)?;
     let n = read_shard_meta(dir)?.ok_or_else(|| {
         Error::new(
             ErrorKind::NotFound,
@@ -761,7 +752,7 @@ pub fn verify_sharded_dir(dir: &Path) -> std::io::Result<ShardedVerifyReport> {
 }
 
 // ---------------------------------------------------------------------------
-// Replay (shared by open(), its legacy import, and recover_sharded())
+// Replay (shared by open() and recover_sharded())
 // ---------------------------------------------------------------------------
 
 /// Outcome of replaying one segment (partial [`RecoveryReport`] fields
@@ -811,10 +802,6 @@ enum Apply {
     Shard(usize),
     /// The revocation-bus segment, before the observers attach.
     Bus,
-    /// Legacy root files, through the live observers: every applied record
-    /// is re-logged into the segments, and dedup starts from what the
-    /// segments already recovered (an interrupted earlier import).
-    Import,
 }
 
 /// Replay one segment directory's snapshot and log into `repo` / `bus`.
@@ -855,13 +842,6 @@ fn replay_segment(
     // replayed purge *removes* expired pairs, so a later re-publish of a
     // purged credential is applied rather than mistaken for a duplicate.
     let mut seen: HashMap<(String, CredId), Option<u64>> = HashMap::new();
-    if let Apply::Import = how {
-        // Re-logged records must not carry epoch tags below the legacy ones.
-        repo.raise_epoch(out.max_epoch);
-        for (home, _, cred) in repo.snapshot_entries() {
-            seen.insert((home.0, cred.cred_id()), cred.body.expires);
-        }
-    }
     // Publish unless the pair is already applied; true when it was fresh.
     // Replay is a door: the credential is wrapped here, and both the
     // dedupe and the store read the id it then carries.
@@ -875,10 +855,6 @@ fn replay_segment(
         }
         fresh
     };
-    let revoke = |ids: &[String]| match how {
-        Apply::Import => bus.revoke_all(ids),
-        Apply::Shard(_) | Apply::Bus => bus.restore(ids),
-    };
 
     for (home, tag, cred) in snapshot.entries {
         if publish(&mut seen, home, tag, cred) {
@@ -888,7 +864,7 @@ fn replay_segment(
         }
     }
     out.snapshot_revocations = snapshot.revoked.len();
-    out.revocations_restored += revoke(&snapshot.revoked);
+    out.revocations_restored += bus.restore(&snapshot.revoked);
 
     for rec in scan.records {
         match rec.op {
@@ -899,15 +875,12 @@ fn replay_segment(
                     out.duplicates_skipped += 1;
                 }
             }
-            WalOp::Revoke { id } => out.revocations_restored += revoke(&[id]),
-            WalOp::RevokeBatch { ids } => out.revocations_restored += revoke(&ids),
+            WalOp::Revoke { id } => out.revocations_restored += bus.restore([id]),
+            WalOp::RevokeBatch { ids } => out.revocations_restored += bus.restore(ids),
             WalOp::PurgeExpired { now } => {
                 match how {
                     Apply::Shard(shard) => {
                         repo.purge_expired_shard(shard, now);
-                    }
-                    Apply::Import => {
-                        repo.purge_expired(now);
                     }
                     // The engine never writes a purge to the bus segment.
                     Apply::Bus => {}
@@ -1009,8 +982,6 @@ struct SegmentWriter {
     file: File,
     /// Framed records not yet handed to the OS (group commit).
     buf: Vec<u8>,
-    /// Records currently in `buf`.
-    buffered: u32,
     /// Monotone count of records ever appended to this segment.
     gen: u64,
     appends_since_compact: u64,
@@ -1021,7 +992,6 @@ impl SegmentWriter {
         if !self.buf.is_empty() {
             self.file.write_all(&self.buf)?;
             self.buf.clear();
-            self.buffered = 0;
         }
         Ok(())
     }
@@ -1064,7 +1034,6 @@ impl Segment {
             writer: Mutex::new(SegmentWriter {
                 file,
                 buf: Vec::new(),
-                buffered: 0,
                 gen: 0,
                 appends_since_compact: 0,
             }),
@@ -1115,7 +1084,6 @@ pub struct DurabilityStats {
 /// by the handle and by the two logging observers, so dropping the last
 /// of them flushes and closes the files.
 struct Engine {
-    dir: PathBuf,
     config: WalConfig,
     /// One segment per repository shard, in shard order, then the
     /// revocation-bus segment last.
@@ -1134,7 +1102,6 @@ impl Engine {
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         w.buf.extend_from_slice(&crc32(payload).to_le_bytes());
         w.buf.extend_from_slice(payload);
-        w.buffered += 1;
         w.gen += 1;
         let my_gen = w.gen;
         seg.appends.fetch_add(1, Ordering::Relaxed);
@@ -1152,14 +1119,6 @@ impl Engine {
                 w.flush()?;
                 seg.flushed_gen.fetch_max(my_gen, Ordering::Release);
                 needs_sync = true;
-            }
-            FsyncPolicy::EveryN(n) => {
-                if w.buffered >= n.max(1) {
-                    w.flush()?;
-                    w.file.sync_data()?;
-                    self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                    psf_telemetry::counter!("psf.repo.wal.fsyncs").inc();
-                }
             }
             FsyncPolicy::Never => {
                 if w.buf.len() >= GROUP_BUF_BYTES {
@@ -1314,13 +1273,14 @@ impl ShardedDurableRepository {
     /// (rounded up to a power of two, clamped to `1..=1024`; an existing
     /// directory's `shards.meta` takes precedence — the layout on disk is
     /// authoritative). Replays every segment (shards in parallel),
-    /// truncates torn tails, attaches the logging observers, and imports
-    /// legacy root-level files if any are present.
+    /// truncates torn tails and attaches the logging observers. Refuses a
+    /// directory holding legacy root-level files before creating anything.
     pub fn open(
         dir: &Path,
         shards: usize,
         config: WalConfig,
     ) -> std::io::Result<(ShardedDurableRepository, RecoveryReport)> {
+        refuse_legacy(dir)?;
         std::fs::create_dir_all(dir)?;
         let n = match read_shard_meta(dir)? {
             Some(n) => n,
@@ -1337,7 +1297,7 @@ impl ShardedDurableRepository {
         for seg in &segs {
             std::fs::create_dir_all(seg)?;
         }
-        let (mut report, outcomes) = replay_sharded(&segs, &repo, &bus)?;
+        let (report, outcomes) = replay_sharded(&segs, &repo, &bus)?;
         let segments = segs
             .into_iter()
             .zip(&outcomes)
@@ -1348,7 +1308,6 @@ impl ShardedDurableRepository {
             repo: repo.clone(),
             bus: bus.clone(),
             inner: Arc::new(Engine {
-                dir: dir.to_path_buf(),
                 config,
                 segments,
                 fsyncs: AtomicU64::new(0),
@@ -1392,42 +1351,7 @@ impl ShardedDurableRepository {
             let bus = this().expect(ALIVE);
             engine.log(n, &encode_payload(repo.epoch(), &op), &repo, Some(&bus));
         })));
-        if legacy_pending(dir) {
-            durable.import_legacy(&mut report)?;
-        }
         Ok((durable, report))
-    }
-
-    /// Import the legacy single-log files at the directory root (see the
-    /// module docs' *Legacy import* section), folding what was imported
-    /// into `report`.
-    fn import_legacy(&self, report: &mut RecoveryReport) -> std::io::Result<()> {
-        let dir = &self.inner.dir;
-        let imported = replay_segment(dir, Apply::Import, &self.repo, &self.bus)?;
-        // Everything the import appended — every legacy revocation
-        // included — is durable before the root files go.
-        self.sync()?;
-        if self.inner.errors.load(Ordering::Relaxed) > 0 {
-            return Err(std::io::Error::other(
-                "legacy import: a segment append failed; root files kept for the next open",
-            ));
-        }
-        // Snapshot first: a crash that leaves only the log re-imports an
-        // idempotent tail, whereas a snapshot alone would resurrect
-        // whatever a later logged purge had removed.
-        for name in [SNAPSHOT_FILE, SNAPSHOT_TMP, LOG_FILE] {
-            match std::fs::remove_file(dir.join(name)) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
-                _ => {}
-            }
-        }
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all(); // directory entry durability (best effort)
-        }
-        report.absorb(&imported);
-        report.epoch = self.repo.bump_epoch();
-        psf_telemetry::counter!("psf.repo.wal.replays").add(imported.records_replayed as u64);
-        Ok(())
     }
 
     /// The in-memory sharded repository (shared handle). Mutations
@@ -1946,11 +1870,7 @@ mod tests {
 
     #[test]
     fn fsync_policies_all_recover() {
-        for policy in [
-            FsyncPolicy::Always,
-            FsyncPolicy::EveryN(3),
-            FsyncPolicy::Never,
-        ] {
+        for policy in [FsyncPolicy::Always, FsyncPolicy::Never] {
             for shards in SHARD_COUNTS {
                 let dir = tmpdir("policy");
                 let ny = Entity::with_seed("Comp.NY", b"wal");
@@ -1970,8 +1890,6 @@ mod tests {
                     // the counts are exact for the single log.
                     match (policy, shards) {
                         (FsyncPolicy::Always, _) => assert_eq!(stats.fsyncs, 5),
-                        (FsyncPolicy::EveryN(_), 1) => assert_eq!(stats.fsyncs, 1),
-                        (FsyncPolicy::EveryN(_), _) => assert!(stats.fsyncs <= 1),
                         (FsyncPolicy::Never, _) => assert_eq!(stats.fsyncs, 0),
                     }
                     // Buffered policies hold frames in memory until a
@@ -2283,84 +2201,22 @@ mod tests {
 
     // -- legacy single-log directories -------------------------------------
 
-    /// What a legacy directory must import as: sorted credential ids and
-    /// sorted revoked ids.
-    type Oracle = (Vec<String>, Vec<String>);
-
-    /// Build a legacy single-log directory from raw frames — a root-level
-    /// snapshot plus a log tail with publishes, a `Revoke`, a
-    /// `PurgeExpired`, a re-publish of what it purged, a `RevokeBatch`
-    /// and a torn tail — and the oracle its valid records add up to,
-    /// computed through the plain in-memory types.
-    fn legacy_dir() -> (PathBuf, Oracle) {
+    /// A directory in the legacy single-log layout: a root-level snapshot
+    /// and log, in the frame and snapshot formats the segments use.
+    fn legacy_dir() -> PathBuf {
         let dir = tmpdir("legacy");
         let ny = Entity::with_seed("Comp.NY", b"legacy");
-        let who = |n: &str| Entity::with_seed(n, b"legacy");
-        let alice = cred(&ny, &who("Alice"), "Member");
-        let doomed = expiring(&ny, &who("Dave"), "Guest", 100);
-        let bob = cred(&ny, &who("Bob"), "Member");
-        let carol = cred(&ny, &who("Carol"), "Partner");
-        let home = ny.name.clone();
-
-        let snap_entries: Vec<_> = [&alice, &doomed]
-            .into_iter()
-            .map(|c| {
-                let c = Arc::new(Credential::new(c.clone()));
-                (home.clone(), DiscoveryTag::Both, c)
-            })
-            .collect();
-        let snapshot = encode_snapshot(40, &snap_entries, &["old-revoked".to_string()]);
-        let publish = |c: &SignedDelegation| WalOp::Publish {
-            home: home.clone(),
-            tag: DiscoveryTag::Both,
-            cred: c.clone(),
-        };
-        let ops = [
-            publish(&bob),
-            WalOp::Revoke { id: bob.id() },
-            WalOp::PurgeExpired { now: 200 },
-            publish(&doomed),
-            WalOp::RevokeBatch {
-                ids: vec!["batch-a".into(), "batch-b".into()],
-            },
-            publish(&carol),
-        ];
-        let mut log = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            log.extend_from_slice(&frame(&encode_payload(41 + i as u64, op)));
-        }
-        log.extend_from_slice(&[0x44, 0x01, 0x00, 0x00, 0xde, 0xad]); // torn tail
+        let alice = cred(&ny, &Entity::with_seed("Alice", b"legacy"), "Member");
+        let entry = (
+            ny.name.clone(),
+            DiscoveryTag::Both,
+            Arc::new(Credential::new(alice.clone())),
+        );
+        let snapshot = encode_snapshot(40, &[entry], &["old-revoked".to_string()]);
+        let log = frame(&encode_payload(41, &WalOp::Revoke { id: alice.id() }));
         std::fs::write(dir.join(SNAPSHOT_FILE), snapshot).unwrap();
         std::fs::write(dir.join(LOG_FILE), log).unwrap();
-
-        let (repo, bus) = (Repository::new(), RevocationBus::new());
-        repo.publish_at_issuer(alice);
-        repo.publish_at_issuer(doomed.clone());
-        bus.revoke("old-revoked");
-        for op in ops {
-            match op {
-                WalOp::Publish { home, tag, cred } => drop(repo.publish(home, cred, tag)),
-                WalOp::Revoke { id } => bus.revoke(&id),
-                WalOp::RevokeBatch { ids } => drop(bus.revoke_all(&ids)),
-                WalOp::PurgeExpired { now } => drop(repo.purge_expired(now)),
-            }
-        }
-        assert_eq!(
-            repo.len(),
-            4,
-            "alice, bob, carol and the re-published doomed"
-        );
-        (dir, (repo_fingerprint(&repo), bus.revoked_ids()))
-    }
-
-    fn state_of(repo: &Repository, bus: &RevocationBus) -> Oracle {
-        (repo_fingerprint(repo), bus.revoked_ids())
-    }
-
-    fn assert_no_root_files(dir: &Path) {
-        for name in [LOG_FILE, SNAPSHOT_FILE, SNAPSHOT_TMP] {
-            assert!(!dir.join(name).exists(), "{name} left at the root");
-        }
+        dir
     }
 
     /// Every regular file under `dir`, with its bytes.
@@ -2380,134 +2236,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dir_is_imported_once_by_open() {
-        for shards in SHARD_COUNTS {
-            let (dir, oracle) = legacy_dir();
-            // Buffered policy: only the import's own sync() can have made
-            // the segments durable before the root files went.
-            let cfg = WalConfig {
-                fsync: FsyncPolicy::Never,
-                auto_compact_appends: None,
-            };
-            let (d, report) = ShardedDurableRepository::open(&dir, shards, cfg).unwrap();
-            assert_eq!(state_of(d.repository(), d.bus()), oracle);
-            assert_no_root_files(&dir);
-            assert_eq!(report.snapshot_entries, 2);
-            assert_eq!(report.records_replayed, 6);
-            assert_eq!(report.purges, 1);
-            assert_eq!(report.revocations_restored, 4);
-            assert_eq!(report.truncated_bytes, 6);
-            assert!(
-                report.epoch > 46,
-                "epoch {} not above the legacy tags",
-                report.epoch
-            );
-            assert_eq!(d.repository().epoch(), report.epoch);
-            // With `d` still open (nothing flushed by a drop), the disk
-            // alone already holds everything — every revocation included.
-            let (repo, bus, _) = Repository::recover_sharded(&dir).unwrap();
-            assert_eq!(state_of(&repo, &bus), oracle);
-            assert!(verify_sharded_dir(&dir).unwrap().is_clean());
-            d.detach();
-            drop(d);
-            // The next open is an ordinary one.
-            let (d2, report2) = open(&dir, shards);
-            assert_eq!(state_of(d2.repository(), d2.bus()), oracle);
-            assert_eq!(report2.snapshot_entries, 0);
-            assert_eq!(report2.truncated_bytes, 0);
-        }
-    }
-
-    /// A crash mid-import leaves the root files in place and each segment
-    /// holding some prefix of what the import appended to it (a buffered
-    /// policy flushes segments independently), possibly torn. Whatever the
-    /// prefixes, the next open must land on the same state.
-    #[test]
-    fn legacy_import_survives_crash_at_any_prefix() {
-        let (pristine, oracle) = legacy_dir();
-        let root_files = dir_image(&pristine);
-        // A completed import, as the source of per-segment append streams.
-        let (done, _) = legacy_dir();
-        drop(open(&done, 4));
-        let streams: Vec<(PathBuf, Vec<u8>)> = segment_dirs(&done)
-            .unwrap()
-            .into_iter()
-            .map(|seg| {
-                let image = std::fs::read(seg.join(LOG_FILE)).unwrap();
-                (seg.strip_prefix(&done).unwrap().to_path_buf(), image)
-            })
-            .collect();
-        assert!(
-            streams
-                .iter()
-                .filter(|(_, image)| !image.is_empty())
-                .count()
-                >= 3
-        );
-
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        for case in 0..24 {
-            let dir = tmpdir("legacy-crash");
-            for (path, bytes) in &root_files {
-                std::fs::write(dir.join(path.file_name().unwrap()), bytes).unwrap();
-            }
-            std::fs::copy(done.join(SHARD_META_FILE), dir.join(SHARD_META_FILE)).unwrap();
-            for (seg, image) in &streams {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let records = scan_log(image).records;
-                // Case 0: nothing reached the disk; case 1: everything did
-                // (crash between sync() and the removals); otherwise a
-                // random record prefix, every third one torn mid-record.
-                let keep = match case {
-                    0 => 0,
-                    1 => image.len(),
-                    _ => {
-                        let k = (rng >> 33) as usize % (records.len() + 1);
-                        let at = records.get(k).map_or(image.len(), |r| r.offset as usize);
-                        if case % 3 == 0 && at + 5 < image.len() {
-                            at + 5
-                        } else {
-                            at
-                        }
-                    }
-                };
-                std::fs::create_dir_all(dir.join(seg)).unwrap();
-                std::fs::write(dir.join(seg).join(LOG_FILE), &image[..keep]).unwrap();
-            }
-            if case == 2 {
-                // Crash between the two removals: the snapshot is gone.
-                std::fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
-                for (seg, image) in &streams {
-                    std::fs::write(dir.join(seg).join(LOG_FILE), image).unwrap();
-                }
-            }
-            let (d, _) = open(&dir, 4);
-            assert_eq!(state_of(d.repository(), d.bus()), oracle, "case {case}");
-            assert_no_root_files(&dir);
-            drop(d);
-            let (repo, bus, _) = Repository::recover_sharded(&dir).unwrap();
-            assert_eq!(state_of(&repo, &bus), oracle, "case {case}, from disk");
-        }
-    }
-
-    #[test]
     fn read_only_entry_points_refuse_unimported_legacy_dir() {
-        let (dir, _) = legacy_dir();
-        // Also the shape an interrupted import (or the pre-import engine,
-        // which wrote a fresh shards.meta beside the root files) leaves.
-        let (mid_import, _) = legacy_dir();
-        write_shard_meta(&mid_import, 4).unwrap();
-        for dir in [dir, mid_import] {
+        let dir = legacy_dir();
+        // Also the shape the pre-segment engine left, a fresh shards.meta
+        // beside the root files.
+        let beside_meta = legacy_dir();
+        write_shard_meta(&beside_meta, 4).unwrap();
+        for dir in [dir, beside_meta] {
             let before = dir_image(&dir);
             let err = Repository::recover_sharded(&dir).err().unwrap();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("legacy"), "{err}");
             let err = verify_sharded_dir(&dir).err().unwrap();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("psf repo"), "names the fix: {err}");
-            assert_eq!(dir_image(&dir), before, "read-only paths modify nothing");
+            assert!(err.to_string().contains(LOG_FILE), "names the files: {err}");
+            let err = ShardedDurableRepository::open(&dir, 4, WalConfig::default())
+                .err()
+                .unwrap();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("legacy"), "{err}");
+            assert_eq!(dir_image(&dir), before, "no entry point modifies it");
         }
     }
 }

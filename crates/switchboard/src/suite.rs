@@ -137,19 +137,10 @@ impl Authorizer {
             }
         }
         let (proof, cert, _stats) = result.map_err(|e| e.to_string())?;
-        let monitor = self.bus.monitor(proof.credential_ids());
-        // "…continuously over some duration": the authorization holds
-        // until the earliest expiry of any credential in the proof.
-        let valid_until = proof
-            .edges
-            .iter()
-            .filter_map(|e| e.credential.body.expires)
-            .min();
         Ok(AuthorizationMonitor {
+            monitor: proof.monitor(&self.bus),
             proof: Some(proof),
             certificate: Some(cert),
-            monitor,
-            valid_until,
             clock: self.clock.clone(),
             rechecked: false,
         })
@@ -227,13 +218,10 @@ impl Authorizer {
             return Err("certificate attributes do not satisfy the requirement".into());
         }
         self.recheck_certificate(&cert).map_err(|e| e.to_string())?;
-        let monitor = self.bus.monitor(cert.watch.clone());
-        let valid_until = cert.min_expiry();
         Ok(AuthorizationMonitor {
+            monitor: self.bus.monitor(cert.watch.clone(), cert.min_expiry()),
             proof: None,
             certificate: Some(cert),
-            monitor,
-            valid_until,
             clock: self.clock.clone(),
             rechecked: false,
         })
@@ -257,7 +245,6 @@ pub struct AuthorizationMonitor {
     /// engine, or presented by the peer and validated by the checker).
     certificate: Option<Arc<AuthCertificate>>,
     monitor: ValidityMonitor,
-    valid_until: Option<u64>,
     clock: ClockRef,
     /// One-shot latch: the channel re-checks the certificate once per
     /// invalidation, not once per refused packet.
@@ -276,15 +263,10 @@ impl AuthorizationMonitor {
         !std::mem::replace(&mut self.rechecked, true)
     }
 
-    /// Whether the trust relationship still holds: no revocation and no
-    /// credential in the proof has expired.
+    /// Whether the trust relationship still holds now: no credential the
+    /// admission rests on has been revoked or has expired.
     pub fn is_valid(&self) -> bool {
-        if let Some(t) = self.valid_until {
-            if self.clock.now() >= t {
-                return false;
-            }
-        }
-        self.monitor.is_valid()
+        self.monitor.is_valid(self.clock.now())
     }
 
     /// Why traffic must stop, if it must: the id of the revoked credential,
@@ -298,7 +280,7 @@ impl AuthorizationMonitor {
 
     /// When the authorization lapses by expiry, if bounded.
     pub fn valid_until(&self) -> Option<u64> {
-        self.valid_until
+        self.monitor.expires()
     }
 
     /// Which credential was revoked, if the monitor died of a revocation
@@ -428,6 +410,40 @@ mod tests {
         assert!(monitor.is_valid());
         clock.set(100);
         assert!(!monitor.is_valid());
+    }
+
+    #[test]
+    fn channel_lapses_with_its_third_party_support() {
+        // Bob holds Comp.NY.Member through SD's grant (expires 100), which
+        // rests on NY's assignment right to SD (expires 50): the admission
+        // lapses with the support, not with the grant.
+        let (registry, repo, bus, clock, ny, bob) = setup();
+        let sd = Entity::with_seed("Comp.SD", b"suite");
+        registry.register(&sd);
+        let assignment = DelegationBuilder::new(&ny)
+            .subject_entity(&sd)
+            .assignment()
+            .role(ny.role("Member"))
+            .expires(50)
+            .sign();
+        let grant = DelegationBuilder::new(&sd)
+            .subject_entity(&bob)
+            .role(ny.role("Member"))
+            .expires(100)
+            .sign();
+        let auth = Authorizer::new(registry, repo, bus, clock.clone(), ny.role("Member"));
+        let monitor = auth
+            .authorize(&bob.name, &bob.public_key(), &[grant, assignment])
+            .unwrap();
+        assert_eq!(monitor.valid_until(), Some(50));
+        clock.set(49);
+        assert!(monitor.is_valid());
+        assert_eq!(monitor.refusal(), None);
+        clock.set(50);
+        assert!(!monitor.is_valid());
+        assert_eq!(monitor.refusal().as_deref(), Some("expired"));
+        let cert = monitor.certificate().unwrap();
+        assert!(auth.recheck_certificate(&cert).is_err());
     }
 
     #[test]

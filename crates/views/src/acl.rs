@@ -154,7 +154,7 @@ impl ViewAcl {
 
     /// Full single-sign-on authorization: select the view and mint a
     /// token whose monitor keeps the session alive until any underlying
-    /// credential is revoked.
+    /// credential is revoked or expires.
     #[allow(clippy::too_many_arguments)]
     pub fn authorize_once(
         &self,
@@ -194,12 +194,10 @@ impl ViewAcl {
         bus: &RevocationBus,
         now: Timestamp,
     ) -> SsoToken {
-        let monitor = bus.monitor(
-            proof
-                .as_ref()
-                .map(|p| p.credential_ids())
-                .unwrap_or_default(),
-        );
+        let monitor = match &proof {
+            Some(proof) => proof.monitor(bus),
+            None => bus.monitor(Vec::<String>::new(), None),
+        };
         SsoToken {
             subject: subject.clone(),
             view,
@@ -226,9 +224,9 @@ pub struct SsoToken {
 }
 
 impl SsoToken {
-    /// The O(1) per-request check: still authorized?
-    pub fn is_valid(&self) -> bool {
-        self.monitor.is_valid()
+    /// The O(1) per-request check: still authorized at `now`?
+    pub fn is_valid(&self, now: Timestamp) -> bool {
+        self.monitor.is_valid(now)
     }
 
     /// Which credential was revoked, if the token died.
@@ -407,11 +405,35 @@ mod tests {
         assert_eq!(token.view, "ViewMailClient_Member");
         // Many requests: only the O(1) monitor check.
         for _ in 0..1000 {
-            assert!(token.is_valid());
+            assert!(token.is_valid(0));
         }
         w.bus.revoke(&cred.id());
-        assert!(!token.is_valid());
+        assert!(!token.is_valid(0));
         assert_eq!(token.revocation_notice(), Some(cred.id()));
+    }
+
+    #[test]
+    fn sso_token_lapses_with_its_membership() {
+        let w = world();
+        let cred = DelegationBuilder::new(&w.ny)
+            .subject_entity(&w.alice)
+            .role(w.ny.role("Member"))
+            .expires(100)
+            .sign();
+        let token = table4(&w)
+            .authorize_once(
+                &w.alice.as_subject(),
+                std::slice::from_ref(&cred),
+                &w.registry,
+                &w.repo,
+                &w.bus,
+                0,
+            )
+            .unwrap();
+        assert_eq!(token.view, "ViewMailClient_Member");
+        assert!(token.is_valid(99));
+        assert!(!token.is_valid(100));
+        assert_eq!(token.revocation_notice(), None, "expired, not revoked");
     }
 
     #[test]

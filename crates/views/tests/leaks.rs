@@ -40,7 +40,7 @@ fn dropped_monitors_cost_the_bus_nothing() {
     let _turn = turn();
     let bus = RevocationBus::new();
     let ids: Vec<String> = (0..6).map(|i| format!("cred-{i}")).collect();
-    let grown = growth_kb(|_| assert!(bus.monitor(ids.iter().cloned()).is_valid()));
+    let grown = growth_kb(|_| assert!(bus.monitor(ids.iter().cloned(), None).is_valid(0)));
     assert!(
         grown < BUDGET_KB,
         "{CYCLES} monitors left {grown} KiB behind"
@@ -79,7 +79,7 @@ fn dropped_sso_tokens_cost_the_bus_nothing() {
         let token = acl
             .authorize_once_cached(&subject, &[], &registry, &repo, &bus, 0, &cache)
             .expect("authorized");
-        assert!(token.is_valid());
+        assert!(token.is_valid(0));
     });
     assert!(grown < BUDGET_KB, "{CYCLES} mints left {grown} KiB behind");
 }

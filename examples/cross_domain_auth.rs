@@ -90,13 +90,13 @@ fn main() {
     );
 
     println!("\n== revocation ==\n");
-    let monitor = bus.monitor(proof.credential_ids());
-    println!("monitor valid: {}", monitor.is_valid());
+    let monitor = proof.monitor(&bus);
+    println!("monitor valid: {}", monitor.is_valid(0));
     bus.revoke(&assignment.id());
     println!(
         "revoked the assignment ({}); monitor valid: {}",
         assignment.id(),
-        monitor.is_valid()
+        monitor.is_valid(0)
     );
     let gone = engine.prove(&bob.as_subject(), &ny.role("Partner"), &[]);
     println!("re-proving now fails: {}", gone.is_err());

@@ -106,14 +106,14 @@ fn main() {
     println!("view.write() -> {denied}");
 
     // --- continuous authorization: revoke and watch the proof die ------
-    let monitor = bus.monitor(proof.credential_ids());
-    assert!(monitor.is_valid());
+    let monitor = proof.monitor(&bus);
+    assert!(monitor.is_valid(0));
     branch.revoke(&c1);
-    assert!(!monitor.is_valid());
+    assert!(!monitor.is_valid(0));
     println!(
         "\nrevoked {}; monitor now invalid: {}",
         c1.id(),
-        !monitor.is_valid()
+        !monitor.is_valid(0)
     );
     let _ = Arc::new(());
 }

@@ -134,7 +134,7 @@ fn a_credential_is_hashed_once() {
             let token = acl
                 .authorize_once_cached(&subject, none, &registry, &repo, &bus, 0, &cache)
                 .unwrap();
-            assert!(token.is_valid());
+            assert!(token.is_valid(0));
         }),
         ("all_credentials", &|| {
             assert_eq!(repo.all_credentials().len() as u64, stored);

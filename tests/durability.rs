@@ -106,7 +106,7 @@ fn torn_tail_loses_no_committed_record() {
                 &dir,
                 shards,
                 WalConfig {
-                    fsync: FsyncPolicy::EveryN(4),
+                    fsync: FsyncPolicy::Never,
                     auto_compact_appends: None,
                 },
             );

@@ -424,14 +424,15 @@ proptest! {
     /// and identical errors, to a fresh uncached engine at every step.
     /// Two targets are asked each step: the chain's, and one that fails
     /// until a publish grants it, so failed searches are cached and
-    /// invalidated too.
+    /// invalidated too. A chain domain's name may also be rebound to a
+    /// different key, which the registry epoch pin must catch.
     #[test]
     fn cached_prove_is_indistinguishable_from_uncached(
         seed in 0u64..500,
         chain_len in 1usize..5,
         decoys in 0usize..6,
         membership_expiry in proptest::option::of(1u64..30),
-        schedule in prop::collection::vec((0u8..5, 0u64..16), 1..24),
+        schedule in prop::collection::vec((0u8..6, 0u64..16), 1..24),
     ) {
         let registry = EntityRegistry::new();
         let repo = Repository::new();
@@ -520,6 +521,14 @@ proptest! {
                     };
                     repo.publish_at_issuer(grant.serial(extra as u64).sign());
                 }
+                // Rebind a chain domain's name to a different key: every
+                // credential it signed stops verifying.
+                4 => {
+                    extra += 1;
+                    let impostor = Entity::with_seed(format!("rebound{seed}-{extra}"), b"cachew");
+                    let domain = &domains[(arg as usize) % chain_len];
+                    registry.register_key(domain.name.clone(), impostor.public_key());
+                }
                 // Plain query step (drives cache hits).
                 _ => {}
             }
@@ -547,6 +556,202 @@ proptest! {
         let s = cache.stats();
         prop_assert!(s.proof_hits + s.proof_misses > 0);
     }
+}
+
+// ------------------------------------------------- standing decisions --
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A standing decision — a channel admitted by proof search, one
+    /// admitted from the certificate alone, a sign-on token — holds
+    /// exactly as long as its evidence does. The world is a 1–4 deep
+    /// chain whose top edge may be a third-party grant resting on an
+    /// assignment support; the membership and the support may expire.
+    /// After every step of a random script (clock advances, revocations
+    /// of a chain, support or unknown id, publishes onto read and unread
+    /// keys, new registrations) each holder agrees with the independent
+    /// checker: `Proof::verify` for the monitors and the token,
+    /// `check_certificate` for the certificate path.
+    #[test]
+    fn standing_decisions_lapse_exactly_with_their_evidence(
+        seed in 0u64..500,
+        chain_len in 1usize..5,
+        third_party in any::<bool>(),
+        membership_expiry in proptest::option::of(1u64..40),
+        support_expiry in proptest::option::of(1u64..40),
+        script in prop::collection::vec((0u8..6, 0u64..16), 1..24),
+    ) {
+        use psf_drbac::certify::check_certificate;
+        use psf_switchboard::{Authorizer, ClockRef};
+        use psf_views::ViewAcl;
+
+        let registry = EntityRegistry::new();
+        let repo = Repository::new();
+        let bus = RevocationBus::new();
+        let entity = |name: String| {
+            let e = Entity::with_seed(name, b"standing");
+            registry.register(&e);
+            e
+        };
+        let user = entity(format!("user{seed}"));
+        let holder = entity(format!("holder{seed}"));
+        let domains: Vec<Entity> = (0..chain_len).map(|i| entity(format!("d{seed}-{i}"))).collect();
+        let target = domains[0].role("R");
+
+        // user → d[n-1].R → … → d[0].R; with `third_party` the edge into
+        // d[0].R is issued by `holder` on d[0]'s assignment right.
+        let issuer_into = |i: usize| if i == 0 && third_party { &holder } else { &domains[i] };
+        let mut chain: Vec<SignedDelegation> = Vec::new();
+        let mut membership = DelegationBuilder::new(issuer_into(chain_len - 1))
+            .subject_entity(&user)
+            .role(domains[chain_len - 1].role("R"));
+        if let Some(t) = membership_expiry {
+            membership = membership.expires(t);
+        }
+        chain.push(membership.sign());
+        for i in (0..chain_len - 1).rev() {
+            chain.push(
+                DelegationBuilder::new(issuer_into(i))
+                    .subject_role(domains[i + 1].role("R"))
+                    .role(domains[i].role("R"))
+                    .sign(),
+            );
+        }
+        let mut support = None;
+        if third_party {
+            let mut b = DelegationBuilder::new(&domains[0])
+                .subject_entity(&holder)
+                .assignment()
+                .role(target.clone());
+            if let Some(t) = support_expiry {
+                b = b.expires(t);
+            }
+            support = Some(b.sign());
+        }
+        for cred in chain.iter().chain(&support) {
+            repo.publish_at_issuer(cred.clone());
+        }
+
+        // The three standing decisions, all made at t = 0.
+        let clock = ClockRef::new();
+        let auth = Authorizer::new(registry.clone(), repo.clone(), bus.clone(), clock.clone(), target.clone());
+        let engine_admitted = auth.authorize(&user.name, &user.public_key(), &[]).unwrap();
+        let proof = engine_admitted.proof.clone().unwrap();
+        prop_assert_eq!(proof.total_edges(), chain_len + usize::from(third_party));
+        let cert = engine_admitted.certificate().unwrap();
+        let cert_admitted = auth.admit_certificate(&user.name, &user.public_key(), cert.clone()).unwrap();
+        let token = ViewAcl::new()
+            .rule(target.clone(), "Full")
+            .authorize_once(&user.as_subject(), &[], &registry, &repo, &bus, 0)
+            .unwrap();
+        let token_proof = token.proof.clone().unwrap();
+
+        let mut now = 0u64;
+        let mut extra = 0u64;
+        for (op, arg) in script {
+            extra += 1;
+            match op {
+                0 => now += arg % 16,
+                1 => bus.revoke(&chain[(arg as usize) % chain.len()].id()),
+                2 => match (&support, arg % 2) {
+                    (Some(s), 0) => bus.revoke(&s.id()),
+                    _ => bus.revoke("no-such-credential"),
+                },
+                // A publish onto a key the searches read: a direct grant
+                // of the target (a new, shorter proof for fresh searches).
+                3 => {
+                    repo.publish_at_issuer(
+                        DelegationBuilder::new(&domains[0])
+                            .subject_entity(&user)
+                            .role(target.clone())
+                            .serial(extra)
+                            .sign(),
+                    );
+                }
+                // A publish onto a key no search reads.
+                4 => {
+                    let d = entity(format!("extra{seed}-{extra}"));
+                    repo.publish_at_issuer(
+                        DelegationBuilder::new(&d)
+                            .subject_role(RoleName::new("Nowhere.Else", "X"))
+                            .role(d.role("Y"))
+                            .sign(),
+                    );
+                }
+                // A new registration (the registry epoch moves).
+                _ => drop(entity(format!("new{seed}-{extra}"))),
+            }
+            clock.set(now);
+            let holds = proof.verify(&registry, &bus, now).is_ok();
+            prop_assert_eq!(engine_admitted.is_valid(), holds, "engine-admitted channel at t={}", now);
+            prop_assert_eq!(
+                cert_admitted.is_valid(),
+                check_certificate(&cert, &registry, &bus, now, None).is_ok(),
+                "certificate-admitted channel at t={}", now
+            );
+            prop_assert_eq!(
+                token.is_valid(now),
+                token_proof.verify(&registry, &bus, now).is_ok(),
+                "sign-on token at t={}", now
+            );
+        }
+    }
+}
+
+/// The registry epoch pins cached *searches*, not standing decisions.
+/// Rebinding a chain domain's name to a different key makes a fresh
+/// search deny at once, while an admitted channel and a minted token stay
+/// valid: trust is withdrawn through the revocation bus, so they lapse
+/// when the credential is revoked.
+#[test]
+fn standing_decisions_do_not_watch_the_registry() {
+    use psf_switchboard::{Authorizer, ClockRef};
+    use psf_views::ViewAcl;
+
+    let registry = EntityRegistry::new();
+    let repo = Repository::new();
+    let bus = RevocationBus::new();
+    let ny = Entity::with_seed("Comp.NY", b"rebind");
+    let bob = Entity::with_seed("Bob", b"rebind");
+    registry.register(&ny);
+    registry.register(&bob);
+    let grant = DelegationBuilder::new(&ny)
+        .subject_entity(&bob)
+        .role(ny.role("Member"))
+        .sign();
+    repo.publish_at_issuer(grant.clone());
+
+    let auth = Authorizer::new(
+        registry.clone(),
+        repo.clone(),
+        bus.clone(),
+        ClockRef::new(),
+        ny.role("Member"),
+    );
+    let channel = auth.authorize(&bob.name, &bob.public_key(), &[]).unwrap();
+    let token = ViewAcl::new()
+        .rule(ny.role("Member"), "Full")
+        .authorize_once(&bob.as_subject(), &[], &registry, &repo, &bus, 0)
+        .unwrap();
+
+    let impostor = Entity::with_seed("Comp.NY", b"impostor");
+    registry.register_key(ny.name.clone(), impostor.public_key());
+    let fresh = ProofEngine::new(&registry, &repo, &bus, 0);
+    assert!(fresh
+        .prove(&bob.as_subject(), &ny.role("Member"), &[])
+        .is_err());
+    assert!(auth.authorize(&bob.name, &bob.public_key(), &[]).is_err());
+    assert!(
+        channel.is_valid(),
+        "the channel does not watch the registry"
+    );
+    assert!(token.is_valid(0), "the token does not watch the registry");
+
+    bus.revoke(&grant.id());
+    assert!(!channel.is_valid());
+    assert!(!token.is_valid(0));
+    assert_eq!(channel.revocation_notice(), Some(grant.id()));
 }
 
 // ------------------------------------- static/dynamic proof agreement --

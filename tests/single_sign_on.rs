@@ -84,7 +84,7 @@ fn sso_token_amortizes_authorization() {
     assert_eq!(token.proof.as_ref().unwrap().edges.len(), 5);
     // 10k requests: each is a lock-free flag check, no proof search.
     for _ in 0..10_000 {
-        assert!(token.is_valid());
+        assert!(token.is_valid(0));
     }
 }
 
@@ -117,10 +117,10 @@ fn sso_token_dies_on_revocation_anywhere_in_the_chain() {
             0,
         )
         .unwrap();
-    assert!(token.is_valid());
+    assert!(token.is_valid(0));
     // Revoke the *middle* of the chain.
     w.bus.revoke(&w.creds[1].id());
-    assert!(!token.is_valid());
+    assert!(!token.is_valid(0));
     assert_eq!(token.revocation_notice(), Some(w.creds[1].id()));
 }
 
@@ -162,7 +162,7 @@ fn deeper_chains_cost_more_to_prove_but_not_to_check() {
         .unwrap();
     let t = Instant::now();
     for _ in 0..100_000 {
-        assert!(token.is_valid());
+        assert!(token.is_valid(0));
     }
     let check_time = t.elapsed();
     assert!(
