@@ -160,23 +160,6 @@ impl Diagnostic {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// An analysis report: the collected diagnostics of one run.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -271,6 +254,11 @@ impl Report {
     /// Render as a JSON document (no external dependencies; the workspace
     /// formats JSON by hand throughout).
     pub fn render_json(&self) -> String {
+        let escaped = |s: &str| {
+            let mut out = String::with_capacity(s.len());
+            psf_telemetry::escape_into(s, &mut out);
+            out
+        };
         let mut out = String::from("{\n  \"diagnostics\": [\n");
         for (i, d) in self.diagnostics.iter().enumerate() {
             let comma = if i + 1 < self.diagnostics.len() {
@@ -279,15 +267,15 @@ impl Report {
                 ""
             };
             let subject = match &d.subject {
-                Some(s) => format!("\"{}\"", json_escape(s)),
+                Some(s) => format!("\"{}\"", escaped(s)),
                 None => "null".into(),
             };
             out.push_str(&format!(
                 "    {{\"code\": \"{}\", \"severity\": \"{}\", \"title\": \"{}\", \"subject\": {subject}, \"message\": \"{}\"}}{comma}\n",
                 d.code.code(),
                 d.code.severity().label(),
-                json_escape(d.code.title()),
-                json_escape(&d.message)
+                escaped(d.code.title()),
+                escaped(&d.message)
             ));
         }
         out.push_str(&format!(

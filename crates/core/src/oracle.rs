@@ -8,9 +8,10 @@ use psf_drbac::entity::{EntityRegistry, Subject};
 use psf_drbac::proof::ProofEngine;
 use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
-use psf_drbac::{AttrSet, AuthCache, RoleName, SignedDelegation, Timestamp};
-use psf_netsim::{Network, NodeId};
+use psf_drbac::{AttrSet, AuthCache, Credential, RoleName, SignedDelegation, Timestamp};
+use psf_netsim::NodeId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Answers the planner's two authorization questions.
 pub trait AuthOracle: Send + Sync {
@@ -41,7 +42,6 @@ pub struct DrbacOracle {
     registry: EntityRegistry,
     repository: Repository,
     bus: RevocationBus,
-    network: Network,
     now: Timestamp,
     /// Vendor role subjects for each node (`Comp.NY.PC` etc. are modeled
     /// directly by the node's vendor role, e.g. `Dell.Linux`) — the proof
@@ -51,8 +51,9 @@ pub struct DrbacOracle {
     /// for component authorization; nodes without one accept anything.
     node_exec_roles: HashMap<NodeId, (RoleName, AttrSet)>,
     /// Credentials presented on behalf of components (their exec-role
-    /// chains).
-    component_credentials: Vec<SignedDelegation>,
+    /// chains), wrapped once: a query neither re-hashes nor, once their
+    /// verdicts are stored, re-verifies them.
+    component_credentials: Vec<Arc<Credential>>,
     /// Fast path for the planner's repeated per-(component, node)
     /// authorization queries.
     cache: AuthCache,
@@ -64,14 +65,12 @@ impl DrbacOracle {
         registry: EntityRegistry,
         repository: Repository,
         bus: RevocationBus,
-        network: Network,
         now: Timestamp,
     ) -> DrbacOracle {
         DrbacOracle {
             registry,
             repository,
             bus,
-            network,
             now,
             node_subjects: HashMap::new(),
             node_exec_roles: HashMap::new(),
@@ -80,7 +79,7 @@ impl DrbacOracle {
         }
     }
 
-    /// The oracle's authorization cache (hit/miss stats, manual clear).
+    /// The oracle's authorization cache (hit/miss stats).
     pub fn auth_cache(&self) -> &AuthCache {
         &self.cache
     }
@@ -99,7 +98,8 @@ impl DrbacOracle {
 
     /// Add credentials presented on behalf of components.
     pub fn add_component_credentials(&mut self, creds: Vec<SignedDelegation>) {
-        self.component_credentials.extend(creds);
+        self.component_credentials
+            .extend(Credential::wrap_all(&creds));
     }
 
     fn engine(&self) -> ProofEngine<'_> {
@@ -142,9 +142,8 @@ impl AuthOracle for DrbacOracle {
             "CPU",
             psf_drbac::AttrValue::Capacity(component.cpu_cost as i64),
         );
-        let _ = &self.network; // capacity checks live in the planner
         self.engine()
-            .prove_with(&subject, exec_role, &required, &self.component_credentials)
+            .prove_with_carried(&subject, exec_role, &required, &self.component_credentials)
             .is_ok()
     }
 }
@@ -255,7 +254,7 @@ mod tests {
                 .sign(),
         );
 
-        let mut oracle = DrbacOracle::new(registry, repo, bus, scenario.network.clone(), 0);
+        let mut oracle = DrbacOracle::new(registry, repo, bus, 0);
         oracle.set_node_subject(scenario.ny[0], ny_pc.as_subject());
         oracle.set_node_subject(scenario.sd[0], sd_pc.as_subject());
         oracle.set_node_subject(scenario.se[0], se_pc.as_subject());

@@ -221,8 +221,8 @@ impl CredentialSource for RemoteRepository {
         self.query(QUERY_BY_OBJECT, role.to_string().into_bytes())
     }
     // No `version()` override: a remote source has no coherent epoch, so
-    // proof caching is disabled over it (credential-verdict caching and
-    // the response cache above still apply).
+    // proof caching is disabled over it. The response cache above keeps
+    // the decoded credentials, and with them their signature verdicts.
 }
 
 #[cfg(test)]

@@ -1,37 +1,28 @@
-//! The authorization fast path: verified-credential and proof caches.
+//! The authorization fast path: the proof cache.
 //!
 //! `ProofEngine::prove` is on the hot path of every component interaction
 //! (single sign-on, continuous authorization, planner oracle queries), yet
-//! without caching it re-verifies every Ed25519 signature and re-walks the
-//! delegation graph on every call. SAFE-style trust systems make this
-//! tractable by caching proof results and invalidating them through the
-//! credential-linkage graph; dRBAC's [`RevocationBus`] already holds
-//! exactly the state such invalidation needs.
+//! without caching it re-walks the delegation graph on every call.
+//! SAFE-style trust systems make this tractable by caching proof results
+//! and invalidating them through the credential-linkage graph; dRBAC's
+//! [`RevocationBus`] already holds exactly the state such invalidation
+//! needs. (Signature verdicts need no table: each [`Credential`] remembers
+//! its own, see [`Credential::verify`].)
 //!
-//! [`AuthCache`] bundles two memo tables:
+//! [`AuthCache`] holds one memo table. It memoizes whole `prove()`
+//! results, failures included, keyed by `(subject, role, fingerprint of
+//! the presented credential set)`. An entry pins every input its search
+//! read: the mark of each key bucket it queried (see
+//! [`crate::repository`]), the registry epoch, and a [`ValidityMonitor`]
+//! over every credential that passed its checks, which lapses at the
+//! earliest expiry among them; it is served only at or after the time it
+//! was derived. A hit is therefore *bit-identical* to a fresh search: BFS
+//! is deterministic, and over unchanged inputs it reproduces the recorded
+//! result, a proof or a failure alike.
 //!
-//! 1. **Verified-credential cache** — memoizes *signature verification
-//!    only*, keyed by `(credential id, issuer key)`. The id is a hash of
-//!    the signed body plus signature, and Ed25519 verification is a pure
-//!    function of `(body bytes, signature, issuer key)`, so a cached
-//!    verdict never goes stale. Structural and expiry checks are re-run on
-//!    every use (they depend on `now`), preserving the uncached engine's
-//!    exact error precedence.
-//!
-//! 2. **Proof cache** — memoizes whole `prove()` results, failures
-//!    included, keyed by `(subject, role, fingerprint of the presented
-//!    credential set)`. An entry pins every input its search read: the
-//!    mark of each key bucket it queried (see [`crate::repository`]), the
-//!    registry epoch, and a [`ValidityMonitor`] over every credential that
-//!    passed its checks, which lapses at the earliest expiry among them;
-//!    it is served only at or after the time it was derived. A hit is
-//!    therefore *bit-identical* to a fresh search: BFS is deterministic,
-//!    and over unchanged inputs it reproduces the recorded result, a proof
-//!    or a failure alike.
-//!
-//! Both tables are bounded and evict by CLOCK (second chance): an entry
-//! hit since the hand last passed it survives, so a hot working set is
-//! never flushed by a stream of one-off decisions.
+//! The table is bounded and evicts by CLOCK (second chance): an entry hit
+//! since the hand last passed it survives, so a hot working set is never
+//! flushed by a stream of one-off decisions.
 //!
 //! One `AuthCache` must only ever be used with a single
 //! `(EntityRegistry, CredentialSource, RevocationBus)` triple — the
@@ -50,8 +41,6 @@ use std::sync::Arc;
 
 /// Proof entries kept; the CLOCK hand picks which one a new entry replaces.
 const PROOF_CAP: usize = 1024;
-/// Credential verdicts kept, evicted the same way.
-const CRED_CAP: usize = 8192;
 
 /// Key of a proof-cache entry: who is being authorized for what, under
 /// which presented credential set.
@@ -135,12 +124,6 @@ type ProveResult = Result<(Proof, SearchStats), (DrbacError, SearchStats)>;
 
 struct ProofEntry {
     result: ProveResult,
-    /// The proof-carrying certificate emitted for a proved entry, attached
-    /// lazily by `ProofEngine::prove_certified`. It shares the entry's
-    /// validity window exactly: whenever the entry is a legal hit the
-    /// certificate is the one a fresh emission would produce (emission is
-    /// deterministic in the proof and the pinned epochs).
-    cert: Option<Arc<psf_cert::AuthCertificate>>,
     /// `(bucket, mark)` of every key bucket the search queried, sorted and
     /// deduplicated.
     marks: Box<[KeyMark]>,
@@ -166,11 +149,6 @@ impl ProofEntry {
     }
 }
 
-struct CredVerdict {
-    issuer_key: [u8; 32],
-    result: Result<(), DrbacError>,
-}
-
 /// Point-in-time counters for cache observability (mirrored into
 /// `psf-telemetry` as `psf.drbac.cache.*`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -181,9 +159,9 @@ pub struct CacheStats {
     pub proof_misses: u64,
     /// Entries dropped because one of their pinned inputs changed.
     pub proof_invalidations: u64,
-    /// Signature verifications answered from the credential cache.
+    /// Signature checks answered from a credential's stored verdict.
     pub cred_hits: u64,
-    /// Signature verifications computed and memoized.
+    /// Signature checks computed.
     pub cred_misses: u64,
 }
 
@@ -197,7 +175,6 @@ struct StatCells {
 }
 
 struct CacheInner {
-    creds: Mutex<ClockTable<CredId, CredVerdict>>,
     proofs: Mutex<ClockTable<ProofKey, ProofEntry>>,
     stats: StatCells,
 }
@@ -221,47 +198,22 @@ impl AuthCache {
     pub fn new() -> AuthCache {
         AuthCache {
             inner: Arc::new(CacheInner {
-                creds: Mutex::new(ClockTable::new(CRED_CAP)),
                 proofs: Mutex::new(ClockTable::new(PROOF_CAP)),
                 stats: StatCells::default(),
             }),
         }
     }
 
-    /// Verify `cred` exactly as [`SignedDelegation::verify`] would, but
-    /// answer the (pure, expensive) signature check from the memo table
-    /// when the same `(id, issuer key)` pair has been verified before.
-    /// Check order — structure, expiry, signature — matches the uncached
-    /// path so error precedence is identical.
-    ///
-    /// [`SignedDelegation::verify`]: crate::SignedDelegation::verify
-    pub fn verify_credential(
-        &self,
-        cred: &Credential,
-        issuer_key: &psf_crypto::ed25519::VerifyingKey,
-        now: Timestamp,
-    ) -> Result<(), DrbacError> {
-        cred.check_structure()?;
-        cred.check_expiry(now)?;
-        let id = cred.cred_id();
-        if let Some(v) = self.inner.creds.lock().get(&id) {
-            if v.issuer_key == issuer_key.0 {
-                self.inner.stats.cred_hits.fetch_add(1, Relaxed);
-                psf_telemetry::counter!("psf.drbac.cache.cred.hits").inc();
-                return v.result.clone();
-            }
+    /// Count one signature check of a search through this cache:
+    /// answered from the credential's stored verdict, or computed.
+    pub(crate) fn note_verdict(&self, recalled: bool) {
+        if recalled {
+            self.inner.stats.cred_hits.fetch_add(1, Relaxed);
+            psf_telemetry::counter!("psf.drbac.cache.cred.hits").inc();
+        } else {
+            self.inner.stats.cred_misses.fetch_add(1, Relaxed);
+            psf_telemetry::counter!("psf.drbac.cache.cred.misses").inc();
         }
-        self.inner.stats.cred_misses.fetch_add(1, Relaxed);
-        psf_telemetry::counter!("psf.drbac.cache.cred.misses").inc();
-        let result = cred.verify_signature(issuer_key);
-        self.inner.creds.lock().insert(
-            id,
-            CredVerdict {
-                issuer_key: issuer_key.0,
-                result: result.clone(),
-            },
-        );
-        result
     }
 
     /// Look up a memoized `prove()` result. Returns `None` on a miss,
@@ -323,7 +275,6 @@ impl AuthCache {
         marks.dedup();
         let entry = ProofEntry {
             result,
-            cert: None,
             marks: marks.into(),
             monitor: bus.monitor(frontier.ids, frontier.next_expiry),
             registry_epoch,
@@ -332,51 +283,9 @@ impl AuthCache {
         self.inner.proofs.lock().insert(key, entry);
     }
 
-    /// Certificate stored alongside a proved entry, if one has been
-    /// attached. Callers must only use this immediately after a validated
-    /// `lookup_proof` hit for the same key (the certificate shares the
-    /// entry's validity window).
-    pub(crate) fn lookup_certificate(
-        &self,
-        key: &ProofKey,
-    ) -> Option<Arc<psf_cert::AuthCertificate>> {
-        self.inner.proofs.lock().get(key)?.cert.clone()
-    }
-
-    /// Attach an emitted certificate to the proved entry for `key` (a
-    /// no-op if the entry has been evicted or replaced meanwhile).
-    pub(crate) fn attach_certificate(&self, key: &ProofKey, cert: Arc<psf_cert::AuthCertificate>) {
-        if let Some(entry) = self.inner.proofs.lock().get(key) {
-            if entry.result.is_ok() {
-                entry.cert = Some(cert);
-            }
-        }
-    }
-
-    /// Number of proved entries carrying a certificate.
-    pub fn cert_entries(&self) -> usize {
-        self.inner
-            .proofs
-            .lock()
-            .values()
-            .filter(|e| e.cert.is_some())
-            .count()
-    }
-
-    /// Drop every cached proof and credential verdict.
-    pub fn clear(&self) {
-        self.inner.proofs.lock().clear();
-        self.inner.creds.lock().clear();
-    }
-
     /// Number of live proof entries.
     pub fn proof_entries(&self) -> usize {
         self.inner.proofs.lock().len()
-    }
-
-    /// Number of memoized credential verdicts.
-    pub fn cred_entries(&self) -> usize {
-        self.inner.creds.lock().len()
     }
 
     /// Snapshot of hit/miss/invalidation counters.
@@ -396,35 +305,100 @@ impl AuthCache {
 mod tests {
     use super::*;
     use crate::delegation::{DelegationBuilder, SignedDelegation};
-    use crate::entity::Entity;
+    use crate::entity::{Entity, EntityRegistry};
+    use crate::proof::ProofEngine;
+    use crate::repository::Repository;
+
+    /// Alice → Dept.Member → Org.Staff, both grants in the repository.
+    fn chain() -> (EntityRegistry, Repository, RevocationBus, Entity, Entity) {
+        let (org, dept, alice) = (
+            Entity::with_seed("Org", b"v"),
+            Entity::with_seed("Dept", b"v"),
+            Entity::with_seed("Alice", b"v"),
+        );
+        let registry = EntityRegistry::new();
+        for e in [&org, &dept, &alice] {
+            registry.register(e);
+        }
+        let repo = Repository::new();
+        repo.publish_at_issuer(
+            DelegationBuilder::new(&dept)
+                .subject_entity(&alice)
+                .role(dept.role("Member"))
+                .sign(),
+        );
+        repo.publish_at_issuer(
+            DelegationBuilder::new(&org)
+                .subject_role(dept.role("Member"))
+                .role(org.role("Staff"))
+                .sign(),
+        );
+        (registry, repo, RevocationBus::new(), org, alice)
+    }
+
+    fn verdicts(cache: &AuthCache) -> (u64, u64) {
+        let s = cache.stats();
+        (s.cred_misses, s.cred_hits)
+    }
 
     #[test]
-    fn cred_cache_memoizes_signature_only() {
-        let ny = Entity::with_seed("Comp.NY", b"c");
-        let alice = Entity::with_seed("Alice", b"c");
-        let cred = DelegationBuilder::new(&ny)
+    fn a_second_cache_reuses_the_verdicts_of_the_first() {
+        let (registry, repo, bus, org, alice) = chain();
+        let staff = org.role("Staff");
+        let (first, second) = (AuthCache::new(), AuthCache::new());
+        for cache in [&first, &second] {
+            ProofEngine::with_cache(&registry, &repo, &bus, 0, cache)
+                .prove(&alice.as_subject(), &staff, &[])
+                .unwrap();
+        }
+        assert_eq!(verdicts(&first), (2, 0));
+        assert_eq!(verdicts(&second), (0, 2));
+    }
+
+    #[test]
+    fn a_forged_grant_is_signature_checked_once() {
+        let (registry, repo, bus, org, alice) = chain();
+        let mut forged = DelegationBuilder::new(&org)
             .subject_entity(&alice)
-            .role(ny.role("Member"))
-            .expires(100)
+            .role(org.role("Admin"))
             .sign();
-        let cred = Credential::new(cred);
+        forged.body.serial += 1;
+        repo.publish_at_issuer(forged);
+        let admin = org.role("Admin");
+        let (first, second) = (AuthCache::new(), AuthCache::new());
+        for cache in [&first, &second] {
+            let engine = ProofEngine::with_cache(&registry, &repo, &bus, 0, cache);
+            assert!(engine.prove(&alice.as_subject(), &admin, &[]).is_err());
+        }
+        // Alice's leaf grant, the forgery, then Dept.Member → Org.Staff.
+        assert_eq!(verdicts(&first), (3, 0));
+        assert_eq!(verdicts(&second), (0, 3));
+    }
+
+    #[test]
+    fn a_rebound_issuer_key_is_checked_afresh_both_ways() {
+        let (registry, repo, bus, org, alice) = chain();
+        let staff = org.role("Staff");
         let cache = AuthCache::new();
-        let key = ny.public_key();
-        cache.verify_credential(&cred, &key, 0).unwrap();
-        cache.verify_credential(&cred, &key, 0).unwrap();
-        let s = cache.stats();
-        assert_eq!((s.cred_misses, s.cred_hits), (1, 1));
-        // Expiry is still enforced fresh on every call.
-        assert!(matches!(
-            cache.verify_credential(&cred, &key, 200),
-            Err(DrbacError::Expired { .. })
-        ));
-        // A wrong key is not answered from the memo table.
-        let mallory = Entity::with_seed("Mallory", b"c");
-        assert_eq!(
-            cache.verify_credential(&cred, &mallory.public_key(), 0),
-            Err(DrbacError::BadSignature)
-        );
+        let (proof, _) = ProofEngine::new(&registry, &repo, &bus, 0)
+            .prove(&alice.as_subject(), &staff, &[])
+            .unwrap();
+        let impostor = Entity::with_seed("Impostor", b"v");
+        for (key, holds) in [
+            (impostor.public_key(), false),
+            (org.public_key(), true),
+            (impostor.public_key(), false),
+        ] {
+            registry.register_key(org.name.clone(), key);
+            let cached = ProofEngine::with_cache(&registry, &repo, &bus, 0, &cache);
+            let plain = ProofEngine::new(&registry, &repo, &bus, 0);
+            assert_eq!(
+                cached.prove(&alice.as_subject(), &staff, &[]).is_ok(),
+                holds
+            );
+            assert_eq!(plain.prove(&alice.as_subject(), &staff, &[]).is_ok(), holds);
+            assert_eq!(proof.verify(&registry, &bus, 0).is_ok(), holds);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! A bounded map with CLOCK (second-chance) eviction — the memory of both
-//! [`AuthCache`](crate::AuthCache) tables.
+//! A bounded map with CLOCK (second-chance) eviction — the memory of the
+//! [`AuthCache`](crate::AuthCache) proof table.
 //!
 //! Entries sit in a fixed ring of at most `cap` slots, each with a
 //! reference bit that a hit sets. An insert into a full table moves the
@@ -94,21 +94,9 @@ impl<K: Clone + Eq + Hash, V> ClockTable<K, V> {
         }
     }
 
-    /// Every stored value, in ring order.
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().map(|s| &s.value)
-    }
-
     /// Number of stored entries.
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Drop every entry.
-    pub(crate) fn clear(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.hand = 0;
     }
 }
 
@@ -149,9 +137,6 @@ mod tests {
         t.insert(7, 70);
         t.insert(8, 80);
         assert_eq!(t.len(), 4);
-        assert_eq!(t.values().count(), 4);
-        t.clear();
-        assert_eq!((t.len(), t.get(&7)), (0, None));
     }
 
     proptest! {

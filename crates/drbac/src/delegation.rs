@@ -15,7 +15,7 @@ use crate::attr::AttrSet;
 use crate::entity::{Entity, EntityName, RoleName, Subject};
 use crate::{DrbacError, Timestamp};
 use psf_crypto::ed25519::Signature;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The three delegation types of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,15 +182,38 @@ impl PartialEq<CredId> for String {
     }
 }
 
-/// A [`SignedDelegation`] that carries its id: what the repository
-/// stores, sources hand out and proof edges rest on. The id is computed
-/// once, by [`Credential::new`], and cannot go stale — private fields,
-/// `Deref` but no `DerefMut`. A bare `SignedDelegation` stays freely
-/// mutable precisely because it stores no id.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A [`SignedDelegation`] that carries its id and its signature verdict:
+/// what the repository stores, sources hand out and proof edges rest on.
+/// The id is computed once, by [`Credential::new`], and cannot go stale —
+/// private fields, `Deref` but no `DerefMut`. A bare `SignedDelegation`
+/// stays freely mutable precisely because it stores neither.
+#[derive(Clone)]
 pub struct Credential {
     id: CredId,
     signed: SignedDelegation,
+    /// Set once, by the first signature check: the issuer key it ran
+    /// under and whether it passed. Ed25519 is a pure function of the
+    /// immutable bytes and the key, so the verdict never goes stale; a
+    /// check under any other key (a rebound issuer) runs afresh.
+    verdict: OnceLock<([u8; 32], bool)>,
+}
+
+/// Equality is the credential's: the verdict is a memo, not content.
+impl PartialEq for Credential {
+    fn eq(&self, other: &Credential) -> bool {
+        self.id == other.id && self.signed == other.signed
+    }
+}
+
+impl Eq for Credential {}
+
+impl core::fmt::Debug for Credential {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Credential")
+            .field("id", &self.id)
+            .field("signed", &self.signed)
+            .finish()
+    }
 }
 
 impl Credential {
@@ -199,6 +222,7 @@ impl Credential {
         Credential {
             id: CredId::of(&signed),
             signed,
+            verdict: OnceLock::new(),
         }
     }
 
@@ -220,6 +244,49 @@ impl Credential {
     /// shadows that re-hashing method behind the `Deref`.
     pub fn id(&self) -> String {
         self.id.into()
+    }
+
+    /// [`SignedDelegation::verify`] with the signature check answered
+    /// from the stored verdict when it was reached under `issuer_key` —
+    /// shadows that method behind the `Deref`. Structure and expiry are
+    /// checked on every call, in the same order.
+    pub fn verify(
+        &self,
+        issuer_key: &psf_crypto::ed25519::VerifyingKey,
+        now: Timestamp,
+    ) -> Result<(), DrbacError> {
+        self.verify_noting(issuer_key, now, |_| {})
+    }
+
+    /// [`verify`](Self::verify), telling `recalled` whether the signature
+    /// check was answered from the stored verdict (`true`) or computed
+    /// (`false`). Not called when structure or expiry fail first.
+    pub(crate) fn verify_noting(
+        &self,
+        issuer_key: &psf_crypto::ed25519::VerifyingKey,
+        now: Timestamp,
+        recalled: impl FnOnce(bool),
+    ) -> Result<(), DrbacError> {
+        self.check_structure()?;
+        self.check_expiry(now)?;
+        let passed = match self.verdict.get() {
+            Some(&(key, passed)) if key == issuer_key.0 => {
+                recalled(true);
+                passed
+            }
+            _ => {
+                recalled(false);
+                let passed = self.verify_signature(issuer_key).is_ok();
+                // A verdict under another key stays: the first one wins.
+                let _ = self.verdict.set((issuer_key.0, passed));
+                passed
+            }
+        };
+        if passed {
+            Ok(())
+        } else {
+            Err(DrbacError::BadSignature)
+        }
     }
 }
 
@@ -276,8 +343,8 @@ impl SignedDelegation {
     }
 
     /// Cryptographic signature check alone (no structure, no expiry) —
-    /// the expensive Ed25519 operation a verified-credential cache
-    /// memoizes per `(credential id, issuer key)`.
+    /// the expensive Ed25519 operation a [`Credential`] remembers the
+    /// verdict of.
     pub fn verify_signature(
         &self,
         issuer_key: &psf_crypto::ed25519::VerifyingKey,
@@ -555,6 +622,59 @@ mod tests {
             forged.verify(&sd.public_key(), 0),
             Err(DrbacError::BrokenChain(_))
         ));
+    }
+
+    /// The verdict memoizes the signature check only, and only under the
+    /// key it was reached with.
+    #[test]
+    fn verdict_memoizes_signature_only() {
+        let (ny, _, alice) = entities();
+        let signed = DelegationBuilder::new(&ny)
+            .subject_entity(&alice)
+            .role(ny.role("Member"))
+            .expires(100)
+            .sign();
+        let verify = |cred: &Credential, key: &psf_crypto::ed25519::VerifyingKey, now| {
+            let mut recalled = None;
+            let result = cred.verify_noting(key, now, |r| recalled = Some(r));
+            (result, recalled)
+        };
+        let cred = Credential::new(signed.clone());
+        let key = ny.public_key();
+        assert_eq!(verify(&cred, &key, 0), (Ok(()), Some(false)));
+        assert_eq!(verify(&cred, &key, 0), (Ok(()), Some(true)));
+        // Expiry is checked fresh on every call, before the verdict.
+        assert!(matches!(
+            verify(&cred, &key, 200),
+            (Err(DrbacError::Expired { .. }), None)
+        ));
+        // A wrong key is not answered from the stored verdict.
+        let mallory = Entity::with_seed("Mallory", b"t");
+        for _ in 0..2 {
+            assert_eq!(
+                verify(&cred, &mallory.public_key(), 0),
+                (Err(DrbacError::BadSignature), Some(false))
+            );
+        }
+        assert_eq!(cred.verify(&key, 0), Ok(()));
+        // A failure is remembered for the key it was reached under.
+        let mut tampered = signed;
+        tampered.body.serial += 1;
+        let forged = Credential::new(tampered);
+        assert_eq!(
+            verify(&forged, &key, 0),
+            (Err(DrbacError::BadSignature), Some(false))
+        );
+        assert_eq!(
+            verify(&forged, &key, 0),
+            (Err(DrbacError::BadSignature), Some(true))
+        );
+        // The verdict is a memo, not content.
+        assert_eq!(forged, Credential::new(forged.signed.clone()));
+        assert_eq!(
+            format!("{forged:?}"),
+            format!("{:?}", Credential::new(forged.signed.clone()))
+        );
     }
 
     /// The id's definition is frozen: these two were computed before

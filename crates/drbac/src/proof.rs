@@ -153,10 +153,11 @@ fn check_edge_common(
     let issuer_key = registry
         .lookup(&cred.body.issuer)
         .ok_or_else(|| DrbacError::UnknownIssuer(cred.body.issuer.0.clone()))?;
-    match cache {
-        Some(c) => c.verify_credential(cred, &issuer_key, now)?,
-        None => cred.verify(&issuer_key, now)?,
-    }
+    cred.verify_noting(&issuer_key, now, |recalled| {
+        if let Some(c) = cache {
+            c.note_verdict(recalled);
+        }
+    })?;
     let id = cred.cred_id();
     if bus.is_revoked(id.as_str()) {
         return Err(DrbacError::Revoked(id.into()));
@@ -218,11 +219,6 @@ impl<'a> ProofEngine<'a> {
     /// emission to pin the repository epoch).
     pub(crate) fn source(&self) -> &dyn CredentialSource {
         self.repository
-    }
-
-    /// The cache this engine answers repeat queries from, if any.
-    pub(crate) fn auth_cache(&self) -> Option<&AuthCache> {
-        self.cache
     }
 
     /// Current registry epoch (certificate emission pins it).

@@ -382,7 +382,6 @@ impl MailWorld {
             registry.clone(),
             repository.clone(),
             bus.clone(),
-            sites.network.clone(),
             clock.now(),
         );
         for (&node, pc) in &node_identities {

@@ -77,7 +77,7 @@ impl Authorizer {
         }
     }
 
-    /// The authorizer's proof/credential cache.
+    /// The authorizer's proof cache.
     pub fn auth_cache(&self) -> &AuthCache {
         &self.cache
     }

@@ -54,7 +54,7 @@ pub use audit::{AuditLog, AuditRecord, AuditSink, CacheOutcome, Decision, Verdic
 pub use metrics::{global as registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use slo::{Percentile, SloReport, SloSpec, SloTable};
 pub use trace::{
-    current_trace_id, event, export_jsonl, global as tracer, read_jsonl, span, span_with_context,
-    untraced, ContextGuard, ExportedSpan, SpanGuard, SpanRecord, TraceContext, TraceId, Tracer,
-    UntracedGuard,
+    current_trace_id, escape_into, event, export_jsonl, global as tracer, read_jsonl, span,
+    span_with_context, untraced, ContextGuard, ExportedSpan, SpanGuard, SpanRecord, TraceContext,
+    TraceId, Tracer, UntracedGuard,
 };

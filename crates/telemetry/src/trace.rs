@@ -504,7 +504,8 @@ impl Default for Tracer {
     }
 }
 
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+/// Append `s` to `out` escaped for a JSON string literal.
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -4,13 +4,19 @@
 //! the global counter) and reads the counter's delta across every door and
 //! every read path: 1 per publish — RPC ack and WAL append included — 1
 //! per record at recovery, `presented.len()` per authorization decision
-//! however many ACL rules it tries, and 0 everywhere else.
+//! however many ACL rules it tries, 1 per component credential the
+//! planner's oracle is given, and 0 everywhere else.
 
+use psf_core::model::{ComponentSpec, Effect};
+use psf_core::oracle::{AuthOracle, DrbacOracle};
 use psf_core::repo_service::{serve_sharded_durable_repository, RemoteRepository};
 use psf_drbac::entity::{Entity, EntityRegistry};
 use psf_drbac::proof::ProofEngine;
 use psf_drbac::wal::{ShardedDurableRepository, WalConfig};
-use psf_drbac::{AuthCache, DelegationBuilder, DiscoveryTag, SignedDelegation};
+use psf_drbac::{
+    AttrSet, AttrValue, AuthCache, DelegationBuilder, DiscoveryTag, RoleName, SignedDelegation,
+};
+use psf_netsim::NodeId;
 use psf_switchboard::{pair_in_memory_plain, ChannelConfig};
 use psf_views::ViewAcl;
 use std::sync::Arc;
@@ -157,6 +163,27 @@ fn a_credential_is_hashed_once() {
         let own = u64::from(what == "revoked edge");
         let ((), n) = hashes_in(read);
         assert_eq!(n - own, 0, "{what} re-hashed a stored credential");
+    }
+
+    // The planner's oracle wraps its component credentials when it is
+    // given them; its queries hash none of them.
+    let mut oracle = DrbacOracle::new(registry.clone(), repo.clone(), bus.clone(), 0);
+    oracle.set_node_exec_role(NodeId(0), org.role("Executable"), AttrSet::new());
+    let app = RoleName::new("Vendor", "App");
+    let grants = vec![DelegationBuilder::new(&org)
+        .subject_role(app.clone())
+        .role(org.role("Executable"))
+        .attr("CPU", AttrValue::Capacity(100))
+        .sign()];
+    let ((), n) = hashes_in(|| oracle.add_component_credentials(grants));
+    assert_eq!(n, 1);
+    let component = ComponentSpec::processor("App", "I", "I", Effect::Identity)
+        .cpu(10)
+        .exec_role(app);
+    for _ in 0..2 {
+        let (ok, n) = hashes_in(|| oracle.component_authorized(&component, NodeId(0)));
+        assert!(ok);
+        assert_eq!(n, 0, "an oracle query re-hashed a component credential");
     }
 
     // Presented credentials are hashed once per decision — `presented.len()`

@@ -421,7 +421,11 @@ proptest! {
     /// queries, revocations, clock advances, and repository publishes —
     /// onto keys no search reads and onto keys the searches read — an
     /// engine sharing one `AuthCache` must return byte-identical proofs,
-    /// and identical errors, to a fresh uncached engine at every step.
+    /// and identical errors, to a fresh uncached engine at every step, and
+    /// every proof must pass the independent checker. The uncached engine
+    /// searches a repository rebuilt from the published bytes, so no
+    /// credential it reads carries a signature verdict the cached side
+    /// stored.
     /// Two targets are asked each step: the chain's, and one that fails
     /// until a publish grants it, so failed searches are cached and
     /// invalidated too. A chain domain's name may also be rebound to a
@@ -434,8 +438,15 @@ proptest! {
         membership_expiry in proptest::option::of(1u64..30),
         schedule in prop::collection::vec((0u8..6, 0u64..16), 1..24),
     ) {
+        // Every publish, in order (a query returns a key's credentials in
+        // publish order), as wire bytes.
+        fn publish(repo: &Repository, wire: &mut Vec<Vec<u8>>, cred: SignedDelegation) {
+            wire.push(cred.to_wire());
+            repo.publish_at_issuer(cred);
+        }
         let registry = EntityRegistry::new();
         let repo = Repository::new();
+        let mut wire = Vec::new();
         let bus = RevocationBus::new();
         let user = Entity::with_seed(format!("user{seed}"), b"cachew");
         registry.register(&user);
@@ -454,20 +465,22 @@ proptest! {
             membership = membership.expires(t);
         }
         let membership = membership.sign();
-        repo.publish_at_issuer(membership.clone());
+        publish(&repo, &mut wire, membership.clone());
         chain.push(membership);
         for i in (0..chain_len - 1).rev() {
             let mapping = DelegationBuilder::new(&domains[i])
                 .subject_role(domains[i + 1].role("R"))
                 .role(domains[i].role("R"))
                 .sign();
-            repo.publish_at_issuer(mapping.clone());
+            publish(&repo, &mut wire, mapping.clone());
             chain.push(mapping);
         }
         for i in 0..decoys {
             let d = Entity::with_seed(format!("decoy{seed}-{i}"), b"cachew");
             registry.register(&d);
-            repo.publish_at_issuer(
+            publish(
+                &repo,
+                &mut wire,
                 DelegationBuilder::new(&d)
                     .subject_role(RoleName::new("Nowhere.Else", "X"))
                     .role(d.role("Y"))
@@ -500,7 +513,9 @@ proptest! {
                     let d = Entity::with_seed(format!("extra{seed}-{extra}"), b"cachew");
                     extra += 1;
                     registry.register(&d);
-                    repo.publish_at_issuer(
+                    publish(
+                        &repo,
+                        &mut wire,
                         DelegationBuilder::new(&d)
                             .subject_role(RoleName::new("Nowhere.Else", "X"))
                             .role(d.role("Y"))
@@ -519,7 +534,7 @@ proptest! {
                         let lower = domains[(arg as usize / 2) % chain_len].role("R");
                         DelegationBuilder::new(&domains[0]).subject_role(lower).role(side.clone())
                     };
-                    repo.publish_at_issuer(grant.serial(extra as u64).sign());
+                    publish(&repo, &mut wire, grant.serial(extra as u64).sign());
                 }
                 // Rebind a chain domain's name to a different key: every
                 // credential it signed stops verifying.
@@ -532,13 +547,20 @@ proptest! {
                 // Plain query step (drives cache hits).
                 _ => {}
             }
+            let rebuilt = Repository::new();
+            for bytes in &wire {
+                let cred = SignedDelegation::from_wire(&mut Reader::new(bytes)).unwrap();
+                rebuilt.publish_at_issuer(cred);
+            }
             let cached = ProofEngine::with_cache(&registry, &repo, &bus, now, &cache);
-            let plain = ProofEngine::new(&registry, &repo, &bus, now);
+            let plain = ProofEngine::new(&registry, &rebuilt, &bus, now);
             for role in [&target, &side] {
                 match (cached.prove(&subject, role, &[]), plain.prove(&subject, role, &[])) {
                     (Ok((pc, _)), Ok((pp, _))) => {
-                        // Full structural identity, supports included.
+                        // Full structural identity, supports included, and
+                        // the independent checker accepts it.
                         prop_assert_eq!(format!("{pc:?}"), format!("{pp:?}"));
+                        prop_assert!(pc.verify(&registry, &bus, now).is_ok());
                     }
                     (Err(ec), Err(ep)) => prop_assert_eq!(ec.error, ep.error),
                     (c, p) => prop_assert!(
