@@ -510,7 +510,8 @@ impl PlanEffects for Acquire<'_> {
                 pair
             }
         };
-        // Serve the upstream endpoint on the provider side.
+        // Serve the upstream endpoint on the provider side. The catch-all
+        // runs off-shard, so a forwarded call may wait on the next hop.
         let served = self.upstream();
         server_side.register_default_handler(move |method, args| served.call_remote(method, args));
         let client = Arc::new(client_side);

@@ -4,12 +4,12 @@
 //!
 //! ## Engine
 //!
-//! Every channel is driven by the [reactor](crate::reactor): its shard's
-//! timer wheel sends the heartbeats, and a TCP stream the platform's
-//! poller can watch (Linux) is read by the shard too, so such a channel
-//! owns no thread. Any other transport keeps one reader thread, which is
-//! also where its handlers run — a handler that blocks parks that thread,
-//! never a shard.
+//! Every channel is driven by the [reactor](crate::reactor): its shard
+//! reads it (a socket, or an inbox the peer fills) and its shard's timer
+//! wheel sends the heartbeats, so a channel owns no thread. Inline
+//! handlers run on the shard and must not wait; blocking handlers run in
+//! arrival order on a drain thread that exists while the channel has
+//! such requests queued.
 //!
 //! ## Data plane
 //!
@@ -26,7 +26,7 @@
 use crate::pool::{FramePool, PooledBuf, DEFAULT_POOL_SLOTS};
 use crate::rpc::{self, RpcStatus};
 use crate::suite::{AuthorizationMonitor, Authorizer};
-use crate::transport::{FrameReceiver, FrameSender};
+use crate::transport::{FrameSender, Receiver};
 use crate::SwitchboardError;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -34,7 +34,7 @@ use psf_crypto::aead::ChaCha20Poly1305;
 use psf_crypto::ed25519::VerifyingKey;
 use psf_drbac::entity::EntityName;
 use psf_drbac::wire;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -138,9 +138,12 @@ pub struct PeerInfo {
     pub key: VerifyingKey,
 }
 
-type Handler = Arc<dyn Fn(&[u8]) -> Result<Vec<u8>, String> + Send + Sync>;
-type DefaultHandler = Arc<dyn Fn(&str, &[u8]) -> Result<Vec<u8>, String> + Send + Sync>;
+/// A request handler, called with the method name and the arguments.
+type Handler = Arc<dyn Fn(&str, &[u8]) -> Result<Vec<u8>, String> + Send + Sync>;
 type CloseWatcher = Box<dyn FnOnce() + Send>;
+/// Requests for handlers that may wait (each body copied out of its
+/// frame), in arrival order; `Some` while a drain thread answers them.
+type OffShard = Option<VecDeque<(Vec<u8>, Handler)>>;
 
 // --------------------------------------------------------- RPC waiters --
 
@@ -186,7 +189,7 @@ impl CallSlot {
     }
 }
 
-/// Sharded id → waiter map. Pipelined callers and the reader thread touch
+/// Sharded id → waiter map. Pipelined callers and the reading shard touch
 /// disjoint shards most of the time, so completion of one call never
 /// serializes behind registration of another.
 const PENDING_SHARDS: usize = 16;
@@ -239,8 +242,10 @@ pub(crate) struct ChannelInner {
     pool: Arc<FramePool>,
     reauth_waiters: Mutex<Vec<Sender<bool>>>,
     next_rpc_id: AtomicU64,
-    handlers: RwLock<HashMap<String, Handler>>,
-    default_handler: RwLock<Option<DefaultHandler>>,
+    /// Method handlers, each with whether it may wait (runs off-shard).
+    handlers: RwLock<HashMap<String, (Handler, bool)>>,
+    default_handler: RwLock<Option<Handler>>,
+    off_shard: Mutex<OffShard>,
     start: Instant,
     last_heard_us: AtomicU64,
     last_rtt_us: AtomicU64,
@@ -258,8 +263,8 @@ pub(crate) struct ChannelInner {
     /// miss both the drain and the re-check and idle out its timeout.
     closed: AtomicBool,
     close_watchers: Mutex<Vec<CloseWatcher>>,
-    /// Link back to the reactor shard servicing this channel (TCP
-    /// connection and/or wheel heartbeat); taken exactly once at close.
+    /// Link back to the reactor shard servicing this channel (its reads
+    /// and heartbeats); taken exactly once at close.
     reactor_reg: Mutex<Option<crate::reactor::Registration>>,
     config: ChannelConfig,
 }
@@ -280,14 +285,12 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Assemble a channel over split transport halves. A TCP stream the
-    /// reactor's poller can watch is handed to a shard and the channel
-    /// owns **zero** threads; any other transport keeps a reader thread.
-    /// Either way heartbeats come from the shard's timer wheel. Called by
-    /// the handshake module.
+    /// Assemble a channel over split transport halves and hand the
+    /// receiver to a reactor shard, which reads it and sends its
+    /// heartbeats. Called by the handshake module.
     pub(crate) fn start(
         sender: Box<dyn FrameSender>,
-        mut receiver: Box<dyn FrameReceiver>,
+        receiver: Receiver,
         mode: Mode,
         peer: Option<PeerInfo>,
         monitor: Option<AuthorizationMonitor>,
@@ -309,6 +312,7 @@ impl Channel {
             next_rpc_id: AtomicU64::new(1),
             handlers: RwLock::new(HashMap::new()),
             default_handler: RwLock::new(None),
+            off_shard: Mutex::new(None),
             start: Instant::now(),
             last_heard_us: AtomicU64::new(0),
             last_rtt_us: AtomicU64::new(0),
@@ -326,26 +330,7 @@ impl Channel {
         });
 
         let heartbeat = inner.config.heartbeat_interval;
-        if let Some(stream) = crate::reactor::claim_stream(&mut *receiver) {
-            // The channel owns no threads at all. Flipping the (shared)
-            // file description nonblocking also covers the sender half,
-            // whose vectored writes absorb `EWOULDBLOCK` by queueing the
-            // unsent tail in a bounded backlog the reactor flushes on
-            // writable edges — no send path ever blocks a reactor shard.
-            stream.set_nonblocking(true).expect("set_nonblocking");
-            crate::reactor::register_connection(stream, &inner, heartbeat);
-            return Channel { inner };
-        }
-        // Blocking reads (and the handlers they dispatch to) stay on a
-        // reader thread; heartbeats still come from the timer wheel.
-        if let Some(interval) = heartbeat {
-            crate::reactor::register_heartbeat(&inner, interval, receiver.peer_ip());
-        }
-        let reader = inner.clone();
-        std::thread::Builder::new()
-            .name("swbd-reader".into())
-            .spawn(move || reader_loop(reader, receiver))
-            .expect("spawn reader");
+        crate::reactor::register_connection(receiver.0, &inner, heartbeat);
         Channel { inner }
     }
 
@@ -414,20 +399,43 @@ impl Channel {
         }
     }
 
-    /// Register a handler for incoming RPC requests.
+    /// Register a handler for incoming RPC requests. It runs inline on
+    /// the reactor shard that read the request, which serves every
+    /// channel pinned there, so it must not wait: no RPC on any channel
+    /// (that fails with [`SwitchboardError::WaitOnShard`]), no lock held
+    /// across I/O. A handler that may wait uses
+    /// [`register_blocking_handler`](Channel::register_blocking_handler).
     pub fn register_handler<F>(&self, method: impl Into<String>, f: F)
     where
         F: Fn(&[u8]) -> Result<Vec<u8>, String> + Send + Sync + 'static,
     {
+        let handler: Handler = Arc::new(move |_, args| f(args));
         self.inner
             .handlers
             .write()
-            .insert(method.into(), Arc::new(f));
+            .insert(method.into(), (handler, false));
+    }
+
+    /// Register a handler that may wait (user code, a call over another
+    /// channel). Its requests run off-shard, one at a time in arrival
+    /// order, on a thread that exists while this channel has such
+    /// requests queued.
+    pub fn register_blocking_handler<F>(&self, method: impl Into<String>, f: F)
+    where
+        F: Fn(&[u8]) -> Result<Vec<u8>, String> + Send + Sync + 'static,
+    {
+        let handler: Handler = Arc::new(move |_, args| f(args));
+        self.inner
+            .handlers
+            .write()
+            .insert(method.into(), (handler, true));
     }
 
     /// Register a catch-all handler invoked (with the method name) when no
     /// per-method handler matches — used to serve whole component
-    /// endpoints over one channel.
+    /// endpoints over one channel. It forwards to arbitrary code, so it
+    /// runs off-shard like a
+    /// [blocking handler](Channel::register_blocking_handler).
     pub fn register_default_handler<F>(&self, f: F)
     where
         F: Fn(&str, &[u8]) -> Result<Vec<u8>, String> + Send + Sync + 'static,
@@ -448,6 +456,10 @@ impl Channel {
         args: &[u8],
         timeout: Duration,
     ) -> Result<Vec<u8>, SwitchboardError> {
+        if crate::reactor::on_shard() {
+            // Refuse before the request leaves: its effect would be lost.
+            return Err(SwitchboardError::WaitOnShard);
+        }
         // Only traced work pays for a per-call span: when the caller has a
         // live trace, the call gets its own span (whose context then rides
         // the request envelope); untraced traffic skips straight through.
@@ -467,50 +479,16 @@ impl Channel {
         method: &str,
         args: &[u8],
     ) -> Result<PendingCall, SwitchboardError> {
-        self.check_traffic_allowed()?;
-        let start = Instant::now();
-        let ctx = psf_telemetry::TraceContext::current();
-        // Relaxed: pure unique-id allocation; the id is published to the
-        // reader through the pending table's shard mutex, not this atomic.
-        let id = self.inner.next_rpc_id.fetch_add(1, Ordering::Relaxed);
-        let slot = CallSlot::new();
-        self.inner.pending.insert(id, slot.clone());
-
-        let mut buf = self
-            .inner
-            .pool
-            .take(8 + 1 + rpc::REQ_HEADER_LEN + method.len() + args.len() + 17);
-        buf.extend_from_slice(&[0u8; 8]); // sequence header, filled at send
-        buf.push(FT_RPC_REQ);
-        rpc::encode_request_into(&mut buf, id, method, args, ctx);
-        if let Err(e) = send_pooled_frames(&self.inner, std::slice::from_mut(&mut buf)) {
-            self.inner.pending.remove(id);
-            return Err(e);
-        }
-        // `mark_closed` may have drained the table before our insert (its
-        // drain and our insert race when the transport dies concurrently);
-        // re-checking after the insert guarantees the slot cannot be left
-        // to idle out the full RPC timeout.
-        if self.inner.closed.load(Ordering::SeqCst) {
-            self.inner.pending.remove(id);
-            slot.complete(Err(SwitchboardError::Closed));
-        }
-        psf_telemetry::gauge!("psf.switchboard.pipeline.inflight").add(1);
-        Ok(PendingCall {
-            inner: self.inner.clone(),
-            slot,
-            id,
-            start,
-            default_timeout: self.inner.config.rpc_timeout,
-            claimed: false,
-        })
+        let mut calls = self.call_pipelined_batch(method, &[args])?;
+        Ok(calls.pop().expect("one call per argument"))
     }
 
     /// Issue one request per element of `chunk` as a single coalesced
     /// transport write. Sequence numbers are allocated contiguously under
     /// one sender-lock acquisition and the frames leave in one
-    /// [`send_many`](crate::transport::FrameSender::send_many), so the
-    /// peer's reader wakes once per chunk instead of once per call.
+    /// [`send_many`](crate::transport::FrameSender::send_many) (a single
+    /// frame in one `send`), so the peer wakes once per chunk instead of
+    /// once per call.
     fn call_pipelined_batch(
         &self,
         method: &str,
@@ -519,10 +497,12 @@ impl Channel {
         self.check_traffic_allowed()?;
         let start = Instant::now();
         let ctx = psf_telemetry::TraceContext::current();
-        let mut ids = Vec::with_capacity(chunk.len());
-        let mut slots = Vec::with_capacity(chunk.len());
+        let mut calls = Vec::with_capacity(chunk.len());
         let mut bufs = Vec::with_capacity(chunk.len());
+        psf_telemetry::gauge!("psf.switchboard.pipeline.inflight").add(chunk.len() as i64);
         for args in chunk {
+            // Relaxed: pure unique-id allocation; the id is published to
+            // the reader through the pending table's shard mutex.
             let id = self.inner.next_rpc_id.fetch_add(1, Ordering::Relaxed);
             let slot = CallSlot::new();
             self.inner.pending.insert(id, slot.clone());
@@ -533,36 +513,29 @@ impl Channel {
             buf.extend_from_slice(&[0u8; 8]); // sequence header, filled at send
             buf.push(FT_RPC_REQ);
             rpc::encode_request_into(&mut buf, id, method, args, ctx);
-            ids.push(id);
-            slots.push(slot);
             bufs.push(buf);
-        }
-        if let Err(e) = send_pooled_frames(&self.inner, &mut bufs) {
-            for id in &ids {
-                self.inner.pending.remove(*id);
-            }
-            return Err(e);
-        }
-        // Same close race as `call_pipelined`: re-check after the inserts.
-        if self.inner.closed.load(Ordering::SeqCst) {
-            for (id, slot) in ids.iter().zip(&slots) {
-                self.inner.pending.remove(*id);
-                slot.complete(Err(SwitchboardError::Closed));
-            }
-        }
-        psf_telemetry::gauge!("psf.switchboard.pipeline.inflight").add(chunk.len() as i64);
-        Ok(ids
-            .into_iter()
-            .zip(slots)
-            .map(|(id, slot)| PendingCall {
+            calls.push(PendingCall {
                 inner: self.inner.clone(),
                 slot,
                 id,
                 start,
                 default_timeout: self.inner.config.rpc_timeout,
                 claimed: false,
-            })
-            .collect())
+            });
+        }
+        // On failure the unclaimed calls drop, leaving the pending table.
+        send_pooled_frames(&self.inner, &mut bufs)?;
+        // `mark_closed` may have drained the table before our inserts (its
+        // drain and our inserts race when the transport dies concurrently);
+        // re-checking after them guarantees no slot idles out the full RPC
+        // timeout.
+        if self.inner.closed.load(Ordering::SeqCst) {
+            for call in &calls {
+                self.inner.pending.remove(call.id);
+                call.slot.complete(Err(SwitchboardError::Closed));
+            }
+        }
+        Ok(calls)
     }
 
     /// Invoke `method` once per element of `batch`, keeping up to `window`
@@ -734,10 +707,17 @@ impl PendingCall {
         self.wait_timeout(timeout)
     }
 
-    /// Await the response; the timeout is measured from issue time.
+    /// Await the response; the timeout is measured from issue time. On a
+    /// reactor shard thread (an inline handler) this fails at once with
+    /// [`SwitchboardError::WaitOnShard`]: the wait would park every
+    /// channel on the shard, possibly the one the response arrives on.
     pub fn wait_timeout(mut self, timeout: Duration) -> Result<Vec<u8>, SwitchboardError> {
         self.claimed = true;
         psf_telemetry::gauge!("psf.switchboard.pipeline.inflight").add(-1);
+        if crate::reactor::on_shard() {
+            self.inner.pending.remove(self.id);
+            return Err(SwitchboardError::WaitOnShard);
+        }
         match self.slot.wait_deadline(self.start + timeout) {
             Some(result) => {
                 psf_telemetry::counter!("psf.swbd.rpc.calls").inc();
@@ -881,32 +861,6 @@ pub(crate) fn mark_closed(inner: &Arc<ChannelInner>) {
     }
 }
 
-// ------------------------------------------------------------- reader --
-
-fn reader_loop(inner: Arc<ChannelInner>, mut receiver: Box<dyn FrameReceiver>) {
-    // Take a whole burst per wakeup and stage the burst's RPC responses
-    // for one coalesced write: with a pipelined peer this keeps every hop
-    // of the request/response loop batch-coherent (one scheduler round
-    // trip per window, not per call).
-    while let Ok(batch) = receiver.recv_many() {
-        let mut responses: Vec<PooledBuf> = Vec::with_capacity(batch.len());
-        let mut alive = true;
-        for frame in batch {
-            if !process_frame(&inner, frame, &mut responses) {
-                alive = false;
-                break;
-            }
-        }
-        if !responses.is_empty() && send_pooled_frames(&inner, &mut responses).is_err() {
-            break;
-        }
-        if !alive {
-            break;
-        }
-    }
-    mark_closed(&inner);
-}
-
 /// Handle one wire frame. Returns `false` when the channel must close
 /// (protocol violation, forged record, or an orderly `FT_CLOSE`). RPC
 /// responses are staged into `responses` rather than sent, so a burst of
@@ -926,9 +880,8 @@ pub(crate) fn process_frame(
     psf_telemetry::counter!("psf.switchboard.bytes.rx").add(frame.len() as u64);
     let seq = u64::from_le_bytes(frame[..8].try_into().unwrap());
     // Relaxed: `recv_seq` is only ever touched by the single receive
-    // context (the reader thread, or the one reactor shard this
-    // connection is pinned to), so there is no concurrent access to
-    // order against.
+    // context (the one reactor shard this channel is pinned to), so there
+    // is no concurrent access to order against.
     let expected = inner.recv_seq.load(Ordering::Relaxed);
     if seq != expected {
         // Replay or reorder: hard protocol failure.
@@ -978,6 +931,25 @@ fn handle_request(inner: &Arc<ChannelInner>, body: &[u8], responses: &mut Vec<Po
     let Some((id, ctx, method, args)) = rpc::decode_request(body) else {
         return;
     };
+    let route = inner.handlers.read().get(method).cloned();
+    match route.or_else(|| Some((inner.default_handler.read().clone()?, true))) {
+        Some((handler, true)) => run_off_shard(inner, body.to_vec(), handler),
+        route => {
+            let handler = route.map(|(handler, _)| handler);
+            responses.push(respond(inner, id, ctx, method, args, handler.as_ref()));
+        }
+    }
+}
+
+/// Run a request's handler and assemble its response frame.
+fn respond(
+    inner: &Arc<ChannelInner>,
+    id: u64,
+    ctx: Option<psf_telemetry::TraceContext>,
+    method: &str,
+    args: &[u8],
+    handler: Option<&Handler>,
+) -> PooledBuf {
     // Join the caller's causal tree: the dispatch span (and anything the
     // handler opens under it — proof searches, view selection) is parented
     // under the client's call span carried in the request envelope.
@@ -987,41 +959,71 @@ fn handle_request(inner: &Arc<ChannelInner>, body: &[u8], responses: &mut Vec<Po
         s.field("method", method);
     }
     // Continuous authorization: refuse service while the peer's proof is
-    // invalid.
+    // invalid. Checked immediately before the handler, so a revocation
+    // that lands while a request waits for the drain thread refuses it.
     let refusal = inner.monitor.lock().as_ref().and_then(|m| m.refusal());
-    let (status, payload) = if let Some(why) = refusal {
-        *inner.status.write() = ChannelStatus::RevalidationRequired(why);
-        psf_telemetry::counter!("psf.swbd.authz.refused").inc();
-        (RpcStatus::RevalidationRequired, Vec::new())
-    } else {
-        let handler = inner.handlers.read().get(method).cloned();
-        match handler {
-            Some(h) => match h(args) {
-                Ok(out) => (RpcStatus::Ok, out),
-                Err(msg) => (RpcStatus::Error, msg.into_bytes()),
-            },
-            None => {
-                let fallback = inner.default_handler.read().clone();
-                match fallback {
-                    Some(h) => match h(method, args) {
-                        Ok(out) => (RpcStatus::Ok, out),
-                        Err(msg) => (RpcStatus::Error, msg.into_bytes()),
-                    },
-                    None => (RpcStatus::NoSuchMethod, method.as_bytes().to_vec()),
-                }
-            }
+    let (status, payload) = match (refusal, handler) {
+        (Some(why), _) => {
+            *inner.status.write() = ChannelStatus::RevalidationRequired(why);
+            psf_telemetry::counter!("psf.swbd.authz.refused").inc();
+            (RpcStatus::RevalidationRequired, Vec::new())
         }
+        (None, Some(h)) => match h(method, args) {
+            Ok(out) => (RpcStatus::Ok, out),
+            Err(msg) => (RpcStatus::Error, msg.into_bytes()),
+        },
+        (None, None) => (RpcStatus::NoSuchMethod, method.as_bytes().to_vec()),
     };
     // Response assembled directly into a pooled wire frame — no
-    // intermediate encode allocation — and staged so the reader answers a
-    // whole request burst with one coalesced write.
+    // intermediate encode allocation.
     let mut buf = inner.pool.take(8 + 1 + 9 + payload.len() + 16);
     buf.extend_from_slice(&[0u8; 8]); // sequence header, filled at send
     buf.push(FT_RPC_RESP);
     buf.extend_from_slice(&id.to_le_bytes());
     buf.push(status.to_u8());
     buf.extend_from_slice(&payload);
-    responses.push(buf);
+    buf
+}
+
+/// Queue a request for the channel's drain thread, starting one if the
+/// queue was idle.
+fn run_off_shard(inner: &Arc<ChannelInner>, body: Vec<u8>, handler: Handler) {
+    let mut off = inner.off_shard.lock();
+    if let Some(queue) = off.as_mut() {
+        queue.push_back((body, handler)); // its drain thread is running
+        return;
+    }
+    *off = Some(VecDeque::from([(body, handler)]));
+    drop(off);
+    let drainer = inner.clone();
+    let spawned = std::thread::Builder::new()
+        .name("swbd-dispatch".into())
+        .spawn(move || drain_off_shard(&drainer));
+    if spawned.is_err() {
+        // No thread to wait in: fail closed rather than run it here.
+        mark_closed(inner);
+    }
+}
+
+/// Answer queued requests in arrival order, each under its caller's trace
+/// context, until the queue empties or the channel closes.
+fn drain_off_shard(inner: &Arc<ChannelInner>) {
+    loop {
+        let (body, handler) = {
+            let mut off = inner.off_shard.lock();
+            match off.as_mut().and_then(VecDeque::pop_front) {
+                Some(job) if !inner.is_closed() => job,
+                _ => {
+                    *off = None; // the next request starts a new drain thread
+                    return;
+                }
+            }
+        };
+        let (id, ctx, method, args) = rpc::decode_request(&body).expect("decoded on arrival");
+        let _trace = ctx.map(psf_telemetry::TraceContext::attach);
+        let mut buf = respond(inner, id, ctx, method, args, Some(&handler));
+        let _ = send_pooled_frames(inner, std::slice::from_mut(&mut buf));
+    }
 }
 
 fn handle_response(inner: &Arc<ChannelInner>, body: &[u8]) {

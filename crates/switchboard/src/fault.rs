@@ -4,7 +4,7 @@
 //! surfaces as wrong data — the AEAD/sequence checks kill the channel and
 //! pending RPCs resolve to errors.
 
-use crate::transport::{FrameReceiver, FrameSender, Transport};
+use crate::transport::{FrameSender, Receiver, Transport};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -121,7 +121,7 @@ impl FrameSender for FaultySender {
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
+    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Receiver) {
         let (tx, rx) = Box::new(self.inner).split();
         (
             Box::new(FaultySender {

@@ -17,7 +17,7 @@
 
 use crate::channel::{Channel, ChannelConfig, Mode, PeerInfo};
 use crate::suite::AuthSuite;
-use crate::transport::{MemTransport, TcpTransport, Transport};
+use crate::transport::{read_frame, MemTransport, TcpTransport, Transport};
 use crate::SwitchboardError;
 use psf_crypto::aead::ChaCha20Poly1305;
 use psf_crypto::ed25519::{Signature, VerifyingKey};
@@ -102,7 +102,7 @@ pub fn establish_secure(
     // H1 exchange.
     let my_hello = build_hello(suite, initiator, &eph_pub);
     tx.send(&my_hello)?;
-    let peer_hello = parse_hello(rx.recv()?, !initiator)?;
+    let peer_hello = parse_hello(read_frame(&mut rx.0)?, !initiator)?;
 
     // Transcript: initiator's hello first.
     let mut transcript = Vec::with_capacity(my_hello.len() + peer_hello.raw.len());
@@ -120,7 +120,7 @@ pub fn establish_secure(
     h2.extend_from_slice(&sig.to_bytes());
     h2.extend_from_slice(&wire::encode_credentials(&suite.credentials));
     tx.send(&h2)?;
-    let peer_h2 = rx.recv()?;
+    let peer_h2 = read_frame(&mut rx.0)?;
     if peer_h2.len() < 64 {
         return Err(SwitchboardError::Handshake("short H2".into()));
     }
@@ -172,7 +172,7 @@ pub fn establish_secure(
     let mut h3 = vec![verdict];
     h3.extend_from_slice(reason.as_bytes());
     tx.send(&h3)?;
-    let peer_h3 = rx.recv()?;
+    let peer_h3 = read_frame(&mut rx.0)?;
     let peer_accepts = peer_h3.first() == Some(&1);
 
     let monitor = match auth_result {

@@ -31,9 +31,9 @@
 //!   an in-memory pair for deterministic tests and simulation. A
 //!   `Plain` mode models the paper's unauthenticated `rmi` exposure type.
 //! * **Reactor** ([`reactor`]) — the one channel engine: shard threads
-//!   whose timer wheels heartbeat every channel on every target, and
-//!   which read TCP channels themselves where the platform's poller can
-//!   watch sockets (Linux); other channels keep a reader thread.
+//!   that read every channel (sockets, or inboxes the peer fills) and
+//!   whose timer wheels heartbeat them, on every target. Handlers that
+//!   may wait run off-shard.
 //! * **Streams** ([`stream`]) — SwitchboardStream-style bulk transfer:
 //!   ordered chunks with an end-to-end digest, inheriting the channel's
 //!   encryption and continuous authorization.
@@ -83,6 +83,9 @@ pub enum SwitchboardError {
     Closed,
     /// An RPC timed out.
     Timeout,
+    /// A reactor shard thread (an inline handler) tried to wait on an
+    /// RPC response; such a handler must be registered as blocking.
+    WaitOnShard,
     /// Malformed frame or protocol state violation.
     Protocol(String),
     /// The remote handler reported an application error.
@@ -104,6 +107,7 @@ impl Clone for SwitchboardError {
             }
             SwitchboardError::Closed => SwitchboardError::Closed,
             SwitchboardError::Timeout => SwitchboardError::Timeout,
+            SwitchboardError::WaitOnShard => SwitchboardError::WaitOnShard,
             SwitchboardError::Protocol(m) => SwitchboardError::Protocol(m.clone()),
             SwitchboardError::Remote(m) => SwitchboardError::Remote(m.clone()),
         }
@@ -122,6 +126,7 @@ impl core::fmt::Display for SwitchboardError {
             }
             SwitchboardError::Closed => write!(f, "channel closed"),
             SwitchboardError::Timeout => write!(f, "operation timed out"),
+            SwitchboardError::WaitOnShard => write!(f, "inline handler waited on an RPC"),
             SwitchboardError::Protocol(m) => write!(f, "protocol violation: {m}"),
             SwitchboardError::Remote(m) => write!(f, "remote error: {m}"),
         }

@@ -2,16 +2,16 @@
 //! target.
 //!
 //! A fixed set of shard threads (one per core, capped at 8) services
-//! every channel: each shard owns a [poller](sys::Poller), the TCP
-//! connections hash-pinned to it, and a hashed [timer wheel](wheel)
-//! driving heartbeats. Per-channel steady-state cost is one table entry
-//! plus a timer-slot share — no channel owns a heartbeat thread.
+//! every channel: each shard owns a [poller](sys::Poller), the channels
+//! hash-pinned to it, and a hashed [timer wheel](wheel) driving
+//! heartbeats. Per-channel steady-state cost is one table entry plus a
+//! timer-slot share — no channel owns a thread.
 //!
 //! * **Sharding** — a connection's token picks its shard once at
 //!   registration; all its readiness handling, timer state, and
 //!   heartbeat grouping live on that shard. The hot path never takes a
 //!   cross-shard lock (the only shared mutable state is each shard's
-//!   command queue, touched at registration/close).
+//!   command queue, touched at registration/close and by inbox wakes).
 //! * **Edge-triggered reads, budgeted** — shards read until
 //!   `EWOULDBLOCK` or a per-pass byte budget, re-framing the byte stream
 //!   and feeding complete records to the existing `process_frame` path
@@ -37,12 +37,14 @@
 //!   `crates/crypto` that CI's unsafe_code audit permits); everything
 //!   here is safe Rust over its owning types.
 //!
-//! Only sockets the poller can watch are read by a shard: TCP on Linux.
-//! Every other transport — the in-memory `MemTransport`, wrappers that
-//! intercept `recv`, and TCP where the poller is the portable waiter —
-//! keeps a blocking reader thread, because handlers run where frames are
-//! read and a handler may block. Its heartbeats still come from the
-//! shard's wheel.
+//! Every channel is a shard source: a socket the poller watches (Linux
+//! TCP) or an inbox its peer's sender fills and wakes the shard for
+//! (in-memory pairs, and TCP off Linux, where a pump thread that only
+//! reads feeds the inbox). So frames are dispatched on a shard on every
+//! target. Handlers registered as inline run right there and must not
+//! wait; a blocking handler's request is queued to a per-channel drain
+//! thread ([`Channel::register_blocking_handler`](crate::Channel::register_blocking_handler)),
+//! and a shard thread that waits on an RPC response fails at once.
 
 #[allow(unsafe_code)]
 pub(crate) mod sys;
@@ -53,11 +55,12 @@ use crate::channel::{
     ChannelInner,
 };
 use crate::pool::PooledBuf;
-use crate::transport::{FrameReceiver, MAX_FRAME};
+use crate::transport::{Source, MAX_FRAME};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{IpAddr, TcpStream};
+use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -89,14 +92,14 @@ pub(crate) struct Registration {
 enum Command {
     Register {
         token: u64,
-        stream: TcpStream,
+        source: Source,
         inner: Arc<ChannelInner>,
+        /// Heartbeat interval and the peer host whose group it joins.
+        heartbeat: Option<(Duration, Option<IpAddr>)>,
     },
-    Heartbeat {
+    /// An inbox has frames (or its EOF) for the shard to take.
+    Readable {
         token: u64,
-        inner: Weak<ChannelInner>,
-        interval: Duration,
-        peer: Option<IpAddr>,
     },
     Close {
         token: u64,
@@ -113,6 +116,15 @@ impl ShardHandle {
         self.queue.lock().push(cmd);
         self.wake.wake();
     }
+}
+
+thread_local! {
+    static ON_SHARD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a reactor shard, which must never wait.
+pub(crate) fn on_shard() -> bool {
+    ON_SHARD.with(Cell::get)
 }
 
 struct Reactor {
@@ -159,70 +171,52 @@ fn alloc_token(reactor: &Reactor) -> (usize, u64) {
     ((token % reactor.shards.len() as u64) as usize, token)
 }
 
-/// Take the receiver's TCP stream if this platform's poller can watch
-/// it; `None` leaves the receiver to a reader thread.
-pub(crate) fn claim_stream(receiver: &mut dyn FrameReceiver) -> Option<TcpStream> {
-    if sys::Poller::WATCHES_SOCKETS {
-        receiver.take_stream()
-    } else {
-        None
-    }
-}
-
-/// Hand a connected (handshake-complete) TCP stream to the reactor: the
-/// channel stops owning threads and is serviced by its shard from now
-/// on. The stream must already be nonblocking.
+/// Hand a connected (handshake-complete) channel's receiver to a shard,
+/// which reads it and drives its heartbeats from now on. The channel
+/// owns no thread, except off Linux, where a TCP stream gets a pump.
 pub(crate) fn register_connection(
-    stream: TcpStream,
+    source: Source,
     inner: &Arc<ChannelInner>,
     heartbeat: Option<Duration>,
 ) {
-    let reactor = global();
-    let (shard_idx, token) = alloc_token(reactor);
-    inner.set_reactor_registration(Registration {
-        shard: shard_idx,
-        token,
-    });
-    let peer = stream.peer_addr().ok().map(|a| a.ip());
-    let shard = &reactor.shards[shard_idx];
-    {
-        let mut q = shard.queue.lock();
-        q.push(Command::Register {
-            token,
-            stream,
-            inner: inner.clone(),
-        });
-        if let Some(interval) = heartbeat {
-            q.push(Command::Heartbeat {
-                token,
-                inner: Arc::downgrade(inner),
-                interval,
-                peer,
-            });
+    let (source, peer) = match source {
+        Source::Socket(stream) => {
+            let peer = stream.peer_addr().ok().map(|a| a.ip());
+            // The file description is shared, so nonblocking covers the
+            // sender half too: its writes backlog instead of blocking.
+            #[cfg(target_os = "linux")]
+            let source = stream
+                .set_nonblocking(true)
+                .map(|()| Source::Socket(stream));
+            #[cfg(not(target_os = "linux"))]
+            let source = crate::transport::pump(stream).map(Source::Inbox);
+            match source {
+                Ok(source) => (source, peer),
+                Err(_) => return mark_closed(inner),
+            }
         }
-    }
-    shard.wake.wake();
-}
-
-/// Drive a channel's heartbeats from the timer wheel without routing its
-/// reads through the poller (reads stay on the channel's reader thread).
-/// A `peer` host lets them join that host's heartbeat groups.
-pub(crate) fn register_heartbeat(
-    inner: &Arc<ChannelInner>,
-    interval: Duration,
-    peer: Option<IpAddr>,
-) {
+        inbox => (inbox, None),
+    };
     let reactor = global();
     let (shard_idx, token) = alloc_token(reactor);
     inner.set_reactor_registration(Registration {
         shard: shard_idx,
         token,
     });
-    reactor.shards[shard_idx].push(Command::Heartbeat {
+    let shard = &reactor.shards[shard_idx];
+    if let Source::Inbox(reader) = &source {
+        // A wake that beats `Register` finds no connection; the service
+        // at registration takes what it announced.
+        let wake = shard.clone();
+        reader
+            .inbox
+            .attach(Box::new(move || wake.push(Command::Readable { token })));
+    }
+    shard.push(Command::Register {
         token,
-        inner: Arc::downgrade(inner),
-        interval,
-        peer,
+        source,
+        inner: inner.clone(),
+        heartbeat: heartbeat.map(|interval| (interval, peer)),
     });
 }
 
@@ -256,7 +250,7 @@ struct Group {
 }
 
 struct Conn {
-    stream: TcpStream,
+    source: Source,
     inner: Arc<ChannelInner>,
     /// Reassembly buffer: bytes read past the last complete frame.
     partial: Vec<u8>,
@@ -276,6 +270,7 @@ struct ShardState {
 }
 
 fn shard_loop(handle: Arc<ShardHandle>, poller: sys::Poller) {
+    ON_SHARD.with(|on| on.set(true));
     let mut st = ShardState {
         poller,
         conns: HashMap::new(),
@@ -359,8 +354,9 @@ fn apply_command(st: &mut ShardState, cmd: Command, again: &mut Vec<u64>) {
     match cmd {
         Command::Register {
             token,
-            stream,
+            source,
             inner,
+            heartbeat,
         } => {
             // The channel may have been closed while this command sat in
             // the queue; registering it would leak the fd forever.
@@ -368,36 +364,30 @@ fn apply_command(st: &mut ShardState, cmd: Command, again: &mut Vec<u64>) {
                 mark_closed(&inner);
                 return;
             }
-            if st
-                .poller
-                .add(
-                    &stream,
-                    token,
-                    sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLET | sys::EPOLLRDHUP,
-                )
-                .is_err()
-            {
-                mark_closed(&inner);
-                return;
+            if let Source::Socket(stream) = &source {
+                let edges = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLET | sys::EPOLLRDHUP;
+                if st.poller.add(stream, token, edges).is_err() {
+                    mark_closed(&inner);
+                    return;
+                }
+            }
+            if let Some((interval, peer)) = heartbeat {
+                add_heartbeat(st, token, Arc::downgrade(&inner), interval, peer);
             }
             st.conns.insert(
                 token,
                 Conn {
-                    stream,
+                    source,
                     inner,
                     partial: Vec::new(),
                 },
             );
-            // Bytes that raced registration produce an edge on ADD, but
-            // drain once explicitly to stay independent of that timing.
+            // Service what arrived before registration: bytes that raced
+            // it (which also produce an edge on ADD, but draining once
+            // stays independent of that timing) or frames already queued.
             service_conn(st, token, again);
         }
-        Command::Heartbeat {
-            token,
-            inner,
-            interval,
-            peer,
-        } => add_heartbeat(st, token, inner, interval, peer),
+        Command::Readable { token } => service_conn(st, token, again),
         Command::Close { token } => close_token(st, token),
     }
 }
@@ -509,7 +499,9 @@ fn fire_group(st: &mut ShardState, key: GroupKey) {
 
 fn close_token(st: &mut ShardState, token: u64) {
     if let Some(conn) = st.conns.remove(&token) {
-        let _ = st.poller.del(&conn.stream);
+        if let Source::Socket(stream) = &conn.source {
+            let _ = st.poller.del(stream);
+        }
         mark_closed(&conn.inner);
     }
     if let Some(key) = st.hb_index.remove(&token) {
@@ -556,9 +548,10 @@ fn service_conn(st: &mut ShardState, token: u64, again: &mut Vec<u64>) {
     }
 }
 
-/// Edge-triggered service: read until `EWOULDBLOCK` or the per-pass
-/// budget, reassemble length-prefixed frames, dispatch them, and flush
-/// every response the burst staged in one vectored write.
+/// Edge-triggered service of a socket or an inbox alike: read until
+/// `EWOULDBLOCK` or the per-pass budget, reassemble length-prefixed
+/// frames, dispatch them, and flush every response the burst staged in
+/// one vectored write.
 fn drain_readable(conn: &mut Conn, scratch: &mut [u8]) -> ServiceOutcome {
     let mut responses: Vec<PooledBuf> = Vec::new();
     let mut consumed = 0usize;
@@ -570,7 +563,7 @@ fn drain_readable(conn: &mut Conn, scratch: &mut [u8]) -> ServiceOutcome {
             outcome = ServiceOutcome::Again;
             break;
         }
-        match conn.stream.read(scratch) {
+        match conn.source.read(scratch) {
             Ok(0) => {
                 outcome = ServiceOutcome::Dead;
                 break;
@@ -624,4 +617,102 @@ fn drain_frames(conn: &mut Conn, responses: &mut Vec<PooledBuf>) -> bool {
         conn.partial = Vec::new();
     }
     ok
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::channel::{
+        Channel, ChannelConfig, ChannelStatus, Mode, FT_CLOSE, FT_HEARTBEAT, FT_RPC_REQ,
+    };
+    use crate::transport::{pump, Receiver, Source, Transport};
+    use crate::TcpTransport;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    /// A plain channel over loopback TCP whose reads go through the
+    /// off-Linux pump, and the raw socket of its peer.
+    fn pumped_channel(heartbeat: Option<Duration>) -> (Channel, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let (tx, rx) = Box::new(TcpTransport::new(accepted).unwrap()).split();
+        let Receiver(Source::Socket(stream)) = rx else {
+            unreachable!("tcp splits into a socket")
+        };
+        let rx = Receiver(Source::Inbox(pump(stream).unwrap()));
+        let config = ChannelConfig {
+            heartbeat_interval: heartbeat,
+            rpc_timeout: Duration::from_secs(5),
+        };
+        let channel = Channel::start(tx, rx, Mode::Plain, None, None, None, config);
+        (channel, raw)
+    }
+
+    /// Write one plain record: `len || seq || frame type || body`.
+    fn write_record(raw: &mut TcpStream, seq: u64, ft: u8, body: &[u8]) {
+        let len = (8 + 1 + body.len()) as u32;
+        let mut out = len.to_le_bytes().to_vec();
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.push(ft);
+        out.extend_from_slice(body);
+        raw.write_all(&out).unwrap();
+    }
+
+    /// Read one plain record as `(frame type, body)`.
+    fn read_record(raw: &mut TcpStream) -> (u8, Vec<u8>) {
+        let mut len = [0u8; 4];
+        raw.read_exact(&mut len).unwrap();
+        let mut frame = vec![0u8; u32::from_le_bytes(len) as usize];
+        raw.read_exact(&mut frame).unwrap();
+        (frame[8], frame[9..].to_vec())
+    }
+
+    #[test]
+    fn pumped_frames_arrive_in_order() {
+        let (channel, mut raw) = pumped_channel(None);
+        channel.register_handler("echo", |args| Ok(args.to_vec()));
+        for i in 0..64u64 {
+            let req = crate::rpc::encode_request(i + 1, "echo", &i.to_le_bytes(), None);
+            write_record(&mut raw, i, FT_RPC_REQ, &req);
+        }
+        for i in 0..64u64 {
+            let (_, body) = read_record(&mut raw);
+            let (id, status, payload) = crate::rpc::decode_response(&body).unwrap();
+            assert_eq!((id, status), (i + 1, crate::rpc::RpcStatus::Ok));
+            assert_eq!(payload, i.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn pumped_eof_closes_the_channel() {
+        let (channel, raw) = pumped_channel(None);
+        drop(raw);
+        let start = Instant::now();
+        while channel.status() != ChannelStatus::Closed {
+            assert!(start.elapsed() < Duration::from_secs(5), "EOF never closed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn closing_a_pumped_channel_shuts_its_socket_down() {
+        // The pump thread blocks in a read; shutting the socket down is
+        // what ends it, and the peer sees the FIN.
+        let (channel, mut raw) = pumped_channel(None);
+        channel.close();
+        assert_eq!(read_record(&mut raw).0, FT_CLOSE);
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(raw.read(&mut [0u8; 1]).unwrap(), 0, "socket left open");
+    }
+
+    #[test]
+    fn pumped_channel_heartbeats_from_the_wheel() {
+        let (channel, mut raw) = pumped_channel(Some(Duration::from_millis(20)));
+        let heartbeats = (0..3)
+            .filter(|_| read_record(&mut raw).0 == FT_HEARTBEAT)
+            .count();
+        assert_eq!(heartbeats, 3);
+        assert!(channel.stats().heartbeats_sent >= 3);
+    }
 }

@@ -7,10 +7,10 @@
 //!   socket readiness.
 //! * **Elsewhere** — a safe `Mutex<bool>` + `Condvar` waiter: `wait`
 //!   sleeps until woken or timed out, and [`Poller::add`] returns
-//!   `Unsupported`, so TCP channels keep a reader thread while the shard
-//!   loop still drives every channel's heartbeats from its timer wheel.
-//!   The waiter is compiled (and unit-tested) on Linux under `cfg(test)`
-//!   as well.
+//!   `Unsupported`, so a TCP stream is fed to its shard through an inbox
+//!   by a pump thread, and the waker is how every inbox's sender wakes
+//!   the shard. The waiter is compiled (and unit-tested) on Linux under
+//!   `cfg(test)` as well.
 //!
 //! The Linux half is the **only** code in the workspace outside
 //! `crates/crypto/src/chacha.rs` permitted to contain `unsafe` (CI greps
@@ -128,9 +128,6 @@ mod linux {
     }
 
     impl Poller {
-        /// Whether [`Poller::add`] can watch a socket.
-        pub const WATCHES_SOCKETS: bool = true;
-
         /// Create a close-on-exec epoll instance with a nonblocking
         /// eventfd already registered for wakeups.
         pub fn new() -> io::Result<(Poller, Waker)> {
@@ -263,9 +260,6 @@ mod portable {
     }
 
     impl Poller {
-        /// Whether [`Poller::add`] can watch a socket.
-        pub const WATCHES_SOCKETS: bool = false;
-
         /// Create a waiter and its waker.
         pub fn new() -> io::Result<(Poller, Waker)> {
             let signal = Arc::new(Signal::default());
@@ -275,8 +269,8 @@ mod portable {
             Ok((Poller { signal }, waker))
         }
 
-        /// Sockets cannot be watched here; the caller keeps a reader
-        /// thread instead.
+        /// Sockets cannot be watched here; the caller pumps them into an
+        /// inbox instead.
         pub fn add(&self, _stream: &TcpStream, _token: u64, _events: u32) -> io::Result<()> {
             Err(io::ErrorKind::Unsupported.into())
         }
@@ -372,7 +366,6 @@ mod portable {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let (poller, _waker) = Poller::new().unwrap();
-            const { assert!(!Poller::WATCHES_SOCKETS) };
             let err = poller
                 .add(&stream, 0, crate::reactor::sys::EPOLLIN)
                 .unwrap_err();

@@ -63,11 +63,6 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// The wheel's tick width.
-    pub fn tick(&self) -> Duration {
-        self.tick
-    }
-
     /// Live (scheduled, not yet fired or cancelled) entries.
     pub fn len(&self) -> usize {
         self.live

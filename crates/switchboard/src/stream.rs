@@ -126,8 +126,9 @@ pub fn serve_streams(channel: &Channel, registry: StreamRegistry) {
         });
     }
     {
+        // The sink is user code, which may wait: it runs off-shard.
         let reg = registry;
-        channel.register_handler(STREAM_CLOSE, move |args| {
+        channel.register_blocking_handler(STREAM_CLOSE, move |args| {
             if args.len() < 40 {
                 return Err("short close frame".into());
             }

@@ -1,7 +1,10 @@
-//! Framed byte transports: real TCP and an in-memory pair.
+//! Framed byte transports: real TCP and an in-memory pair, each split
+//! into a sender and a [`Receiver`] that a reactor shard reads.
 
+use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
-use std::net::{IpAddr, TcpStream};
+use std::net::TcpStream;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Maximum accepted frame size (16 MiB) — guards against hostile length
 /// prefixes.
@@ -33,42 +36,32 @@ pub trait FrameSender: Send {
     }
 }
 
-/// Receiving half of a transport.
-pub trait FrameReceiver: Send {
-    /// Receive one frame, blocking. Returns `UnexpectedEof` when the peer
-    /// is gone.
-    fn recv(&mut self) -> std::io::Result<Vec<u8>>;
+/// Receiving half of a transport, owned by this crate because a reactor
+/// shard reads every receiver: a socket its poller watches, or an inbox
+/// the peer's sender fills. Before the channel starts, the handshake
+/// reads it with a blocking `read_frame`.
+pub struct Receiver(pub(crate) Source);
 
-    /// Receive at least one frame, blocking, plus any further frames the
-    /// transport already holds. Lets the reader thread process a
-    /// coalesced burst per wakeup instead of re-entering the scheduler
-    /// once per frame. The default returns a single frame.
-    fn recv_many(&mut self) -> std::io::Result<Vec<Vec<u8>>> {
-        self.recv().map(|frame| vec![frame])
-    }
+pub(crate) enum Source {
+    Socket(TcpStream),
+    Inbox(InboxReader),
+}
 
-    /// Surrender the underlying TCP stream, if this receiver directly
-    /// owns one, so a reactor shard can read it instead of a blocking
-    /// reader thread (only asked where the platform's poller can watch
-    /// sockets). After a `Some` return, `recv` must not be
-    /// called again. Non-TCP transports — and wrappers that need to
-    /// intercept `recv` (fault injection) — return `None` (the default),
-    /// which keeps the channel on its reader thread.
-    fn take_stream(&mut self) -> Option<TcpStream> {
-        None
-    }
-
-    /// The peer's IP address, if this receiver reads a socket. Channels
-    /// to one host share heartbeat groups on the reactor's timer wheel.
-    fn peer_ip(&self) -> Option<IpAddr> {
-        None
+/// Both sources carry the same length-prefixed byte stream, so a shard
+/// reads them alike.
+impl Read for Source {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Source::Socket(stream) => stream.read(buf),
+            Source::Inbox(reader) => (&*reader.inbox).read(buf),
+        }
     }
 }
 
 /// A bidirectional framed transport that can be split into halves.
 pub trait Transport: Send {
     /// Split into independently usable send/recv halves.
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>);
+    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Receiver);
 }
 
 // ---------------------------------------------------------------- TCP --
@@ -98,14 +91,8 @@ struct TcpSender {
     backlog: Vec<u8>,
 }
 
-struct TcpReceiver {
-    /// `None` once [`FrameReceiver::take_stream`] has surrendered the
-    /// stream to the reactor.
-    stream: Option<TcpStream>,
-}
-
 impl Transport for TcpTransport {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
+    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Receiver) {
         let reader = self.stream.try_clone().expect("tcp clone");
         (
             Box::new(TcpSender {
@@ -113,9 +100,7 @@ impl Transport for TcpTransport {
                 prefixes: Vec::new(),
                 backlog: Vec::new(),
             }),
-            Box::new(TcpReceiver {
-                stream: Some(reader),
-            }),
+            Receiver(Source::Socket(reader)),
         )
     }
 }
@@ -135,8 +120,8 @@ const SEND_BACKLOG_CAP: usize = 8 << 20;
 /// Send the logical concatenation of `parts` without ever blocking on
 /// a full socket: bytes the kernel refuses are queued in `backlog`
 /// and flushed later (next send, or the reactor's writable edge). On
-/// a blocking stream (the handshake, or a channel read by its reader
-/// thread) `write_vectored` itself blocks and the backlog stays empty,
+/// a blocking stream (the handshake, or a pumped stream off Linux)
+/// `write_vectored` itself blocks and the backlog stays empty,
 /// so the send simply completes. A reactor shard therefore never parks
 /// inside a send — the failure mode that could deadlock a shard when
 /// both endpoints of a connection land on it.
@@ -268,132 +253,187 @@ impl FrameSender for TcpSender {
     }
 }
 
-impl FrameReceiver for TcpReceiver {
-    fn recv(&mut self) -> std::io::Result<Vec<u8>> {
-        let stream = self.stream.as_mut().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "stream surrendered to reactor",
-            )
+/// Read one length-prefixed frame from a blocking stream. Returns
+/// `UnexpectedEof` when the peer is gone.
+pub(crate) fn read_frame(stream: &mut impl Read) -> std::io::Result<Vec<u8>> {
+    let mut len_buf = [0u8; 4];
+    stream.read_exact(&mut len_buf)?;
+    let len = u32::from_le_bytes(len_buf) as usize;
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "frame exceeds MAX_FRAME",
+        ));
+    }
+    let mut buf = vec![0u8; len];
+    stream.read_exact(&mut buf)?;
+    Ok(buf)
+}
+
+/// Off Linux the poller cannot watch sockets: a thread that only reads
+/// feeds the stream into an inbox. It ends at EOF, or when the channel
+/// closes, since dropping the reader shuts the socket down.
+#[cfg(any(test, not(target_os = "linux")))]
+pub(crate) fn pump(mut stream: TcpStream) -> std::io::Result<InboxReader> {
+    let (mut writer, mut reader) = inbox_pair();
+    reader.pumped = Some(stream.try_clone()?);
+    std::thread::Builder::new()
+        .name("swbd-pump".into())
+        .spawn(move || {
+            while let Ok(frame) = read_frame(&mut stream) {
+                if writer.send(&frame).is_err() {
+                    break;
+                }
+            }
         })?;
-        let mut len_buf = [0u8; 4];
-        stream.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_FRAME {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "frame exceeds MAX_FRAME",
-            ));
-        }
-        let mut buf = vec![0u8; len];
-        stream.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
-    fn take_stream(&mut self) -> Option<TcpStream> {
-        self.stream.take()
-    }
-
-    fn peer_ip(&self) -> Option<IpAddr> {
-        self.stream.as_ref()?.peer_addr().ok().map(|a| a.ip())
-    }
+    Ok(reader)
 }
 
 // ------------------------------------------------------------ in-mem --
 
-/// In-memory transport: a pair of crossbeam channels. Deterministic and
-/// fast; used by tests, benches, and the netsim-backed deployments.
-///
-/// The channels carry frame *batches* so a coalesced
-/// [`send_many`](FrameSender::send_many) costs one channel send — and
-/// therefore at most one receiver wakeup — per batch, mirroring the
-/// single `write_all` of the TCP sender.
-pub struct MemTransport {
-    tx: crossbeam::channel::Sender<Vec<Vec<u8>>>,
-    rx: crossbeam::channel::Receiver<Vec<Vec<u8>>>,
+/// An in-memory socket: the byte stream the peer's sender writes. Until
+/// its channel registers, a read waits on the condvar (the handshake);
+/// after, the first write into an empty inbox wakes the shard that reads
+/// it, and an empty read is `WouldBlock`, as on an edge-triggered socket.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    state: Mutex<InboxState>,
+    arrived: Condvar,
 }
+
+#[derive(Default)]
+struct InboxState {
+    bytes: VecDeque<u8>,
+    /// Either half is gone: writes fail, and reads end at EOF.
+    closed: bool,
+    /// Wakes the reading shard, once registered.
+    shard: Option<Box<dyn Fn() + Send>>,
+    /// The shard is woken and has not yet read the inbox empty.
+    woken: bool,
+}
+
+impl Inbox {
+    fn lock(&self) -> MutexGuard<'_, InboxState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append length-prefixed frames, as TCP carries them.
+    fn write(&self, frames: &[&[u8]]) -> std::io::Result<()> {
+        let mut st = self.lock();
+        if st.closed {
+            let gone = std::io::ErrorKind::BrokenPipe;
+            return Err(std::io::Error::new(gone, "peer gone"));
+        }
+        for frame in frames {
+            st.bytes.extend((frame.len() as u32).to_le_bytes());
+            st.bytes.extend(*frame);
+        }
+        self.wake(&mut st);
+        Ok(())
+    }
+
+    fn wake(&self, st: &mut InboxState) {
+        match &st.shard {
+            Some(wake) if !std::mem::replace(&mut st.woken, true) => wake(),
+            Some(_) => {}
+            None => self.arrived.notify_all(),
+        }
+    }
+
+    /// Hand the inbox to the shard that reads it from now on.
+    pub(crate) fn attach(&self, wake: Box<dyn Fn() + Send>) {
+        self.lock().shard = Some(wake);
+    }
+
+    fn close(&self) {
+        let mut st = self.lock();
+        st.closed = true;
+        self.wake(&mut st);
+    }
+}
+
+impl Read for &Inbox {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut st = self.lock();
+        while st.bytes.is_empty() && !st.closed {
+            if st.shard.is_some() {
+                st.woken = false;
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            st = self
+                .arrived
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        st.bytes.read(buf)
+    }
+}
+
+/// The sending half of an inbox; dropping it is the reader's EOF.
+struct InboxWriter(Arc<Inbox>);
+
+impl Drop for InboxWriter {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The receiving half of an inbox; dropping it fails further writes.
+pub(crate) struct InboxReader {
+    pub(crate) inbox: Arc<Inbox>,
+    /// The stream a pump thread feeds into this inbox.
+    pumped: Option<TcpStream>,
+}
+
+impl Drop for InboxReader {
+    fn drop(&mut self) {
+        self.inbox.close();
+        self.inbox.lock().bytes = VecDeque::new();
+        if let Some(stream) = &self.pumped {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+    }
+}
+
+fn inbox_pair() -> (InboxWriter, InboxReader) {
+    let inbox = Arc::new(Inbox::default());
+    let writer = InboxWriter(inbox.clone());
+    (
+        writer,
+        InboxReader {
+            inbox,
+            pumped: None,
+        },
+    )
+}
+
+/// In-memory transport: each direction is an inbox the sender fills and
+/// the receiver's shard drains. Deterministic and fast; used by tests,
+/// benches, and the netsim-backed deployments.
+pub struct MemTransport(InboxWriter, InboxReader);
 
 impl MemTransport {
     /// Create a connected pair.
     pub fn pair() -> (MemTransport, MemTransport) {
-        let (tx_ab, rx_ab) = crossbeam::channel::unbounded();
-        let (tx_ba, rx_ba) = crossbeam::channel::unbounded();
-        (
-            MemTransport {
-                tx: tx_ab,
-                rx: rx_ba,
-            },
-            MemTransport {
-                tx: tx_ba,
-                rx: rx_ab,
-            },
-        )
+        let ((tx_ab, rx_ab), (tx_ba, rx_ba)) = (inbox_pair(), inbox_pair());
+        (MemTransport(tx_ab, rx_ba), MemTransport(tx_ba, rx_ab))
     }
-}
-
-struct MemSender(crossbeam::channel::Sender<Vec<Vec<u8>>>);
-struct MemReceiver {
-    rx: crossbeam::channel::Receiver<Vec<Vec<u8>>>,
-    queued: std::collections::VecDeque<Vec<u8>>,
 }
 
 impl Transport for MemTransport {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
-        (
-            Box::new(MemSender(self.tx)),
-            Box::new(MemReceiver {
-                rx: self.rx,
-                queued: std::collections::VecDeque::new(),
-            }),
-        )
+    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Receiver) {
+        (Box::new(self.0), Receiver(Source::Inbox(self.1)))
     }
 }
 
-impl FrameSender for MemSender {
+impl FrameSender for InboxWriter {
     fn send(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        self.0
-            .send(vec![frame.to_vec()])
-            .map_err(|_| std::io::Error::new(std::io::ErrorKind::BrokenPipe, "peer gone"))
+        self.0.write(&[frame])
     }
 
+    /// One write for the burst, so the reader takes it in one pass.
     fn send_many(&mut self, frames: &[&[u8]]) -> std::io::Result<()> {
-        self.0
-            .send(frames.iter().map(|f| f.to_vec()).collect())
-            .map_err(|_| std::io::Error::new(std::io::ErrorKind::BrokenPipe, "peer gone"))
-    }
-}
-
-impl FrameReceiver for MemReceiver {
-    fn recv(&mut self) -> std::io::Result<Vec<u8>> {
-        loop {
-            if let Some(frame) = self.queued.pop_front() {
-                return Ok(frame);
-            }
-            let batch = self
-                .rx
-                .recv()
-                .map_err(|_| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "peer gone"))?;
-            self.queued.extend(batch);
-        }
-    }
-
-    fn recv_many(&mut self) -> std::io::Result<Vec<Vec<u8>>> {
-        let mut batch: Vec<Vec<u8>> = if self.queued.is_empty() {
-            self.rx
-                .recv()
-                .map_err(|_| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "peer gone"))?
-        } else {
-            self.queued.drain(..).collect()
-        };
-        // Opportunistically fold in batches that arrived meanwhile, bounded
-        // so a fast sender cannot grow the burst without limit.
-        while batch.len() < 64 {
-            match self.rx.try_recv() {
-                Ok(more) => batch.extend(more),
-                Err(_) => break,
-            }
-        }
-        Ok(batch)
+        self.0.write(frames)
     }
 }
 
@@ -408,8 +448,8 @@ mod tests {
         let (_btx, mut brx) = Box::new(b).split();
         atx.send(b"hello").unwrap();
         atx.send(b"world").unwrap();
-        assert_eq!(brx.recv().unwrap(), b"hello");
-        assert_eq!(brx.recv().unwrap(), b"world");
+        assert_eq!(read_frame(&mut brx.0).unwrap(), b"hello");
+        assert_eq!(read_frame(&mut brx.0).unwrap(), b"world");
     }
 
     #[test]
@@ -419,7 +459,7 @@ mod tests {
         drop(atx);
         drop(arx);
         let (_btx, mut brx) = Box::new(b).split();
-        assert!(brx.recv().is_err());
+        assert!(read_frame(&mut brx.0).is_err());
     }
 
     #[test]
@@ -430,13 +470,13 @@ mod tests {
             let (s, _) = listener.accept().unwrap();
             let t = Box::new(TcpTransport::new(s).unwrap());
             let (mut tx, mut rx) = t.split();
-            let got = rx.recv().unwrap();
+            let got = read_frame(&mut rx.0).unwrap();
             tx.send(&got).unwrap(); // echo
         });
         let t = Box::new(TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap());
         let (mut tx, mut rx) = t.split();
         tx.send(b"ping over real tcp").unwrap();
-        assert_eq!(rx.recv().unwrap(), b"ping over real tcp");
+        assert_eq!(read_frame(&mut rx.0).unwrap(), b"ping over real tcp");
         join.join().unwrap();
     }
 
@@ -450,7 +490,11 @@ mod tests {
             let (s, _) = listener.accept().unwrap();
             let t = Box::new(TcpTransport::new(s).unwrap());
             let (_tx, mut rx) = t.split();
-            (rx.recv().unwrap(), rx.recv().unwrap(), rx.recv().unwrap())
+            (
+                read_frame(&mut rx.0).unwrap(),
+                read_frame(&mut rx.0).unwrap(),
+                read_frame(&mut rx.0).unwrap(),
+            )
         });
         let t = Box::new(TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap());
         let (mut tx, _rx) = t.split();
@@ -466,8 +510,8 @@ mod tests {
         let (mut mtx, _) = Box::new(ma).split();
         let (_, mut mrx) = Box::new(mb).split();
         mtx.send_many(&[b"x", b"y"]).unwrap();
-        assert_eq!(mrx.recv().unwrap(), b"x");
-        assert_eq!(mrx.recv().unwrap(), b"y");
+        assert_eq!(read_frame(&mut mrx.0).unwrap(), b"x");
+        assert_eq!(read_frame(&mut mrx.0).unwrap(), b"y");
     }
 
     #[test]
@@ -512,7 +556,7 @@ mod tests {
             let t = Box::new(TcpTransport::new(peer).unwrap());
             let (_tx, mut rx) = t.split();
             for i in 0..accepted {
-                let frame = rx.recv().unwrap();
+                let frame = read_frame(&mut rx.0).unwrap();
                 assert_eq!(frame.len(), frame_len, "frame {i} truncated");
                 assert!(
                     frame.iter().all(|b| *b == i as u8),
@@ -546,7 +590,7 @@ mod tests {
         });
         let t = Box::new(TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap());
         let (_tx, mut rx) = t.split();
-        assert!(rx.recv().is_err());
+        assert!(read_frame(&mut rx.0).is_err());
         join.join().unwrap();
     }
 }

@@ -235,8 +235,8 @@ fn close_fails_pending_calls_promptly() {
     let (client, server) = pair_in_memory_plain(quiet_config());
     let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
     let block_rx = std::sync::Mutex::new(block_rx);
-    server.register_handler("hang", move |_| {
-        // Park the server's dispatch thread so the response never comes.
+    server.register_blocking_handler("hang", move |_| {
+        // Park the server's drain thread so the response never comes.
         let _ = block_rx
             .lock()
             .unwrap()
@@ -275,7 +275,7 @@ fn peer_death_fails_pending_calls_promptly() {
     let (client, server) = pair_in_memory_plain(quiet_config());
     let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
     let block_rx = std::sync::Mutex::new(block_rx);
-    server.register_handler("hang", move |_| {
+    server.register_blocking_handler("hang", move |_| {
         let _ = block_rx
             .lock()
             .unwrap()

@@ -2,16 +2,16 @@
 //! over reactor-backed TCP channels (epoll shards, zero threads per
 //! channel), plus timer-wheel heartbeat integration — coalesced groups,
 //! liveness, RTT — and prompt in-flight failure on close against a
-//! server whose hanging handler parks a reader thread, not a shard.
+//! server whose hanging blocking handler parks its drain thread, not a
+//! shard.
 
 use psf_drbac::entity::{Entity, EntityRegistry};
 use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
 use psf_drbac::{DelegationBuilder, SignedDelegation};
-use psf_switchboard::transport::{FrameReceiver, FrameSender};
 use psf_switchboard::{
-    connect_tcp, establish_secure, listen_tcp, AuthSuite, Authorizer, Channel, ChannelConfig,
-    ClockRef, SwitchboardError, TcpTransport, Transport,
+    connect_tcp, establish_plain, establish_secure, listen_tcp, pair_in_memory_plain, AuthSuite,
+    Authorizer, Channel, ChannelConfig, ClockRef, SwitchboardError, TcpTransport,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,43 +100,18 @@ fn reactor_config(heartbeat: Option<Duration>) -> ChannelConfig {
     }
 }
 
-/// TCP whose receiver declines `take_stream`, so the channel reads it on
-/// a reader thread: a handler that hangs parks that thread, never a
-/// reactor shard.
-struct ReaderThreadTcp(TcpTransport);
-
-struct KeepStream(Box<dyn FrameReceiver>);
-
-impl FrameReceiver for KeepStream {
-    fn recv(&mut self) -> std::io::Result<Vec<u8>> {
-        self.0.recv()
-    }
-
-    fn recv_many(&mut self) -> std::io::Result<Vec<Vec<u8>>> {
-        self.0.recv_many()
-    }
-}
-
-impl Transport for ReaderThreadTcp {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
-        let (tx, rx) = Box::new(self.0).split();
-        (tx, Box::new(KeepStream(rx)))
-    }
-}
-
-/// Accept one connection on `listener` and serve it over
-/// [`ReaderThreadTcp`] with a `hang` handler that blocks until `block_rx`
-/// fires (or 5 s pass).
+/// Accept one connection on `listener` and serve it with a blocking
+/// `hang` handler that waits until `block_rx` fires (or 5 s pass).
 fn accept_hanging_server(
     listener: &std::net::TcpListener,
     suite: &AuthSuite,
     block_rx: std::sync::mpsc::Receiver<()>,
 ) -> Channel {
     let (stream, _) = listener.accept().unwrap();
-    let transport = ReaderThreadTcp(TcpTransport::new(stream).unwrap());
+    let transport = TcpTransport::new(stream).unwrap();
     let server = establish_secure(Box::new(transport), suite, false, reactor_config(None)).unwrap();
     let block_rx = std::sync::Mutex::new(block_rx);
-    server.register_handler("hang", move |_| {
+    server.register_blocking_handler("hang", move |_| {
         let _ = block_rx
             .lock()
             .unwrap()
@@ -279,9 +254,9 @@ fn revocation_mid_stream_refuses_pipelined_senders_over_reactor_tcp() {
 
 #[test]
 fn close_fails_pending_calls_promptly_over_reactor_tcp() {
-    // Reactor client; the server reads on a reader thread, so the
-    // hanging handler parks that thread, never a reactor shard, and the
-    // test isolates the client-side close path.
+    // The server's hanging handler is blocking, so it parks its drain
+    // thread, never a reactor shard, and the test isolates the
+    // client-side close path.
     let w = world();
     let (cs, ss) = w.suites();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -323,7 +298,7 @@ fn close_fails_pending_calls_promptly_over_reactor_tcp() {
 
 #[test]
 fn peer_death_fails_pending_calls_promptly_over_reactor_tcp() {
-    // The server's reader thread parks in a hanging handler; dropping
+    // The server's drain thread parks in a hanging handler; dropping
     // the server closes the channel (FT_CLOSE + fd teardown) and the
     // reactor-backed client must fail its in-flight calls promptly.
     let w = world();
@@ -433,4 +408,101 @@ fn timer_wheel_heartbeats_coalesce_across_reactor_channels() {
     for c in &clients {
         c.close();
     }
+}
+
+fn quiet_config(rpc_timeout: Duration) -> ChannelConfig {
+    ChannelConfig {
+        heartbeat_interval: None,
+        rpc_timeout,
+    }
+}
+
+#[test]
+fn handler_calling_back_over_its_own_channel() {
+    // In memory, a blocking handler on the server calls the client over
+    // the same channel: the reply must be read while the handler waits,
+    // so the handler cannot run where that channel's frames are read.
+    let (client, server) = pair_in_memory_plain(quiet_config(Duration::from_millis(800)));
+    client.register_handler("whoami", |_| Ok(b"client".to_vec()));
+    let server = Arc::new(server);
+    let back = Arc::downgrade(&server);
+    server.register_blocking_handler("relay", move |_| {
+        let server = back.upgrade().ok_or("server gone")?;
+        server.call("whoami", b"").map_err(|e| e.to_string())
+    });
+    assert_eq!(client.call("relay", b"").unwrap(), b"client");
+}
+
+/// A plain channel pair over loopback TCP.
+fn plain_tcp_pair(config: ChannelConfig) -> (Channel, Channel) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, _) = listener.accept().unwrap();
+    let client = establish_plain(Box::new(TcpTransport::new(stream).unwrap()), config.clone());
+    let server = establish_plain(Box::new(TcpTransport::new(accepted).unwrap()), config);
+    (client, server)
+}
+
+#[test]
+fn blocking_handler_does_not_stall_its_shard() {
+    // One pair per shard: wherever the hanging server is pinned, another
+    // pair's endpoint shares its shard, and must keep answering.
+    let config = quiet_config(Duration::from_secs(10));
+    let pairs: Vec<(Channel, Channel)> = (0..psf_switchboard::reactor::shard_count().max(2))
+        .map(|_| plain_tcp_pair(config.clone()))
+        .collect();
+    let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
+    let block_rx = std::sync::Mutex::new(block_rx);
+    for (_, server) in &pairs {
+        install_echo(server);
+    }
+    pairs[0].1.register_blocking_handler("hang", move |_| {
+        parked_tx.send(()).unwrap();
+        let _ = block_rx
+            .lock()
+            .unwrap()
+            .recv_timeout(Duration::from_secs(5));
+        Ok(vec![])
+    });
+    let parked = pairs[0].0.call_pipelined("hang", b"").unwrap();
+    parked_rx.recv_timeout(Duration::from_secs(5)).unwrap(); // the hang is parked
+    for (i, (client, _)) in pairs.iter().enumerate().skip(1) {
+        let reply = client.call_timeout("echo", b"ping", Duration::from_millis(500));
+        assert_eq!(reply.unwrap(), b"ping", "pair {i} stalled behind the hang");
+    }
+    assert!(!parked.is_complete(), "the hang answered early");
+    block_tx.send(()).unwrap();
+    assert_eq!(parked.wait().unwrap(), b"");
+}
+
+#[test]
+fn inline_handler_waiting_on_a_call_fails_fast() {
+    // An inline handler runs on a shard; a wait there would park every
+    // channel pinned to it until the RPC timeout. It fails at once.
+    let config = quiet_config(Duration::from_secs(10));
+    let (front, front_server) = pair_in_memory_plain(config.clone());
+    let (back, back_server) = pair_in_memory_plain(config);
+    install_echo(&back_server);
+    let back = Arc::new(back);
+    let inner_back = back.clone();
+    front_server.register_handler("forward", move |args| {
+        let call = inner_back.call("echo", args);
+        let wait = inner_back
+            .call_pipelined("echo", args)
+            .and_then(|pending| pending.wait());
+        match (call, wait) {
+            (Err(SwitchboardError::WaitOnShard), Err(SwitchboardError::WaitOnShard)) => {
+                Ok(b"refused".to_vec())
+            }
+            other => Err(format!("{other:?}")),
+        }
+    });
+    let start = Instant::now();
+    let reply = front.call("forward", b"x");
+    let elapsed = start.elapsed();
+    assert_eq!(reply.unwrap(), b"refused");
+    assert!(elapsed < Duration::from_millis(50), "took {elapsed:?}");
+    // Off the shard the same call simply works.
+    assert_eq!(back.call("echo", b"y").unwrap(), b"y");
 }

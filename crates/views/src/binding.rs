@@ -100,7 +100,8 @@ pub fn dispatch_with_coherence(
 
 /// Register every method of `instance` (and the coherence endpoints) as
 /// handlers on a Switchboard channel, making the channel a remote face of
-/// the original object.
+/// the original object. Methods run user code that may call further
+/// components, so they are blocking handlers and run off-shard.
 pub fn serve_on_channel(channel: &psf_switchboard::Channel, instance: Arc<ComponentInstance>) {
     let mut methods: Vec<String> = instance.class().methods.keys().cloned().collect();
     let mut parent = instance.class().parent.clone();
@@ -111,14 +112,14 @@ pub fn serve_on_channel(channel: &psf_switchboard::Channel, instance: Arc<Compon
     for m in methods {
         let inst = instance.clone();
         let name = m.clone();
-        channel.register_handler(m, move |args| inst.invoke(&name, args));
+        channel.register_blocking_handler(m, move |args| inst.invoke(&name, args));
     }
     let inst = instance.clone();
-    channel.register_handler(EXTRACT_IMAGE, move |args| {
+    channel.register_blocking_handler(EXTRACT_IMAGE, move |args| {
         dispatch_with_coherence(&inst, EXTRACT_IMAGE, args)
     });
     let inst = instance;
-    channel.register_handler(MERGE_IMAGE, move |args| {
+    channel.register_blocking_handler(MERGE_IMAGE, move |args| {
         dispatch_with_coherence(&inst, MERGE_IMAGE, args)
     });
 }

@@ -2,7 +2,7 @@
 //! secure Switchboard pair must yield ONE trace linking the client's
 //! `rpc.call` span, the server's `rpc.dispatch` span, the ProofEngine
 //! proof search, and the view/ACL decision — across the client thread,
-//! the RPC envelope, and the server reader thread. The audit log must
+//! the RPC envelope, and the server's reactor shard. The audit log must
 //! replay the authorization decisions behind that same trace, and
 //! untraced traffic must leave no per-call spans at all.
 
@@ -358,7 +358,7 @@ fn untraced_traffic_records_no_per_call_spans() {
 
     // And its audit record does not join any RPC-linked trace: with no
     // context in the envelope, the decision's span (and hence its audit
-    // trace, if any) starts a tree of its own on the reader thread.
+    // trace, if any) starts a tree of its own on the reactor shard.
     let records = psf_telemetry::audit::global().query(Some("Bob"), false, None);
     assert!(
         records.iter().any(|r| r.decision == Decision::SelectView
