@@ -8,8 +8,8 @@
 //! reads it (a socket, or an inbox the peer fills) and its shard's timer
 //! wheel sends the heartbeats, so a channel owns no thread. Inline
 //! handlers run on the shard and must not wait; blocking handlers run in
-//! arrival order on a drain thread that exists while the channel has
-//! such requests queued.
+//! arrival order on a drain thread that exits once the channel has had
+//! no such request for 100 ms.
 //!
 //! ## Data plane
 //!
@@ -141,9 +141,20 @@ pub struct PeerInfo {
 /// A request handler, called with the method name and the arguments.
 type Handler = Arc<dyn Fn(&str, &[u8]) -> Result<Vec<u8>, String> + Send + Sync>;
 type CloseWatcher = Box<dyn FnOnce() + Send>;
-/// Requests for handlers that may wait (each body copied out of its
-/// frame), in arrival order; `Some` while a drain thread answers them.
-type OffShard = Option<VecDeque<(Vec<u8>, Handler)>>;
+type Requests = VecDeque<(Vec<u8>, Handler)>;
+
+/// Where a method's requests run: on the shard that read them, or
+/// off-shard in arrival order because the handler may wait.
+#[derive(Clone)]
+enum Route {
+    Inline(Handler),
+    Blocking(Handler),
+}
+
+/// How long a drain thread waits for its channel's next blocking request
+/// before it exits: serial traffic through a hop keeps one thread instead
+/// of starting one per request, and an idle channel owns none.
+const DRAIN_LINGER: Duration = Duration::from_millis(100);
 
 // --------------------------------------------------------- RPC waiters --
 
@@ -242,10 +253,12 @@ pub(crate) struct ChannelInner {
     pool: Arc<FramePool>,
     reauth_waiters: Mutex<Vec<Sender<bool>>>,
     next_rpc_id: AtomicU64,
-    /// Method handlers, each with whether it may wait (runs off-shard).
-    handlers: RwLock<HashMap<String, (Handler, bool)>>,
+    handlers: RwLock<HashMap<String, Route>>,
     default_handler: RwLock<Option<Handler>>,
-    off_shard: Mutex<OffShard>,
+    /// Requests for blocking handlers (each body copied out of its
+    /// frame), in arrival order; `Some` while a drain thread serves them.
+    off_shard: Mutex<Option<Requests>>,
+    off_shard_ready: Condvar,
     start: Instant,
     last_heard_us: AtomicU64,
     last_rtt_us: AtomicU64,
@@ -265,17 +278,13 @@ pub(crate) struct ChannelInner {
     close_watchers: Mutex<Vec<CloseWatcher>>,
     /// Link back to the reactor shard servicing this channel (its reads
     /// and heartbeats); taken exactly once at close.
-    reactor_reg: Mutex<Option<crate::reactor::Registration>>,
+    pub(crate) reactor_reg: Mutex<Option<crate::reactor::Registration>>,
     config: ChannelConfig,
 }
 
 impl ChannelInner {
     pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn set_reactor_registration(&self, reg: crate::reactor::Registration) {
-        *self.reactor_reg.lock() = Some(reg);
     }
 }
 
@@ -313,6 +322,7 @@ impl Channel {
             handlers: RwLock::new(HashMap::new()),
             default_handler: RwLock::new(None),
             off_shard: Mutex::new(None),
+            off_shard_ready: Condvar::new(),
             start: Instant::now(),
             last_heard_us: AtomicU64::new(0),
             last_rtt_us: AtomicU64::new(0),
@@ -409,26 +419,20 @@ impl Channel {
     where
         F: Fn(&[u8]) -> Result<Vec<u8>, String> + Send + Sync + 'static,
     {
-        let handler: Handler = Arc::new(move |_, args| f(args));
-        self.inner
-            .handlers
-            .write()
-            .insert(method.into(), (handler, false));
+        let route = Route::Inline(Arc::new(move |_, args| f(args)));
+        self.inner.handlers.write().insert(method.into(), route);
     }
 
     /// Register a handler that may wait (user code, a call over another
     /// channel). Its requests run off-shard, one at a time in arrival
-    /// order, on a thread that exists while this channel has such
-    /// requests queued.
+    /// order, on a thread that exits once this channel has had no such
+    /// request for 100 ms.
     pub fn register_blocking_handler<F>(&self, method: impl Into<String>, f: F)
     where
         F: Fn(&[u8]) -> Result<Vec<u8>, String> + Send + Sync + 'static,
     {
-        let handler: Handler = Arc::new(move |_, args| f(args));
-        self.inner
-            .handlers
-            .write()
-            .insert(method.into(), (handler, true));
+        let route = Route::Blocking(Arc::new(move |_, args| f(args)));
+        self.inner.handlers.write().insert(method.into(), route);
     }
 
     /// Register a catch-all handler invoked (with the method name) when no
@@ -456,10 +460,6 @@ impl Channel {
         args: &[u8],
         timeout: Duration,
     ) -> Result<Vec<u8>, SwitchboardError> {
-        if crate::reactor::on_shard() {
-            // Refuse before the request leaves: its effect would be lost.
-            return Err(SwitchboardError::WaitOnShard);
-        }
         // Only traced work pays for a per-call span: when the caller has a
         // live trace, the call gets its own span (whose context then rides
         // the request envelope); untraced traffic skips straight through.
@@ -494,6 +494,11 @@ impl Channel {
         method: &str,
         chunk: &[&[u8]],
     ) -> Result<Vec<PendingCall>, SwitchboardError> {
+        if crate::reactor::on_shard() {
+            // Refuse before a request leaves: waiting for it would fail,
+            // so its remote effect would be orphaned.
+            return Err(SwitchboardError::WaitOnShard);
+        }
         self.check_traffic_allowed()?;
         let start = Instant::now();
         let ctx = psf_telemetry::TraceContext::current();
@@ -854,6 +859,10 @@ pub(crate) fn mark_closed(inner: &Arc<ChannelInner>) {
     for slot in inner.pending.drain() {
         slot.complete(Err(SwitchboardError::Closed));
     }
+    // Wake a lingering drain thread to exit; taking its lock first means
+    // it is either waiting already or has yet to see `closed`.
+    drop(inner.off_shard.lock());
+    inner.off_shard_ready.notify_all();
     // Notify death watchers (drained, so double-close fires them once).
     let watchers: Vec<CloseWatcher> = inner.close_watchers.lock().drain(..).collect();
     for w in watchers {
@@ -932,13 +941,13 @@ fn handle_request(inner: &Arc<ChannelInner>, body: &[u8], responses: &mut Vec<Po
         return;
     };
     let route = inner.handlers.read().get(method).cloned();
-    match route.or_else(|| Some((inner.default_handler.read().clone()?, true))) {
-        Some((handler, true)) => run_off_shard(inner, body.to_vec(), handler),
-        route => {
-            let handler = route.map(|(handler, _)| handler);
-            responses.push(respond(inner, id, ctx, method, args, handler.as_ref()));
-        }
-    }
+    let handler =
+        match route.or_else(|| Some(Route::Blocking(inner.default_handler.read().clone()?))) {
+            Some(Route::Blocking(handler)) => return run_off_shard(inner, body.to_vec(), handler),
+            Some(Route::Inline(handler)) => Some(handler),
+            None => None,
+        };
+    responses.push(respond(inner, id, ctx, method, args, handler.as_ref()));
 }
 
 /// Run a request's handler and assemble its response frame.
@@ -985,16 +994,17 @@ fn respond(
     buf
 }
 
-/// Queue a request for the channel's drain thread, starting one if the
-/// queue was idle.
+/// Queue a request for the channel's drain thread, starting one if none
+/// is running or lingering.
 fn run_off_shard(inner: &Arc<ChannelInner>, body: Vec<u8>, handler: Handler) {
     let mut off = inner.off_shard.lock();
-    if let Some(queue) = off.as_mut() {
-        queue.push_back((body, handler)); // its drain thread is running
-        return;
-    }
-    *off = Some(VecDeque::from([(body, handler)]));
+    let running = off.is_some();
+    off.get_or_insert_with(VecDeque::new)
+        .push_back((body, handler));
     drop(off);
+    if running {
+        return inner.off_shard_ready.notify_one();
+    }
     let drainer = inner.clone();
     let spawned = std::thread::Builder::new()
         .name("swbd-dispatch".into())
@@ -1006,24 +1016,29 @@ fn run_off_shard(inner: &Arc<ChannelInner>, body: Vec<u8>, handler: Handler) {
 }
 
 /// Answer queued requests in arrival order, each under its caller's trace
-/// context, until the queue empties or the channel closes.
+/// context, until the queue has stayed empty for [`DRAIN_LINGER`] or the
+/// channel closes.
 fn drain_off_shard(inner: &Arc<ChannelInner>) {
+    let idle = |off: &mut Option<Requests>| {
+        off.as_ref().is_some_and(VecDeque::is_empty) && !inner.is_closed()
+    };
+    let mut off = inner.off_shard.lock();
     loop {
-        let (body, handler) = {
-            let mut off = inner.off_shard.lock();
-            match off.as_mut().and_then(VecDeque::pop_front) {
-                Some(job) if !inner.is_closed() => job,
-                _ => {
-                    *off = None; // the next request starts a new drain thread
-                    return;
-                }
-            }
+        (off, _) = (inner.off_shard_ready)
+            .wait_timeout_while(off, DRAIN_LINGER, idle)
+            .unwrap_or_else(PoisonError::into_inner);
+        let job = off.as_mut().and_then(VecDeque::pop_front);
+        let Some((body, handler)) = job.filter(|_| !inner.is_closed()) else {
+            break;
         };
+        drop(off);
         let (id, ctx, method, args) = rpc::decode_request(&body).expect("decoded on arrival");
         let _trace = ctx.map(psf_telemetry::TraceContext::attach);
         let mut buf = respond(inner, id, ctx, method, args, Some(&handler));
         let _ = send_pooled_frames(inner, std::slice::from_mut(&mut buf));
+        off = inner.off_shard.lock();
     }
+    *off = None; // the next request starts a new drain thread
 }
 
 fn handle_response(inner: &Arc<ChannelInner>, body: &[u8]) {

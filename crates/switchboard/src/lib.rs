@@ -66,10 +66,11 @@ pub use suite::{AuthSuite, AuthorizationMonitor, Authorizer, ClockRef};
 pub use transport::{MemTransport, TcpTransport, Transport};
 
 /// Errors surfaced by Switchboard operations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum SwitchboardError {
-    /// Underlying socket/transport failure.
-    Io(std::io::Error),
+    /// Underlying socket/transport failure (shared: `io::Error` is not
+    /// `Clone`, and a failed batch reports it once per call).
+    Io(std::sync::Arc<std::io::Error>),
     /// Cryptographic failure (bad tag, bad signature, bad point).
     Crypto(psf_crypto::CryptoError),
     /// Handshake protocol violation.
@@ -90,28 +91,6 @@ pub enum SwitchboardError {
     Protocol(String),
     /// The remote handler reported an application error.
     Remote(String),
-}
-
-impl Clone for SwitchboardError {
-    fn clone(&self) -> Self {
-        match self {
-            // io::Error is not Clone; preserve kind + message.
-            SwitchboardError::Io(e) => {
-                SwitchboardError::Io(std::io::Error::new(e.kind(), e.to_string()))
-            }
-            SwitchboardError::Crypto(e) => SwitchboardError::Crypto(*e),
-            SwitchboardError::Handshake(m) => SwitchboardError::Handshake(m.clone()),
-            SwitchboardError::Unauthorized(m) => SwitchboardError::Unauthorized(m.clone()),
-            SwitchboardError::RevalidationRequired(m) => {
-                SwitchboardError::RevalidationRequired(m.clone())
-            }
-            SwitchboardError::Closed => SwitchboardError::Closed,
-            SwitchboardError::Timeout => SwitchboardError::Timeout,
-            SwitchboardError::WaitOnShard => SwitchboardError::WaitOnShard,
-            SwitchboardError::Protocol(m) => SwitchboardError::Protocol(m.clone()),
-            SwitchboardError::Remote(m) => SwitchboardError::Remote(m.clone()),
-        }
-    }
 }
 
 impl core::fmt::Display for SwitchboardError {
@@ -137,7 +116,7 @@ impl std::error::Error for SwitchboardError {}
 
 impl From<std::io::Error> for SwitchboardError {
     fn from(e: std::io::Error) -> Self {
-        SwitchboardError::Io(e)
+        SwitchboardError::Io(std::sync::Arc::new(e))
     }
 }
 

@@ -98,12 +98,8 @@ enum Command {
         heartbeat: Option<(Duration, Option<IpAddr>)>,
     },
     /// An inbox has frames (or its EOF) for the shard to take.
-    Readable {
-        token: u64,
-    },
-    Close {
-        token: u64,
-    },
+    Readable(u64),
+    Close(u64),
 }
 
 struct ShardHandle {
@@ -164,13 +160,6 @@ pub fn shard_count() -> usize {
     global().shards.len()
 }
 
-fn alloc_token(reactor: &Reactor) -> (usize, u64) {
-    // Unique-id allocation only: Relaxed suffices, nothing is published
-    // under this counter.
-    let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
-    ((token % reactor.shards.len() as u64) as usize, token)
-}
-
 /// Hand a connected (handshake-complete) channel's receiver to a shard,
 /// which reads it and drives its heartbeats from now on. The channel
 /// owns no thread, except off Linux, where a TCP stream gets a pump.
@@ -198,19 +187,19 @@ pub(crate) fn register_connection(
         inbox => (inbox, None),
     };
     let reactor = global();
-    let (shard_idx, token) = alloc_token(reactor);
-    inner.set_reactor_registration(Registration {
-        shard: shard_idx,
-        token,
-    });
-    let shard = &reactor.shards[shard_idx];
+    // Unique-id allocation only: Relaxed suffices, nothing is published
+    // under this counter.
+    let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
+    let idx = (token % reactor.shards.len() as u64) as usize;
+    *inner.reactor_reg.lock() = Some(Registration { shard: idx, token });
+    let shard = &reactor.shards[idx];
     if let Source::Inbox(reader) = &source {
         // A wake that beats `Register` finds no connection; the service
         // at registration takes what it announced.
         let wake = shard.clone();
         reader
             .inbox
-            .attach(Box::new(move || wake.push(Command::Readable { token })));
+            .attach(Box::new(move || wake.push(Command::Readable(token))));
     }
     shard.push(Command::Register {
         token,
@@ -225,7 +214,7 @@ pub(crate) fn register_connection(
 /// construction — the caller obtained `reg` by `take`ing it.
 pub(crate) fn deregister(reg: Registration) {
     if let Some(reactor) = REACTOR.get() {
-        reactor.shards[reg.shard].push(Command::Close { token: reg.token });
+        reactor.shards[reg.shard].push(Command::Close(reg.token));
     }
 }
 
@@ -387,8 +376,8 @@ fn apply_command(st: &mut ShardState, cmd: Command, again: &mut Vec<u64>) {
             // stays independent of that timing) or frames already queued.
             service_conn(st, token, again);
         }
-        Command::Readable { token } => service_conn(st, token, again),
-        Command::Close { token } => close_token(st, token),
+        Command::Readable(token) => service_conn(st, token, again),
+        Command::Close(token) => close_token(st, token),
     }
 }
 

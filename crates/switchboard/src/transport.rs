@@ -44,7 +44,7 @@ pub struct Receiver(pub(crate) Source);
 
 pub(crate) enum Source {
     Socket(TcpStream),
-    Inbox(InboxReader),
+    Inbox(InboxEnd),
 }
 
 /// Both sources carry the same length-prefixed byte stream, so a shard
@@ -272,19 +272,18 @@ pub(crate) fn read_frame(stream: &mut impl Read) -> std::io::Result<Vec<u8>> {
 
 /// Off Linux the poller cannot watch sockets: a thread that only reads
 /// feeds the stream into an inbox. It ends at EOF, or when the channel
-/// closes, since dropping the reader shuts the socket down.
+/// closes, since dropping the reading end shuts the socket down.
 #[cfg(any(test, not(target_os = "linux")))]
-pub(crate) fn pump(mut stream: TcpStream) -> std::io::Result<InboxReader> {
+pub(crate) fn pump(mut stream: TcpStream) -> std::io::Result<InboxEnd> {
     let (mut writer, mut reader) = inbox_pair();
     reader.pumped = Some(stream.try_clone()?);
     std::thread::Builder::new()
         .name("swbd-pump".into())
         .spawn(move || {
-            while let Ok(frame) = read_frame(&mut stream) {
-                if writer.send(&frame).is_err() {
-                    break;
-                }
-            }
+            while read_frame(&mut stream)
+                .and_then(|f| writer.send(&f))
+                .is_ok()
+            {}
         })?;
     Ok(reader)
 }
@@ -304,7 +303,7 @@ pub(crate) struct Inbox {
 #[derive(Default)]
 struct InboxState {
     bytes: VecDeque<u8>,
-    /// Either half is gone: writes fail, and reads end at EOF.
+    /// Either end is gone: writes fail, and reads end at EOF.
     closed: bool,
     /// Wakes the reading shard, once registered.
     shard: Option<Box<dyn Fn() + Send>>,
@@ -321,8 +320,7 @@ impl Inbox {
     fn write(&self, frames: &[&[u8]]) -> std::io::Result<()> {
         let mut st = self.lock();
         if st.closed {
-            let gone = std::io::ErrorKind::BrokenPipe;
-            return Err(std::io::Error::new(gone, "peer gone"));
+            return Err(std::io::ErrorKind::BrokenPipe.into());
         }
         for frame in frames {
             st.bytes.extend((frame.len() as u32).to_le_bytes());
@@ -332,6 +330,8 @@ impl Inbox {
         Ok(())
     }
 
+    /// Wake the reader: the shard, unless it is woken already, or before
+    /// registration a blocked read.
     fn wake(&self, st: &mut InboxState) {
         match &st.shard {
             Some(wake) if !std::mem::replace(&mut st.woken, true) => wake(),
@@ -343,12 +343,6 @@ impl Inbox {
     /// Hand the inbox to the shard that reads it from now on.
     pub(crate) fn attach(&self, wake: Box<dyn Fn() + Send>) {
         self.lock().shard = Some(wake);
-    }
-
-    fn close(&self) {
-        let mut st = self.lock();
-        st.closed = true;
-        self.wake(&mut st);
     }
 }
 
@@ -369,48 +363,39 @@ impl Read for &Inbox {
     }
 }
 
-/// The sending half of an inbox; dropping it is the reader's EOF.
-struct InboxWriter(Arc<Inbox>);
-
-impl Drop for InboxWriter {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// The receiving half of an inbox; dropping it fails further writes.
-pub(crate) struct InboxReader {
+/// One end of an inbox. Dropping either end closes it: the reader sees
+/// EOF and the writer's sends fail; a pumped reader also shuts its socket
+/// down, which ends the pump.
+pub(crate) struct InboxEnd {
     pub(crate) inbox: Arc<Inbox>,
     /// The stream a pump thread feeds into this inbox.
     pumped: Option<TcpStream>,
 }
 
-impl Drop for InboxReader {
+impl Drop for InboxEnd {
     fn drop(&mut self) {
-        self.inbox.close();
-        self.inbox.lock().bytes = VecDeque::new();
+        let mut st = self.inbox.lock();
+        st.closed = true;
+        self.inbox.wake(&mut st);
         if let Some(stream) = &self.pumped {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }
 }
 
-fn inbox_pair() -> (InboxWriter, InboxReader) {
+fn inbox_pair() -> (InboxEnd, InboxEnd) {
     let inbox = Arc::new(Inbox::default());
-    let writer = InboxWriter(inbox.clone());
-    (
-        writer,
-        InboxReader {
-            inbox,
-            pumped: None,
-        },
-    )
+    let end = |inbox| InboxEnd {
+        inbox,
+        pumped: None,
+    };
+    (end(inbox.clone()), end(inbox))
 }
 
 /// In-memory transport: each direction is an inbox the sender fills and
 /// the receiver's shard drains. Deterministic and fast; used by tests,
 /// benches, and the netsim-backed deployments.
-pub struct MemTransport(InboxWriter, InboxReader);
+pub struct MemTransport(InboxEnd, InboxEnd);
 
 impl MemTransport {
     /// Create a connected pair.
@@ -426,14 +411,14 @@ impl Transport for MemTransport {
     }
 }
 
-impl FrameSender for InboxWriter {
+impl FrameSender for InboxEnd {
     fn send(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        self.0.write(&[frame])
+        self.inbox.write(&[frame])
     }
 
     /// One write for the burst, so the reader takes it in one pass.
     fn send_many(&mut self, frames: &[&[u8]]) -> std::io::Result<()> {
-        self.0.write(frames)
+        self.inbox.write(frames)
     }
 }
 

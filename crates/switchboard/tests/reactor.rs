@@ -13,6 +13,7 @@ use psf_switchboard::{
     connect_tcp, establish_plain, establish_secure, listen_tcp, pair_in_memory_plain, AuthSuite,
     Authorizer, Channel, ChannelConfig, ClockRef, SwitchboardError, TcpTransport,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -479,11 +480,17 @@ fn blocking_handler_does_not_stall_its_shard() {
 #[test]
 fn inline_handler_waiting_on_a_call_fails_fast() {
     // An inline handler runs on a shard; a wait there would park every
-    // channel pinned to it until the RPC timeout. It fails at once.
+    // channel pinned to it until the RPC timeout. It fails at once, and
+    // no request leaves, so no remote effect is orphaned.
     let config = quiet_config(Duration::from_secs(10));
     let (front, front_server) = pair_in_memory_plain(config.clone());
     let (back, back_server) = pair_in_memory_plain(config);
-    install_echo(&back_server);
+    let ran = Arc::new(AtomicUsize::new(0));
+    let counter = ran.clone();
+    back_server.register_handler("echo", move |args| {
+        counter.fetch_add(1, Ordering::SeqCst);
+        Ok(args.to_vec())
+    });
     let back = Arc::new(back);
     let inner_back = back.clone();
     front_server.register_handler("forward", move |args| {
@@ -491,11 +498,16 @@ fn inline_handler_waiting_on_a_call_fails_fast() {
         let wait = inner_back
             .call_pipelined("echo", args)
             .and_then(|pending| pending.wait());
+        let many = inner_back.call_many("echo", &[args; 5], 2);
+        let refused =
+            |r: &Result<Vec<u8>, SwitchboardError>| matches!(r, Err(SwitchboardError::WaitOnShard));
         match (call, wait) {
-            (Err(SwitchboardError::WaitOnShard), Err(SwitchboardError::WaitOnShard)) => {
+            (Err(SwitchboardError::WaitOnShard), Err(SwitchboardError::WaitOnShard))
+                if many.len() == 5 && many.iter().all(refused) =>
+            {
                 Ok(b"refused".to_vec())
             }
-            other => Err(format!("{other:?}")),
+            other => Err(format!("{other:?} {many:?}")),
         }
     });
     let start = Instant::now();
@@ -503,6 +515,42 @@ fn inline_handler_waiting_on_a_call_fails_fast() {
     let elapsed = start.elapsed();
     assert_eq!(reply.unwrap(), b"refused");
     assert!(elapsed < Duration::from_millis(50), "took {elapsed:?}");
-    // Off the shard the same call simply works.
+    // Off the shard the same call simply works; it is the first to run.
     assert_eq!(back.call("echo", b"y").unwrap(), b"y");
+    assert_eq!(ran.load(Ordering::SeqCst), 1, "a refused request ran");
+}
+
+#[test]
+fn serial_blocking_requests_share_one_drain_thread() {
+    // Back-to-back requests find the drain thread still lingering, so a
+    // hop served serially does not start a thread per request; once the
+    // channel goes idle, the thread exits.
+    struct OnExit(std::sync::mpsc::Sender<()>);
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+    thread_local! {
+        static EXIT: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+    }
+    let (client, server) = pair_in_memory_plain(quiet_config(Duration::from_secs(10)));
+    let (exit_tx, exit_rx) = std::sync::mpsc::channel();
+    let exit_tx = std::sync::Mutex::new(exit_tx);
+    server.register_blocking_handler("thread", move |_| {
+        EXIT.with(|e| {
+            e.borrow_mut()
+                .get_or_insert_with(|| OnExit(exit_tx.lock().unwrap().clone()));
+        });
+        Ok(format!("{:?}", std::thread::current().id()).into_bytes())
+    });
+    // A thread per request would give 21 ids; a scheduling stall longer
+    // than the linger on a loaded machine may give a few.
+    let threads: std::collections::HashSet<Vec<u8>> = (0..21)
+        .map(|_| client.call("thread", b"").unwrap())
+        .collect();
+    assert!(threads.len() < 5, "{} threads for 21 calls", threads.len());
+    exit_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the idle drain thread never exited");
 }
