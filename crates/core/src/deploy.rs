@@ -84,8 +84,8 @@ impl RetryPolicy {
 }
 
 /// A deterministic schedule of injected deployment failures, addressed by
-/// (attempt, step index). Two combinable modes: explicit [`fail_at`]
-/// (DeployFaultPlan::fail_at) entries, and a seeded pseudo-random mode
+/// (attempt, step index). Two combinable modes: explicit
+/// [`fail_at`](DeployFaultPlan::fail_at) entries, and a seeded pseudo-random mode
 /// ([`seeded`](DeployFaultPlan::seeded)) that fails each step with a fixed
 /// probability, capped at `max_faults` total so a bounded retry can always
 /// recover.
@@ -174,8 +174,8 @@ pub struct AppBundle {
     pub library: MethodLibrary,
     /// Data-plane middleware by template name.
     pub middleware: HashMap<String, MiddlewareFactory>,
-    /// CPU cost per template (from its [`ComponentSpec`]
-    /// (crate::model::ComponentSpec)); used for node reservation at
+    /// CPU cost per template (from its
+    /// [`ComponentSpec`](crate::model::ComponentSpec)); used for node reservation at
     /// deployment time.
     pub cpu_costs: HashMap<String, u32>,
 }

@@ -18,8 +18,8 @@
 //!   *regression* (backward relevance pruning from the goal) with
 //!   *progression* (forward Dijkstra search over interface states),
 //!   subject to network properties, node capacity, and dRBAC
-//!   authorization; a crossbeam-parallel variant explores the frontier
-//!   with worker threads.
+//!   authorization; a parallel variant expands the frontier on
+//!   `std::thread::scope` worker threads.
 //! * [`oracle`] — the authorization constraint oracle: the paper's node
 //!   authorization ("map node credentials onto application policy
 //!   roles"), and component authorization ("a node accepts a component

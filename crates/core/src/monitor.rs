@@ -1,5 +1,5 @@
 //! Adaptation: the monitoring module feeds environment changes back into
-//! planning (paper §2.1: "the planning module … factor[s] in application
+//! planning (paper §2.1: "the planning module … factor\[s\] in application
 //! and network-level constraints, updates to which are tracked by the
 //! monitoring module").
 

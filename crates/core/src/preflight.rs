@@ -4,7 +4,7 @@
 //! its PSF011–PSF013 lint codes.
 //!
 //! Pre-flight is not a second statement of the rules: it is the
-//! deployer's own plan walk run with the [`Record`] effects below, which
+//! deployer's own plan walk run with the `Record` effects below, which
 //! reserve nothing, publish nothing and connect nothing, and which note a
 //! violation and walk on where `execute` would stop. The first violation
 //! is the step and message `execute` fails with; an authorization message

@@ -3,7 +3,7 @@
 //! through [`RemoteRepository`], which implements
 //! [`CredentialSource`] so the proof engine is location-transparent
 //! (paper §3.1: "dRBAC credentials are stored in a distributed
-//! repository … queries about credentials involving the entity [are]
+//! repository … queries about credentials involving the entity \[are\]
 //! directed as appropriate to its home node").
 
 use parking_lot::Mutex;

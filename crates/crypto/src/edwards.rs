@@ -365,7 +365,7 @@ impl EdwardsPoint {
     /// `a·A + b·B` for the base point `B`, in one interleaved (Straus)
     /// pass over both scalars' signed-window non-adjacent forms: width 5
     /// over the eight odd multiples `A … 15A` built here, width 8 over
-    /// the static [`basepoint_odd_multiples`]. One doubling per bit (the
+    /// the static `basepoint_odd_multiples`. One doubling per bit (the
     /// accumulator stays projective between doublings) and one addition
     /// per non-zero digit — about 253 doublings and 253/6 + 253/9 ≈ 70
     /// additions. Variable-time in both scalars: this is the signature

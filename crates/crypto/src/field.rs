@@ -1,6 +1,6 @@
 //! Arithmetic in GF(2^255 − 19) with radix-2^51 limbs and lazy reduction.
 //!
-//! Representation: five `u64` limbs, value = Σ limb[i]·2^(51·i) mod p.
+//! Representation: five `u64` limbs, value = Σ limb\[i\]·2^(51·i) mod p.
 //! Limbs are never fully reduced between operations; canonical reduction
 //! happens only on encoding ([`Fe::to_bytes`]).
 //!
@@ -16,7 +16,7 @@
 //! `add` does not carry: its result is bounded by the sum of its operands'
 //! bounds, so the sum of up to four tight values is still loose. That is
 //! as deep as the point formulas in [`crate::edwards`] and the ladder in
-//! [`crate::x25519`] go (`2·ZZ + TT2d` is the deepest: three tight terms)
+//! [`crate::x25519`](mod@crate::x25519) go (`2·ZZ + TT2d` is the deepest: three tight terms)
 //! before the next `mul`, `square` or `sub` brings the value back to
 //! tight. `to_bytes` (and with it `ct_eq`, `is_zero`, `is_negative`)
 //! accepts any limbs.

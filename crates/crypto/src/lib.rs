@@ -16,7 +16,7 @@
 //!   (radix-2^51, lazily reduced), the twisted Edwards curve used by
 //!   Ed25519, and the scalar field modulo the group order ℓ.
 //! * [`ed25519`] — EdDSA signatures (RFC 8032 construction).
-//! * [`x25519`] — Diffie-Hellman key agreement (RFC 7748), checked against
+//! * [`x25519`](mod@x25519) — Diffie-Hellman key agreement (RFC 7748), checked against
 //!   the RFC test vector.
 //! * [`ct`] — small constant-time comparison helpers.
 //!

@@ -325,7 +325,7 @@ impl Poly1305 {
 
     /// Absorb message bytes. The bulk runs in radix-2⁴⁴, four blocks per
     /// carry chain: `h = (h + m₁)·r⁴ + m₂·r³ + m₃·r² + m₄·r` with all four
-    /// triple products summed in u128 before one [`carry44`]; the 32- and
+    /// triple products summed in u128 before one `carry44`; the 32- and
     /// 16-byte residues fall back to the radix-2²⁶ steps.
     pub fn update(&mut self, mut data: &[u8]) {
         if self.buf_len > 0 {

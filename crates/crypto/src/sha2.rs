@@ -3,7 +3,7 @@
 //! The round constants (fractional cube roots of the first 64/80 primes)
 //! and initial hash values (fractional square roots of the first 8 primes)
 //! are derived at runtime by exact integer root extraction in
-//! [`crate::bigint`], then the whole construction is validated against the
+//! `crate::bigint`, then the whole construction is validated against the
 //! FIPS known-answer digests in the test module. This removes the usual
 //! risk of a silently mistranscribed constant table.
 

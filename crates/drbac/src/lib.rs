@@ -58,7 +58,7 @@ pub mod wal;
 pub mod wire;
 
 pub use attr::{AttrSet, AttrValue};
-pub use cache::{AuthCache, CacheStats};
+pub use cache::{AclRules, AuthCache, CacheStats, DecisionKey, Evidence, ViewDecision};
 pub use certify::{
     attrs_to_cert, certify, check_certificate, check_certificate_memo, subject_to_cert,
 };

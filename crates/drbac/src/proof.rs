@@ -12,7 +12,7 @@
 //! [`verify`]: Proof::verify
 
 use crate::attr::AttrSet;
-use crate::cache::{AuthCache, Frontier, PresentedFingerprint, ProofKey};
+use crate::cache::{AuthCache, Evidence, Frontier, PresentedFingerprint, ProofKey};
 use crate::certify::{certify, check_certificate};
 use crate::delegation::{CredId, Credential, DelegationKind, SignedDelegation};
 use crate::entity::{EntityName, EntityRegistry, RoleName, Subject};
@@ -60,9 +60,9 @@ pub struct Proof {
 
 impl Proof {
     /// Every credential id this proof depends on (recursing into
-    /// supports) — the set a [`ValidityMonitor`](crate::ValidityMonitor)
-    /// must watch for continuous authorization. The ids are the carried
-    /// ones: nothing is hashed.
+    /// supports) — the set a [`ValidityMonitor`] must watch for
+    /// continuous authorization. The ids are the carried ones: nothing is
+    /// hashed.
     pub fn credential_ids(&self) -> Vec<CredId> {
         let mut out = Vec::new();
         self.for_each_credential(&mut |c| out.push(c.cred_id()));
@@ -284,6 +284,30 @@ impl<'a> ProofEngine<'a> {
         target: &RoleName,
         presented: &[Arc<Credential>],
     ) -> Result<(Proof, SearchStats), ProofError> {
+        self.prove_inner(subject, target, presented, None)
+    }
+
+    /// [`prove_carried`](Self::prove_carried) for one rule of a decision
+    /// that tries several: a proof-table hit adds that entry's pins to
+    /// `evidence`, and a fresh search (or an engine without a cache) marks
+    /// it fresh.
+    pub fn prove_noting(
+        &self,
+        subject: &Subject,
+        target: &RoleName,
+        presented: &[Arc<Credential>],
+        evidence: &mut Evidence,
+    ) -> Result<(Proof, SearchStats), ProofError> {
+        self.prove_inner(subject, target, presented, Some(evidence))
+    }
+
+    fn prove_inner(
+        &self,
+        subject: &Subject,
+        target: &RoleName,
+        presented: &[Arc<Credential>],
+        mut evidence: Option<&mut Evidence>,
+    ) -> Result<(Proof, SearchStats), ProofError> {
         let mut span = psf_telemetry::span("psf.drbac", "prove");
         span.field("target", target);
         let start = std::time::Instant::now();
@@ -301,8 +325,13 @@ impl<'a> ProofEngine<'a> {
         // pin.)
         let registry_epoch = self.registry.epoch();
         if let (Some(cache), Some(key)) = (self.cache, key.as_ref()) {
-            if let Some(cached) = cache.lookup_proof(key, self.now, self.repository, registry_epoch)
-            {
+            if let Some(cached) = cache.lookup_proof(
+                key,
+                self.now,
+                self.repository,
+                registry_epoch,
+                evidence.as_deref_mut(),
+            ) {
                 let result = cached.map_err(|(error, stats)| ProofError { error, stats });
                 if result.is_err() {
                     psf_telemetry::counter!("psf.drbac.prove.failures").inc();
@@ -314,6 +343,9 @@ impl<'a> ProofEngine<'a> {
             }
         }
 
+        if let Some(evidence) = evidence {
+            evidence.note_search();
+        }
         let mut frontier = Frontier::default();
         let result = self.prove_search(subject, target, presented, &mut frontier);
         if let (Some(cache), Some(key)) = (self.cache, key) {

@@ -2,7 +2,7 @@
 //! target.
 //!
 //! A fixed set of shard threads (one per core, capped at 8) services
-//! every channel: each shard owns a [poller](sys::Poller), the channels
+//! every channel: each shard owns a poller (`sys::Poller`), the channels
 //! hash-pinned to it, and a hashed [timer wheel](wheel) driving
 //! heartbeats. Per-channel steady-state cost is one table entry plus a
 //! timer-slot share — no channel owns a thread.
@@ -32,7 +32,7 @@
 //!   [`HB_GROUP_CAP`] members), so 100k channels to the same host cost
 //!   hundreds of timer fires per interval, not 100k. Group phases are
 //!   hash-staggered to avoid synchronized bursts.
-//! * **Platform boundary** — [`sys`] is the one module that knows the
+//! * **Platform boundary** — `sys` is the one module that knows the
 //!   platform and holds every raw syscall (the one place outside
 //!   `crates/crypto` that CI's unsafe_code audit permits); everything
 //!   here is safe Rust over its owning types.

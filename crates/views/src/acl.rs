@@ -9,15 +9,21 @@
 
 use psf_drbac::entity::{EntityRegistry, RoleName, Subject};
 use psf_drbac::proof::{Proof, ProofEngine};
-use psf_drbac::repository::Repository;
+use psf_drbac::repository::{CredentialSource, Repository};
 use psf_drbac::revocation::{RevocationBus, ValidityMonitor};
-use psf_drbac::{AuthCache, Credential, SignedDelegation, Timestamp};
+use psf_drbac::{
+    AclRules, AuthCache, Credential, DecisionKey, Evidence, SignedDelegation, Timestamp,
+    ViewDecision,
+};
+use psf_telemetry::audit::CacheOutcome;
+use psf_telemetry::trace::SpanGuard;
+use std::sync::Arc;
 
 /// Table 4 as data: ordered rules mapping a role (or the catch-all
 /// "others") to a view name.
 #[derive(Debug, Clone, Default)]
 pub struct ViewAcl {
-    rules: Vec<(Option<RoleName>, String)>,
+    rules: AclRules,
 }
 
 impl ViewAcl {
@@ -28,26 +34,26 @@ impl ViewAcl {
 
     /// Add a role rule (checked in order, first match wins).
     pub fn rule(mut self, role: RoleName, view: impl Into<String>) -> Self {
-        self.rules.push((Some(role), view.into()));
+        self.rules.push(Some(role), view.into());
         self
     }
 
     /// Add the catch-all "others" rule.
     pub fn others(mut self, view: impl Into<String>) -> Self {
-        self.rules.push((None, view.into()));
+        self.rules.push(None, view.into());
         self
     }
 
     /// The rules, for display (Table 4 rendering).
     pub fn rules(&self) -> &[(Option<RoleName>, String)] {
-        &self.rules
+        self.rules.as_slice()
     }
 
     /// The distinct view names this ACL can ever grant, in rule order —
     /// the reachability roots for the unreachable-view lint.
     pub fn view_names(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
-        for (_, view) in &self.rules {
+        for (_, view) in self.rules() {
             if !out.contains(&view.as_str()) {
                 out.push(view.as_str());
             }
@@ -58,7 +64,7 @@ impl ViewAcl {
     /// Render the Table 4 layout.
     pub fn render(&self) -> String {
         let mut out = String::from("Role                 | View name\n");
-        for (role, view) in &self.rules {
+        for (role, view) in self.rules() {
             let r = role
                 .as_ref()
                 .map(|r| r.to_string())
@@ -82,13 +88,19 @@ impl ViewAcl {
         bus: &RevocationBus,
         now: Timestamp,
     ) -> Option<(String, Option<Proof>)> {
+        let mut span = psf_telemetry::span("psf.views", "select_view");
         let engine = ProofEngine::new(registry, repository, bus, now);
-        self.select_with_engine(&engine, subject, presented)
+        let presented = Credential::wrap_all(presented);
+        let decision = self.decide(&engine, subject, &presented, &mut Evidence::default());
+        self.answer(&mut span, subject, decision, None)
     }
 
     /// As [`select_view`](Self::select_view), with repeat decisions
     /// answered from `cache` (which must be dedicated to this
-    /// registry/repository/bus triple).
+    /// registry/repository/bus triple). A decision seen before is answered
+    /// by one lookup of `cache`'s decision table and runs no proof search;
+    /// otherwise each rule is asked of the proof table, and the decision
+    /// is remembered once every rule it tried was a proof-table hit.
     #[allow(clippy::too_many_arguments)]
     pub fn select_view_cached(
         &self,
@@ -100,56 +112,90 @@ impl ViewAcl {
         now: Timestamp,
         cache: &AuthCache,
     ) -> Option<(String, Option<Proof>)> {
+        let mut span = psf_telemetry::span("psf.views", "select_view");
+        let presented = Credential::wrap_all(presented);
+        // Read before any rule is tried, like a search's epoch.
+        let registry_epoch = registry.epoch();
+        let key = DecisionKey::new(subject, &self.rules, &presented);
+        if let Some(decision) = cache.lookup_decision(&key, now, repository, registry_epoch) {
+            let outcome = match decision.rule {
+                Some(_) => CacheOutcome::Hit,
+                None => CacheOutcome::NegativeHit,
+            };
+            let cached = Some((outcome, repository.version()));
+            return self.answer(&mut span, subject, decision, cached);
+        }
         let engine = ProofEngine::with_cache(registry, repository, bus, now, cache);
-        self.select_with_engine(&engine, subject, presented)
+        let mut evidence = Evidence::default();
+        let decision = self.decide(&engine, subject, &presented, &mut evidence);
+        cache.insert_decision(key, &decision, evidence, bus, registry_epoch, now);
+        self.answer(&mut span, subject, decision, None)
     }
 
-    fn select_with_engine(
+    /// Try the rules in order; the first that `engine` proves (or the
+    /// catch-all) wins.
+    fn decide(
         &self,
         engine: &ProofEngine<'_>,
         subject: &Subject,
-        presented: &[SignedDelegation],
+        presented: &[Arc<Credential>],
+        evidence: &mut Evidence,
+    ) -> ViewDecision {
+        for (i, (role, _)) in self.rules().iter().enumerate() {
+            let proof = match role {
+                Some(role) => match engine.prove_noting(subject, role, presented, evidence) {
+                    Ok((proof, _)) => Some(proof),
+                    Err(_) => continue,
+                },
+                None => None,
+            };
+            return ViewDecision {
+                rule: Some(i),
+                proof,
+            };
+        }
+        ViewDecision {
+            rule: None,
+            proof: None,
+        }
+    }
+
+    /// Audit `decision` (with its cache provenance, when it came from the
+    /// decision table) and turn it into the view it grants.
+    fn answer(
+        &self,
+        span: &mut SpanGuard<'_>,
+        subject: &Subject,
+        decision: ViewDecision,
+        cached: Option<(CacheOutcome, Option<u64>)>,
     ) -> Option<(String, Option<Proof>)> {
         use psf_telemetry::audit::{self, Decision, Verdict};
-        let mut span = psf_telemetry::span("psf.views", "select_view");
-        // Hashed once per decision, not once per rule tried.
-        let presented = Credential::wrap_all(presented);
-        for (role, view) in &self.rules {
-            match role {
-                Some(role) => {
-                    if let Ok((proof, _)) = engine.prove_carried(subject, role, &presented) {
-                        span.field("view", view);
-                        audit::record(
-                            Decision::SelectView,
-                            subject.render(),
-                            view.clone(),
-                            Verdict::Allow,
-                        )
-                        .chain(&proof.credential_ids())
-                        .detail(format!("role {role}"))
-                        .commit();
-                        return Some((view.clone(), Some(proof)));
-                    }
-                }
-                None => {
-                    span.field("view", view);
-                    audit::record(
-                        Decision::SelectView,
-                        subject.render(),
-                        view.clone(),
-                        Verdict::Allow,
-                    )
-                    .detail("catch-all rule")
-                    .commit();
-                    return Some((view.clone(), None));
-                }
-            }
+        let (outcome, epoch) = cached.unwrap_or_default();
+        let Some(i) = decision.rule else {
+            span.field("view", "<denied>");
+            audit::record(Decision::SelectView, subject.render(), "", Verdict::Deny)
+                .cache(outcome, epoch)
+                .detail("no acl rule matched")
+                .commit();
+            return None;
+        };
+        let (role, view) = &self.rules()[i];
+        span.field("view", view);
+        let record = audit::record(
+            Decision::SelectView,
+            subject.render(),
+            view.clone(),
+            Verdict::Allow,
+        )
+        .cache(outcome, epoch);
+        match (role, &decision.proof) {
+            (Some(role), Some(proof)) => record
+                .chain(&proof.credential_ids())
+                .detail(format!("role {role}")),
+            _ => record.detail("catch-all rule"),
         }
-        span.field("view", "<denied>");
-        audit::record(Decision::SelectView, subject.render(), "", Verdict::Deny)
-            .detail("no acl rule matched")
-            .commit();
-        None
+        .commit();
+        Some((view.clone(), decision.proof))
     }
 
     /// Full single-sign-on authorization: select the view and mint a

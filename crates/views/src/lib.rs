@@ -27,7 +27,7 @@
 //!   extractable *image*, pull-on-acquire and write-through/write-back
 //!   policies.
 //! * [`binding`] — how remote interfaces reach the original object: a
-//!   [`RemoteCall`](binding::RemoteCall) abstraction implemented by
+//!   [`RemoteCall`] abstraction implemented by
 //!   Switchboard channels (both secure and plain/rmi modes) and by
 //!   in-process handles for tests.
 //! * [`acl`] — Table 4: role→view access-control tables with

@@ -396,18 +396,28 @@ impl SignOnWorld {
     /// Sign every user on once, checking each view against the class.
     fn sign_on_all(&self) {
         for (user, class) in &self.users {
-            let view = self.acl.select_view_cached(
-                &user.as_subject(),
-                &[],
-                &self.registry,
-                &self.repo,
-                &self.bus,
-                0,
-                &self.cache,
-            );
             let expected = CLASSES.get(*class).map(|c| format!("view.{c}"));
-            assert_eq!(view.map(|(v, _)| v), expected);
+            assert_eq!(self.sign_on(user), expected);
         }
+    }
+
+    /// Sign `user` on through the cache; the view must equal what the
+    /// uncached `select_view` answers at the same instant.
+    fn sign_on(&self, user: &Entity) -> Option<String> {
+        let subject = user.as_subject();
+        let (registry, repo, bus) = (&self.registry, &self.repo, &self.bus);
+        let cached = self
+            .acl
+            .select_view_cached(&subject, &[], registry, repo, bus, 0, &self.cache)
+            .map(|(v, _)| v);
+        let plain = self.acl.select_view(&subject, &[], registry, repo, bus, 0);
+        assert_eq!(cached, plain.map(|(v, _)| v));
+        cached
+    }
+
+    /// The first user of `class`.
+    fn first_of(&self, class: usize) -> &Entity {
+        &self.users.iter().find(|(_, c)| *c == class).unwrap().0
     }
 
     /// Cached decisions one pass makes: the failed rules, then the match.
@@ -460,14 +470,84 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
             .sign(),
     );
     w.sign_on_all();
+    // The second pass found every rule in the proof table, so it stored
+    // each user's whole decision: the third pass asks the proof table
+    // only for the Member users, whose decisions read the published key.
     let members = w.users.iter().filter(|(_, c)| *c == 1).count() as u64;
+    let users = w.users.len() as u64;
     assert!(members > 0);
     let last = w.cache.stats();
+    assert_eq!(after.decision_inserts, users);
+    assert_eq!(last.decision_invalidations, members);
+    assert_eq!(last.decision_hits - after.decision_hits, users - members);
     assert_eq!(last.proof_invalidations, 2 * members);
-    assert_eq!(
-        last.proof_hits - after.proof_hits,
-        w.entries() - 2 * members
+    assert_eq!(last.proof_hits, after.proof_hits);
+    assert_eq!(last.proof_misses - after.proof_misses, 2 * members);
+}
+
+/// A first sighting stores nothing: one pass over subjects never seen
+/// before runs every rule as a fresh search, so the decision table stays
+/// empty and each sign-on costs one missed lookup.
+#[test]
+fn one_pass_over_fresh_subjects_stores_no_decision() {
+    let w = SignOnWorld::new();
+    w.sign_on_all();
+    let s = w.cache.stats();
+    let users = w.users.len() as u64;
+    assert_eq!((s.decision_misses, s.decision_hits), (users, 0));
+    assert_eq!(s.decision_inserts, 0);
+    assert_eq!(s.proof_hits, 0);
+}
+
+/// A Member user's stored decision read the user's own key while its
+/// Admin rule failed: an Admin grant published for the user lifts it, and
+/// the next sign-on answers the Admin view.
+#[test]
+fn publishing_an_admin_grant_for_a_member_lifts_the_decision() {
+    let w = SignOnWorld::new();
+    let member = w.first_of(1);
+    for _ in 0..3 {
+        assert_eq!(w.sign_on(member).as_deref(), Some("view.Member"));
+    }
+    let s = w.cache.stats();
+    assert_eq!((s.decision_inserts, s.decision_hits), (1, 1));
+    w.repo.publish_at_issuer(
+        DelegationBuilder::new(&w.domains[2])
+            .subject_entity(member)
+            .role(w.domains[2].role("LeafAdmin"))
+            .sign(),
     );
+    assert_eq!(w.sign_on(member).as_deref(), Some("view.Admin"));
+    let s = w.cache.stats();
+    assert_eq!((s.decision_invalidations, s.decision_hits), (1, 1));
+}
+
+/// A decision watches what its failed rules passed, not only its proof.
+/// The mapping `Org.Member → Org.Alumni` is passed only by the Admin
+/// search, which expands `Org.Member` before failing; the Member search
+/// stops on reaching it. Revoking the mapping lifts the decision.
+#[test]
+fn revoking_a_credential_only_a_failed_rule_passed_lifts_the_decision() {
+    let w = SignOnWorld::new();
+    let member = w.first_of(1);
+    let org = &w.domains[0];
+    let beyond = DelegationBuilder::new(org)
+        .subject_role(org.role("Member"))
+        .role(org.role("Alumni"))
+        .sign();
+    w.repo.publish_at_issuer(beyond.clone());
+    for _ in 0..3 {
+        assert_eq!(w.sign_on(member).as_deref(), Some("view.Member"));
+    }
+    let warm = w.cache.stats();
+    assert_eq!((warm.decision_inserts, warm.decision_hits), (1, 1));
+    w.bus.revoke(&beyond.id());
+    assert_eq!(w.sign_on(member).as_deref(), Some("view.Member"));
+    let s = w.cache.stats();
+    assert_eq!((s.decision_invalidations, s.decision_hits), (1, 1));
+    // Only the failed Admin rule's proof entry watched the mapping.
+    assert_eq!(s.proof_invalidations, 1);
+    assert_eq!(s.proof_hits - warm.proof_hits, 1);
 }
 
 /// A cached failure is served while nothing it read changes — publishes

@@ -586,15 +586,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A standing decision — a channel admitted by proof search, one
-    /// admitted from the certificate alone, a sign-on token — holds
-    /// exactly as long as its evidence does. The world is a 1–4 deep
-    /// chain whose top edge may be a third-party grant resting on an
-    /// assignment support; the membership and the support may expire.
-    /// After every step of a random script (clock advances, revocations
-    /// of a chain, support or unknown id, publishes onto read and unread
-    /// keys, new registrations) each holder agrees with the independent
-    /// checker: `Proof::verify` for the monitors and the token,
-    /// `check_certificate` for the certificate path.
+    /// admitted from the certificate alone, a sign-on token, a view
+    /// decision remembered by the cache — holds exactly as long as its
+    /// evidence does. The world is a 1–4 deep chain whose top edge may be
+    /// a third-party grant resting on an assignment support; the
+    /// membership and the support may expire. After every step of a
+    /// random script (clock advances, revocations of a chain, support or
+    /// unknown id, publishes onto read and unread keys, new
+    /// registrations) each holder agrees with the independent checker:
+    /// `Proof::verify` for the monitors and the token,
+    /// `check_certificate` for the certificate path, and the uncached
+    /// `select_view` for `select_view_cached`. Its ACL tries a rule the
+    /// user fails first (`Side`, which a publish onto the target's key
+    /// can lift), so the remembered decision rests on a failed search
+    /// too; it is asked twice per step, so a decision stored by one ask
+    /// answers the next.
     #[test]
     fn standing_decisions_lapse_exactly_with_their_evidence(
         seed in 0u64..500,
@@ -668,6 +674,14 @@ proptest! {
             .authorize_once(&user.as_subject(), &[], &registry, &repo, &bus, 0)
             .unwrap();
         let token_proof = token.proof.clone().unwrap();
+        let side = domains[0].role("Side");
+        let acl = ViewAcl::new().rule(side.clone(), "Side").rule(target.clone(), "Full");
+        let cache = AuthCache::new();
+        let subject = user.as_subject();
+        let sign_on = |now| acl.select_view_cached(&subject, &[], &registry, &repo, &bus, now, &cache);
+        for _ in 0..2 {
+            prop_assert_eq!(sign_on(0).map(|(view, _)| view), Some("Full".to_string()));
+        }
 
         let mut now = 0u64;
         let mut extra = 0u64;
@@ -681,15 +695,16 @@ proptest! {
                     _ => bus.revoke("no-such-credential"),
                 },
                 // A publish onto a key the searches read: a direct grant
-                // of the target (a new, shorter proof for fresh searches).
+                // of the target (a new, shorter proof for fresh searches),
+                // or a mapping from the target onto `Side`, read only by
+                // the failing `Side` search (it lifts that rule).
                 3 => {
-                    repo.publish_at_issuer(
-                        DelegationBuilder::new(&domains[0])
-                            .subject_entity(&user)
-                            .role(target.clone())
-                            .serial(extra)
-                            .sign(),
-                    );
+                    let grant = if arg % 2 == 0 {
+                        DelegationBuilder::new(&domains[0]).subject_entity(&user).role(target.clone())
+                    } else {
+                        DelegationBuilder::new(&domains[0]).subject_role(target.clone()).role(side.clone())
+                    };
+                    repo.publish_at_issuer(grant.serial(extra).sign());
                 }
                 // A publish onto a key no search reads.
                 4 => {
@@ -717,6 +732,14 @@ proptest! {
                 token_proof.verify(&registry, &bus, now).is_ok(),
                 "sign-on token at t={}", now
             );
+            let fresh = acl.select_view(&subject, &[], &registry, &repo, &bus, now);
+            for ask in 0..2 {
+                prop_assert_eq!(
+                    format!("{:?}", sign_on(now)),
+                    format!("{fresh:?}"),
+                    "remembered view decision, ask {} at t={}", ask, now
+                );
+            }
         }
     }
 }
