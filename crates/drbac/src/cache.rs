@@ -20,6 +20,10 @@
 //! is deterministic, and over unchanged inputs it reproduces the recorded
 //! result, a proof or a failure alike.
 //!
+//! The walk beyond a role that many searches share is an entry too:
+//! `ProofEngine::splice` takes it from the table, and the entry spliced
+//! from it is pinned by the union of both entries' evidence.
+//!
 //! The decision table sits one level up (paper §4.2: the decision is
 //! "completed when the view is first instantiated"). It remembers whole
 //! role→view decisions, keyed by `(subject, rule table,
@@ -28,7 +32,8 @@
 //! the union of the pins of every rule it tried, failed rules included,
 //! and is stored only when every one of those rules was itself a proof
 //! hit: a decision seen for the first time is not stored. Both tables
-//! share one validity rule (`Pins::current`).
+//! gather what an entry rests on as one [`Evidence`] and share one
+//! validity rule (`Pins::current`).
 //!
 //! Both tables are bounded and evict by CLOCK (second chance): an entry
 //! hit since the hand last passed it survives, so a hot working set is
@@ -41,12 +46,12 @@
 //! exactly this reason.
 
 use crate::clock_table::ClockTable;
-use crate::delegation::{CredId, Credential};
+use crate::delegation::Credential;
 use crate::entity::{RoleName, Subject};
-use crate::proof::{Proof, SearchStats};
+use crate::proof::{Proof, ProofError, SearchStats};
 use crate::repository::{fnv1a, subject_key, CredentialSource, KeyMark};
 use crate::revocation::{RevocationBus, ValidityMonitor};
-use crate::{DrbacError, Timestamp};
+use crate::Timestamp;
 use parking_lot::Mutex;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -98,49 +103,66 @@ impl PresentedFingerprint {
     }
 }
 
-/// What a search read, recorded on a cache miss: the key buckets it
-/// queried and the credentials whose status can still change. It decides
-/// how long the resulting entry, proof or failure, stays exact.
+/// What an answer rests on: the key buckets read and the credentials
+/// whose status can still change. A search gathers it as it walks; a
+/// splice, or a view decision, adds the evidence of every table entry it
+/// rests on through its one union. It decides how long an entry
+/// built on it, a proof, a failure or a decision, stays exact.
 #[derive(Debug, Default, Clone)]
-pub struct Frontier {
+pub struct Evidence {
+    /// `(bucket, mark)` of every key queried, including keys that
+    /// returned nothing: a later publish for such a key can change the
+    /// answer, so its bucket is pinned too.
+    marks: Vec<KeyMark>,
     /// Ids of every credential that passed signature, expiry and
-    /// revocation checks. Only these can change the outcome later — by
+    /// revocation checks. Only these can change the answer later, by
     /// being revoked or by expiring; a rejected credential stays rejected
     /// (the revoked set only grows, time only moves forward).
-    pub ids: Vec<CredId>,
-    /// `(bucket, mark)` of every key the search queried, including keys
-    /// that returned nothing: a later publish for such a key can change
-    /// the result, so its bucket is pinned too.
-    pub marks: Vec<KeyMark>,
-    /// Some query came from a source that keeps no marks: the result is
-    /// not cached.
-    pub unmarked: bool,
+    ids: Vec<String>,
     /// Earliest expiry among `ids`, if any of them expires.
-    pub next_expiry: Option<Timestamp>,
+    expires: Option<Timestamp>,
+    /// Some edge followed conveyed attributes.
+    pub(crate) conveys: bool,
+    /// Nothing resting on this evidence is stored: a query went to a
+    /// source that keeps no marks, or a view decision needed a fresh
+    /// search (a first sighting).
+    pub(crate) discarded: bool,
 }
 
-impl Frontier {
+impl Evidence {
     /// Record one credential that passed its checks.
-    pub fn note(&mut self, cred: &Credential) {
-        self.ids.push(cred.cred_id());
-        self.next_expiry = self.next_expiry.into_iter().chain(cred.body.expires).min();
+    pub(crate) fn note(&mut self, cred: &Credential) {
+        self.ids.push(cred.cred_id().into());
+        self.expires = self.expires.into_iter().chain(cred.body.expires).min();
     }
 
     /// Record the mark one subject-key query returned.
-    pub fn note_query(&mut self, mark: Option<KeyMark>) {
+    pub(crate) fn note_query(&mut self, mark: Option<KeyMark>) {
         match mark {
             Some(mark) => self.marks.push(mark),
-            None => self.unmarked = true,
+            None => self.discarded = true,
         }
+    }
+
+    /// Add everything `other` rests on: every mark, every id, the earlier
+    /// expiry, whether an edge conveyed attributes, and whether it may be
+    /// stored.
+    pub(crate) fn union(&mut self, mut other: Evidence) {
+        self.marks.append(&mut other.marks);
+        self.ids.append(&mut other.ids);
+        self.expires = self.expires.into_iter().chain(other.expires).min();
+        self.conveys |= other.conveys;
+        self.discarded |= other.discarded;
     }
 }
 
-type ProveResult = Result<(Proof, SearchStats), (DrbacError, SearchStats)>;
+/// A proof or a failure, with the statistics of the search behind it.
+type ProveResult = Result<(Proof, SearchStats), ProofError>;
 
 /// What a cached answer rests on, and the one rule for whether it still
 /// holds. Both tables pin their entries this way: a proof entry with the
-/// pins of its own search, a decision entry with the union of the pins of
-/// every rule it tried.
+/// evidence of its own search, a decision entry with the union of the
+/// evidence of every rule it tried.
 pub(crate) struct Pins {
     /// `(bucket, mark)` of every key bucket read, sorted and deduplicated.
     marks: Box<[KeyMark]>,
@@ -149,22 +171,23 @@ pub(crate) struct Pins {
     monitor: ValidityMonitor,
     registry_epoch: u64,
     observed_now: Timestamp,
+    /// Some edge a search behind it followed conveyed attributes: a splice
+    /// onto a proof entry needs to know.
+    conveys: bool,
 }
 
 impl Pins {
-    fn new(
-        mut marks: Vec<KeyMark>,
-        monitor: ValidityMonitor,
-        registry_epoch: u64,
-        observed_now: Timestamp,
-    ) -> Pins {
-        marks.sort_unstable();
-        marks.dedup();
+    fn new(mut e: Evidence, bus: &RevocationBus, registry_epoch: u64, now: Timestamp) -> Pins {
+        e.marks.sort_unstable();
+        e.marks.dedup();
+        e.ids.sort_unstable();
+        e.ids.dedup();
         Pins {
-            marks: marks.into(),
-            monitor,
+            marks: e.marks.into(),
+            monitor: bus.monitor(e.ids, e.expires),
             registry_epoch,
-            observed_now,
+            observed_now: now,
+            conveys: e.conveys,
         }
     }
 
@@ -180,45 +203,22 @@ impl Pins {
                 .all(|&(bucket, mark)| source.bucket_mark(bucket) == Some(mark))
             && self.monitor.is_valid(now)
     }
+
+    /// The pins as evidence, for a union.
+    fn evidence(&self) -> Evidence {
+        Evidence {
+            marks: self.marks.to_vec(),
+            ids: self.monitor.watched_ids().to_vec(),
+            expires: self.monitor.expires(),
+            conveys: self.conveys,
+            discarded: false,
+        }
+    }
 }
 
 struct ProofEntry {
     result: ProveResult,
     pins: Pins,
-}
-
-/// The union of the pins of every proof-table entry that answered one
-/// rule of a view decision, gathered by
-/// [`ProofEngine::prove_noting`](crate::ProofEngine::prove_noting): every
-/// mark any of them read, every credential any of them watches, and the
-/// earliest of their expiries. Once a rule needed a fresh search the
-/// evidence is *fresh*: the decision is a first sighting and is not
-/// stored.
-#[derive(Default)]
-pub struct Evidence {
-    marks: Vec<KeyMark>,
-    ids: Vec<String>,
-    expires: Option<Timestamp>,
-    fresh: bool,
-}
-
-impl Evidence {
-    /// A rule was answered from the proof table by an entry with `pins`.
-    fn note_hit(&mut self, pins: &Pins) {
-        if !self.fresh {
-            self.marks.extend_from_slice(&pins.marks);
-            self.ids.extend_from_slice(pins.monitor.watched_ids());
-            self.expires = self.expires.into_iter().chain(pins.monitor.expires()).min();
-        }
-    }
-
-    /// A rule needed a fresh search.
-    pub(crate) fn note_search(&mut self) {
-        *self = Evidence {
-            fresh: true,
-            ..Evidence::default()
-        };
-    }
 }
 
 /// The ordered `(role, view)` rules of a role→view table, shared by every
@@ -379,7 +379,8 @@ impl AuthCache {
     /// Look up a memoized `prove()` result. Returns `None` on a miss,
     /// including an entry dropped because an input it pinned changed:
     /// `source` answers the current mark of each bucket the entry pinned.
-    /// A hit adds the entry's pins to `evidence`.
+    /// A hit adds the entry's pins, and whether its search followed an
+    /// edge that conveyed attributes, to `evidence`.
     pub(crate) fn lookup_proof(
         &self,
         key: &ProofKey,
@@ -404,7 +405,7 @@ impl AuthCache {
             return None;
         }
         if let Some(evidence) = evidence {
-            evidence.note_hit(&e.pins);
+            evidence.union(e.pins.evidence());
         }
         s.proof_hits.fetch_add(1, Relaxed);
         psf_telemetry::counter!("psf.drbac.cache.proof.hits").inc();
@@ -412,8 +413,8 @@ impl AuthCache {
     }
 
     /// Record a fresh `prove()` result — proof or failure — together with
-    /// the frontier of the search that produced it. `registry_epoch` is
-    /// the epoch read *before* the search; the marks in `frontier` were
+    /// the evidence of the search that produced it. `registry_epoch` is
+    /// the epoch read *before* the search; the marks in `evidence` were
     /// each read under the lock of the query they pin. Soundness: if every
     /// pin still holds at a later lookup, no input the search read has
     /// changed since it read it.
@@ -421,18 +422,17 @@ impl AuthCache {
         &self,
         key: ProofKey,
         result: ProveResult,
-        frontier: Frontier,
+        evidence: Evidence,
         bus: &RevocationBus,
         registry_epoch: u64,
         now: Timestamp,
     ) {
         // A source without marks (a remote repository) could change
         // content silently: nothing read from it is cached.
-        if frontier.unmarked {
+        if evidence.discarded {
             return;
         }
-        let monitor = bus.monitor(frontier.ids, frontier.next_expiry);
-        let pins = Pins::new(frontier.marks, monitor, registry_epoch, now);
+        let pins = Pins::new(evidence, bus, registry_epoch, now);
         self.inner
             .proofs
             .lock()
@@ -488,21 +488,12 @@ impl AuthCache {
         registry_epoch: u64,
         now: Timestamp,
     ) {
-        let Evidence {
-            marks,
-            mut ids,
-            expires,
-            fresh,
-        } = evidence;
-        if fresh {
+        if evidence.discarded {
             return;
         }
-        ids.sort_unstable();
-        ids.dedup();
-        let monitor = bus.monitor(ids, expires);
         let entry = DecisionEntry {
             decision: decision.clone(),
-            pins: Pins::new(marks, monitor, registry_epoch, now),
+            pins: Pins::new(evidence, bus, registry_epoch, now),
         };
         self.inner.decisions.lock().insert(key, entry);
         self.inner.stats.decision_inserts.fetch_add(1, Relaxed);

@@ -267,8 +267,9 @@ impl Credential {
         now: Timestamp,
         recalled: impl FnOnce(bool),
     ) -> Result<(), DrbacError> {
-        self.check_structure()?;
-        self.check_expiry(now)?;
+        // A rejection names the credential by its carried id.
+        self.signed.check_structure_naming(|| self.id())?;
+        self.signed.check_expiry_naming(now, || self.id())?;
         let passed = match self.verdict.get() {
             Some(&(key, passed)) if key == issuer_key.0 => {
                 recalled(true);
@@ -316,12 +317,18 @@ impl SignedDelegation {
     /// Structural check (self-certifying ⇒ issuer owns the role): the
     /// time-independent, key-independent part of [`verify`](Self::verify).
     pub fn check_structure(&self) -> Result<(), DrbacError> {
+        self.check_structure_naming(|| self.id())
+    }
+
+    /// [`check_structure`](Self::check_structure), with the credential's
+    /// id for the error from `id`.
+    fn check_structure_naming(&self, id: impl FnOnce() -> String) -> Result<(), DrbacError> {
         if self.body.kind == DelegationKind::SelfCertifying
             && self.body.issuer != self.body.object.owner
         {
             return Err(DrbacError::BrokenChain(format!(
                 "self-certifying delegation {} not issued by role owner",
-                self.id()
+                id()
             )));
         }
         Ok(())
@@ -330,10 +337,20 @@ impl SignedDelegation {
     /// Expiration check at `now`: the time-dependent part of
     /// [`verify`](Self::verify).
     pub fn check_expiry(&self, now: Timestamp) -> Result<(), DrbacError> {
+        self.check_expiry_naming(now, || self.id())
+    }
+
+    /// [`check_expiry`](Self::check_expiry), with the credential's id for
+    /// the error from `id`.
+    fn check_expiry_naming(
+        &self,
+        now: Timestamp,
+        id: impl FnOnce() -> String,
+    ) -> Result<(), DrbacError> {
         if let Some(expires) = self.body.expires {
             if now >= expires {
                 return Err(DrbacError::Expired {
-                    id: self.id(),
+                    id: id(),
                     expires,
                     now,
                 });

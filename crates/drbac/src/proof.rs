@@ -12,7 +12,7 @@
 //! [`verify`]: Proof::verify
 
 use crate::attr::AttrSet;
-use crate::cache::{AuthCache, Evidence, Frontier, PresentedFingerprint, ProofKey};
+use crate::cache::{AuthCache, Evidence, PresentedFingerprint, ProofKey};
 use crate::certify::{certify, check_certificate};
 use crate::delegation::{CredId, Credential, DelegationKind, SignedDelegation};
 use crate::entity::{EntityName, EntityRegistry, RoleName, Subject};
@@ -188,8 +188,16 @@ pub struct SearchStats {
     pub credentials_rejected: u64,
 }
 
+impl std::ops::AddAssign for SearchStats {
+    fn add_assign(&mut self, other: SearchStats) {
+        self.nodes_expanded += other.nodes_expanded;
+        self.credentials_examined += other.credentials_examined;
+        self.credentials_rejected += other.credentials_rejected;
+    }
+}
+
 /// Errors plus stats wrapper for failed searches.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ProofError {
     /// The underlying error (usually [`DrbacError::NoProof`]).
     pub error: DrbacError,
@@ -203,6 +211,71 @@ impl core::fmt::Display for ProofError {
     }
 }
 impl std::error::Error for ProofError {}
+
+impl ProofError {
+    /// No chain leads from `subject` to `target`.
+    fn no_proof(subject: &Subject, target: &RoleName, stats: SearchStats) -> ProofError {
+        ProofError {
+            error: DrbacError::NoProof {
+                subject: subject.render(),
+                role: target.to_string(),
+            },
+            stats,
+        }
+    }
+}
+
+/// A breadth-first walk in progress: the presented credentials, indexed
+/// by subject key, the nodes already reached, and the arrivals still to be
+/// expanded.
+struct Walk<'p> {
+    presented: &'p [Arc<Credential>],
+    by_subject: HashMap<String, Vec<Arc<Credential>>>,
+    visited: HashSet<String>,
+    queue: VecDeque<Arrival>,
+    /// Edges followed so far.
+    followed: usize,
+}
+
+/// A node reached with `attrs` along `path`, waiting to be expanded.
+struct Arrival {
+    node: Subject,
+    attrs: AttrSet,
+    path: Vec<ProofEdge>,
+}
+
+impl<'p> Walk<'p> {
+    /// A walk that has reached `subject` alone.
+    fn new(subject: &Subject, presented: &'p [Arc<Credential>]) -> Walk<'p> {
+        let mut by_subject: HashMap<String, Vec<Arc<Credential>>> = HashMap::new();
+        for c in presented {
+            by_subject
+                .entry(subject_key(&c.body.subject))
+                .or_default()
+                .push(c.clone());
+        }
+        Walk {
+            presented,
+            by_subject,
+            visited: HashSet::from([subject_key(subject)]),
+            queue: VecDeque::from([Arrival {
+                node: subject.clone(),
+                attrs: AttrSet::new(),
+                path: Vec::new(),
+            }]),
+            followed: 0,
+        }
+    }
+}
+
+/// Where a cached search keeps its answer: the proof table, the entry's
+/// key, and the registry epoch read before the search.
+#[derive(Clone, Copy)]
+struct Slot<'k> {
+    cache: &'k AuthCache,
+    key: &'k ProofKey,
+    registry_epoch: u64,
+}
 
 /// The proof-construction engine: breadth-first search over the delegation
 /// graph assembled from a credential set and the distributed repository.
@@ -306,7 +379,7 @@ impl<'a> ProofEngine<'a> {
         subject: &Subject,
         target: &RoleName,
         presented: &[Arc<Credential>],
-        mut evidence: Option<&mut Evidence>,
+        mut decision: Option<&mut Evidence>,
     ) -> Result<(Proof, SearchStats), ProofError> {
         let mut span = psf_telemetry::span("psf.drbac", "prove");
         span.field("target", target);
@@ -324,15 +397,19 @@ impl<'a> ProofEngine<'a> {
         // marks are read by each query, under the lock of the data they
         // pin.)
         let registry_epoch = self.registry.epoch();
-        if let (Some(cache), Some(key)) = (self.cache, key.as_ref()) {
-            if let Some(cached) = cache.lookup_proof(
-                key,
+        let slot = self.cache.zip(key.as_ref()).map(|(cache, key)| Slot {
+            cache,
+            key,
+            registry_epoch,
+        });
+        if let Some(slot) = slot {
+            if let Some(result) = slot.cache.lookup_proof(
+                slot.key,
                 self.now,
                 self.repository,
                 registry_epoch,
-                evidence.as_deref_mut(),
+                decision.as_deref_mut(),
             ) {
-                let result = cached.map_err(|(error, stats)| ProofError { error, stats });
                 if result.is_err() {
                     psf_telemetry::counter!("psf.drbac.prove.failures").inc();
                 }
@@ -343,30 +420,29 @@ impl<'a> ProofEngine<'a> {
             }
         }
 
-        if let Some(evidence) = evidence {
-            evidence.note_search();
+        if let Some(decision) = decision {
+            decision.discarded = true;
         }
-        let mut frontier = Frontier::default();
-        let result = self.prove_search(subject, target, presented, &mut frontier);
+        let (mut evidence, mut work) = (Evidence::default(), SearchStats::default());
+        let result = self.prove_search(subject, target, presented, slot, &mut evidence, &mut work);
         if let (Some(cache), Some(key)) = (self.cache, key) {
-            let plain = match &result {
-                Ok(ok) => Ok(ok.clone()),
-                Err(e) => Err((e.error.clone(), e.stats)),
-            };
-            cache.insert_proof(key, plain, frontier, self.bus, registry_epoch, self.now);
+            cache.insert_proof(
+                key,
+                result.clone(),
+                evidence,
+                self.bus,
+                registry_epoch,
+                self.now,
+            );
         }
-        let stats = match &result {
-            Ok((_, stats)) => *stats,
-            Err(e) => e.stats,
-        };
         if result.is_err() {
             psf_telemetry::counter!("psf.drbac.prove.failures").inc();
         }
-        psf_telemetry::counter!("psf.drbac.nodes.expanded").add(stats.nodes_expanded);
-        psf_telemetry::counter!("psf.drbac.creds.examined").add(stats.credentials_examined);
-        psf_telemetry::counter!("psf.drbac.creds.rejected").add(stats.credentials_rejected);
+        psf_telemetry::counter!("psf.drbac.nodes.expanded").add(work.nodes_expanded);
+        psf_telemetry::counter!("psf.drbac.creds.examined").add(work.credentials_examined);
+        psf_telemetry::counter!("psf.drbac.creds.rejected").add(work.credentials_rejected);
         psf_telemetry::histogram!("psf.drbac.prove.us").record_duration(start.elapsed());
-        span.field("nodes_expanded", stats.nodes_expanded)
+        span.field("nodes_expanded", work.nodes_expanded)
             .field("ok", result.is_ok());
         self.audit_prove(
             subject,
@@ -422,43 +498,144 @@ impl<'a> ProofEngine<'a> {
     }
 
     /// The search: [`walk`](Self::walk) breaking at the first edge into
-    /// `target`.
+    /// `target`. When the answer is kept in `slot`, the walk beyond the
+    /// subject may be [`splice`](Self::splice)d from the proof table.
+    /// `work` gains what was actually walked; the statistics returned are
+    /// those of the whole walk, spliced or not.
     fn prove_search(
         &self,
         subject: &Subject,
         target: &RoleName,
         presented: &[Arc<Credential>],
-        frontier: &mut Frontier,
+        slot: Option<Slot<'_>>,
+        evidence: &mut Evidence,
+        work: &mut SearchStats,
     ) -> Result<(Proof, SearchStats), ProofError> {
+        let mut visit = |role: &RoleName, attrs: &AttrSet, path: &[ProofEdge]| {
+            if role != target {
+                return ControlFlow::Continue(());
+            }
+            ControlFlow::Break(Proof {
+                subject: subject.clone(),
+                role: target.clone(),
+                assignment: false,
+                attrs: attrs.clone(),
+                edges: path.to_vec(),
+            })
+        };
+        let mut walk = Walk::new(subject, presented);
         let mut stats = SearchStats::default();
-        let found = self.walk(
-            subject,
-            presented,
-            &mut stats,
-            frontier,
-            |role, attrs, path| {
-                if role != target {
-                    return ControlFlow::Continue(());
-                }
-                ControlFlow::Break(Proof {
+        let mut found = self.run(&mut walk, 1, &mut stats, evidence, &mut visit);
+        if found.is_none() {
+            if let Some(spliced) = slot.and_then(|slot| {
+                self.splice(&mut walk, subject, target, slot, stats, evidence, work)
+            }) {
+                *work += stats;
+                return spliced;
+            }
+            found = self.run(&mut walk, usize::MAX, &mut stats, evidence, &mut visit);
+        }
+        *work += stats;
+        match found {
+            Some(proof) => Ok((proof, stats)),
+            None => Err(ProofError::no_proof(subject, target, stats)),
+        }
+    }
+
+    /// The rest of a search whose subject alone has been expanded (with
+    /// `stats`), answered by the proof table where that is exact:
+    /// - (a) the subject is an entity: no credential's object is one, so
+    ///   the walk never comes back to it;
+    /// - (b) exactly one edge left it, into a role `L` that is not the
+    ///   target (an edge into the target has already stopped the walk).
+    ///
+    /// The walk that remains is then the walk from `Subject::Role(L)`,
+    /// whose answer is the table entry `(L, target, presented)`, looked up
+    /// or searched and stored. A proof is the one edge followed by that
+    /// entry's edges; a failure is the subject's failure; the statistics
+    /// add up. Attenuation along the rest is what it was from `L` only if
+    /// (c) the arrival attributes at `L` are empty, or the entry's search
+    /// followed no edge that conveyed attributes, and then the proof's
+    /// attributes are the arrival's. `evidence` gains what the entry rests
+    /// on. `None`: the plain walk goes on.
+    #[allow(clippy::too_many_arguments)]
+    fn splice(
+        &self,
+        walk: &mut Walk<'_>,
+        subject: &Subject,
+        target: &RoleName,
+        slot: Slot<'_>,
+        mut stats: SearchStats,
+        evidence: &mut Evidence,
+        work: &mut SearchStats,
+    ) -> Option<Result<(Proof, SearchStats), ProofError>> {
+        if !matches!(subject, Subject::Entity { .. }) || walk.followed != 1 {
+            return None;
+        }
+        let arrival = walk.queue.pop_front()?;
+        let key = ProofKey {
+            subject: subject_key(&arrival.node),
+            role: slot.key.role.clone(),
+            presented: slot.key.presented,
+        };
+        let mut below = Evidence::default();
+        let rest = match slot.cache.lookup_proof(
+            &key,
+            self.now,
+            self.repository,
+            slot.registry_epoch,
+            Some(&mut below),
+        ) {
+            Some(hit) => hit,
+            None => {
+                let rest = self.prove_search(
+                    &arrival.node,
+                    target,
+                    walk.presented,
+                    None,
+                    &mut below,
+                    work,
+                );
+                slot.cache.insert_proof(
+                    key,
+                    rest.clone(),
+                    below.clone(),
+                    self.bus,
+                    slot.registry_epoch,
+                    self.now,
+                );
+                rest
+            }
+        };
+        if below.conveys && !arrival.attrs.is_empty() {
+            walk.queue.push_front(arrival);
+            return None;
+        }
+        evidence.union(below);
+        Some(match rest {
+            Ok((proof, rest)) => {
+                stats += rest;
+                let mut edges = arrival.path;
+                edges.extend(proof.edges);
+                let attrs = if arrival.attrs.is_empty() {
+                    proof.attrs
+                } else {
+                    arrival.attrs
+                };
+                let proof = Proof {
                     subject: subject.clone(),
                     role: target.clone(),
                     assignment: false,
-                    attrs: attrs.clone(),
-                    edges: path.to_vec(),
-                })
-            },
-        );
-        match found {
-            Some(proof) => Ok((proof, stats)),
-            None => Err(ProofError {
-                error: DrbacError::NoProof {
-                    subject: subject.render(),
-                    role: target.to_string(),
-                },
-                stats,
-            }),
-        }
+                    attrs,
+                    edges,
+                };
+                Ok((proof, stats))
+            }
+            Err(e) => {
+                stats += e.stats;
+                Err(ProofError::no_proof(subject, target, stats))
+            }
+        })
     }
 
     /// Every role `subject` can prove from `presented` plus the
@@ -478,7 +655,7 @@ impl<'a> ProofEngine<'a> {
             subject,
             &Credential::wrap_all(presented),
             &mut SearchStats::default(),
-            &mut Frontier::default(),
+            &mut Evidence::default(),
             |role, _, _| {
                 if seen.insert(role.clone()) {
                     roles.push(role.clone());
@@ -506,41 +683,32 @@ impl<'a> ProofEngine<'a> {
         subject: &Subject,
         presented: &[Arc<Credential>],
         stats: &mut SearchStats,
-        frontier: &mut Frontier,
+        evidence: &mut Evidence,
         mut visit: impl FnMut(&RoleName, &AttrSet, &[ProofEdge]) -> ControlFlow<B>,
     ) -> Option<B> {
-        // Index presented credentials by subject key.
-        let mut presented_idx: HashMap<String, Vec<Arc<Credential>>> = HashMap::new();
-        for c in presented {
-            presented_idx
-                .entry(subject_key(&c.body.subject))
-                .or_default()
-                .push(c.clone());
-        }
+        let mut walk = Walk::new(subject, presented);
+        self.run(&mut walk, usize::MAX, stats, evidence, &mut visit)
+    }
 
-        struct State {
-            node: Subject,
-            attrs: AttrSet,
-            path: Vec<ProofEdge>,
-        }
-
-        let mut visited: HashSet<String> = HashSet::new();
-        let mut queue = VecDeque::new();
-        visited.insert(subject_key(subject));
-        queue.push_back(State {
-            node: subject.clone(),
-            attrs: AttrSet::new(),
-            path: Vec::new(),
-        });
-
-        while let Some(state) = queue.pop_front() {
+    /// [`walk`](Self::walk)'s loop: expand up to `nodes` queued arrivals,
+    /// in order, until `visit` stops the walk (`Some`) or none is left.
+    fn run<B>(
+        &self,
+        walk: &mut Walk<'_>,
+        nodes: usize,
+        stats: &mut SearchStats,
+        evidence: &mut Evidence,
+        visit: &mut impl FnMut(&RoleName, &AttrSet, &[ProofEdge]) -> ControlFlow<B>,
+    ) -> Option<B> {
+        for _ in 0..nodes {
+            let state = walk.queue.pop_front()?;
             stats.nodes_expanded += 1;
             let key = subject_key(&state.node);
             let (stored, mark) = self.repository.credentials_by_key(&state.node, &key);
-            frontier.note_query(mark);
+            evidence.note_query(mark);
             // Candidate edges: presented + repository (both Arc-shared).
             let mut candidates: Vec<Arc<Credential>> =
-                presented_idx.get(&key).cloned().unwrap_or_default();
+                walk.by_subject.get(&key).cloned().unwrap_or_default();
             candidates.extend(stored);
 
             for cred in candidates {
@@ -553,16 +721,24 @@ impl<'a> ProofEngine<'a> {
                     stats.credentials_rejected += 1;
                     continue;
                 }
-                frontier.note(&cred);
+                evidence.note(&cred);
                 // Issuer authorization, then attenuation by what the
                 // edge conveys under its support chain.
                 let followed = self
-                    .authorize_edge(cred, presented, stats, frontier)
-                    .and_then(|(edge, conveyed)| Some((edge, state.attrs.attenuate(&conveyed)?)));
-                let Some((edge, new_attrs)) = followed else {
+                    .authorize_edge(cred, walk.presented, stats, evidence)
+                    .and_then(|(edge, conveyed)| {
+                        Some((
+                            edge,
+                            state.attrs.attenuate(&conveyed)?,
+                            !conveyed.is_empty(),
+                        ))
+                    });
+                let Some((edge, new_attrs, conveys)) = followed else {
                     stats.credentials_rejected += 1;
                     continue;
                 };
+                evidence.conveys |= conveys;
+                walk.followed += 1;
                 let object = edge.credential.body.object.clone();
                 let mut path = state.path.clone();
                 path.push(edge);
@@ -570,8 +746,8 @@ impl<'a> ProofEngine<'a> {
                     return Some(found);
                 }
                 let next = Subject::Role(object);
-                if visited.insert(subject_key(&next)) {
-                    queue.push_back(State {
+                if walk.visited.insert(subject_key(&next)) {
+                    walk.queue.push_back(Arrival {
                         node: next,
                         attrs: new_attrs,
                         path,
@@ -636,7 +812,7 @@ impl<'a> ProofEngine<'a> {
         cred: Arc<Credential>,
         presented: &[Arc<Credential>],
         stats: &mut SearchStats,
-        frontier: &mut Frontier,
+        evidence: &mut Evidence,
     ) -> Option<(ProofEdge, AttrSet)> {
         let support = match cred.body.kind {
             // `check_edge_common` already confirmed the owner issued it.
@@ -646,7 +822,7 @@ impl<'a> ProofEngine<'a> {
                 &cred.body.object,
                 presented,
                 stats,
-                frontier,
+                evidence,
             )?)),
             DelegationKind::Assignment => return None,
         };
@@ -670,7 +846,7 @@ impl<'a> ProofEngine<'a> {
             role,
             &[],
             &mut SearchStats::default(),
-            &mut Frontier::default(),
+            &mut Evidence::default(),
         )
     }
 
@@ -680,7 +856,7 @@ impl<'a> ProofEngine<'a> {
         role: &RoleName,
         presented: &[Arc<Credential>],
         stats: &mut SearchStats,
-        frontier: &mut Frontier,
+        evidence: &mut Evidence,
     ) -> Option<Proof> {
         let holder = Subject::Entity {
             name: issuer.clone(),
@@ -692,7 +868,7 @@ impl<'a> ProofEngine<'a> {
             presented,
             &mut HashSet::new(),
             stats,
-            frontier,
+            evidence,
         )
     }
 
@@ -706,7 +882,7 @@ impl<'a> ProofEngine<'a> {
         presented: &[Arc<Credential>],
         in_progress: &mut HashSet<String>,
         stats: &mut SearchStats,
-        frontier: &mut Frontier,
+        evidence: &mut Evidence,
     ) -> Option<Proof> {
         let holder_name = match holder {
             Subject::Entity { name, .. } => name.clone(),
@@ -729,7 +905,7 @@ impl<'a> ProofEngine<'a> {
 
         // Assignment credentials naming this holder for this role.
         let (stored, mark) = self.repository.credentials_by_key(holder, &hkey);
-        frontier.note_query(mark);
+        evidence.note_query(mark);
         let mut candidates: Vec<Arc<Credential>> = presented
             .iter()
             .filter(|c| {
@@ -751,7 +927,7 @@ impl<'a> ProofEngine<'a> {
                 stats.credentials_rejected += 1;
                 continue;
             }
-            frontier.note(&cred);
+            evidence.note(&cred);
             let issuer_key = match self.registry.lookup(&cred.body.issuer) {
                 Some(k) => k,
                 None => continue,
@@ -766,7 +942,7 @@ impl<'a> ProofEngine<'a> {
                 presented,
                 in_progress,
                 stats,
-                frontier,
+                evidence,
             ) {
                 let mut edges = vec![ProofEdge {
                     credential: cred,

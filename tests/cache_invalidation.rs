@@ -7,10 +7,10 @@
 //! whose search read a key in the publish's bucket.
 
 use psf_drbac::entity::{Entity, EntityRegistry, RoleName, Subject};
-use psf_drbac::proof::ProofEngine;
+use psf_drbac::proof::{Proof, ProofEngine, ProofError, SearchStats};
 use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
-use psf_drbac::{subject_key, AttrValue, AuthCache, DelegationBuilder, SignedDelegation};
+use psf_drbac::{subject_key, AttrSet, AttrValue, AuthCache, DelegationBuilder, SignedDelegation};
 use psf_views::ViewAcl;
 use std::collections::HashSet;
 
@@ -424,6 +424,57 @@ impl SignOnWorld {
     fn entries(&self) -> u64 {
         self.users.iter().map(|(_, c)| (*c + 1).min(4) as u64).sum()
     }
+
+    /// Rules a pass tries for users holding a leaf grant: each search
+    /// expands the user, then asks the proof table for the walk beyond
+    /// the leaf role, one more proof lookup.
+    fn spliced(&self) -> u64 {
+        self.users
+            .iter()
+            .filter(|(_, c)| *c < 4)
+            .map(|(_, c)| *c as u64 + 1)
+            .sum()
+    }
+
+    /// Distinct `(leaf role, target)` walks those lookups ask for; the
+    /// first lookup of each misses and stores it.
+    fn suffixes(&self) -> u64 {
+        let classes: HashSet<usize> = self.users.iter().map(|(_, c)| *c).collect();
+        classes
+            .iter()
+            .filter(|c| **c < 4)
+            .map(|c| *c as u64 + 1)
+            .sum()
+    }
+
+    /// A registered user holding a grant of each of `leaves`
+    /// (`(leaf role, attributes)`), issued by the leaf roles' owner.
+    fn user_with(&self, name: &str, leaves: &[(&str, AttrSet)]) -> Entity {
+        let user = Entity::with_seed(name, b"signon");
+        self.registry.register(&user);
+        for (leaf, attrs) in leaves {
+            let mut grant = DelegationBuilder::new(&self.domains[2])
+                .subject_entity(&user)
+                .role(self.domains[2].role(*leaf));
+            for (name, value) in &attrs.0 {
+                grant = grant.attr(name.clone(), value.clone());
+            }
+            self.repo.publish_at_issuer(grant.sign());
+        }
+        user
+    }
+
+    /// `prove` through the cache, which must equal (full `Debug`,
+    /// statistics included) the uncached answer.
+    fn prove(&self, user: &Entity, role: &RoleName) -> Result<(Proof, SearchStats), ProofError> {
+        let (registry, repo, bus) = (&self.registry, &self.repo, &self.bus);
+        let subject = user.as_subject();
+        let cached =
+            ProofEngine::with_cache(registry, repo, bus, 0, &self.cache).prove(&subject, role, &[]);
+        let plain = ProofEngine::new(registry, repo, bus, 0).prove(&subject, role, &[]);
+        assert_eq!(format!("{cached:?}"), format!("{plain:?}"));
+        cached
+    }
 }
 
 /// A publish drops exactly the cached decisions — proved *and* failed —
@@ -436,7 +487,10 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
     let w = SignOnWorld::new();
     w.sign_on_all();
     let warm = w.cache.stats();
-    assert_eq!(warm.proof_misses, w.entries());
+    // Every rule's own lookup misses; of the lookups for the walk beyond
+    // a leaf role, the first of each misses and the rest hit.
+    assert_eq!(warm.proof_misses, w.entries() + w.suffixes());
+    assert_eq!(warm.proof_hits, w.spliced() - w.suffixes());
 
     let leaf = w.domains[2].role("LeafGuest");
     let fresh: Vec<Entity> = (0..)
@@ -473,6 +527,9 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
     // The second pass found every rule in the proof table, so it stored
     // each user's whole decision: the third pass asks the proof table
     // only for the Member users, whose decisions read the published key.
+    // Their two entries each rest on a walk beyond `LeafMember` (Admin
+    // failed, Member proved): the first Member user finds those two
+    // lifted as well and stores them again, the others splice from them.
     let members = w.users.iter().filter(|(_, c)| *c == 1).count() as u64;
     let users = w.users.len() as u64;
     assert!(members > 0);
@@ -480,14 +537,15 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
     assert_eq!(after.decision_inserts, users);
     assert_eq!(last.decision_invalidations, members);
     assert_eq!(last.decision_hits - after.decision_hits, users - members);
-    assert_eq!(last.proof_invalidations, 2 * members);
-    assert_eq!(last.proof_hits, after.proof_hits);
-    assert_eq!(last.proof_misses - after.proof_misses, 2 * members);
+    assert_eq!(last.proof_invalidations, 2 * members + 2);
+    assert_eq!(last.proof_hits - after.proof_hits, 2 * members - 2);
+    assert_eq!(last.proof_misses - after.proof_misses, 2 * members + 2);
 }
 
 /// A first sighting stores nothing: one pass over subjects never seen
 /// before runs every rule as a fresh search, so the decision table stays
-/// empty and each sign-on costs one missed lookup.
+/// empty and each sign-on costs one missed lookup. The only proof hits
+/// are walks beyond a leaf role that an earlier user's search stored.
 #[test]
 fn one_pass_over_fresh_subjects_stores_no_decision() {
     let w = SignOnWorld::new();
@@ -496,7 +554,8 @@ fn one_pass_over_fresh_subjects_stores_no_decision() {
     let users = w.users.len() as u64;
     assert_eq!((s.decision_misses, s.decision_hits), (users, 0));
     assert_eq!(s.decision_inserts, 0);
-    assert_eq!(s.proof_hits, 0);
+    assert_eq!(s.proof_misses, w.entries() + w.suffixes());
+    assert_eq!(s.proof_hits, w.spliced() - w.suffixes());
 }
 
 /// A Member user's stored decision read the user's own key while its
@@ -545,9 +604,161 @@ fn revoking_a_credential_only_a_failed_rule_passed_lifts_the_decision() {
     assert_eq!(w.sign_on(member).as_deref(), Some("view.Member"));
     let s = w.cache.stats();
     assert_eq!((s.decision_invalidations, s.decision_hits), (1, 1));
-    // Only the failed Admin rule's proof entry watched the mapping.
-    assert_eq!(s.proof_invalidations, 1);
+    // Only the failed Admin rule's proof entry watched the mapping, with
+    // the walk beyond `LeafMember` it was spliced from.
+    assert_eq!(s.proof_invalidations, 2);
     assert_eq!(s.proof_hits - warm.proof_hits, 1);
+}
+
+/// The users of a leaf role share one proof-table entry for the walk
+/// beyond it, and each user's own entry rests on that entry's evidence.
+/// Revoking a credential of the chain lifts the shared entry and every
+/// entry spliced from it.
+#[test]
+fn revoking_a_chain_credential_lifts_the_suffix_and_every_entry_spliced_from_it() {
+    let w = SignOnWorld::new();
+    let member = w.domains[0].role("Member");
+    let users: Vec<&Entity> = w
+        .users
+        .iter()
+        .filter(|(_, c)| *c == 1)
+        .map(|(u, _)| u)
+        .take(3)
+        .collect();
+    assert_eq!(users.len(), 3);
+    for user in &users {
+        w.prove(user, &member).unwrap();
+    }
+    let s = w.cache.stats();
+    // Three entries of their own and one beyond `LeafMember`, which the
+    // first search stored and the other two spliced from.
+    assert_eq!((s.proof_misses, s.proof_hits), (4, 2));
+    assert_eq!(w.cache.proof_entries(), 4);
+    let mapping = w
+        .repo
+        .query_by_subject(&Subject::Role(w.domains[1].role("Member1")))
+        .pop()
+        .expect("D1.Member1 → Org.Member");
+    w.bus.revoke(mapping.cred_id().as_str());
+    for user in &users {
+        w.prove(user, &member).expect_err("the chain is broken");
+    }
+    // Every entry lifts once. The first search stores the walk beyond
+    // `LeafMember` again, as a failure, and the other two splice from it.
+    let s = w.cache.stats();
+    assert_eq!(s.proof_invalidations, 4);
+    assert_eq!((s.proof_misses, s.proof_hits), (4 + 4, 2 + 2));
+}
+
+/// A publish onto a leaf role's key lifts the walk beyond it and every
+/// failure spliced from it: `LeafMember → Org.Admin` turns a Member
+/// user's cached Admin failure into a grant, and a Member user not seen
+/// before splices the grant from the entry stored again.
+#[test]
+fn a_publish_onto_a_leaf_role_lifts_the_suffix_and_grants_a_cached_failure() {
+    let w = SignOnWorld::new();
+    let admin = w.domains[0].role("Admin");
+    let members: Vec<&Entity> = w
+        .users
+        .iter()
+        .filter(|(_, c)| *c == 1)
+        .map(|(u, _)| u)
+        .take(2)
+        .collect();
+    for _ in 0..2 {
+        w.prove(members[0], &admin)
+            .expect_err("a Member user is no Admin");
+    }
+    let s = w.cache.stats();
+    assert_eq!((s.proof_misses, s.proof_hits), (2, 1));
+    w.repo.publish_at_issuer(
+        DelegationBuilder::new(&w.domains[0])
+            .subject_role(w.domains[2].role("LeafMember"))
+            .role(admin.clone())
+            .sign(),
+    );
+    for user in &members {
+        let (proof, _) = w.prove(user, &admin).expect("the mapping grants Admin");
+        assert_eq!(proof.edges.len(), 2, "leaf grant, then the new mapping");
+    }
+    let s = w.cache.stats();
+    assert_eq!(s.proof_invalidations, 2);
+    assert_eq!((s.proof_misses, s.proof_hits), (2 + 3, 1 + 1));
+}
+
+/// The walk beyond a leaf role stands in for the rest of a search only
+/// when exactly one edge left the user. A user holding two leaf grants
+/// walks the whole graph: one proof lookup and one entry, its own.
+#[test]
+fn a_subject_with_two_leaf_grants_takes_the_plain_walk() {
+    let w = SignOnWorld::new();
+    let guest = w.domains[0].role("Guest");
+    let one = w.user_with("one-leaf", &[("LeafGuest", AttrSet::new())]);
+    let two = w.user_with(
+        "two-leaves",
+        &[
+            ("LeafMember", AttrSet::new()),
+            ("LeafGuest", AttrSet::new()),
+        ],
+    );
+    w.prove(&one, &guest).unwrap();
+    let s = w.cache.stats();
+    assert_eq!((s.proof_misses, s.proof_hits), (2, 0));
+    assert_eq!(w.cache.proof_entries(), 2);
+    w.prove(&two, &guest).unwrap();
+    let s = w.cache.stats();
+    assert_eq!((s.proof_misses, s.proof_hits), (3, 0));
+    assert_eq!(w.cache.proof_entries(), 3);
+}
+
+/// Attributes on the one leaf grant attenuate every later edge, so the
+/// walk beyond the leaf role, walked from the role with none, stands in
+/// only when it followed no edge that conveyed attributes. Above
+/// `LeafTrusted → D1.Trusted1`, which conveys `Trust (5,9)`, a grant with
+/// `Trust (0,3)` annihilates and one with `Trust (0,7)` narrows to
+/// `(5,7)`: both take the plain walk, though the entry beyond
+/// `LeafTrusted` proves `Trust (5,9)`. Above the Guest chain, which
+/// conveys nothing, an attributed grant splices and keeps its own.
+#[test]
+fn an_attributed_leaf_above_an_attribute_conveying_suffix_takes_the_plain_walk() {
+    let w = SignOnWorld::new();
+    let [org, d1, d2] = &w.domains;
+    let trust = |lo, hi| AttrSet::new().with("Trust", AttrValue::Range(lo, hi));
+    let trusted = org.role("Trusted");
+    w.repo.publish_at_issuer(
+        DelegationBuilder::new(d1)
+            .subject_role(d2.role("LeafTrusted"))
+            .role(d1.role("Trusted1"))
+            .attr("Trust", AttrValue::Range(5, 9))
+            .sign(),
+    );
+    w.repo.publish_at_issuer(
+        DelegationBuilder::new(org)
+            .subject_role(d1.role("Trusted1"))
+            .role(trusted.clone())
+            .sign(),
+    );
+    // Every grant is published before the first search, so no publish
+    // lands in a bucket an entry has read.
+    let plain = w.user_with("plain", &[("LeafTrusted", AttrSet::new())]);
+    let narrow = w.user_with("narrow", &[("LeafTrusted", trust(0, 3))]);
+    let wide = w.user_with("wide", &[("LeafTrusted", trust(0, 7))]);
+    let guest_user = w.user_with("guest", &[("LeafGuest", AttrSet::new())]);
+    let tagged = w.user_with("tagged", &[("LeafGuest", trust(0, 3))]);
+
+    let (proof, _) = w.prove(&plain, &trusted).unwrap();
+    assert_eq!(proof.attrs, trust(5, 9));
+    w.prove(&narrow, &trusted)
+        .expect_err("Trust (0,3) meets (5,9) nowhere");
+    let (proof, _) = w.prove(&wide, &trusted).unwrap();
+    assert_eq!(proof.attrs, trust(5, 7));
+
+    let guest = org.role("Guest");
+    w.prove(&guest_user, &guest).unwrap();
+    let hits = w.cache.stats().proof_hits;
+    let (proof, _) = w.prove(&tagged, &guest).unwrap();
+    assert_eq!(proof.attrs, trust(0, 3));
+    assert_eq!(w.cache.stats().proof_hits, hits + 1, "spliced");
 }
 
 /// A cached failure is served while nothing it read changes — publishes

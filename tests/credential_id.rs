@@ -5,7 +5,8 @@
 //! every read path: 1 per publish — RPC ack and WAL append included — 1
 //! per record at recovery, `presented.len()` per authorization decision
 //! however many ACL rules it tries, 1 per component credential the
-//! planner's oracle is given, and 0 everywhere else.
+//! planner's oracle is given, and 0 everywhere else, rejections of stored
+//! credentials included.
 
 use psf_core::model::{ComponentSpec, Effect};
 use psf_core::oracle::{AuthOracle, DrbacOracle};
@@ -14,7 +15,8 @@ use psf_drbac::entity::{Entity, EntityRegistry};
 use psf_drbac::proof::ProofEngine;
 use psf_drbac::wal::{ShardedDurableRepository, WalConfig};
 use psf_drbac::{
-    AttrSet, AttrValue, AuthCache, DelegationBuilder, DiscoveryTag, RoleName, SignedDelegation,
+    AttrSet, AttrValue, AuthCache, DelegationBuilder, DiscoveryTag, DrbacError, RoleName,
+    SignedDelegation,
 };
 use psf_netsim::NodeId;
 use psf_switchboard::{pair_in_memory_plain, ChannelConfig};
@@ -124,8 +126,19 @@ fn a_credential_is_hashed_once() {
             );
         }
     }
+    // A grant that lapses at `LAPSE`, for the expired-edge row.
+    const LAPSE: u64 = 5;
+    let lapsing = DelegationBuilder::new(&dept)
+        .subject_entity(&users[4])
+        .role(dept.role("Temp"))
+        .expires(LAPSE)
+        .sign();
+    let lapsing_id = lapsing.id();
+    repo.publish_at_issuer(lapsing);
+    stored += 1;
+    let dept_key = registry.lookup(&dept.name).unwrap();
     let engine = ProofEngine::with_cache(&registry, &repo, &bus, 0, &cache);
-    let reads: [(&str, &dyn Fn()); 6] = [
+    let reads: [(&str, &dyn Fn()); 7] = [
         ("prove_certified", &|| {
             let subject = users[1].as_subject();
             engine
@@ -150,6 +163,20 @@ fn a_credential_is_hashed_once() {
         }),
         ("compact", &|| {
             assert_eq!(durable.compact().unwrap().snapshot_entries as u64, stored);
+        }),
+        ("expired edge", &|| {
+            // Searching past the lapse rejects the stored grant, and the
+            // rejection names it by the carried id.
+            let subject = users[4].as_subject();
+            ProofEngine::new(&registry, &repo, &bus, LAPSE)
+                .prove(&subject, &dept.role("Temp"), none)
+                .unwrap_err();
+            let stored = repo.query_by_subject(&subject);
+            let lapsed = stored.iter().find(|c| c.body.expires.is_some()).unwrap();
+            match lapsed.verify(&dept_key, LAPSE) {
+                Err(DrbacError::Expired { id, .. }) => assert_eq!(id, lapsing_id),
+                other => panic!("expected Expired, got {other:?}"),
+            }
         }),
         ("revoked edge", &|| {
             // The rejection reads the carried id for the bus lookup and

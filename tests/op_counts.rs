@@ -3,8 +3,10 @@
 //! benchmark server makes for a sign-on, `select_view_cached(&subject,
 //! &[], …)` over one shared `AuthCache`, and the test asserts a committed
 //! table of what each request shape costs: proof searches begun
-//! (`psf.drbac.prove.calls`), proof-table hits and misses, decision-table
-//! hits, misses and inserts, and audit records (`psf.audit.records`).
+//! (`psf.drbac.prove.calls`), the walk they made (nodes expanded,
+//! credentials examined and repository queries), proof-table hits and
+//! misses, decision-table hits, misses and inserts, and audit records
+//! (`psf.audit.records`).
 //!
 //! A change that moves one of these counts must change the table below,
 //! and say why. Counters are process-wide, so this file holds one test.
@@ -106,6 +108,9 @@ impl World {
 struct Counts {
     ops: u64,
     prove_calls: u64,
+    nodes: u64,
+    creds: u64,
+    queries: u64,
     proof_hits: u64,
     proof_misses: u64,
     decision_hits: u64,
@@ -114,18 +119,23 @@ struct Counts {
     audit_records: u64,
 }
 
-fn counters() -> (u64, u64) {
+/// Process-wide counters: prove calls, nodes expanded, credentials
+/// examined, audit records.
+fn counters() -> [u64; 4] {
     let registry = psf_telemetry::registry();
-    (
-        registry.counter_value("psf.drbac.prove.calls"),
-        registry.counter_value("psf.audit.records"),
-    )
+    [
+        "psf.drbac.prove.calls",
+        "psf.drbac.nodes.expanded",
+        "psf.drbac.creds.examined",
+        "psf.audit.records",
+    ]
+    .map(|name| registry.counter_value(name))
 }
 
 /// Sign every user of `users` on once, `passes` times over, through one
 /// cache, and count what it cost.
 fn run(w: &World, cache: &AuthCache, users: &[Subject], passes: u64) -> Counts {
-    let (before, (calls, audits)) = (cache.stats(), counters());
+    let (before, counted, queries) = (cache.stats(), counters(), w.repo.stats().queries);
     for _ in 0..passes {
         for subject in users {
             let view =
@@ -134,17 +144,21 @@ fn run(w: &World, cache: &AuthCache, users: &[Subject], passes: u64) -> Counts {
             std::hint::black_box(view);
         }
     }
-    let (after, (calls_after, audits_after)) = (cache.stats(), counters());
+    let (after, counted_after) = (cache.stats(), counters());
     let d = |f: fn(&CacheStats) -> u64| f(&after) - f(&before);
+    let [calls, nodes, creds, audits] = [0, 1, 2, 3].map(|i| counted_after[i] - counted[i]);
     Counts {
         ops: passes * users.len() as u64,
-        prove_calls: calls_after - calls,
+        prove_calls: calls,
+        nodes,
+        creds,
+        queries: w.repo.stats().queries - queries,
         proof_hits: d(|s| s.proof_hits),
         proof_misses: d(|s| s.proof_misses),
         decision_hits: d(|s| s.decision_hits),
         decision_misses: d(|s| s.decision_misses),
         decision_inserts: d(|s| s.decision_inserts),
-        audit_records: audits_after - audits,
+        audit_records: audits,
     }
 }
 
@@ -155,14 +169,33 @@ fn run(w: &World, cache: &AuthCache, users: &[Subject], passes: u64) -> Counts {
 /// stores the decision; after that a sign-on is one decision hit and one
 /// audit record, where deciding one rule at a time cost 2.5 prove calls
 /// and 3.5 audit records.
+///
+/// A search expands its subject, then asks the proof table for the walk
+/// beyond the subject's one leaf role (a *suffix*, counted as a proof hit
+/// or miss beside the subject's own lookup; a denied user has no leaf and
+/// walks alone). So once a `(leaf role, target)` pair has been seen, a
+/// search is one node: one query for the subject's key, one more for the
+/// registrar's when the leaf grant is third-party (the users with
+/// `i % 4 == 1`, all of class 1), and one credential examined per query,
+/// none on a denied user's empty key. The first sighting of the ten pairs
+/// walks them: 3 nodes and 3 credentials for each of the four chains that
+/// reach their target, 4 and 3 for each of the six that fail, 36 nodes in
+/// all. The cold pass sees no new pair:
+/// 640 searches expand 640 nodes, 608 of them splice from a hit and the
+/// 32 of the 8 denied users do not. Walking each chain again, as every
+/// search did before suffixes were kept, cost the cold pass 2 824 nodes,
+/// 2 560 credentials and 2 952 queries (11.0, 10.0 and 11.5 per sign-on).
 const TABLE: [(&str, Counts); 4] = [
     (
         "warm, first sighting",
         Counts {
             ops: 128,
             prove_calls: 320,
-            proof_hits: 0,
-            proof_misses: 320,
+            nodes: 356,
+            creds: 398,
+            queries: 420,
+            proof_hits: 294,
+            proof_misses: 330,
             decision_hits: 0,
             decision_misses: 128,
             decision_inserts: 0,
@@ -174,6 +207,9 @@ const TABLE: [(&str, Counts); 4] = [
         Counts {
             ops: 128,
             prove_calls: 320,
+            nodes: 0,
+            creds: 0,
+            queries: 0,
             proof_hits: 320,
             proof_misses: 0,
             decision_hits: 0,
@@ -187,6 +223,9 @@ const TABLE: [(&str, Counts); 4] = [
         Counts {
             ops: 512,
             prove_calls: 0,
+            nodes: 0,
+            creds: 0,
+            queries: 0,
             proof_hits: 0,
             proof_misses: 0,
             decision_hits: 512,
@@ -200,7 +239,10 @@ const TABLE: [(&str, Counts); 4] = [
         Counts {
             ops: 256,
             prove_calls: 640,
-            proof_hits: 0,
+            nodes: 640,
+            creds: 736,
+            queries: 768,
+            proof_hits: 608,
             proof_misses: 640,
             decision_hits: 0,
             decision_misses: 256,
@@ -221,13 +263,17 @@ fn sign_on_counts_match_the_committed_table() {
         run(&w, &cache, hot, STEADY_PASSES),
         run(&w, &cache, cold, 1),
     ];
-    for ((name, want), got) in TABLE.iter().zip(measured) {
+    for ((name, _), got) in TABLE.iter().zip(measured) {
         let per_op = |v: u64| v as f64 / got.ops as f64;
         eprintln!(
-            "{name:<22} ops {:>4}  prove/op {:.3}  proof hit/miss per op {:.3}/{:.3}  \
+            "{name:<22} ops {:>4}  prove/op {:.3}  nodes/creds/queries per op {:.3}/{:.3}/{:.3}  \
+             proof hit/miss per op {:.3}/{:.3}  \
              decision hit/miss/insert per op {:.3}/{:.3}/{:.3}  audit/op {:.3}",
             got.ops,
             per_op(got.prove_calls),
+            per_op(got.nodes),
+            per_op(got.creds),
+            per_op(got.queries),
             per_op(got.proof_hits),
             per_op(got.proof_misses),
             per_op(got.decision_hits),
@@ -235,6 +281,8 @@ fn sign_on_counts_match_the_committed_table() {
             per_op(got.decision_inserts),
             per_op(got.audit_records),
         );
+    }
+    for ((name, want), got) in TABLE.iter().zip(measured) {
         assert_eq!(got, *want, "{name}");
     }
 }

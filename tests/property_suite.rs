@@ -430,13 +430,20 @@ proptest! {
     /// until a publish grants it, so failed searches are cached and
     /// invalidated too. A chain domain's name may also be rebound to a
     /// different key, which the registry epoch pin must catch.
+    /// Two users hold the chain's leaf role, one of them with attributes
+    /// on the grant. Once a search leaves the user by that one grant, the
+    /// rest of it is spliced from the proof table; a mapping onto `side`
+    /// that conveys attributes, which a step may publish, forbids the
+    /// splice for the attributed user, whose arrival attributes must then
+    /// attenuate every later edge. Statistics are compared with the
+    /// proofs and errors.
     #[test]
     fn cached_prove_is_indistinguishable_from_uncached(
         seed in 0u64..500,
         chain_len in 1usize..5,
         decoys in 0usize..6,
         membership_expiry in proptest::option::of(1u64..30),
-        schedule in prop::collection::vec((0u8..6, 0u64..16), 1..24),
+        schedule in prop::collection::vec((0u8..7, 0u64..16), 1..24),
     ) {
         // Every publish, in order (a query returns a key's credentials in
         // publish order), as wire bytes.
@@ -449,7 +456,9 @@ proptest! {
         let mut wire = Vec::new();
         let bus = RevocationBus::new();
         let user = Entity::with_seed(format!("user{seed}"), b"cachew");
+        let tagged = Entity::with_seed(format!("tagged{seed}"), b"cachew");
         registry.register(&user);
+        registry.register(&tagged);
 
         let mut domains = Vec::new();
         for i in 0..chain_len {
@@ -467,6 +476,15 @@ proptest! {
         let membership = membership.sign();
         publish(&repo, &mut wire, membership.clone());
         chain.push(membership);
+        publish(
+            &repo,
+            &mut wire,
+            DelegationBuilder::new(&domains[chain_len - 1])
+                .subject_entity(&tagged)
+                .role(domains[chain_len - 1].role("R"))
+                .attr("Trust", AttrValue::Range(0, 5))
+                .sign(),
+        );
         for i in (0..chain_len - 1).rev() {
             let mapping = DelegationBuilder::new(&domains[i])
                 .subject_role(domains[i + 1].role("R"))
@@ -491,7 +509,7 @@ proptest! {
         let cache = AuthCache::new();
         let target = domains[0].role("R");
         let side = domains[0].role("Side");
-        let subject = user.as_subject();
+        let subjects = [user.as_subject(), tagged.as_subject()];
         let mut now = 0u64;
         let mut extra = 0usize;
         for (op, arg) in schedule {
@@ -544,6 +562,20 @@ proptest! {
                     let domain = &domains[(arg as usize) % chain_len];
                     registry.register_key(domain.name.clone(), impostor.public_key());
                 }
+                // Publish a mapping from a chain role onto `side` that
+                // conveys attributes: overlapping the attributed user's
+                // `Trust (0,5)` (narrowing it) or disjoint from it
+                // (annihilating its path).
+                5 => {
+                    extra += 1;
+                    let lower = domains[(arg as usize / 2) % chain_len].role("R");
+                    let trust = AttrValue::Range(if arg % 2 == 0 { 3 } else { 7 }, 9);
+                    let mapping = DelegationBuilder::new(&domains[0])
+                        .subject_role(lower)
+                        .role(side.clone())
+                        .attr("Trust", trust);
+                    publish(&repo, &mut wire, mapping.serial(extra as u64).sign());
+                }
                 // Plain query step (drives cache hits).
                 _ => {}
             }
@@ -554,15 +586,19 @@ proptest! {
             }
             let cached = ProofEngine::with_cache(&registry, &repo, &bus, now, &cache);
             let plain = ProofEngine::new(&registry, &rebuilt, &bus, now);
-            for role in [&target, &side] {
-                match (cached.prove(&subject, role, &[]), plain.prove(&subject, role, &[])) {
-                    (Ok((pc, _)), Ok((pp, _))) => {
+            for (subject, role) in subjects.iter().flat_map(|s| [(s, &target), (s, &side)]) {
+                match (cached.prove(subject, role, &[]), plain.prove(subject, role, &[])) {
+                    (Ok((pc, sc)), Ok((pp, sp))) => {
                         // Full structural identity, supports included, and
                         // the independent checker accepts it.
                         prop_assert_eq!(format!("{pc:?}"), format!("{pp:?}"));
+                        prop_assert_eq!(sc, sp);
                         prop_assert!(pc.verify(&registry, &bus, now).is_ok());
                     }
-                    (Err(ec), Err(ep)) => prop_assert_eq!(ec.error, ep.error),
+                    (Err(ec), Err(ep)) => {
+                        prop_assert_eq!(ec.error, ep.error);
+                        prop_assert_eq!(ec.stats, ep.stats);
+                    }
                     (c, p) => prop_assert!(
                         false,
                         "cached/uncached diverged on {}: cached ok={} plain ok={}",
