@@ -18,26 +18,19 @@
 //! earliest expiry among them; it is served only at or after the time it
 //! was derived. A hit is therefore *bit-identical* to a fresh search: BFS
 //! is deterministic, and over unchanged inputs it reproduces the recorded
-//! result, a proof or a failure alike.
+//! result. The walk beyond a role that many searches share is an entry
+//! too (`ProofEngine::splice`), and an entry spliced from it links its
+//! pins instead of copying them.
 //!
-//! The walk beyond a role that many searches share is an entry too:
-//! `ProofEngine::splice` takes it from the table, and the entry spliced
-//! from it is pinned by the union of both entries' evidence.
-//!
-//! The decision table sits one level up (paper §4.2: the decision is
-//! "completed when the view is first instantiated"). It remembers whole
-//! role→view decisions, keyed by `(subject, rule table,
-//! fingerprint of the presented set)`, so a repeat sign-on costs one
-//! lookup instead of one per rule tried. A decision entry is pinned by
-//! the union of the pins of every rule it tried, failed rules included,
-//! and is stored only when every one of those rules was itself a proof
-//! hit: a decision seen for the first time is not stored. Both tables
-//! gather what an entry rests on as one [`Evidence`] and share one
-//! validity rule (`Pins::current`).
-//!
-//! Both tables are bounded and evict by CLOCK (second chance): an entry
-//! hit since the hand last passed it survives, so a hot working set is
-//! never flushed by a stream of one-off decisions.
+//! The decision table (paper §4.2: the decision is "completed when the
+//! view is first instantiated") remembers whole role→view decisions,
+//! keyed by `(subject, rule table, presented fingerprint)`, so a repeat
+//! sign-on costs one lookup instead of one per rule tried. A decision is
+//! stored only when every rule it tried was a proof hit, and rests on
+//! the pins of all of them, failed rules included. Both tables gather
+//! what an entry rests on as one [`Evidence`], share one validity rule
+//! (`Pins::current`), and evict by CLOCK (second chance), so a hot
+//! working set is never flushed by a stream of one-off decisions.
 //!
 //! One `AuthCache` must only ever be used with a single
 //! `(EntityRegistry, CredentialSource, RevocationBus)` triple — the
@@ -53,6 +46,7 @@ use crate::repository::{fnv1a, subject_key, CredentialSource, KeyMark};
 use crate::revocation::{RevocationBus, ValidityMonitor};
 use crate::Timestamp;
 use parking_lot::Mutex;
+use psf_telemetry::counter;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -103,12 +97,12 @@ impl PresentedFingerprint {
     }
 }
 
-/// What an answer rests on: the key buckets read and the credentials
-/// whose status can still change. A search gathers it as it walks; a
-/// splice, or a view decision, adds the evidence of every table entry it
-/// rests on through its one union. It decides how long an entry
+/// What an answer rests on: the key buckets read, the credentials whose
+/// status can still change, and the table entries it was built from. A
+/// search gathers it as it walks; a splice or a view decision adds the
+/// entries it uses through the one union. It decides how long an entry
 /// built on it, a proof, a failure or a decision, stays exact.
-#[derive(Debug, Default, Clone)]
+#[derive(Default)]
 pub struct Evidence {
     /// `(bucket, mark)` of every key queried, including keys that
     /// returned nothing: a later publish for such a key can change the
@@ -127,6 +121,8 @@ pub struct Evidence {
     /// source that keeps no marks, or a view decision needed a fresh
     /// search (a first sighting).
     pub(crate) discarded: bool,
+    /// Pins of the table entries this answer was built from, shared.
+    rests_on: Vec<Arc<Pins>>,
 }
 
 impl Evidence {
@@ -145,14 +141,24 @@ impl Evidence {
     }
 
     /// Add everything `other` rests on: every mark, every id, the earlier
-    /// expiry, whether an edge conveyed attributes, and whether it may be
-    /// stored.
+    /// expiry, whether an edge conveyed attributes, whether it may be
+    /// stored, and every entry it was built from.
     pub(crate) fn union(&mut self, mut other: Evidence) {
         self.marks.append(&mut other.marks);
         self.ids.append(&mut other.ids);
         self.expires = self.expires.into_iter().chain(other.expires).min();
         self.conveys |= other.conveys;
         self.discarded |= other.discarded;
+        self.rests_on.append(&mut other.rests_on);
+    }
+
+    /// The evidence of an answer taken whole from a table entry.
+    fn entry(pins: &Arc<Pins>) -> Evidence {
+        Evidence {
+            conveys: pins.conveys,
+            rests_on: vec![pins.clone()],
+            ..Evidence::default()
+        }
     }
 }
 
@@ -161,8 +167,8 @@ type ProveResult = Result<(Proof, SearchStats), ProofError>;
 
 /// What a cached answer rests on, and the one rule for whether it still
 /// holds. Both tables pin their entries this way: a proof entry with the
-/// evidence of its own search, a decision entry with the union of the
-/// evidence of every rule it tried.
+/// evidence of its own search (and a spliced one with its shared walk's
+/// pins), a decision entry with the pins of every rule it tried.
 pub(crate) struct Pins {
     /// `(bucket, mark)` of every key bucket read, sorted and deduplicated.
     marks: Box<[KeyMark]>,
@@ -174,6 +180,8 @@ pub(crate) struct Pins {
     /// Some edge a search behind it followed conveyed attributes: a splice
     /// onto a proof entry needs to know.
     conveys: bool,
+    /// Pins of the entries the answer was built from, shared.
+    rests_on: Box<[Arc<Pins>]>,
 }
 
 impl Pins {
@@ -188,12 +196,14 @@ impl Pins {
             registry_epoch,
             observed_now: now,
             conveys: e.conveys,
+            rests_on: e.rests_on.into(),
         }
     }
 
-    /// Whether every input the pinned answer read is unchanged. Cheap
-    /// checks first; the monitor rescans its ids under the bus lock only
-    /// after the revoked set has grown.
+    /// Whether every input the pinned answer read, its own or through an
+    /// entry it was built from, is unchanged. Cheap checks first; a
+    /// monitor rescans its ids under the bus lock only after the revoked
+    /// set has grown.
     fn current(&self, source: &dyn CredentialSource, now: Timestamp, registry_epoch: u64) -> bool {
         self.registry_epoch == registry_epoch
             && now >= self.observed_now
@@ -202,23 +212,17 @@ impl Pins {
                 .iter()
                 .all(|&(bucket, mark)| source.bucket_mark(bucket) == Some(mark))
             && self.monitor.is_valid(now)
-    }
-
-    /// The pins as evidence, for a union.
-    fn evidence(&self) -> Evidence {
-        Evidence {
-            marks: self.marks.to_vec(),
-            ids: self.monitor.watched_ids().to_vec(),
-            expires: self.monitor.expires(),
-            conveys: self.conveys,
-            discarded: false,
-        }
+            && self
+                .rests_on
+                .iter()
+                .all(|pins| pins.current(source, now, registry_epoch))
     }
 }
 
-struct ProofEntry {
-    result: ProveResult,
-    pins: Pins,
+/// A table entry: the answer and what it rests on.
+struct Entry<T> {
+    answer: T,
+    pins: Arc<Pins>,
 }
 
 /// The ordered `(role, view)` rules of a role→view table, shared by every
@@ -292,11 +296,6 @@ pub struct ViewDecision {
     pub proof: Option<Proof>,
 }
 
-struct DecisionEntry {
-    decision: ViewDecision,
-    pins: Pins,
-}
-
 /// Point-in-time counters for cache observability (mirrored into
 /// `psf-telemetry` as `psf.drbac.cache.*`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -305,8 +304,13 @@ pub struct CacheStats {
     pub proof_hits: u64,
     /// Proof-cache lookups that fell through to a full search.
     pub proof_misses: u64,
-    /// Entries dropped because one of their pinned inputs changed.
+    /// Proof entries dropped because one of their pinned inputs changed.
     pub proof_invalidations: u64,
+    /// Lookups of a shared walk (`ProofEngine::splice`) answered from the
+    /// proof table; no request is answered by one alone.
+    pub walk_hits: u64,
+    /// Lookups of a shared walk that fell through to its search.
+    pub walk_misses: u64,
     /// Signature checks answered from a credential's stored verdict.
     pub cred_hits: u64,
     /// Signature checks computed.
@@ -326,6 +330,8 @@ struct StatCells {
     proof_hits: AtomicU64,
     proof_misses: AtomicU64,
     proof_invalidations: AtomicU64,
+    walk_hits: AtomicU64,
+    walk_misses: AtomicU64,
     cred_hits: AtomicU64,
     cred_misses: AtomicU64,
     decision_hits: AtomicU64,
@@ -335,8 +341,8 @@ struct StatCells {
 }
 
 struct CacheInner {
-    proofs: Mutex<ClockTable<ProofKey, ProofEntry>>,
-    decisions: Mutex<ClockTable<DecisionKey, DecisionEntry>>,
+    proofs: Mutex<ClockTable<ProofKey, Entry<ProveResult>>>,
+    decisions: Mutex<ClockTable<DecisionKey, Entry<ViewDecision>>>,
     stats: StatCells,
 }
 
@@ -369,74 +375,76 @@ impl AuthCache {
     pub(crate) fn note_verdict(&self, recalled: bool) {
         if recalled {
             self.inner.stats.cred_hits.fetch_add(1, Relaxed);
-            psf_telemetry::counter!("psf.drbac.cache.cred.hits").inc();
+            counter!("psf.drbac.cache.cred.hits").inc();
         } else {
             self.inner.stats.cred_misses.fetch_add(1, Relaxed);
-            psf_telemetry::counter!("psf.drbac.cache.cred.misses").inc();
+            counter!("psf.drbac.cache.cred.misses").inc();
         }
     }
 
     /// Look up a memoized `prove()` result. Returns `None` on a miss,
     /// including an entry dropped because an input it pinned changed:
     /// `source` answers the current mark of each bucket the entry pinned.
-    /// A hit adds the entry's pins, and whether its search followed an
-    /// edge that conveyed attributes, to `evidence`.
+    /// A hit comes with the entry as evidence. A `walk` lookup is a
+    /// splice's, of a shared walk, and counts as a walk hit or miss.
     pub(crate) fn lookup_proof(
         &self,
         key: &ProofKey,
         now: Timestamp,
         source: &dyn CredentialSource,
         registry_epoch: u64,
-        evidence: Option<&mut Evidence>,
-    ) -> Option<ProveResult> {
+        walk: bool,
+    ) -> Option<(ProveResult, Evidence)> {
         let s = &self.inner.stats;
         let mut proofs = self.inner.proofs.lock();
-        let Some(e) = proofs.get(key) else {
-            s.proof_misses.fetch_add(1, Relaxed);
-            psf_telemetry::counter!("psf.drbac.cache.proof.misses").inc();
-            return None;
+        let found = match proofs.get(key) {
+            Some(e) if e.pins.current(source, now, registry_epoch) => {
+                Some((e.answer.clone(), Evidence::entry(&e.pins)))
+            }
+            Some(_) => {
+                proofs.remove(key);
+                s.proof_invalidations.fetch_add(1, Relaxed);
+                counter!("psf.drbac.cache.proof.invalidations").inc();
+                None
+            }
+            None => None,
         };
-        if !e.pins.current(source, now, registry_epoch) {
-            proofs.remove(key);
-            s.proof_invalidations.fetch_add(1, Relaxed);
-            s.proof_misses.fetch_add(1, Relaxed);
-            psf_telemetry::counter!("psf.drbac.cache.proof.invalidations").inc();
-            psf_telemetry::counter!("psf.drbac.cache.proof.misses").inc();
-            return None;
-        }
-        if let Some(evidence) = evidence {
-            evidence.union(e.pins.evidence());
-        }
-        s.proof_hits.fetch_add(1, Relaxed);
-        psf_telemetry::counter!("psf.drbac.cache.proof.hits").inc();
-        Some(e.result.clone())
+        drop(proofs);
+        let (cell, counted) = match (walk, found.is_some()) {
+            (false, true) => (&s.proof_hits, counter!("psf.drbac.cache.proof.hits")),
+            (false, false) => (&s.proof_misses, counter!("psf.drbac.cache.proof.misses")),
+            (true, true) => (&s.walk_hits, counter!("psf.drbac.cache.walk.hits")),
+            (true, false) => (&s.walk_misses, counter!("psf.drbac.cache.walk.misses")),
+        };
+        cell.fetch_add(1, Relaxed);
+        counted.inc();
+        found
     }
 
-    /// Record a fresh `prove()` result — proof or failure — together with
-    /// the evidence of the search that produced it. `registry_epoch` is
-    /// the epoch read *before* the search; the marks in `evidence` were
-    /// each read under the lock of the query they pin. Soundness: if every
+    /// Record a fresh `prove()` result — proof or failure — with the
+    /// evidence of its search, `registry_epoch` read *before* the search
+    /// (each mark was read under the lock of the query it pins): if every
     /// pin still holds at a later lookup, no input the search read has
-    /// changed since it read it.
+    /// changed since. Returns what an answer built from this one rests
+    /// on: the stored entry, or `evidence` when nothing was stored.
     pub(crate) fn insert_proof(
         &self,
         key: ProofKey,
-        result: ProveResult,
+        answer: ProveResult,
         evidence: Evidence,
         bus: &RevocationBus,
         registry_epoch: u64,
         now: Timestamp,
-    ) {
+    ) -> Evidence {
         // A source without marks (a remote repository) could change
         // content silently: nothing read from it is cached.
         if evidence.discarded {
-            return;
+            return evidence;
         }
-        let pins = Pins::new(evidence, bus, registry_epoch, now);
-        self.inner
-            .proofs
-            .lock()
-            .insert(key, ProofEntry { result, pins });
+        let pins = Arc::new(Pins::new(evidence, bus, registry_epoch, now));
+        let stored = Evidence::entry(&pins);
+        self.inner.proofs.lock().insert(key, Entry { answer, pins });
+        stored
     }
 
     /// Look up a remembered view decision. Returns `None` on a miss,
@@ -453,20 +461,20 @@ impl AuthCache {
         let mut decisions = self.inner.decisions.lock();
         let Some(e) = decisions.get(key) else {
             s.decision_misses.fetch_add(1, Relaxed);
-            psf_telemetry::counter!("psf.drbac.cache.decision.misses").inc();
+            counter!("psf.drbac.cache.decision.misses").inc();
             return None;
         };
         if !e.pins.current(source, now, registry_epoch) {
             decisions.remove(key);
             s.decision_invalidations.fetch_add(1, Relaxed);
             s.decision_misses.fetch_add(1, Relaxed);
-            psf_telemetry::counter!("psf.drbac.cache.decision.invalidations").inc();
-            psf_telemetry::counter!("psf.drbac.cache.decision.misses").inc();
+            counter!("psf.drbac.cache.decision.invalidations").inc();
+            counter!("psf.drbac.cache.decision.misses").inc();
             return None;
         }
         s.decision_hits.fetch_add(1, Relaxed);
-        psf_telemetry::counter!("psf.drbac.cache.decision.hits").inc();
-        Some(e.decision.clone())
+        counter!("psf.drbac.cache.decision.hits").inc();
+        Some(e.answer.clone())
     }
 
     /// Remember a decision derived at `now` from its rules' answers, with
@@ -474,11 +482,11 @@ impl AuthCache {
     /// before is stored: every rule it tried must have been answered from
     /// the proof table. A rule that needed a fresh search (a first
     /// sighting) leaves the table untouched, so traffic that never
-    /// repeats pays one missed lookup and nothing else. The entry is
-    /// pinned by the union of those entries' pins, failed rules included:
-    /// each was current at `now`, so it was observed no later and under
-    /// `registry_epoch`, unless the registry moved meanwhile, which
-    /// `registry_epoch` then no longer matches at any lookup.
+    /// repeats pays one missed lookup and nothing else. The entry rests
+    /// on those entries, failed rules included: each was current at `now`,
+    /// so it was observed no later and under `registry_epoch`, unless the
+    /// registry moved meanwhile, which `registry_epoch` then no longer
+    /// matches at any lookup.
     pub fn insert_decision(
         &self,
         key: DecisionKey,
@@ -491,13 +499,13 @@ impl AuthCache {
         if evidence.discarded {
             return;
         }
-        let entry = DecisionEntry {
-            decision: decision.clone(),
-            pins: Pins::new(evidence, bus, registry_epoch, now),
+        let entry = Entry {
+            answer: decision.clone(),
+            pins: Arc::new(Pins::new(evidence, bus, registry_epoch, now)),
         };
         self.inner.decisions.lock().insert(key, entry);
         self.inner.stats.decision_inserts.fetch_add(1, Relaxed);
-        psf_telemetry::counter!("psf.drbac.cache.decision.inserts").inc();
+        counter!("psf.drbac.cache.decision.inserts").inc();
     }
 
     /// Number of live proof entries.
@@ -512,6 +520,8 @@ impl AuthCache {
             proof_hits: s.proof_hits.load(Relaxed),
             proof_misses: s.proof_misses.load(Relaxed),
             proof_invalidations: s.proof_invalidations.load(Relaxed),
+            walk_hits: s.walk_hits.load(Relaxed),
+            walk_misses: s.walk_misses.load(Relaxed),
             cred_hits: s.cred_hits.load(Relaxed),
             cred_misses: s.cred_misses.load(Relaxed),
             decision_hits: s.decision_hits.load(Relaxed),

@@ -379,7 +379,7 @@ impl<'a> ProofEngine<'a> {
         subject: &Subject,
         target: &RoleName,
         presented: &[Arc<Credential>],
-        mut decision: Option<&mut Evidence>,
+        decision: Option<&mut Evidence>,
     ) -> Result<(Proof, SearchStats), ProofError> {
         let mut span = psf_telemetry::span("psf.drbac", "prove");
         span.field("target", target);
@@ -403,13 +403,13 @@ impl<'a> ProofEngine<'a> {
             registry_epoch,
         });
         if let Some(slot) = slot {
-            if let Some(result) = slot.cache.lookup_proof(
-                slot.key,
-                self.now,
-                self.repository,
-                registry_epoch,
-                decision.as_deref_mut(),
-            ) {
+            if let Some((result, found)) =
+                slot.cache
+                    .lookup_proof(slot.key, self.now, self.repository, registry_epoch, false)
+            {
+                if let Some(decision) = decision {
+                    decision.union(found);
+                }
                 if result.is_err() {
                     psf_telemetry::counter!("psf.drbac.prove.failures").inc();
                 }
@@ -556,8 +556,9 @@ impl<'a> ProofEngine<'a> {
     /// add up. Attenuation along the rest is what it was from `L` only if
     /// (c) the arrival attributes at `L` are empty, or the entry's search
     /// followed no edge that conveyed attributes, and then the proof's
-    /// attributes are the arrival's. `evidence` gains what the entry rests
-    /// on. `None`: the plain walk goes on.
+    /// attributes are the arrival's. `evidence` gains the entry: the
+    /// subject's entry holds while it does. `None`: the plain walk goes
+    /// on.
     #[allow(clippy::too_many_arguments)]
     fn splice(
         &self,
@@ -578,33 +579,24 @@ impl<'a> ProofEngine<'a> {
             role: slot.key.role.clone(),
             presented: slot.key.presented,
         };
-        let mut below = Evidence::default();
-        let rest = match slot.cache.lookup_proof(
-            &key,
-            self.now,
-            self.repository,
-            slot.registry_epoch,
-            Some(&mut below),
-        ) {
+        let found =
+            slot.cache
+                .lookup_proof(&key, self.now, self.repository, slot.registry_epoch, true);
+        let (rest, below) = match found {
             Some(hit) => hit,
             None => {
-                let rest = self.prove_search(
-                    &arrival.node,
-                    target,
-                    walk.presented,
-                    None,
-                    &mut below,
-                    work,
-                );
-                slot.cache.insert_proof(
+                let mut own = Evidence::default();
+                let rest =
+                    self.prove_search(&arrival.node, target, walk.presented, None, &mut own, work);
+                let below = slot.cache.insert_proof(
                     key,
                     rest.clone(),
-                    below.clone(),
+                    own,
                     self.bus,
                     slot.registry_epoch,
                     self.now,
                 );
-                rest
+                (rest, below)
             }
         };
         if below.conveys && !arrival.attrs.is_empty() {

@@ -487,10 +487,11 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
     let w = SignOnWorld::new();
     w.sign_on_all();
     let warm = w.cache.stats();
-    // Every rule's own lookup misses; of the lookups for the walk beyond
-    // a leaf role, the first of each misses and the rest hit.
-    assert_eq!(warm.proof_misses, w.entries() + w.suffixes());
-    assert_eq!(warm.proof_hits, w.spliced() - w.suffixes());
+    assert_eq!(warm.proof_misses, w.entries());
+    // Of the lookups of the walk beyond a leaf role, the first of each
+    // misses and the rest hit.
+    let walks = (warm.walk_misses, warm.walk_hits);
+    assert_eq!(walks, (w.suffixes(), w.spliced() - w.suffixes()));
 
     let leaf = w.domains[2].role("LeafGuest");
     let fresh: Vec<Entity> = (0..)
@@ -528,8 +529,8 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
     // each user's whole decision: the third pass asks the proof table
     // only for the Member users, whose decisions read the published key.
     // Their two entries each rest on a walk beyond `LeafMember` (Admin
-    // failed, Member proved): the first Member user finds those two
-    // lifted as well and stores them again, the others splice from them.
+    // failed, Member proved), lifted as well: the first Member user's
+    // searches store those two again, the others splice from them.
     let members = w.users.iter().filter(|(_, c)| *c == 1).count() as u64;
     let users = w.users.len() as u64;
     assert!(members > 0);
@@ -538,14 +539,17 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
     assert_eq!(last.decision_invalidations, members);
     assert_eq!(last.decision_hits - after.decision_hits, users - members);
     assert_eq!(last.proof_invalidations, 2 * members + 2);
-    assert_eq!(last.proof_hits - after.proof_hits, 2 * members - 2);
-    assert_eq!(last.proof_misses - after.proof_misses, 2 * members + 2);
+    assert_eq!(last.proof_hits, after.proof_hits);
+    assert_eq!(last.proof_misses - after.proof_misses, 2 * members);
+    assert_eq!(last.walk_misses - after.walk_misses, 2);
+    assert_eq!(last.walk_hits - after.walk_hits, 2 * members - 2);
 }
 
 /// A first sighting stores nothing: one pass over subjects never seen
 /// before runs every rule as a fresh search, so the decision table stays
-/// empty and each sign-on costs one missed lookup. The only proof hits
-/// are walks beyond a leaf role that an earlier user's search stored.
+/// empty and each sign-on costs one missed lookup. The walks beyond a
+/// leaf role that an earlier user's search stored are walk hits, not
+/// proof hits.
 #[test]
 fn one_pass_over_fresh_subjects_stores_no_decision() {
     let w = SignOnWorld::new();
@@ -554,8 +558,9 @@ fn one_pass_over_fresh_subjects_stores_no_decision() {
     let users = w.users.len() as u64;
     assert_eq!((s.decision_misses, s.decision_hits), (users, 0));
     assert_eq!(s.decision_inserts, 0);
-    assert_eq!(s.proof_misses, w.entries() + w.suffixes());
-    assert_eq!(s.proof_hits, w.spliced() - w.suffixes());
+    assert_eq!((s.proof_misses, s.proof_hits), (w.entries(), 0));
+    let walks = (s.walk_misses, s.walk_hits);
+    assert_eq!(walks, (w.suffixes(), w.spliced() - w.suffixes()));
 }
 
 /// A Member user's stored decision read the user's own key while its
@@ -632,7 +637,8 @@ fn revoking_a_chain_credential_lifts_the_suffix_and_every_entry_spliced_from_it(
     let s = w.cache.stats();
     // Three entries of their own and one beyond `LeafMember`, which the
     // first search stored and the other two spliced from.
-    assert_eq!((s.proof_misses, s.proof_hits), (4, 2));
+    assert_eq!((s.proof_misses, s.proof_hits), (3, 0));
+    assert_eq!((s.walk_misses, s.walk_hits), (1, 2));
     assert_eq!(w.cache.proof_entries(), 4);
     let mapping = w
         .repo
@@ -647,7 +653,8 @@ fn revoking_a_chain_credential_lifts_the_suffix_and_every_entry_spliced_from_it(
     // `LeafMember` again, as a failure, and the other two splice from it.
     let s = w.cache.stats();
     assert_eq!(s.proof_invalidations, 4);
-    assert_eq!((s.proof_misses, s.proof_hits), (4 + 4, 2 + 2));
+    assert_eq!((s.proof_misses, s.proof_hits), (3 + 3, 0));
+    assert_eq!((s.walk_misses, s.walk_hits), (1 + 1, 2 + 2));
 }
 
 /// A publish onto a leaf role's key lifts the walk beyond it and every
@@ -670,7 +677,8 @@ fn a_publish_onto_a_leaf_role_lifts_the_suffix_and_grants_a_cached_failure() {
             .expect_err("a Member user is no Admin");
     }
     let s = w.cache.stats();
-    assert_eq!((s.proof_misses, s.proof_hits), (2, 1));
+    assert_eq!((s.proof_misses, s.proof_hits), (1, 1));
+    assert_eq!((s.walk_misses, s.walk_hits), (1, 0));
     w.repo.publish_at_issuer(
         DelegationBuilder::new(&w.domains[0])
             .subject_role(w.domains[2].role("LeafMember"))
@@ -683,12 +691,14 @@ fn a_publish_onto_a_leaf_role_lifts_the_suffix_and_grants_a_cached_failure() {
     }
     let s = w.cache.stats();
     assert_eq!(s.proof_invalidations, 2);
-    assert_eq!((s.proof_misses, s.proof_hits), (2 + 3, 1 + 1));
+    assert_eq!((s.proof_misses, s.proof_hits), (1 + 2, 1));
+    assert_eq!((s.walk_misses, s.walk_hits), (1 + 1, 1));
 }
 
 /// The walk beyond a leaf role stands in for the rest of a search only
 /// when exactly one edge left the user. A user holding two leaf grants
-/// walks the whole graph: one proof lookup and one entry, its own.
+/// walks the whole graph: one proof lookup, no walk lookup and one
+/// entry, its own.
 #[test]
 fn a_subject_with_two_leaf_grants_takes_the_plain_walk() {
     let w = SignOnWorld::new();
@@ -703,11 +713,12 @@ fn a_subject_with_two_leaf_grants_takes_the_plain_walk() {
     );
     w.prove(&one, &guest).unwrap();
     let s = w.cache.stats();
-    assert_eq!((s.proof_misses, s.proof_hits), (2, 0));
+    assert_eq!((s.proof_misses, s.walk_misses), (1, 1));
     assert_eq!(w.cache.proof_entries(), 2);
     w.prove(&two, &guest).unwrap();
     let s = w.cache.stats();
-    assert_eq!((s.proof_misses, s.proof_hits), (3, 0));
+    assert_eq!((s.proof_misses, s.walk_misses), (2, 1));
+    assert_eq!(s.proof_hits + s.walk_hits, 0);
     assert_eq!(w.cache.proof_entries(), 3);
 }
 
@@ -755,10 +766,10 @@ fn an_attributed_leaf_above_an_attribute_conveying_suffix_takes_the_plain_walk()
 
     let guest = org.role("Guest");
     w.prove(&guest_user, &guest).unwrap();
-    let hits = w.cache.stats().proof_hits;
+    let hits = w.cache.stats().walk_hits;
     let (proof, _) = w.prove(&tagged, &guest).unwrap();
     assert_eq!(proof.attrs, trust(0, 3));
-    assert_eq!(w.cache.stats().proof_hits, hits + 1, "spliced");
+    assert_eq!(w.cache.stats().walk_hits, hits + 1, "spliced");
 }
 
 /// A cached failure is served while nothing it read changes — publishes

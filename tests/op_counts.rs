@@ -113,6 +113,8 @@ struct Counts {
     queries: u64,
     proof_hits: u64,
     proof_misses: u64,
+    walk_hits: u64,
+    walk_misses: u64,
     decision_hits: u64,
     decision_misses: u64,
     decision_inserts: u64,
@@ -155,6 +157,8 @@ fn run(w: &World, cache: &AuthCache, users: &[Subject], passes: u64) -> Counts {
         queries: w.repo.stats().queries - queries,
         proof_hits: d(|s| s.proof_hits),
         proof_misses: d(|s| s.proof_misses),
+        walk_hits: d(|s| s.walk_hits),
+        walk_misses: d(|s| s.walk_misses),
         decision_hits: d(|s| s.decision_hits),
         decision_misses: d(|s| s.decision_misses),
         decision_inserts: d(|s| s.decision_inserts),
@@ -171,9 +175,9 @@ fn run(w: &World, cache: &AuthCache, users: &[Subject], passes: u64) -> Counts {
 /// and 3.5 audit records.
 ///
 /// A search expands its subject, then asks the proof table for the walk
-/// beyond the subject's one leaf role (a *suffix*, counted as a proof hit
-/// or miss beside the subject's own lookup; a denied user has no leaf and
-/// walks alone). So once a `(leaf role, target)` pair has been seen, a
+/// beyond the subject's one leaf role (a *shared walk*, counted as a walk
+/// hit or miss apart from the subject's own proof lookup; a denied user
+/// has no leaf and walks alone). So once a `(leaf role, target)` pair has been seen, a
 /// search is one node: one query for the subject's key, one more for the
 /// registrar's when the leaf grant is third-party (the users with
 /// `i % 4 == 1`, all of class 1), and one credential examined per query,
@@ -181,9 +185,9 @@ fn run(w: &World, cache: &AuthCache, users: &[Subject], passes: u64) -> Counts {
 /// walks them: 3 nodes and 3 credentials for each of the four chains that
 /// reach their target, 4 and 3 for each of the six that fail, 36 nodes in
 /// all. The cold pass sees no new pair:
-/// 640 searches expand 640 nodes, 608 of them splice from a hit and the
-/// 32 of the 8 denied users do not. Walking each chain again, as every
-/// search did before suffixes were kept, cost the cold pass 2 824 nodes,
+/// 640 searches expand 640 nodes, 608 of them splice from a walk hit and
+/// the 32 of the 8 denied users do not. Walking each chain again, as every
+/// search did before shared walks were kept, cost the cold pass 2 824 nodes,
 /// 2 560 credentials and 2 952 queries (11.0, 10.0 and 11.5 per sign-on).
 const TABLE: [(&str, Counts); 4] = [
     (
@@ -194,8 +198,10 @@ const TABLE: [(&str, Counts); 4] = [
             nodes: 356,
             creds: 398,
             queries: 420,
-            proof_hits: 294,
-            proof_misses: 330,
+            proof_hits: 0,
+            proof_misses: 320,
+            walk_hits: 294,
+            walk_misses: 10,
             decision_hits: 0,
             decision_misses: 128,
             decision_inserts: 0,
@@ -212,6 +218,8 @@ const TABLE: [(&str, Counts); 4] = [
             queries: 0,
             proof_hits: 320,
             proof_misses: 0,
+            walk_hits: 0,
+            walk_misses: 0,
             decision_hits: 0,
             decision_misses: 128,
             decision_inserts: 128,
@@ -228,6 +236,8 @@ const TABLE: [(&str, Counts); 4] = [
             queries: 0,
             proof_hits: 0,
             proof_misses: 0,
+            walk_hits: 0,
+            walk_misses: 0,
             decision_hits: 512,
             decision_misses: 0,
             decision_inserts: 0,
@@ -242,8 +252,10 @@ const TABLE: [(&str, Counts); 4] = [
             nodes: 640,
             creds: 736,
             queries: 768,
-            proof_hits: 608,
+            proof_hits: 0,
             proof_misses: 640,
+            walk_hits: 608,
+            walk_misses: 0,
             decision_hits: 0,
             decision_misses: 256,
             decision_inserts: 0,
@@ -267,7 +279,7 @@ fn sign_on_counts_match_the_committed_table() {
         let per_op = |v: u64| v as f64 / got.ops as f64;
         eprintln!(
             "{name:<22} ops {:>4}  prove/op {:.3}  nodes/creds/queries per op {:.3}/{:.3}/{:.3}  \
-             proof hit/miss per op {:.3}/{:.3}  \
+             proof hit/miss per op {:.3}/{:.3}  walk hit/miss per op {:.3}/{:.3}  \
              decision hit/miss/insert per op {:.3}/{:.3}/{:.3}  audit/op {:.3}",
             got.ops,
             per_op(got.prove_calls),
@@ -276,6 +288,8 @@ fn sign_on_counts_match_the_committed_table() {
             per_op(got.queries),
             per_op(got.proof_hits),
             per_op(got.proof_misses),
+            per_op(got.walk_hits),
+            per_op(got.walk_misses),
             per_op(got.decision_hits),
             per_op(got.decision_misses),
             per_op(got.decision_inserts),
