@@ -25,10 +25,12 @@
 //! The decision table (paper §4.2: the decision is "completed when the
 //! view is first instantiated") remembers whole role→view decisions,
 //! keyed by `(subject, rule table, presented fingerprint)`, so a repeat
-//! sign-on costs one lookup instead of one per rule tried. A decision is
-//! stored only when every rule it tried was a proof hit, and rests on
-//! the pins of all of them, failed rules included. Both tables gather
-//! what an entry rests on as one [`Evidence`], share one validity rule
+//! sign-on costs one lookup instead of one per rule tried. Only a repeat
+//! stores one: a doorkeeper table (TinyLFU) remembers the hashes of
+//! decision keys that missed, a first sighting stores nothing but shared
+//! walks, and the next stores its rules' answers and the decision, which
+//! rests on the pins of all of them, failed rules included. The tables
+//! gather what an entry rests on as one [`Evidence`], share one validity rule
 //! (`Pins::current`), and evict by CLOCK (second chance), so a hot
 //! working set is never flushed by a stream of one-off decisions.
 //!
@@ -118,8 +120,8 @@ pub struct Evidence {
     /// Some edge followed conveyed attributes.
     pub(crate) conveys: bool,
     /// Nothing resting on this evidence is stored: a query went to a
-    /// source that keeps no marks, or a view decision needed a fresh
-    /// search (a first sighting).
+    /// source that keeps no marks, or it is a view decision's first
+    /// sighting, whose rules' fresh answers are not stored either.
     pub(crate) discarded: bool,
     /// Pins of the table entries this answer was built from, shared.
     rests_on: Vec<Arc<Pins>>,
@@ -306,6 +308,8 @@ pub struct CacheStats {
     pub proof_misses: u64,
     /// Proof entries dropped because one of their pinned inputs changed.
     pub proof_invalidations: u64,
+    /// Proof entries stored, shared walks included.
+    pub proof_inserts: u64,
     /// Lookups of a shared walk (`ProofEngine::splice`) answered from the
     /// proof table; no request is answered by one alone.
     pub walk_hits: u64,
@@ -321,7 +325,7 @@ pub struct CacheStats {
     pub decision_misses: u64,
     /// Decision entries dropped because one of their pinned inputs changed.
     pub decision_invalidations: u64,
-    /// Decisions stored: every rule they tried was a proof-table hit.
+    /// Decisions stored: their key had missed before.
     pub decision_inserts: u64,
 }
 
@@ -330,6 +334,7 @@ struct StatCells {
     proof_hits: AtomicU64,
     proof_misses: AtomicU64,
     proof_invalidations: AtomicU64,
+    proof_inserts: AtomicU64,
     walk_hits: AtomicU64,
     walk_misses: AtomicU64,
     cred_hits: AtomicU64,
@@ -343,6 +348,8 @@ struct StatCells {
 struct CacheInner {
     proofs: Mutex<ClockTable<ProofKey, Entry<ProveResult>>>,
     decisions: Mutex<ClockTable<DecisionKey, Entry<ViewDecision>>>,
+    /// Hashes of the decision keys that missed: the doorkeeper.
+    seen: Mutex<ClockTable<u64, ()>>,
     stats: StatCells,
 }
 
@@ -365,6 +372,7 @@ impl AuthCache {
             inner: Arc::new(CacheInner {
                 proofs: Mutex::new(ClockTable::new(PROOF_CAP)),
                 decisions: Mutex::new(ClockTable::new(DECISION_CAP)),
+                seen: Mutex::new(ClockTable::new(DECISION_CAP)),
                 stats: StatCells::default(),
             }),
         }
@@ -444,49 +452,65 @@ impl AuthCache {
         let pins = Arc::new(Pins::new(evidence, bus, registry_epoch, now));
         let stored = Evidence::entry(&pins);
         self.inner.proofs.lock().insert(key, Entry { answer, pins });
+        self.inner.stats.proof_inserts.fetch_add(1, Relaxed);
+        counter!("psf.drbac.cache.proof.inserts").inc();
         stored
     }
 
-    /// Look up a remembered view decision. Returns `None` on a miss,
-    /// including an entry dropped because an input it pinned changed:
-    /// `source` answers the current mark of each bucket the entry pinned.
+    /// Look up a remembered view decision. A miss, including an entry
+    /// dropped because an input it pinned changed (`source` answers the
+    /// current mark of each bucket the entry pinned), returns the evidence
+    /// the decision starts from: discarded on a first sighting, whose key
+    /// hash is noted, clean once the hash is known (a collision only
+    /// admits early: a decision is found by its whole key).
     pub fn lookup_decision(
         &self,
         key: &DecisionKey,
         now: Timestamp,
         source: &dyn CredentialSource,
         registry_epoch: u64,
-    ) -> Option<ViewDecision> {
+    ) -> Result<ViewDecision, Evidence> {
         let s = &self.inner.stats;
         let mut decisions = self.inner.decisions.lock();
-        let Some(e) = decisions.get(key) else {
-            s.decision_misses.fetch_add(1, Relaxed);
-            counter!("psf.drbac.cache.decision.misses").inc();
-            return None;
+        let found = match decisions.get(key) {
+            Some(e) if e.pins.current(source, now, registry_epoch) => Some(e.answer.clone()),
+            Some(_) => {
+                decisions.remove(key);
+                s.decision_invalidations.fetch_add(1, Relaxed);
+                counter!("psf.drbac.cache.decision.invalidations").inc();
+                None
+            }
+            None => None,
         };
-        if !e.pins.current(source, now, registry_epoch) {
-            decisions.remove(key);
-            s.decision_invalidations.fetch_add(1, Relaxed);
-            s.decision_misses.fetch_add(1, Relaxed);
-            counter!("psf.drbac.cache.decision.invalidations").inc();
-            counter!("psf.drbac.cache.decision.misses").inc();
-            return None;
+        drop(decisions);
+        if let Some(decision) = found {
+            s.decision_hits.fetch_add(1, Relaxed);
+            counter!("psf.drbac.cache.decision.hits").inc();
+            return Ok(decision);
         }
-        s.decision_hits.fetch_add(1, Relaxed);
-        counter!("psf.drbac.cache.decision.hits").inc();
-        Some(e.answer.clone())
+        s.decision_misses.fetch_add(1, Relaxed);
+        counter!("psf.drbac.cache.decision.misses").inc();
+        let mut h = std::hash::DefaultHasher::new();
+        key.hash(&mut h);
+        let hash = h.finish();
+        let mut seen = self.inner.seen.lock();
+        let first = seen.get(&hash).is_none();
+        if first {
+            seen.insert(hash, ());
+        }
+        Err(Evidence {
+            discarded: first,
+            ..Evidence::default()
+        })
     }
 
     /// Remember a decision derived at `now` from its rules' answers, with
-    /// `registry_epoch` read before the first rule. Only a decision seen
-    /// before is stored: every rule it tried must have been answered from
-    /// the proof table. A rule that needed a fresh search (a first
-    /// sighting) leaves the table untouched, so traffic that never
-    /// repeats pays one missed lookup and nothing else. The entry rests
-    /// on those entries, failed rules included: each was current at `now`,
-    /// so it was observed no later and under `registry_epoch`, unless the
-    /// registry moved meanwhile, which `registry_epoch` then no longer
-    /// matches at any lookup.
+    /// `registry_epoch` read before the first rule, unless `evidence` is
+    /// discarded (a first sighting: [`lookup_decision`](Self::lookup_decision)).
+    /// It rests on every rule's entry, failed rules included: each was
+    /// current at `now`, so it was observed no later and under
+    /// `registry_epoch`, unless the registry moved meanwhile, which
+    /// `registry_epoch` then no longer matches at any lookup.
     pub fn insert_decision(
         &self,
         key: DecisionKey,
@@ -520,6 +544,7 @@ impl AuthCache {
             proof_hits: s.proof_hits.load(Relaxed),
             proof_misses: s.proof_misses.load(Relaxed),
             proof_invalidations: s.proof_invalidations.load(Relaxed),
+            proof_inserts: s.proof_inserts.load(Relaxed),
             walk_hits: s.walk_hits.load(Relaxed),
             walk_misses: s.walk_misses.load(Relaxed),
             cred_hits: s.cred_hits.load(Relaxed),
@@ -647,6 +672,29 @@ mod tests {
         let mut partner = acl("Partner", "Full");
         partner.hash = member.hash;
         assert_ne!(member, partner, "a colliding hash does not merge tables");
+    }
+
+    #[test]
+    fn a_key_is_admitted_only_when_asked_again_within_the_doorkeepers_reach() {
+        let (cache, repo, acl) = (AuthCache::new(), Repository::new(), AclRules::default());
+        let admitted = |i: usize| {
+            let subject = Subject::Role(RoleName::new("Nobody", format!("R{i}")));
+            let key = DecisionKey::new(&subject, &acl, &[]);
+            let evidence = cache.lookup_decision(&key, 0, &repo, 0).unwrap_err();
+            !evidence.discarded
+        };
+        assert!(!admitted(0), "a first sighting");
+        assert!((1..DECISION_CAP).all(|i| !admitted(i)));
+        assert!(
+            admitted(0),
+            "asked again after DECISION_CAP - 1 one-off keys"
+        );
+        // The cold stream's shape: each key comes back only after more
+        // than twice as many other keys as the doorkeeper holds.
+        let cycle = 2 * DECISION_CAP + 1;
+        for i in 0..3 * cycle {
+            assert!(!admitted(DECISION_CAP + i % cycle), "step {i}");
+        }
     }
 
     #[test]

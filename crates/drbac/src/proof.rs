@@ -361,9 +361,10 @@ impl<'a> ProofEngine<'a> {
     }
 
     /// [`prove_carried`](Self::prove_carried) for one rule of a decision
-    /// that tries several: a proof-table hit adds that entry's pins to
-    /// `evidence`, and a fresh search (or an engine without a cache) marks
-    /// it fresh.
+    /// that tries several: `evidence` gains the entry the answer rests on,
+    /// a proof-table hit's or a fresh answer's once stored. A discarded
+    /// `evidence` (a first sighting) stores no fresh answer; an engine
+    /// without a cache adds its search's evidence.
     pub fn prove_noting(
         &self,
         subject: &Subject,
@@ -420,20 +421,26 @@ impl<'a> ProofEngine<'a> {
             }
         }
 
-        if let Some(decision) = decision {
-            decision.discarded = true;
-        }
         let (mut evidence, mut work) = (Evidence::default(), SearchStats::default());
         let result = self.prove_search(subject, target, presented, slot, &mut evidence, &mut work);
-        if let (Some(cache), Some(key)) = (self.cache, key) {
-            cache.insert_proof(
-                key,
-                result.clone(),
-                evidence,
-                self.bus,
-                registry_epoch,
-                self.now,
-            );
+        match (self.cache.zip(key), decision) {
+            // A decision's first sighting keeps no rule's answer.
+            (Some(_), Some(decision)) if decision.discarded => {}
+            (Some((cache, key)), decision) => {
+                let stored = cache.insert_proof(
+                    key,
+                    result.clone(),
+                    evidence,
+                    self.bus,
+                    registry_epoch,
+                    self.now,
+                );
+                if let Some(decision) = decision {
+                    decision.union(stored);
+                }
+            }
+            (None, Some(decision)) => decision.union(evidence),
+            (None, None) => {}
         }
         if result.is_err() {
             psf_telemetry::counter!("psf.drbac.prove.failures").inc();

@@ -97,10 +97,11 @@ impl ViewAcl {
 
     /// As [`select_view`](Self::select_view), with repeat decisions
     /// answered from `cache` (which must be dedicated to this
-    /// registry/repository/bus triple). A decision seen before is answered
-    /// by one lookup of `cache`'s decision table and runs no proof search;
-    /// otherwise each rule is asked of the proof table, and the decision
-    /// is remembered once every rule it tried was a proof-table hit.
+    /// registry/repository/bus triple). A stored decision is answered by
+    /// one lookup of `cache`'s decision table and runs no proof search;
+    /// otherwise each rule is asked of the proof table. A first sighting
+    /// stores nothing; on the next, each rule's fresh answer and the
+    /// decision are stored.
     #[allow(clippy::too_many_arguments)]
     pub fn select_view_cached(
         &self,
@@ -117,16 +118,18 @@ impl ViewAcl {
         // Read before any rule is tried, like a search's epoch.
         let registry_epoch = registry.epoch();
         let key = DecisionKey::new(subject, &self.rules, &presented);
-        if let Some(decision) = cache.lookup_decision(&key, now, repository, registry_epoch) {
-            let outcome = match decision.rule {
-                Some(_) => CacheOutcome::Hit,
-                None => CacheOutcome::NegativeHit,
-            };
-            let cached = Some((outcome, repository.version()));
-            return self.answer(&mut span, subject, decision, cached);
-        }
+        let mut evidence = match cache.lookup_decision(&key, now, repository, registry_epoch) {
+            Ok(decision) => {
+                let outcome = match decision.rule {
+                    Some(_) => CacheOutcome::Hit,
+                    None => CacheOutcome::NegativeHit,
+                };
+                let cached = Some((outcome, repository.version()));
+                return self.answer(&mut span, subject, decision, cached);
+            }
+            Err(evidence) => evidence,
+        };
         let engine = ProofEngine::with_cache(registry, repository, bus, now, cache);
-        let mut evidence = Evidence::default();
         let decision = self.decide(&engine, subject, &presented, &mut evidence);
         cache.insert_decision(key, &decision, evidence, bus, registry_epoch, now);
         self.answer(&mut span, subject, decision, None)

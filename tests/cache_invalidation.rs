@@ -516,7 +516,11 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
         after.proof_invalidations, 0,
         "unread buckets invalidate nothing"
     );
-    assert_eq!(after.proof_hits - warm.proof_hits, w.entries());
+    // The second pass is every decision's second sighting: each rule
+    // misses, is searched again and stored, and so is the decision.
+    assert_eq!(after.proof_hits, warm.proof_hits);
+    assert_eq!(after.proof_misses - warm.proof_misses, w.entries());
+    assert_eq!(after.proof_inserts - warm.proof_inserts, w.entries());
 
     w.repo.publish_at_issuer(
         DelegationBuilder::new(&w.domains[2])
@@ -525,12 +529,13 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
             .sign(),
     );
     w.sign_on_all();
-    // The second pass found every rule in the proof table, so it stored
-    // each user's whole decision: the third pass asks the proof table
-    // only for the Member users, whose decisions read the published key.
-    // Their two entries each rest on a walk beyond `LeafMember` (Admin
-    // failed, Member proved), lifted as well: the first Member user's
-    // searches store those two again, the others splice from them.
+    // The second pass stored each user's whole decision: the third pass
+    // asks the proof table only for the Member users, whose decisions
+    // read the published key. Their keys were seen before, so each
+    // decision is stored again with its two entries (Admin failed, Member
+    // proved). Both rest on a walk beyond `LeafMember`, lifted as well:
+    // the first Member user's searches store those two again, the others
+    // splice from them.
     let members = w.users.iter().filter(|(_, c)| *c == 1).count() as u64;
     let users = w.users.len() as u64;
     assert!(members > 0);
@@ -543,6 +548,35 @@ fn a_publish_invalidates_only_the_proofs_that_read_its_key() {
     assert_eq!(last.proof_misses - after.proof_misses, 2 * members);
     assert_eq!(last.walk_misses - after.walk_misses, 2);
     assert_eq!(last.walk_hits - after.walk_hits, 2 * members - 2);
+    assert_eq!(last.proof_inserts - after.proof_inserts, 2 * members + 2);
+    assert_eq!(last.decision_inserts - after.decision_inserts, members);
+}
+
+/// Stores follow sightings of a decision key. The first pass stores
+/// nothing but the walks beyond the leaf roles; the second stores every
+/// rule's answer and every decision; the third is all decision hits.
+#[test]
+fn a_first_sighting_stores_only_its_shared_walks() {
+    let w = SignOnWorld::new();
+    let users = w.users.len() as u64;
+    w.sign_on_all();
+    let first = w.cache.stats();
+    assert_eq!(w.cache.proof_entries() as u64, w.suffixes());
+    assert_eq!(
+        (first.proof_inserts, first.decision_inserts),
+        (w.suffixes(), 0)
+    );
+    w.sign_on_all();
+    let second = w.cache.stats();
+    assert_eq!(w.cache.proof_entries() as u64, w.suffixes() + w.entries());
+    assert_eq!(second.proof_inserts - first.proof_inserts, w.entries());
+    assert_eq!(second.decision_inserts, users);
+    assert_eq!(second.proof_hits, 0);
+    w.sign_on_all();
+    let third = w.cache.stats();
+    assert_eq!(third.decision_hits, users);
+    assert_eq!(third.proof_hits + third.proof_misses, second.proof_misses);
+    assert_eq!(third.proof_inserts, second.proof_inserts);
 }
 
 /// A first sighting stores nothing: one pass over subjects never seen

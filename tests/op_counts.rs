@@ -4,12 +4,14 @@
 //! &[], …)` over one shared `AuthCache`, and the test asserts a committed
 //! table of what each request shape costs: proof searches begun
 //! (`psf.drbac.prove.calls`), the walk they made (nodes expanded,
-//! credentials examined and repository queries), proof-table hits and
-//! misses, decision-table hits, misses and inserts, and audit records
-//! (`psf.audit.records`).
+//! credentials examined and repository queries), proof-table hits,
+//! misses, invalidations and inserts, decision-table hits, misses,
+//! invalidations and inserts, audit records (`psf.audit.records`) and
+//! heap allocations.
 //!
 //! A change that moves one of these counts must change the table below,
-//! and say why. Counters are process-wide, so this file holds one test.
+//! and say why. Counters are process-wide, so this file holds one test,
+//! and its binary counts allocations through its own global allocator.
 //!
 //! The world has the benchmark's shape, in small: four view classes, each
 //! a chain of role mappings `D3.Leaf{class} → D2 → D1 → Org.{class}`
@@ -22,6 +24,40 @@ use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
 use psf_drbac::{AuthCache, CacheStats, DelegationBuilder};
 use psf_views::ViewAcl;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+/// Heap allocations made by this process: calls of `alloc`,
+/// `alloc_zeroed` and `realloc`.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting into [`ALLOCATIONS`].
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 const CLASSES: [&str; 4] = ["Admin", "Member", "Partner", "Guest"];
 /// Users of the world: the first `HOT` make the warm shape, the rest the
@@ -30,6 +66,9 @@ const USERS: usize = 384;
 const HOT: usize = 128;
 /// Passes over the hot set after its first two sightings.
 const STEADY_PASSES: u64 = 4;
+/// The hot user whose leaf grant the mix shape revokes: class Member,
+/// granted by the registrar.
+const REVOKED: usize = 1;
 
 struct World {
     registry: EntityRegistry,
@@ -37,6 +76,8 @@ struct World {
     bus: RevocationBus,
     acl: ViewAcl,
     users: Vec<Subject>,
+    /// Id of each user's leaf grant, if it holds one.
+    grants: Vec<Option<String>>,
 }
 
 impl World {
@@ -76,29 +117,30 @@ impl World {
                     .sign(),
             );
         }
-        let users = (0..USERS)
+        let (users, grants) = (0..USERS)
             .map(|i| {
                 let user = entity(&format!("user{i}"));
                 let class = i % CLASSES.len();
                 if i % 32 == 31 {
-                    return user.as_subject();
+                    return (user.as_subject(), None);
                 }
                 let issuer = if i % 4 == 1 { &registrar } else { &domains[3] };
-                repo.publish_at_issuer(
-                    DelegationBuilder::new(issuer)
-                        .subject_entity(&user)
-                        .role(domains[3].role(format!("Leaf{}", CLASSES[class])))
-                        .sign(),
-                );
-                user.as_subject()
+                let grant = DelegationBuilder::new(issuer)
+                    .subject_entity(&user)
+                    .role(domains[3].role(format!("Leaf{}", CLASSES[class])))
+                    .sign();
+                let id = grant.id();
+                repo.publish_at_issuer(grant);
+                (user.as_subject(), Some(id))
             })
-            .collect();
+            .unzip();
         World {
             registry,
             repo,
             bus: RevocationBus::new(),
             acl,
             users,
+            grants,
         }
     }
 }
@@ -113,12 +155,16 @@ struct Counts {
     queries: u64,
     proof_hits: u64,
     proof_misses: u64,
+    proof_invalidations: u64,
+    proof_inserts: u64,
     walk_hits: u64,
     walk_misses: u64,
     decision_hits: u64,
     decision_misses: u64,
+    decision_invalidations: u64,
     decision_inserts: u64,
     audit_records: u64,
+    allocations: u64,
 }
 
 /// Process-wide counters: prove calls, nodes expanded, credentials
@@ -135,21 +181,31 @@ fn counters() -> [u64; 4] {
 }
 
 /// Sign every user of `users` on once, `passes` times over, through one
-/// cache, and count what it cost.
-fn run(w: &World, cache: &AuthCache, users: &[Subject], passes: u64) -> Counts {
+/// cache, and count what it cost. Returns the counts and the views of the
+/// last pass.
+fn run(
+    w: &World,
+    cache: &AuthCache,
+    users: &[Subject],
+    passes: u64,
+) -> (Counts, Vec<Option<String>>) {
     let (before, counted, queries) = (cache.stats(), counters(), w.repo.stats().queries);
+    let mut views = Vec::with_capacity(users.len());
+    let allocations = ALLOCATIONS.load(Relaxed);
     for _ in 0..passes {
+        views.clear();
         for subject in users {
             let view =
                 w.acl
                     .select_view_cached(subject, &[], &w.registry, &w.repo, &w.bus, 0, cache);
-            std::hint::black_box(view);
+            views.push(std::hint::black_box(view).map(|(view, _)| view));
         }
     }
+    let allocations = ALLOCATIONS.load(Relaxed) - allocations;
     let (after, counted_after) = (cache.stats(), counters());
     let d = |f: fn(&CacheStats) -> u64| f(&after) - f(&before);
     let [calls, nodes, creds, audits] = [0, 1, 2, 3].map(|i| counted_after[i] - counted[i]);
-    Counts {
+    let counts = Counts {
         ops: passes * users.len() as u64,
         prove_calls: calls,
         nodes,
@@ -157,39 +213,66 @@ fn run(w: &World, cache: &AuthCache, users: &[Subject], passes: u64) -> Counts {
         queries: w.repo.stats().queries - queries,
         proof_hits: d(|s| s.proof_hits),
         proof_misses: d(|s| s.proof_misses),
+        proof_invalidations: d(|s| s.proof_invalidations),
+        proof_inserts: d(|s| s.proof_inserts),
         walk_hits: d(|s| s.walk_hits),
         walk_misses: d(|s| s.walk_misses),
         decision_hits: d(|s| s.decision_hits),
         decision_misses: d(|s| s.decision_misses),
+        decision_invalidations: d(|s| s.decision_invalidations),
         decision_inserts: d(|s| s.decision_inserts),
         audit_records: audits,
-    }
+        allocations,
+    };
+    (counts, views)
 }
 
 /// The committed table: totals per phase. A class-`c` user tries `c + 1`
 /// rules and a denied one all four, 2.5 per sign-on here (the benchmark's
-/// world reads ≈ 2.6). A first sighting searches every rule it tries and
-/// stores nothing; the second finds every rule in the proof table and
-/// stores the decision; after that a sign-on is one decision hit and one
-/// audit record, where deciding one rule at a time cost 2.5 prove calls
-/// and 3.5 audit records.
+/// world reads ≈ 2.6).
+///
+/// Stores follow sightings of a decision key. A first sighting searches
+/// every rule it tries, notes the key's hash and stores nothing but the
+/// walks it is the first to need (10 proof inserts, one per walk). The
+/// second sighting searches every rule again and stores each answer (320)
+/// and the decision (128). After that a sign-on is one decision hit and
+/// one audit record, where deciding one rule at a time cost 2.5 prove
+/// calls and 3.5 audit records. A cold sign-on is a first sighting and
+/// stores nothing. When every fresh answer was stored, so that a second
+/// sighting found every rule in the proof table, the first warm pass made
+/// 330 proof inserts and the cold pass 640, which no later request read;
+/// the four phases allocated 19 640, 8 217, 7 826 and 37 911 times.
 ///
 /// A search expands its subject, then asks the proof table for the walk
 /// beyond the subject's one leaf role (a *shared walk*, counted as a walk
 /// hit or miss apart from the subject's own proof lookup; a denied user
-/// has no leaf and walks alone). So once a `(leaf role, target)` pair has been seen, a
-/// search is one node: one query for the subject's key, one more for the
-/// registrar's when the leaf grant is third-party (the users with
-/// `i % 4 == 1`, all of class 1), and one credential examined per query,
-/// none on a denied user's empty key. The first sighting of the ten pairs
-/// walks them: 3 nodes and 3 credentials for each of the four chains that
-/// reach their target, 4 and 3 for each of the six that fail, 36 nodes in
-/// all. The cold pass sees no new pair:
-/// 640 searches expand 640 nodes, 608 of them splice from a walk hit and
-/// the 32 of the 8 denied users do not. Walking each chain again, as every
-/// search did before shared walks were kept, cost the cold pass 2 824 nodes,
-/// 2 560 credentials and 2 952 queries (11.0, 10.0 and 11.5 per sign-on).
-const TABLE: [(&str, Counts); 4] = [
+/// has no leaf and walks alone). So once a `(leaf role, target)` pair has
+/// been seen, a search is one node: one query for the subject's key, one
+/// more for the registrar's when the leaf grant is third-party (the users
+/// with `i % 4 == 1`, all of class 1), and one credential examined per
+/// query, none on a denied user's empty key. The first sighting of the
+/// ten pairs walks them: 3 nodes and 3 credentials for each of the four
+/// chains that reach their target, 4 and 3 for each of the six that fail,
+/// 36 nodes in all. The second sighting and the cold pass see no new
+/// pair: 320 and 640 searches expand one node each, and all but the 16
+/// and 32 of the denied users splice from a walk hit. Walking each chain
+/// again, as every search did before shared walks were kept, cost the
+/// cold pass 2 824 nodes, 2 560 credentials and 2 952 queries (11.0, 10.0
+/// and 11.5 per sign-on).
+///
+/// The mix shape revokes the leaf grant of hot user `REVOKED` after the
+/// steady passes and signs the hot set on once. The user's decision lifts
+/// and so do the two proof entries it rested on (the failed Admin rule's
+/// and the Member proof); the shared walks watch no leaf grant and stay.
+/// The key's hash is still remembered, so this first re-sighting is
+/// admitted: all four rules are searched afresh, one node and one
+/// credential (the revoked grant) each, and the four failures and the
+/// denial are stored. The other 127 sign-ons are decision hits.
+///
+/// Allocations are every heap allocation the phase made, the test's own
+/// included: ≈ 130 per first sighting, ≈ 154 per second sighting (which
+/// stores), ≈ 15 per steady sign-on and ≈ 125 per cold sign-on.
+const TABLE: [(&str, Counts); 5] = [
     (
         "warm, first sighting",
         Counts {
@@ -200,12 +283,16 @@ const TABLE: [(&str, Counts); 4] = [
             queries: 420,
             proof_hits: 0,
             proof_misses: 320,
+            proof_invalidations: 0,
+            proof_inserts: 10,
             walk_hits: 294,
             walk_misses: 10,
             decision_hits: 0,
             decision_misses: 128,
+            decision_invalidations: 0,
             decision_inserts: 0,
             audit_records: 448,
+            allocations: 16_693,
         },
     ),
     (
@@ -213,17 +300,21 @@ const TABLE: [(&str, Counts); 4] = [
         Counts {
             ops: 128,
             prove_calls: 320,
-            nodes: 0,
-            creds: 0,
-            queries: 0,
-            proof_hits: 320,
-            proof_misses: 0,
-            walk_hits: 0,
+            nodes: 320,
+            creds: 368,
+            queries: 384,
+            proof_hits: 0,
+            proof_misses: 320,
+            proof_invalidations: 0,
+            proof_inserts: 320,
+            walk_hits: 304,
             walk_misses: 0,
             decision_hits: 0,
             decision_misses: 128,
+            decision_invalidations: 0,
             decision_inserts: 128,
             audit_records: 448,
+            allocations: 19_749,
         },
     ),
     (
@@ -236,12 +327,38 @@ const TABLE: [(&str, Counts); 4] = [
             queries: 0,
             proof_hits: 0,
             proof_misses: 0,
+            proof_invalidations: 0,
+            proof_inserts: 0,
             walk_hits: 0,
             walk_misses: 0,
             decision_hits: 512,
             decision_misses: 0,
+            decision_invalidations: 0,
             decision_inserts: 0,
             audit_records: 512,
+            allocations: 7826,
+        },
+    ),
+    (
+        "mix, one leaf revoked",
+        Counts {
+            ops: 128,
+            prove_calls: 4,
+            nodes: 4,
+            creds: 4,
+            queries: 4,
+            proof_hits: 0,
+            proof_misses: 4,
+            proof_invalidations: 2,
+            proof_inserts: 4,
+            walk_hits: 0,
+            walk_misses: 0,
+            decision_hits: 127,
+            decision_misses: 1,
+            decision_invalidations: 1,
+            decision_inserts: 1,
+            audit_records: 132,
+            allocations: 2084,
         },
     ),
     (
@@ -254,12 +371,16 @@ const TABLE: [(&str, Counts); 4] = [
             queries: 768,
             proof_hits: 0,
             proof_misses: 640,
+            proof_invalidations: 0,
+            proof_inserts: 0,
             walk_hits: 608,
             walk_misses: 0,
             decision_hits: 0,
             decision_misses: 256,
+            decision_invalidations: 0,
             decision_inserts: 0,
             audit_records: 896,
+            allocations: 32_007,
         },
     ),
 ];
@@ -269,18 +390,22 @@ fn sign_on_counts_match_the_committed_table() {
     let w = World::new();
     let (hot, cold) = w.users.split_at(HOT);
     let cache = AuthCache::new();
-    let measured = [
-        run(&w, &cache, hot, 1),
-        run(&w, &cache, hot, 1),
-        run(&w, &cache, hot, STEADY_PASSES),
-        run(&w, &cache, cold, 1),
-    ];
+    let first = run(&w, &cache, hot, 1).0;
+    let second = run(&w, &cache, hot, 1).0;
+    let steady = run(&w, &cache, hot, STEADY_PASSES).0;
+    w.bus
+        .revoke(w.grants[REVOKED].as_deref().expect("a granted user"));
+    let (mix, views) = run(&w, &cache, hot, 1);
+    let cold = run(&w, &cache, cold, 1).0;
+    let measured = [first, second, steady, mix, cold];
     for ((name, _), got) in TABLE.iter().zip(measured) {
         let per_op = |v: u64| v as f64 / got.ops as f64;
         eprintln!(
             "{name:<22} ops {:>4}  prove/op {:.3}  nodes/creds/queries per op {:.3}/{:.3}/{:.3}  \
-             proof hit/miss per op {:.3}/{:.3}  walk hit/miss per op {:.3}/{:.3}  \
-             decision hit/miss/insert per op {:.3}/{:.3}/{:.3}  audit/op {:.3}",
+             proof hit/miss/invalidation/insert per op {:.3}/{:.3}/{:.3}/{:.3}  \
+             walk hit/miss per op {:.3}/{:.3}  \
+             decision hit/miss/invalidation/insert per op {:.3}/{:.3}/{:.3}/{:.3}  \
+             audit/op {:.3}  allocations/op {:.1}",
             got.ops,
             per_op(got.prove_calls),
             per_op(got.nodes),
@@ -288,14 +413,19 @@ fn sign_on_counts_match_the_committed_table() {
             per_op(got.queries),
             per_op(got.proof_hits),
             per_op(got.proof_misses),
+            per_op(got.proof_invalidations),
+            per_op(got.proof_inserts),
             per_op(got.walk_hits),
             per_op(got.walk_misses),
             per_op(got.decision_hits),
             per_op(got.decision_misses),
+            per_op(got.decision_invalidations),
             per_op(got.decision_inserts),
             per_op(got.audit_records),
+            per_op(got.allocations),
         );
     }
+    assert_eq!(views[REVOKED], None, "a revoked leaf grant denies");
     for ((name, want), got) in TABLE.iter().zip(measured) {
         assert_eq!(got, *want, "{name}");
     }
