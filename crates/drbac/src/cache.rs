@@ -48,7 +48,7 @@ use crate::repository::{fnv1a, subject_key, CredentialSource, KeyMark};
 use crate::revocation::{RevocationBus, ValidityMonitor};
 use crate::Timestamp;
 use parking_lot::Mutex;
-use psf_telemetry::counter;
+use psf_telemetry::{counter, AuditRecord};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -152,6 +152,11 @@ impl Evidence {
         self.conveys |= other.conveys;
         self.discarded |= other.discarded;
         self.rests_on.append(&mut other.rests_on);
+    }
+
+    /// Whether nothing resting on this evidence will be stored.
+    pub fn discarded(&self) -> bool {
+        self.discarded
     }
 
     /// The evidence of an answer taken whole from a table entry.
@@ -290,12 +295,15 @@ impl DecisionKey {
 
 /// What a role→view table decided for one sign-on: the index of the rule
 /// that matched (`None`: none did) and, for a role rule, its proof.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ViewDecision {
     /// Index of the matching rule in the table.
     pub rule: Option<usize>,
     /// The proof of the matching role rule (`None` for the catch-all).
     pub proof: Option<Proof>,
+    /// Once stored, the decision's audit record without provenance, its
+    /// text (its `object` the view) shared with every hit that commits it.
+    pub audit: Option<Arc<AuditRecord>>,
 }
 
 /// Point-in-time counters for cache observability (mirrored into

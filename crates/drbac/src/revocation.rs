@@ -199,6 +199,7 @@ impl RevocationBus {
 /// The audit record of one revocation call on `target` (an id or a label).
 fn audit(target: &str, detail: String) {
     use psf_telemetry::{audit::record, Decision, Verdict};
+    let target = target.to_string();
     record(Decision::Revocation, "", target, Verdict::Revoked)
         .detail(detail)
         .commit();

@@ -21,6 +21,73 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+/// Text of an audit record or a span field: a literal, an owned string,
+/// or a string shared between records, so a stored decision's record is
+/// committed again without copying its text.
+#[derive(Clone)]
+pub enum Text {
+    /// A literal.
+    Static(&'static str),
+    /// Built for one record.
+    Owned(String),
+    /// Shared between records; cloning it copies no text.
+    Shared(Arc<str>),
+}
+
+impl Text {
+    /// This text, cheap to clone: owned text moves behind an `Arc`.
+    pub fn share(self) -> Text {
+        match self {
+            Text::Owned(s) => Text::Shared(s.into()),
+            text => text,
+        }
+    }
+}
+
+impl Default for Text {
+    fn default() -> Text {
+        Text::Static("")
+    }
+}
+
+impl std::ops::Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Text::Static(s) => s,
+            Text::Owned(s) => s,
+            Text::Shared(s) => s,
+        }
+    }
+}
+
+/// Text is made from a literal or an owned string, and compares and
+/// prints as the `str` it derefs to.
+macro_rules! text_impls {
+    (from $($src:ty => $form:ident),*; eq $($other:ty),*; fmt $($tr:ident),*) => {
+        $(impl From<$src> for Text {
+            fn from(s: $src) -> Text {
+                Text::$form(s)
+            }
+        })*
+        $(impl PartialEq<$other> for Text {
+            fn eq(&self, other: &$other) -> bool {
+                self[..] == other[..]
+            }
+        })*
+        impl Eq for Text {}
+        $(impl std::fmt::$tr for Text {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                std::fmt::$tr::fmt(&**self, f)
+            }
+        })*
+    };
+}
+
+text_impls!(from &'static str => Static, String => Owned;
+    eq Text, str, &str, String; fmt Debug, Display);
+
 /// Ring-buffer capacity of the global audit log.
 pub const DEFAULT_CAPACITY: usize = 8192;
 
@@ -115,17 +182,17 @@ pub struct AuditRecord {
     /// What kind of decision this is.
     pub decision: Decision,
     /// The requesting subject (entity or role), rendered.
-    pub subject: String,
+    pub subject: Text,
     /// What was decided about: a role for proofs, a view name for view
     /// selections, a method/service for authorizations, a credential id
     /// for revocations.
-    pub object: String,
+    pub object: Text,
     /// The outcome.
     pub verdict: Verdict,
     /// FNV-1a digest (16 hex chars) over the ordered credential ids of the
     /// delegation chain the verdict rested on; empty when no chain was
     /// involved (catch-all grants, denials, revocations).
-    pub chain_digest: String,
+    pub chain_digest: Text,
     /// Cache provenance of the answer.
     pub cache: CacheOutcome,
     /// Repository epoch the answer is pinned to, when a cache was
@@ -134,17 +201,18 @@ pub struct AuditRecord {
     /// Truncated hex digest of the authorization certificate the decision
     /// rested on (emission or checker verdicts); empty when no
     /// certificate was involved.
-    pub cert_digest: String,
+    pub cert_digest: Text,
     /// Free-form detail (error text for denials, rule matched, …).
-    pub detail: String,
+    pub detail: Text,
 }
 
 /// Digest an ordered delegation chain (credential ids) into the compact
 /// hex form stored in [`AuditRecord::chain_digest`]. FNV-1a over the ids
-/// separated by `\n` — stable across processes, cheap on the warm path.
-pub fn chain_digest<S: AsRef<str>>(credential_ids: &[S]) -> String {
+/// separated by `\n` — stable across processes, cheap on the warm path:
+/// shared text, written in one allocation.
+pub fn chain_digest<S: AsRef<str>>(credential_ids: &[S]) -> Text {
     if credential_ids.is_empty() {
-        return String::new();
+        return Text::default();
     }
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for id in credential_ids {
@@ -155,7 +223,9 @@ pub fn chain_digest<S: AsRef<str>>(credential_ids: &[S]) -> String {
         h ^= b'\n' as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    format!("{h:016x}")
+    let hex: [u8; 16] =
+        std::array::from_fn(|i| b"0123456789abcdef"[(h >> (60 - 4 * i)) as usize & 0xf]);
+    Text::Shared(String::from_utf8_lossy(&hex).into())
 }
 
 /// Append-only bounded audit log (ring buffer, oldest evicted).
@@ -322,8 +392,8 @@ pub fn global() -> &'static AuditLog {
 /// The trace id is captured from the calling thread's current context.
 pub fn record(
     decision: Decision,
-    subject: impl Into<String>,
-    object: impl Into<String>,
+    subject: impl Into<Text>,
+    object: impl Into<Text>,
     verdict: Verdict,
 ) -> AuditRecordBuilder {
     AuditRecordBuilder {
@@ -335,11 +405,22 @@ pub fn record(
             subject: subject.into(),
             object: object.into(),
             verdict,
-            chain_digest: String::new(),
+            chain_digest: Text::default(),
             cache: CacheOutcome::Uncached,
             epoch: None,
-            cert_digest: String::new(),
-            detail: String::new(),
+            cert_digest: Text::default(),
+            detail: Text::default(),
+        },
+    }
+}
+
+/// A builder holding a clone of a stored record (see
+/// [`AuditRecordBuilder::into_stored`]) and the calling thread's trace id.
+pub fn record_from(stored: &AuditRecord) -> AuditRecordBuilder {
+    AuditRecordBuilder {
+        record: AuditRecord {
+            trace: crate::trace::current_trace_id(),
+            ..stored.clone()
         },
     }
 }
@@ -366,15 +447,30 @@ impl AuditRecordBuilder {
 
     /// Attach the digest of the authorization certificate the decision
     /// rested on.
-    pub fn cert(mut self, digest: impl Into<String>) -> Self {
+    pub fn cert(mut self, digest: impl Into<Text>) -> Self {
         self.record.cert_digest = digest.into();
         self
     }
 
     /// Attach free-form detail (error text, matched rule, …).
-    pub fn detail(mut self, detail: impl Into<String>) -> Self {
+    pub fn detail(mut self, detail: impl Into<Text>) -> Self {
         self.record.detail = detail.into();
         self
+    }
+
+    /// The record built so far, its text shared and its trace cleared, for
+    /// a decision to store and commit again through [`record_from`].
+    pub fn into_stored(self) -> AuditRecord {
+        let r = self.record;
+        AuditRecord {
+            trace: None,
+            subject: r.subject.share(),
+            object: r.object.share(),
+            chain_digest: r.chain_digest.share(),
+            cert_digest: r.cert_digest.share(),
+            detail: r.detail.share(),
+            ..r
+        }
     }
 
     /// Append to the global audit log.
@@ -393,7 +489,6 @@ pub struct AuditSink {
     file: std::fs::File,
     path: std::path::PathBuf,
     fsync_on_drop: bool,
-    lines: usize,
 }
 
 impl AuditSink {
@@ -404,7 +499,6 @@ impl AuditSink {
             file: std::fs::File::create(&path)?,
             path,
             fsync_on_drop: false,
-            lines: 0,
         })
     }
 
@@ -419,11 +513,6 @@ impl AuditSink {
         &self.path
     }
 
-    /// JSONL lines written so far.
-    pub fn lines_written(&self) -> usize {
-        self.lines
-    }
-
     /// Write a log's current buffer as JSON lines. Returns the number of
     /// records written.
     pub fn write_log(&mut self, log: &AuditLog) -> std::io::Result<usize> {
@@ -431,7 +520,6 @@ impl AuditSink {
         let jsonl = log.export_jsonl();
         let n = jsonl.lines().count();
         self.file.write_all(jsonl.as_bytes())?;
-        self.lines += n;
         Ok(n)
     }
 
@@ -441,7 +529,6 @@ impl AuditSink {
         let mut line = AuditLog::render_jsonl(record);
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
-        self.lines += 1;
         Ok(())
     }
 
@@ -471,15 +558,34 @@ mod tests {
             t_us: 0,
             trace: None,
             decision: Decision::Prove,
-            subject: subject.to_string(),
-            object: "Comp.NY.Member".to_string(),
+            subject: subject.to_string().into(),
+            object: "Comp.NY.Member".into(),
             verdict,
-            chain_digest: String::new(),
+            chain_digest: Text::default(),
             cache: CacheOutcome::Uncached,
             epoch: None,
-            cert_digest: String::new(),
-            detail: String::new(),
+            cert_digest: Text::default(),
+            detail: Text::default(),
         }
+    }
+
+    #[test]
+    fn every_form_reads_compares_and_prints_as_its_str() {
+        let forms = [
+            Text::from("view.Admin"),
+            Text::from("view.Admin".to_string()),
+            Text::Shared("view.Admin".into()),
+        ];
+        for t in &forms {
+            assert_eq!(&**t, "view.Admin");
+            assert_eq!(*t, "view.Admin");
+            assert_eq!(*t, "view.Admin".to_string());
+            assert_eq!(*t, forms[0]);
+            assert_eq!(format!("{t:>12}|{t:?}"), "  view.Admin|\"view.Admin\"");
+        }
+        assert!(matches!(forms[1].clone().share(), Text::Shared(_)));
+        assert!(matches!(forms[0].clone().share(), Text::Static(_)));
+        assert!(Text::default().is_empty());
     }
 
     #[test]
@@ -492,7 +598,6 @@ mod tests {
             let mut sink = AuditSink::create(&path).unwrap().fsync_on_drop(true);
             assert_eq!(sink.write_log(&log).unwrap(), 2);
             sink.write_record(&log.snapshot()[0]).unwrap();
-            assert_eq!(sink.lines_written(), 3);
             assert_eq!(sink.path(), path.as_path());
         } // drop fsyncs
         let text = std::fs::read_to_string(&path).unwrap();
@@ -536,7 +641,7 @@ mod tests {
         let mut r = rec("Alice \"A\"", Verdict::Deny);
         r.cache = CacheOutcome::NegativeHit;
         r.epoch = Some(7);
-        r.detail = "no path\nfound".to_string();
+        r.detail = "no path\nfound".into();
         r.chain_digest = chain_digest(&["cred-1", "cred-2"]);
         log.record(r);
         let text = log.export_jsonl();

@@ -50,7 +50,7 @@ pub mod metrics;
 pub mod slo;
 pub mod trace;
 
-pub use audit::{AuditLog, AuditRecord, AuditSink, CacheOutcome, Decision, Verdict};
+pub use audit::{AuditLog, AuditRecord, AuditSink, CacheOutcome, Decision, Text, Verdict};
 pub use metrics::{global as registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use slo::{Percentile, SloReport, SloSpec, SloTable};
 pub use trace::{

@@ -25,6 +25,7 @@
 //! JSON object per line, in span-creation order; [`read_jsonl`] reads that
 //! text back, so the line format is known to this module only.
 
+use crate::audit::Text;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -265,7 +266,7 @@ pub struct SpanRecord {
     /// Span name, e.g. `plan` or `deploy.step`.
     pub name: &'static str,
     /// Key/value annotations attached while the span was live.
-    pub fields: Vec<(&'static str, String)>,
+    pub fields: Vec<(&'static str, Text)>,
     /// Start time in µs since the process tracing epoch.
     pub start_us: u64,
     /// Wall-clock duration in µs (0 for events).
@@ -396,7 +397,10 @@ impl Tracer {
             parent,
             target,
             name,
-            fields,
+            fields: fields
+                .into_iter()
+                .map(|(k, v)| (k, Text::Owned(v)))
+                .collect(),
             start_us: epoch().elapsed().as_micros() as u64,
             dur_us: 0,
         });
@@ -633,7 +637,7 @@ pub struct SpanGuard<'a> {
     restore: Option<SavedCtx>,
     target: &'static str,
     name: &'static str,
-    fields: Vec<(&'static str, String)>,
+    fields: Vec<(&'static str, Text)>,
     start: Instant,
     start_us: u64,
 }
@@ -641,7 +645,13 @@ pub struct SpanGuard<'a> {
 impl SpanGuard<'_> {
     /// Attach a key/value annotation (value formatted via `Display`).
     pub fn field(&mut self, key: &'static str, value: impl std::fmt::Display) -> &mut Self {
-        self.fields.push((key, value.to_string()));
+        self.fields.push((key, Text::Owned(value.to_string())));
+        self
+    }
+
+    /// Attach a key/value annotation as it is, copying no shared text.
+    pub fn field_text(&mut self, key: &'static str, value: impl Into<Text>) -> &mut Self {
+        self.fields.push((key, value.into()));
         self
     }
 
@@ -752,7 +762,7 @@ mod tests {
         assert_eq!(inner.name, "inner");
         assert_eq!(inner.parent, Some(outer.id));
         assert_eq!(outer.parent, None);
-        assert_eq!(outer.fields, vec![("k", "42".to_string())]);
+        assert_eq!(outer.fields, vec![("k", Text::from("42"))]);
         assert!(outer.start_us <= inner.start_us);
         // Same auto-allocated trace for the whole tree.
         assert!(outer.trace.is_some());
@@ -837,7 +847,7 @@ mod tests {
                 target: NASTY,
                 name: NASTY,
                 // Field keys named like span keys must not shadow them.
-                fields: vec![("trace", NASTY.to_string()), ("dur_us", "9".to_string())],
+                fields: vec![("trace", NASTY.to_string().into()), ("dur_us", "9".into())],
                 start_us: 1_000 * id,
                 dur_us: 12_345 * id,
             });

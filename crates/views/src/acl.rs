@@ -15,8 +15,9 @@ use psf_drbac::{
     AclRules, AuthCache, Credential, DecisionKey, Evidence, SignedDelegation, Timestamp,
     ViewDecision,
 };
-use psf_telemetry::audit::CacheOutcome;
+use psf_telemetry::audit::{self, AuditRecordBuilder, CacheOutcome, Decision, Verdict};
 use psf_telemetry::trace::SpanGuard;
+use psf_telemetry::Text;
 use std::sync::Arc;
 
 /// Table 4 as data: ordered rules mapping a role (or the catch-all
@@ -100,8 +101,8 @@ impl ViewAcl {
     /// registry/repository/bus triple). A stored decision is answered by
     /// one lookup of `cache`'s decision table and runs no proof search;
     /// otherwise each rule is asked of the proof table. A first sighting
-    /// stores nothing; on the next, each rule's fresh answer and the
-    /// decision are stored.
+    /// stores nothing; the next stores each rule's fresh answer and the
+    /// decision with its audit record, which each hit commits a clone of.
     #[allow(clippy::too_many_arguments)]
     pub fn select_view_cached(
         &self,
@@ -130,7 +131,11 @@ impl ViewAcl {
             Err(evidence) => evidence,
         };
         let engine = ProofEngine::with_cache(registry, repository, bus, now, cache);
-        let decision = self.decide(&engine, subject, &presented, &mut evidence);
+        let mut decision = self.decide(&engine, subject, &presented, &mut evidence);
+        if !evidence.discarded() {
+            // Stored: its record is built once, for this answer and every hit.
+            decision.audit = Some(Arc::new(self.audit(subject, &decision).into_stored()));
+        }
         cache.insert_decision(key, &decision, evidence, bus, registry_epoch, now);
         self.answer(&mut span, subject, decision, None)
     }
@@ -155,11 +160,31 @@ impl ViewAcl {
             return ViewDecision {
                 rule: Some(i),
                 proof,
+                audit: None,
             };
         }
-        ViewDecision {
-            rule: None,
-            proof: None,
+        ViewDecision::default()
+    }
+
+    /// The audit record of `decision`, without its provenance, each text
+    /// in one allocation: the detail is `format!("role {role}")`, sized.
+    fn audit(&self, subject: &Subject, decision: &ViewDecision) -> AuditRecordBuilder {
+        let who = match subject {
+            Subject::Entity { name, .. } => Text::Shared(name.0.as_str().into()),
+            Subject::Role(_) => subject.render().into(),
+        };
+        let Some(i) = decision.rule else {
+            return audit::record(Decision::SelectView, who, "", Verdict::Deny)
+                .detail("no acl rule matched");
+        };
+        let (role, view) = &self.rules()[i];
+        let view = Text::Shared(view.as_str().into());
+        let record = audit::record(Decision::SelectView, who, view, Verdict::Allow);
+        match (role, &decision.proof) {
+            (Some(role), Some(proof)) => record
+                .chain(&proof.credential_ids())
+                .detail(["role ", &role.owner.0, ".", &role.role].concat()),
+            _ => record.detail("catch-all rule"),
         }
     }
 
@@ -172,32 +197,21 @@ impl ViewAcl {
         decision: ViewDecision,
         cached: Option<(CacheOutcome, Option<u64>)>,
     ) -> Option<(String, Option<Proof>)> {
-        use psf_telemetry::audit::{self, Decision, Verdict};
         let (outcome, epoch) = cached.unwrap_or_default();
+        let record = match &decision.audit {
+            Some(stored) => audit::record_from(stored),
+            None => self.audit(subject, &decision),
+        };
+        record.cache(outcome, epoch).commit();
         let Some(i) = decision.rule else {
-            span.field("view", "<denied>");
-            audit::record(Decision::SelectView, subject.render(), "", Verdict::Deny)
-                .cache(outcome, epoch)
-                .detail("no acl rule matched")
-                .commit();
+            span.field_text("view", "<denied>");
             return None;
         };
-        let (role, view) = &self.rules()[i];
-        span.field("view", view);
-        let record = audit::record(
-            Decision::SelectView,
-            subject.render(),
-            view.clone(),
-            Verdict::Allow,
-        )
-        .cache(outcome, epoch);
-        match (role, &decision.proof) {
-            (Some(role), Some(proof)) => record
-                .chain(&proof.credential_ids())
-                .detail(format!("role {role}")),
-            _ => record.detail("catch-all rule"),
-        }
-        .commit();
+        let view = &self.rules()[i].1;
+        match &decision.audit {
+            Some(stored) => span.field_text("view", stored.object.clone()),
+            None => span.field("view", view),
+        };
         Some((view.clone(), decision.proof))
     }
 

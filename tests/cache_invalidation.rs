@@ -11,6 +11,8 @@ use psf_drbac::proof::{Proof, ProofEngine, ProofError, SearchStats};
 use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
 use psf_drbac::{subject_key, AttrSet, AttrValue, AuthCache, DelegationBuilder, SignedDelegation};
+use psf_telemetry::audit::{self, AuditRecord, CacheOutcome, Decision, Verdict};
+use psf_telemetry::Text;
 use psf_views::ViewAcl;
 use std::collections::HashSet;
 
@@ -964,4 +966,147 @@ fn a_hot_decision_survives_a_stream_of_one_off_decisions() {
     let s = w.cache.stats();
     assert_eq!(s.proof_hits, 3_000, "the hot entry was never evicted");
     assert!(w.cache.proof_entries() <= 1_024);
+}
+
+/// Sign `subject` on through `acl` under a trace of its own, cached or
+/// not, and return the `select_view` audit record and span view field it
+/// left, with the view granted and its proof's chain digest.
+fn audited_sign_on(
+    w: &SignOnWorld,
+    acl: &ViewAcl,
+    subject: &Subject,
+    cached: bool,
+) -> (AuditRecord, String, Option<String>, Text) {
+    let (registry, repo, bus) = (&w.registry, &w.repo, &w.bus);
+    let root = psf_telemetry::span("psf.test", "sign_on");
+    let trace = root.trace_id();
+    let answer = if cached {
+        acl.select_view_cached(subject, &[], registry, repo, bus, 0, &w.cache)
+    } else {
+        acl.select_view(subject, &[], registry, repo, bus, 0)
+    };
+    drop(root);
+    let mut records = audit::global().query(None, false, Some(trace));
+    records.retain(|r| r.decision == Decision::SelectView);
+    assert_eq!(records.len(), 1, "one select_view record per sign-on");
+    let spans = psf_telemetry::tracer().snapshot();
+    let span = spans
+        .iter()
+        .find(|s| s.trace == Some(trace) && s.name == "select_view")
+        .expect("the sign-on's select_view span");
+    let view = span.fields.iter().find(|(k, _)| *k == "view").unwrap();
+    let (view_granted, proof) = answer.unzip();
+    let digest = proof
+        .flatten()
+        .map(|p| audit::chain_digest(&p.credential_ids()))
+        .unwrap_or_default();
+    (records.remove(0), view.1.to_string(), view_granted, digest)
+}
+
+/// A stored decision carries its audit record: the hit commits what the
+/// storing miss committed, and both what a first sighting and an uncached
+/// sign-on build, field for field but for the record's own sequence
+/// number, time, trace and cache provenance. The span names the same view.
+/// Checked for a role-rule grant, a catch-all grant and a denial.
+#[test]
+fn a_hit_audits_exactly_as_its_miss_did() {
+    let w = SignOnWorld::new();
+    let anyone = w.acl.clone().others("view.Anyone");
+    let member = w.first_of(1).as_subject();
+    let nobody = w.first_of(4).as_subject();
+    for (acl, subject, allow) in [
+        (&w.acl, &member, true),
+        (&anyone, &nobody, true),
+        (&w.acl, &nobody, false),
+    ] {
+        let decision_hits = w.cache.stats().decision_hits;
+        // Uncached, first sighting, storing miss, hit.
+        let sign_ons =
+            [false, true, true, true].map(|cached| audited_sign_on(&w, acl, subject, cached));
+        assert_eq!(w.cache.stats().decision_hits, decision_hits + 1);
+        let (reference, view, granted, digest) = &sign_ons[0];
+        assert_eq!(reference.verdict == Verdict::Allow, allow);
+        assert_eq!(
+            *reference.chain_digest, **digest,
+            "the digest of the proof granted"
+        );
+        assert_eq!(view, granted.as_deref().unwrap_or("<denied>"));
+        for (i, (record, span_view, _, _)) in sign_ons.iter().enumerate() {
+            let provenance = (record.cache, record.epoch.is_some());
+            let hit = if allow {
+                CacheOutcome::Hit
+            } else {
+                CacheOutcome::NegativeHit
+            };
+            assert_eq!(
+                provenance,
+                if i < 3 {
+                    (CacheOutcome::Uncached, false)
+                } else {
+                    (hit, true)
+                }
+            );
+            assert!(
+                record.trace.is_some(),
+                "each record joins its own sign-on's trace"
+            );
+            let bare = AuditRecord {
+                seq: reference.seq,
+                t_us: reference.t_us,
+                trace: reference.trace,
+                cache: reference.cache,
+                epoch: reference.epoch,
+                ..record.clone()
+            };
+            assert_eq!(bare, *reference, "sign-on {i}");
+            assert_eq!(span_view, view, "sign-on {i}");
+        }
+    }
+}
+
+/// A decision lifted by a revocation is decided again, and the record its
+/// hits commit is the new decision's: a Member user holding two leaf
+/// grants loses the one its proof rested on, and the record carries the
+/// other chain's digest.
+#[test]
+fn a_redecided_sign_on_audits_its_new_chain() {
+    let w = SignOnWorld::new();
+    let user = w.user_with("TwoGrants", &[("LeafMember", AttrSet::default())]);
+    w.repo.publish_at_issuer(
+        DelegationBuilder::new(&w.domains[2])
+            .subject_entity(&user)
+            .role(w.domains[2].role("LeafMember"))
+            .expires(1_000_000)
+            .sign(),
+    );
+    let subject = user.as_subject();
+    let sign_ons = [0; 3].map(|_| audited_sign_on(&w, &w.acl, &subject, true));
+    assert_eq!(sign_ons[2].0.cache, CacheOutcome::Hit);
+    let old = sign_ons[2].0.chain_digest.clone();
+    assert!(sign_ons.iter().all(|(r, ..)| r.chain_digest == old));
+    let (registry, repo, bus) = (&w.registry, &w.repo, &w.bus);
+    let (_, proof) = w
+        .acl
+        .select_view(&subject, &[], registry, repo, bus, 0)
+        .unwrap();
+    let leaf = proof.unwrap().credential_ids()[0];
+    w.bus.revoke(leaf.as_str());
+    let invalidations = w.cache.stats().decision_invalidations;
+    let again = [0; 2].map(|_| audited_sign_on(&w, &w.acl, &subject, true));
+    assert_eq!(w.cache.stats().decision_invalidations, invalidations + 1);
+    assert_eq!(
+        again.each_ref().map(|(r, ..)| r.cache),
+        [CacheOutcome::Uncached, CacheOutcome::Hit]
+    );
+    for (record, _, view, digest) in &again {
+        assert_eq!(view.as_deref(), Some("view.Member"));
+        assert_ne!(
+            record.chain_digest, old,
+            "the revoked chain's digest is gone"
+        );
+        assert_eq!(
+            *record.chain_digest, **digest,
+            "the digest of the chain now granted"
+        );
+    }
 }

@@ -6,8 +6,9 @@
 //! (`psf.drbac.prove.calls`), the walk they made (nodes expanded,
 //! credentials examined and repository queries), proof-table hits,
 //! misses, invalidations and inserts, decision-table hits, misses,
-//! invalidations and inserts, audit records (`psf.audit.records`) and
-//! heap allocations.
+//! invalidations and inserts, audit records (`psf.audit.records`), spans
+//! recorded (the global tracer's buffered plus evicted spans, counted the
+//! way the benchmark counts audit records) and heap allocations.
 //!
 //! A change that moves one of these counts must change the table below,
 //! and say why. Counters are process-wide, so this file holds one test,
@@ -164,20 +165,24 @@ struct Counts {
     decision_invalidations: u64,
     decision_inserts: u64,
     audit_records: u64,
+    spans: u64,
     allocations: u64,
 }
 
-/// Process-wide counters: prove calls, nodes expanded, credentials
-/// examined, audit records.
-fn counters() -> [u64; 4] {
+/// Process-wide counts: prove calls, nodes expanded, credentials
+/// examined, audit records, and spans recorded (buffered plus evicted).
+fn counters() -> [u64; 5] {
     let registry = psf_telemetry::registry();
-    [
+    let tracer = psf_telemetry::tracer();
+    let [calls, nodes, creds, audits] = [
         "psf.drbac.prove.calls",
         "psf.drbac.nodes.expanded",
         "psf.drbac.creds.examined",
         "psf.audit.records",
     ]
-    .map(|name| registry.counter_value(name))
+    .map(|name| registry.counter_value(name));
+    let spans = tracer.len() as u64 + tracer.dropped();
+    [calls, nodes, creds, audits, spans]
 }
 
 /// Sign every user of `users` on once, `passes` times over, through one
@@ -204,7 +209,8 @@ fn run(
     let allocations = ALLOCATIONS.load(Relaxed) - allocations;
     let (after, counted_after) = (cache.stats(), counters());
     let d = |f: fn(&CacheStats) -> u64| f(&after) - f(&before);
-    let [calls, nodes, creds, audits] = [0, 1, 2, 3].map(|i| counted_after[i] - counted[i]);
+    let [calls, nodes, creds, audits, spans] =
+        [0, 1, 2, 3, 4].map(|i| counted_after[i] - counted[i]);
     let counts = Counts {
         ops: passes * users.len() as u64,
         prove_calls: calls,
@@ -222,6 +228,7 @@ fn run(
         decision_invalidations: d(|s| s.decision_invalidations),
         decision_inserts: d(|s| s.decision_inserts),
         audit_records: audits,
+        spans,
         allocations,
     };
     (counts, views)
@@ -269,9 +276,19 @@ fn run(
 /// credential (the revoked grant) each, and the four failures and the
 /// denial are stored. The other 127 sign-ons are decision hits.
 ///
+/// Every sign-on records its `select_view` span and one `prove` span per
+/// prove call: 3.5 per sign-on that decides its rules, 1 per decision hit.
+///
 /// Allocations are every heap allocation the phase made, the test's own
-/// included: ≈ 130 per first sighting, ≈ 154 per second sighting (which
-/// stores), ≈ 15 per steady sign-on and ≈ 125 per cold sign-on.
+/// included: ≈ 129 per first sighting, ≈ 154 per second sighting (which
+/// stores), ≈ 8 per steady sign-on and ≈ 124 per cold sign-on. A stored
+/// decision carries its audit record, built on the second sighting with
+/// shared text, and a hit commits a clone of it and names its span's view
+/// from it without copying text. A steady sign-on's remaining allocations
+/// are the decision key's subject string, the clone of the stored proof,
+/// the view `String` returned, and the span's field list. When every hit
+/// rebuilt its record and span text, the five phases allocated 16 693,
+/// 19 749, 7 826, 2 084 and 32 007 times.
 const TABLE: [(&str, Counts); 5] = [
     (
         "warm, first sighting",
@@ -292,7 +309,8 @@ const TABLE: [(&str, Counts); 5] = [
             decision_invalidations: 0,
             decision_inserts: 0,
             audit_records: 448,
-            allocations: 16_693,
+            spans: 448,
+            allocations: 16_544,
         },
     ),
     (
@@ -314,7 +332,8 @@ const TABLE: [(&str, Counts); 5] = [
             decision_invalidations: 0,
             decision_inserts: 128,
             audit_records: 448,
-            allocations: 19_749,
+            spans: 448,
+            allocations: 19_729,
         },
     ),
     (
@@ -336,7 +355,8 @@ const TABLE: [(&str, Counts); 5] = [
             decision_invalidations: 0,
             decision_inserts: 0,
             audit_records: 512,
-            allocations: 7826,
+            spans: 512,
+            allocations: 4146,
         },
     ),
     (
@@ -358,7 +378,8 @@ const TABLE: [(&str, Counts); 5] = [
             decision_invalidations: 1,
             decision_inserts: 1,
             audit_records: 132,
-            allocations: 2084,
+            spans: 132,
+            allocations: 1172,
         },
     ),
     (
@@ -380,7 +401,8 @@ const TABLE: [(&str, Counts); 5] = [
             decision_invalidations: 0,
             decision_inserts: 0,
             audit_records: 896,
-            allocations: 32_007,
+            spans: 896,
+            allocations: 31_723,
         },
     ),
 ];
@@ -405,7 +427,7 @@ fn sign_on_counts_match_the_committed_table() {
              proof hit/miss/invalidation/insert per op {:.3}/{:.3}/{:.3}/{:.3}  \
              walk hit/miss per op {:.3}/{:.3}  \
              decision hit/miss/invalidation/insert per op {:.3}/{:.3}/{:.3}/{:.3}  \
-             audit/op {:.3}  allocations/op {:.1}",
+             audit/op {:.3}  spans/op {:.3}  allocations {} ({:.1}/op)",
             got.ops,
             per_op(got.prove_calls),
             per_op(got.nodes),
@@ -422,6 +444,8 @@ fn sign_on_counts_match_the_committed_table() {
             per_op(got.decision_invalidations),
             per_op(got.decision_inserts),
             per_op(got.audit_records),
+            per_op(got.spans),
+            got.allocations,
             per_op(got.allocations),
         );
     }
