@@ -364,7 +364,9 @@ impl<'a> ProofEngine<'a> {
     /// that tries several: `evidence` gains the entry the answer rests on,
     /// a proof-table hit's or a fresh answer's once stored. A discarded
     /// `evidence` (a first sighting) stores no fresh answer; an engine
-    /// without a cache adds its search's evidence.
+    /// without a cache adds its search's evidence. The rule leaves its
+    /// `prove` span but no audit record: the decision's one record names
+    /// the rule, granted or failed.
     pub fn prove_noting(
         &self,
         subject: &Subject,
@@ -387,6 +389,8 @@ impl<'a> ProofEngine<'a> {
         let start = std::time::Instant::now();
         psf_telemetry::counter!("psf.drbac.prove.calls").inc();
 
+        // A rule tried for a decision is audited by the decision.
+        let audited = decision.is_none();
         let key = self.cache.map(|_| ProofKey {
             subject: subject_key(subject),
             role: target.to_string(),
@@ -416,7 +420,9 @@ impl<'a> ProofEngine<'a> {
                 }
                 psf_telemetry::histogram!("psf.drbac.prove.us").record_duration(start.elapsed());
                 span.field("cached", true).field("ok", result.is_ok());
-                self.audit_prove(subject, target, &result, true, repo_epoch);
+                if audited {
+                    self.audit_prove(subject, target, &result, true, repo_epoch);
+                }
                 return result;
             }
         }
@@ -451,13 +457,15 @@ impl<'a> ProofEngine<'a> {
         psf_telemetry::histogram!("psf.drbac.prove.us").record_duration(start.elapsed());
         span.field("nodes_expanded", work.nodes_expanded)
             .field("ok", result.is_ok());
-        self.audit_prove(
-            subject,
-            target,
-            &result,
-            false,
-            self.cache.and_then(|_| self.repository.version()),
-        );
+        if audited {
+            self.audit_prove(
+                subject,
+                target,
+                &result,
+                false,
+                self.cache.and_then(|_| self.repository.version()),
+            );
+        }
         result
     }
 

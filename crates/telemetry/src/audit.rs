@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Text of an audit record or a span field: a literal, an owned string,
-/// or a string shared between records, so a stored decision's record is
-/// committed again without copying its text.
+/// a string shared between records, so a stored decision's record is
+/// committed again without copying its text, or short text held in place.
 #[derive(Clone)]
 pub enum Text {
     /// A literal.
@@ -32,9 +32,40 @@ pub enum Text {
     Owned(String),
     /// Shared between records; cloning it copies no text.
     Shared(Arc<str>),
+    /// Up to [`Text::INLINE`] bytes of UTF-8 without a NUL, padded with
+    /// NULs: no allocation, and a clone is a copy. Made by
+    /// [`Text::inline`] and [`Text::display`].
+    Inline([u8; Text::INLINE]),
 }
 
 impl Text {
+    /// The most bytes held in place; `Text` stays the size of a `String`.
+    pub const INLINE: usize = 16;
+
+    /// `s` held in place, if it fits and has no NUL.
+    pub fn inline(s: &str) -> Option<Text> {
+        if s.len() > Text::INLINE || s.contains('\0') {
+            return None;
+        }
+        let mut buf = [0; Text::INLINE];
+        buf[..s.len()].copy_from_slice(s.as_bytes());
+        Some(Text::Inline(buf))
+    }
+
+    /// `value` formatted: in place when it fits, owned otherwise. A value
+    /// that outgrows the place is formatted again, into a `String`.
+    pub fn display(value: impl std::fmt::Display) -> Text {
+        let mut buf = [0; Text::INLINE];
+        let mut rest = &mut buf[..];
+        let fits = std::io::Write::write_fmt(&mut rest, format_args!("{value}")).is_ok();
+        let len = Text::INLINE - rest.len();
+        if fits && !buf[..len].contains(&0) {
+            Text::Inline(buf)
+        } else {
+            Text::Owned(value.to_string())
+        }
+    }
+
     /// This text, cheap to clone: owned text moves behind an `Arc`.
     pub fn share(self) -> Text {
         match self {
@@ -42,6 +73,13 @@ impl Text {
             text => text,
         }
     }
+}
+
+/// The text in place in `buf`, up to its first NUL. Only whole UTF-8
+/// strings are kept in place, so the check never fails.
+fn inline_str(buf: &[u8]) -> &str {
+    let len = buf.iter().position(|&b| b == 0).unwrap_or(buf.len());
+    std::str::from_utf8(&buf[..len]).unwrap_or_default()
 }
 
 impl Default for Text {
@@ -58,6 +96,7 @@ impl std::ops::Deref for Text {
             Text::Static(s) => s,
             Text::Owned(s) => s,
             Text::Shared(s) => s,
+            Text::Inline(buf) => inline_str(buf),
         }
     }
 }
@@ -208,8 +247,8 @@ pub struct AuditRecord {
 
 /// Digest an ordered delegation chain (credential ids) into the compact
 /// hex form stored in [`AuditRecord::chain_digest`]. FNV-1a over the ids
-/// separated by `\n` — stable across processes, cheap on the warm path:
-/// shared text, written in one allocation.
+/// separated by `\n` — stable across processes, and its 16 hex characters
+/// are held in place, so a digest allocates nothing.
 pub fn chain_digest<S: AsRef<str>>(credential_ids: &[S]) -> Text {
     if credential_ids.is_empty() {
         return Text::default();
@@ -225,7 +264,7 @@ pub fn chain_digest<S: AsRef<str>>(credential_ids: &[S]) -> Text {
     }
     let hex: [u8; 16] =
         std::array::from_fn(|i| b"0123456789abcdef"[(h >> (60 - 4 * i)) as usize & 0xf]);
-    Text::Shared(String::from_utf8_lossy(&hex).into())
+    Text::Inline(hex)
 }
 
 /// Append-only bounded audit log (ring buffer, oldest evicted).
@@ -575,17 +614,85 @@ mod tests {
             Text::from("view.Admin"),
             Text::from("view.Admin".to_string()),
             Text::Shared("view.Admin".into()),
+            Text::inline("view.Admin").unwrap(),
         ];
         for t in &forms {
             assert_eq!(&**t, "view.Admin");
             assert_eq!(*t, "view.Admin");
             assert_eq!(*t, "view.Admin".to_string());
-            assert_eq!(*t, forms[0]);
+            for other in &forms {
+                assert_eq!(t, other);
+            }
+            assert_eq!(t.to_string(), "view.Admin");
             assert_eq!(format!("{t:>12}|{t:?}"), "  view.Admin|\"view.Admin\"");
         }
+        assert_ne!(forms[3], Text::inline("view.Admi").unwrap());
         assert!(matches!(forms[1].clone().share(), Text::Shared(_)));
         assert!(matches!(forms[0].clone().share(), Text::Static(_)));
+        assert!(matches!(forms[3].clone().share(), Text::Inline(_)));
         assert!(Text::default().is_empty());
+    }
+
+    #[test]
+    fn text_is_the_size_of_a_string() {
+        assert_eq!(std::mem::size_of::<Text>(), 24);
+        assert_eq!(std::mem::size_of::<Text>(), std::mem::size_of::<String>());
+    }
+
+    #[test]
+    fn short_text_round_trips_in_place_and_long_text_is_owned() {
+        for n in [0, 1, 15, 16, 17, 40] {
+            let s = "x".repeat(n);
+            let inline = Text::inline(&s);
+            assert_eq!(inline.is_some(), n <= Text::INLINE, "{n} bytes");
+            let shown = Text::display(&s);
+            assert_eq!(matches!(shown, Text::Inline(_)), n <= Text::INLINE);
+            assert_eq!(matches!(shown, Text::Owned(_)), n > Text::INLINE);
+            for t in inline.iter().chain([&shown]) {
+                assert_eq!(**t, *s, "{n} bytes");
+                assert_eq!(t.len(), n);
+            }
+        }
+        // Written in several pieces, owned when a later piece overflows.
+        let role = format_args!("{}.{}", "Org", "Member");
+        assert!(matches!(Text::display(role), Text::Inline(_)));
+        let long = Text::display(format_args!("{}.{}", "Organisation", "Member"));
+        assert!(matches!(long, Text::Owned(_)));
+        assert_eq!(long, "Organisation.Member");
+        assert_eq!(Text::display(true), "true");
+        assert_eq!(Text::display(1_234_567u64), "1234567");
+    }
+
+    #[test]
+    fn a_character_is_never_split_across_the_boundary() {
+        // 15 ASCII bytes and a 2-byte character: 17 bytes, owned whole.
+        let s = format!("{}é", "a".repeat(15));
+        assert_eq!(s.len(), 17);
+        assert!(Text::inline(&s).is_none());
+        let shown = Text::display(&s);
+        assert!(matches!(shown, Text::Owned(_)));
+        assert_eq!(shown, *s);
+        // 14 and the same character: 16 bytes, in place whole.
+        let s = format!("{}é", "a".repeat(14));
+        assert_eq!(Text::inline(&s).unwrap(), *s);
+        assert!(matches!(Text::display(&s), Text::Inline(_)));
+        // A character written after 15 bytes makes the text owned.
+        let split = Text::display(format_args!("{}{}", "a".repeat(15), 'é'));
+        assert!(matches!(split, Text::Owned(_)));
+        assert_eq!(split, format!("{}é", "a".repeat(15)));
+    }
+
+    #[test]
+    fn text_with_a_nul_is_owned() {
+        assert!(Text::inline("a\0b").is_none());
+        assert!(Text::inline("\0").is_none());
+        let shown = Text::display("a\0b");
+        assert!(matches!(shown, Text::Owned(_)));
+        assert_eq!(shown, "a\0b");
+        assert_eq!(shown.len(), 3);
+        let late = Text::display(format_args!("{}{}", "ab", "\0"));
+        assert!(matches!(late, Text::Owned(_)));
+        assert_eq!(late, "ab\0");
     }
 
     #[test]
@@ -664,6 +771,7 @@ mod tests {
         assert_ne!(d1, d2);
         assert_eq!(d1, chain_digest(&["a", "b"]));
         assert_eq!(d1.len(), 16);
+        assert!(matches!(d1, Text::Inline(_)), "a digest is held in place");
         assert!(chain_digest::<&str>(&[]).is_empty());
         // Concatenation ambiguity is broken by the separator.
         assert_ne!(chain_digest(&["ab"]), chain_digest(&["a", "b"]));

@@ -643,9 +643,10 @@ pub struct SpanGuard<'a> {
 }
 
 impl SpanGuard<'_> {
-    /// Attach a key/value annotation (value formatted via `Display`).
+    /// Attach a key/value annotation (value formatted via `Display`, held
+    /// in place when short: see [`Text::display`]).
     pub fn field(&mut self, key: &'static str, value: impl std::fmt::Display) -> &mut Self {
-        self.fields.push((key, Text::Owned(value.to_string())));
+        self.fields.push((key, Text::display(value)));
         self
     }
 

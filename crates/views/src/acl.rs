@@ -166,25 +166,28 @@ impl ViewAcl {
         ViewDecision::default()
     }
 
-    /// The audit record of `decision`, without its provenance, each text
-    /// in one allocation: the detail is `format!("role {role}")`, sized.
+    /// The audit record of `decision`, without its provenance. It is the
+    /// decision's only record: its detail names the rule that decided and
+    /// every role rule tried before it, each of which found no proof (the
+    /// rules' searches leave no record of their own). Short names are held
+    /// in place, and the detail is written in one allocation.
     fn audit(&self, subject: &Subject, decision: &ViewDecision) -> AuditRecordBuilder {
         let who = match subject {
-            Subject::Entity { name, .. } => Text::Shared(name.0.as_str().into()),
+            Subject::Entity { name, .. } => held(&name.0),
             Subject::Role(_) => subject.render().into(),
         };
+        let failed = &self.rules()[..decision.rule.unwrap_or(self.rules().len())];
         let Some(i) = decision.rule else {
             return audit::record(Decision::SelectView, who, "", Verdict::Deny)
-                .detail("no acl rule matched");
+                .detail(detail(&["no acl rule matched"], failed));
         };
         let (role, view) = &self.rules()[i];
-        let view = Text::Shared(view.as_str().into());
-        let record = audit::record(Decision::SelectView, who, view, Verdict::Allow);
+        let record = audit::record(Decision::SelectView, who, held(view), Verdict::Allow);
         match (role, &decision.proof) {
             (Some(role), Some(proof)) => record
                 .chain(&proof.credential_ids())
-                .detail(["role ", &role.owner.0, ".", &role.role].concat()),
-            _ => record.detail("catch-all rule"),
+                .detail(detail(&["role ", &role.owner.0, ".", &role.role], failed)),
+            _ => record.detail(detail(&["catch-all rule"], failed)),
         }
     }
 
@@ -269,6 +272,30 @@ impl ViewAcl {
             issued_at: now,
         }
     }
+}
+
+/// `s` held in place when short, else shared.
+fn held(s: &str) -> Text {
+    Text::inline(s).unwrap_or_else(|| Text::Shared(s.into()))
+}
+
+/// A decision's audit detail: `head`, then `; no proof of ` and the roles
+/// of the `failed` rules, comma-separated, in one allocation.
+fn detail(head: &[&str], failed: &[(Option<RoleName>, String)]) -> String {
+    const NO_PROOF: &str = "; no proof of ";
+    let roles = || failed.iter().filter_map(|(role, _)| role.as_ref());
+    let len = head.iter().map(|s| s.len()).sum::<usize>()
+        + NO_PROOF.len()
+        + roles()
+            .map(|r| r.owner.0.len() + r.role.len() + 3)
+            .sum::<usize>();
+    let mut out = String::with_capacity(len);
+    head.iter().for_each(|s| out.push_str(s));
+    for (n, role) in roles().enumerate() {
+        out.push_str(if n == 0 { NO_PROOF } else { ", " });
+        out.extend([role.owner.0.as_str(), ".", role.role.as_str()]);
+    }
+    out
 }
 
 /// A single-sign-on token: the outcome of the one authorization decision

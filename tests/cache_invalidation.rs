@@ -1014,10 +1014,26 @@ fn a_hit_audits_exactly_as_its_miss_did() {
     let anyone = w.acl.clone().others("view.Anyone");
     let member = w.first_of(1).as_subject();
     let nobody = w.first_of(4).as_subject();
-    for (acl, subject, allow) in [
-        (&w.acl, &member, true),
-        (&anyone, &nobody, true),
-        (&w.acl, &nobody, false),
+    let failed_all = "no proof of Org.Admin, Org.Member, Org.Partner, Org.Guest";
+    for (acl, subject, allow, detail) in [
+        (
+            &w.acl,
+            &member,
+            true,
+            "role Org.Member; no proof of Org.Admin".to_string(),
+        ),
+        (
+            &anyone,
+            &nobody,
+            true,
+            format!("catch-all rule; {failed_all}"),
+        ),
+        (
+            &w.acl,
+            &nobody,
+            false,
+            format!("no acl rule matched; {failed_all}"),
+        ),
     ] {
         let decision_hits = w.cache.stats().decision_hits;
         // Uncached, first sighting, storing miss, hit.
@@ -1026,6 +1042,10 @@ fn a_hit_audits_exactly_as_its_miss_did() {
         assert_eq!(w.cache.stats().decision_hits, decision_hits + 1);
         let (reference, view, granted, digest) = &sign_ons[0];
         assert_eq!(reference.verdict == Verdict::Allow, allow);
+        assert_eq!(
+            reference.detail, *detail,
+            "the rule decided and each that failed"
+        );
         assert_eq!(
             *reference.chain_digest, **digest,
             "the digest of the proof granted"
@@ -1061,6 +1081,64 @@ fn a_hit_audits_exactly_as_its_miss_did() {
             assert_eq!(bare, *reference, "sign-on {i}");
             assert_eq!(span_view, view, "sign-on {i}");
         }
+    }
+}
+
+/// A denial is explained by its one record: a user who fails every rule
+/// leaves exactly one audit record in its sign-on's trace, the
+/// `select_view` denial that `psf audit --subject S --deny-only` prints,
+/// and it names every role the user failed. The rules' searches leave
+/// spans but no records. The same record is committed uncached, on a first
+/// sighting, on the storing miss and on a hit.
+#[test]
+fn a_denial_is_explained_by_its_one_record() {
+    let w = SignOnWorld::new();
+    let nobody = w.first_of(4);
+    let name = nobody.name.to_string();
+    let sign_ons = [false, true, true, true]
+        .map(|cached| audited_sign_on(&w, &w.acl, &nobody.as_subject(), cached));
+    for (i, (record, ..)) in sign_ons.iter().enumerate() {
+        let trace = record.trace;
+        assert_eq!(
+            audit::global().query(Some(&name), true, trace),
+            std::slice::from_ref(record),
+            "sign-on {i}: the denial is the trace's one denial record"
+        );
+        assert_eq!(
+            audit::global().query(None, false, trace).len(),
+            1,
+            "sign-on {i}: no rule's search left a record"
+        );
+        let rules_searched = psf_telemetry::tracer()
+            .snapshot()
+            .into_iter()
+            .filter(|s| s.trace == trace && s.name == "prove")
+            .count();
+        let hit = i == 3;
+        assert_eq!(rules_searched, if hit { 0 } else { 4 }, "sign-on {i}");
+        assert_eq!(record.decision, Decision::SelectView);
+        assert_eq!(record.verdict, Verdict::Deny);
+        assert_eq!(*record.subject, *name);
+        assert_eq!(
+            record.detail,
+            "no acl rule matched; no proof of Org.Admin, Org.Member, Org.Partner, Org.Guest"
+        );
+        let bare = AuditRecord {
+            cache: CacheOutcome::Uncached,
+            epoch: None,
+            ..record.clone()
+        };
+        let reference = &sign_ons[0].0;
+        assert_eq!(
+            bare,
+            AuditRecord {
+                seq: record.seq,
+                t_us: record.t_us,
+                trace,
+                ..reference.clone()
+            },
+            "sign-on {i}"
+        );
     }
 }
 

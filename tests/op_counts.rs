@@ -5,7 +5,8 @@
 //! table of what each request shape costs: proof searches begun
 //! (`psf.drbac.prove.calls`), the walk they made (nodes expanded,
 //! credentials examined and repository queries), proof-table hits,
-//! misses, invalidations and inserts, decision-table hits, misses,
+//! misses, invalidations and inserts, walk hits and misses, signature
+//! checks recalled and computed, decision-table hits, misses,
 //! invalidations and inserts, audit records (`psf.audit.records`), spans
 //! recorded (the global tracer's buffered plus evicted spans, counted the
 //! way the benchmark counts audit records) and heap allocations.
@@ -160,6 +161,8 @@ struct Counts {
     proof_inserts: u64,
     walk_hits: u64,
     walk_misses: u64,
+    cred_hits: u64,
+    cred_misses: u64,
     decision_hits: u64,
     decision_misses: u64,
     decision_invalidations: u64,
@@ -223,6 +226,8 @@ fn run(
         proof_inserts: d(|s| s.proof_inserts),
         walk_hits: d(|s| s.walk_hits),
         walk_misses: d(|s| s.walk_misses),
+        cred_hits: d(|s| s.cred_hits),
+        cred_misses: d(|s| s.cred_misses),
         decision_hits: d(|s| s.decision_hits),
         decision_misses: d(|s| s.decision_misses),
         decision_invalidations: d(|s| s.decision_invalidations),
@@ -276,19 +281,34 @@ fn run(
 /// credential (the revoked grant) each, and the four failures and the
 /// denial are stored. The other 127 sign-ons are decision hits.
 ///
+/// A signature check is recalled from the verdict stored on its
+/// credential, or computed: once per credential, on the first search that
+/// examines it. The first sighting computes 137 (124 leaf grants, the 12
+/// chain mappings and the registrar's one assignment the Member leaves rest
+/// on), and the cold pass 248, its users' leaf grants.
+///
 /// Every sign-on records its `select_view` span and one `prove` span per
 /// prove call: 3.5 per sign-on that decides its rules, 1 per decision hit.
+/// It commits one audit record, its decision's `select_view` record, which
+/// names the rule that decided and each rule that failed before it. A prove
+/// call made for a decision leaves its span but no record; when it left one
+/// too, the five phases committed 448, 448, 512, 132 and 896 records.
 ///
 /// Allocations are every heap allocation the phase made, the test's own
-/// included: ≈ 129 per first sighting, ≈ 154 per second sighting (which
-/// stores), ≈ 8 per steady sign-on and ≈ 124 per cold sign-on. A stored
+/// included: ≈ 101 per first sighting, ≈ 127 per second sighting (which
+/// stores), ≈ 8 per steady sign-on and ≈ 96 per cold sign-on. A stored
 /// decision carries its audit record, built on the second sighting with
 /// shared text, and a hit commits a clone of it and names its span's view
-/// from it without copying text. A steady sign-on's remaining allocations
-/// are the decision key's subject string, the clone of the stored proof,
-/// the view `String` returned, and the span's field list. When every hit
-/// rebuilt its record and span text, the five phases allocated 16 693,
-/// 19 749, 7 826, 2 084 and 32 007 times.
+/// from it without copying text. Text of up to 16 bytes is held in place,
+/// not allocated: a span field formatted short (a prove span's target, `ok`
+/// and node count), a chain digest, and short subject and view names on a
+/// record. A steady sign-on's remaining allocations are the decision key's
+/// subject string, the clone of the stored proof, the view `String`
+/// returned, and the span's field list. When every hit rebuilt its record
+/// and span text, the five phases allocated 16 693, 19 749, 7 826, 2 084
+/// and 32 007 times; when each prove call also committed a record and every
+/// span field and digest was allocated, 16 544, 19 729, 4 146, 1 172 and
+/// 31 723.
 const TABLE: [(&str, Counts); 5] = [
     (
         "warm, first sighting",
@@ -304,13 +324,15 @@ const TABLE: [(&str, Counts); 5] = [
             proof_inserts: 10,
             walk_hits: 294,
             walk_misses: 10,
+            cred_hits: 261,
+            cred_misses: 137,
             decision_hits: 0,
             decision_misses: 128,
             decision_invalidations: 0,
             decision_inserts: 0,
-            audit_records: 448,
+            audit_records: 128,
             spans: 448,
-            allocations: 16_544,
+            allocations: 12_940,
         },
     ),
     (
@@ -327,13 +349,15 @@ const TABLE: [(&str, Counts); 5] = [
             proof_inserts: 320,
             walk_hits: 304,
             walk_misses: 0,
+            cred_hits: 368,
+            cred_misses: 0,
             decision_hits: 0,
             decision_misses: 128,
             decision_invalidations: 0,
             decision_inserts: 128,
-            audit_records: 448,
+            audit_records: 128,
             spans: 448,
-            allocations: 19_729,
+            allocations: 16_253,
         },
     ),
     (
@@ -350,6 +374,8 @@ const TABLE: [(&str, Counts); 5] = [
             proof_inserts: 0,
             walk_hits: 0,
             walk_misses: 0,
+            cred_hits: 0,
+            cred_misses: 0,
             decision_hits: 512,
             decision_misses: 0,
             decision_invalidations: 0,
@@ -373,13 +399,15 @@ const TABLE: [(&str, Counts); 5] = [
             proof_inserts: 4,
             walk_hits: 0,
             walk_misses: 0,
+            cred_hits: 4,
+            cred_misses: 0,
             decision_hits: 127,
             decision_misses: 1,
             decision_invalidations: 1,
             decision_inserts: 1,
-            audit_records: 132,
+            audit_records: 128,
             spans: 132,
-            allocations: 1172,
+            allocations: 1133,
         },
     ),
     (
@@ -396,13 +424,15 @@ const TABLE: [(&str, Counts); 5] = [
             proof_inserts: 0,
             walk_hits: 608,
             walk_misses: 0,
+            cred_hits: 488,
+            cred_misses: 248,
             decision_hits: 0,
             decision_misses: 256,
             decision_invalidations: 0,
             decision_inserts: 0,
-            audit_records: 896,
+            audit_records: 256,
             spans: 896,
-            allocations: 31_723,
+            allocations: 24_515,
         },
     ),
 ];
@@ -426,6 +456,7 @@ fn sign_on_counts_match_the_committed_table() {
             "{name:<22} ops {:>4}  prove/op {:.3}  nodes/creds/queries per op {:.3}/{:.3}/{:.3}  \
              proof hit/miss/invalidation/insert per op {:.3}/{:.3}/{:.3}/{:.3}  \
              walk hit/miss per op {:.3}/{:.3}  \
+             signature recalled/computed per op {:.3}/{:.3}  \
              decision hit/miss/invalidation/insert per op {:.3}/{:.3}/{:.3}/{:.3}  \
              audit/op {:.3}  spans/op {:.3}  allocations {} ({:.1}/op)",
             got.ops,
@@ -439,6 +470,8 @@ fn sign_on_counts_match_the_committed_table() {
             per_op(got.proof_inserts),
             per_op(got.walk_hits),
             per_op(got.walk_misses),
+            per_op(got.cred_hits),
+            per_op(got.cred_misses),
             per_op(got.decision_hits),
             per_op(got.decision_misses),
             per_op(got.decision_invalidations),

@@ -187,18 +187,36 @@ fn one_trace_links_client_rpc_server_dispatch_prove_and_view_decision() {
     assert!(orphans.is_empty(), "orphan parents in trace: {orphans:?}");
 
     // The audit trail replays the decisions behind this trace: channel
-    // admission on both sides, the proof searches, the view selections.
+    // admission on both sides with the proof search each rests on, and
+    // every view selection. A rule tried for a view decision leaves its
+    // `prove` span but no record: the decision's record names it. So the
+    // `prove` records are exactly the proof searches outside a decision,
+    // the admissions'.
     let records = psf_telemetry::audit::global().query(None, false, Some(trace));
     let count = |d: Decision| records.iter().filter(|r| r.decision == d).count();
+    let (rule_proves, admission_proves): (Vec<&SpanRecord>, Vec<_>) = proves
+        .iter()
+        .map(|p| **p)
+        .partition(|p| selects.iter().any(|s| Some(s.id) == p.parent));
+    assert!(rule_proves.len() >= 7, "one rule tried per view decision");
     assert!(count(Decision::Authorize) >= 2, "handshake admissions");
-    assert!(count(Decision::Prove) >= 7, "proof searches");
+    assert!(
+        admission_proves.len() >= 2,
+        "each admission proves its peer"
+    );
+    assert_eq!(
+        count(Decision::Prove),
+        admission_proves.len(),
+        "admission proofs are audited; decision-path rules add no record"
+    );
     assert_eq!(count(Decision::SelectView), 7, "view selections");
     assert!(records.iter().all(|r| r.verdict == Verdict::Allow));
-    // Role-rule decisions carry the delegation-chain digest.
+    // Every view decision's one record carries the digest of the chain
+    // its granted rule rests on.
     assert!(records
         .iter()
         .filter(|r| r.decision == Decision::SelectView)
-        .all(|r| !r.chain_digest.is_empty()));
+        .all(|r| r.chain_digest.len() == 16 && r.detail == "role Comp.NY.Member"));
 
     // JSONL replay (what `psf audit --json` prints) round-trips the
     // trace id and decision kinds.
